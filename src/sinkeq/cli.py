@@ -34,10 +34,9 @@ from .dynamics import (
     default_closure_cap,
     forward_closure,
     has_singleton_sink,
-    in_a_sink,
-    sccs,
     simulate_walk,
-    sinks,
+    sink_equilibria,
+    state_space,
 )
 from .errors import CapExceededError, SinkeqError
 from .games.valid_utility import ValidUtilityInstance, check_valid_utility
@@ -46,6 +45,12 @@ from .report import AnalysisReport
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,7 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["improvement", "best-response"],
         default="improvement",
     )
-    parser.add_argument("--cap", type=int, default=None, help="enumeration cap")
+    parser.add_argument("--cap", type=_positive_int, default=None,
+                        help="bound on the profile space (full-space commands) "
+                             "or on the forward closure (in-sink, export-dot --from)")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -134,7 +141,7 @@ def _load_compiled(path: str):
 
 def _resolve_profile(spec: str, game, game_path: str):
     if spec == "@initial":
-        return _load_compiled(game_path).initial
+        return game.validate_profile(_load_compiled(game_path).initial)
     try:
         choices = tuple(int(tok) for tok in spec.split(","))
     except ValueError:
@@ -142,12 +149,19 @@ def _resolve_profile(spec: str, game, game_path: str):
     return game.validate_profile(choices)
 
 
+def _closure_from(args, graph: StateGraph, spec: str):
+    """Forward closure of a profile argument; CapExceededError when the cap cuts it."""
+    cap = args.cap or default_closure_cap()
+    closure = forward_closure(graph, _resolve_profile(spec, graph.game, args.game), cap)
+    if not closure.exhausted:
+        raise CapExceededError(
+            f"forward closure hit the cap of {cap} at {len(closure)} states", cap
+        )
+    return closure
+
+
 def _emit(report: AnalysisReport, args, out) -> None:
     out.write(report.to_json() if args.format == "json" else report.to_text())
-
-
-def _count_edges(graph, vertices) -> int:
-    return sum(len(graph.successors(v)) for v in vertices)
 
 
 def run_cli(argv, out=sys.stdout, err=sys.stderr) -> int:
@@ -176,46 +190,31 @@ def run_cli(argv, out=sys.stdout, err=sys.stderr) -> int:
 
 
 def _dispatch(args) -> AnalysisReport:
-    if args.command == "sinks":
+    if args.command in ("sinks", "has-non-singleton"):
         game = _load_game(args.game)
-        graph = StateGraph(game, _semantics(args))
-        found = sinks(game, _semantics(args), args.cap)
-        vertices = list(game.codec.all_profiles())
-        components = sccs(vertices, lambda v: [w for w, _ in graph.successors(v)])
+        closure = state_space(StateGraph(game, _semantics(args)), args.cap)
+        found = sink_equilibria(closure, game.codec)
+        extra = {"sink_sizes": [len(s.states) for s in found]}
+        if args.command == "has-non-singleton":
+            answer = "true" if any(not s.singleton for s in found) else "false"
+            return AnalysisReport(args.command, answer, states_explored=len(closure),
+                                  extra=extra)
+        extra["singletons"] = sum(1 for s in found if s.singleton)
         return AnalysisReport(
-            question="sinks",
-            answer=f"{len(found)} sink equilibria",
-            states_explored=game.codec.num_profiles,
-            edges=_count_edges(graph, vertices),
-            scc_count=len(components),
-            extra={
-                "sink_sizes": [len(s.states) for s in found],
-                "singletons": sum(1 for s in found if s.singleton),
-            },
+            "sinks", f"{len(found)} sink equilibria", states_explored=len(closure),
+            edges=closure.edges, scc_count=len(closure.components), extra=extra,
         )
     if args.command == "in-sink":
-        game = _load_game(args.game)
-        profile = _resolve_profile(args.profile, game, args.game)
-        semantics = _semantics(args)
-        verdict = in_a_sink(game, profile, semantics, args.cap)
-        graph = StateGraph(game, semantics)
-        closure = forward_closure(graph, profile, args.cap)
-        report = AnalysisReport(
-            question="in-sink",
-            answer=verdict.value,
-            states_explored=len(closure),
+        graph = StateGraph(_load_game(args.game), _semantics(args))
+        try:
+            closure = _closure_from(args, graph, args.profile)
+        except CapExceededError as exc:  # a cut closure holds exactly ``cap`` states
+            return AnalysisReport("in-sink", Answer.INCONCLUSIVE.value, str(exc),
+                                  states_explored=exc.cap)
+        return AnalysisReport(
+            "in-sink", closure.start_in_sink.value, states_explored=len(closure),
+            edges=closure.edges, scc_count=len(closure.components),
         )
-        if verdict is Answer.INCONCLUSIVE:
-            cap = args.cap if args.cap is not None else default_closure_cap()
-            report.reason = (
-                f"forward closure hit the cap of {cap} at {len(closure)} states"
-            )
-        else:
-            report.edges = _count_edges(graph, closure.states)
-            report.scc_count = len(sccs(
-                closure.states, lambda v: [w for w, _ in graph.successors(v)]
-            ))
-        return report
     if args.command == "has-pure":
         game = _load_game(args.game)
         answer = has_singleton_sink(game, args.cap)
@@ -223,16 +222,6 @@ def _dispatch(args) -> AnalysisReport:
             question="has-pure",
             answer="true" if answer else "false",
             states_explored=game.codec.num_profiles,
-        )
-    if args.command == "has-non-singleton":
-        game = _load_game(args.game)
-        found = sinks(game, _semantics(args), args.cap)
-        answer = any(not s.singleton for s in found)
-        return AnalysisReport(
-            question="has-non-singleton",
-            answer="true" if answer else "false",
-            states_explored=game.codec.num_profiles,
-            extra={"sink_sizes": [len(s.states) for s in found]},
         )
     if args.command == "simulate":
         game = _load_game(args.game)
@@ -299,31 +288,14 @@ def _dispatch(args) -> AnalysisReport:
             },
         )
     if args.command == "export-dot":
-        game = _load_game(args.game)
-        graph = StateGraph(game, _semantics(args))
+        graph = StateGraph(_load_game(args.game), _semantics(args))
         if args.from_profile:
-            start = _resolve_profile(args.from_profile, game, args.game)
-            closure = forward_closure(graph, start, args.cap)
-            vertices = closure.states
+            closure = _closure_from(args, graph, args.from_profile)
         else:
-            cap = args.cap or 4096
-            if game.codec.num_profiles > cap:
-                raise CapExceededError(
-                    f"profile space has {game.codec.num_profiles} states", cap
-                )
-            vertices = list(game.codec.all_profiles())
-        sink_states = set()
-        for comp in sccs(vertices, lambda v: [w for w, _ in graph.successors(v)]):
-            members = set(comp)
-            closed = all(
-                w in members or w not in set(vertices)
-                for v in comp for w, _ in graph.successors(v)
-            )
-            if closed:
-                sink_states |= members
+            closure = state_space(graph, args.cap or 4096)
+        sink_states = [v for comp in closure.sinks for v in comp]
         return AnalysisReport(
-            question="export-dot",
-            answer=export_dot(graph, vertices, sink_states),
+            question="export-dot", answer=export_dot(graph, closure.states, sink_states)
         )
     raise SinkeqError(f"unhandled command {args.command}")
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapExceededError, UnsupportedGameError
+from .errors import CapExceededError, SinkeqError, UnsupportedGameError
 from .games.base import CostGame, SuccinctGame
 from .games.congestion import CongestionGame
 from .profiles import Profile
@@ -34,7 +35,11 @@ class Answer(Enum):
 
 def _env_cap(name: str, default: int) -> int:
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    if not raw.isdecimal() or int(raw) < 1:
+        raise SinkeqError(f"{name} must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 def default_profile_cap() -> int:
@@ -108,19 +113,35 @@ class SinkEquilibrium:
 
 @dataclass
 class Closure:
-    states: list[Profile]  # BFS order from the start profile
-    exhausted: bool  # False when the cap cut enumeration short
-    index: dict[Profile, int] = field(default_factory=dict)
+    """One Tarjan pass over everything reachable from some roots.
 
-    def __post_init__(self):
-        if not self.index:
-            self.index = {s: k for k, s in enumerate(self.states)}
+    ``states`` are in discovery order, the first root first, and ``index``
+    maps each to its position. ``components`` are in completion order, members
+    in discovery order; ``sinks`` are the components no edge leaves; ``edges``
+    counts the arcs seen. Only ``states`` and ``index`` are whole when the cap
+    cut the pass short (``exhausted`` False).
+    """
+
+    states: list[Profile]
+    exhausted: bool
+    components: list[list[Profile]]
+    sinks: list[list[Profile]]
+    edges: int
+    index: dict[Profile, int]
 
     def __contains__(self, profile: Profile) -> bool:
         return profile in self.index
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def start_in_sink(self) -> Answer:
+        """Whether a forward closure's start lies in a sink: exactly when
+        everything it reaches reaches it back, i.e. the closure is one SCC."""
+        if not self.exhausted:
+            return Answer.INCONCLUSIVE
+        return Answer.YES if len(self.components) == 1 else Answer.NO
 
 
 def is_pure_ne(game: SuccinctGame, profile: Profile) -> bool:
@@ -147,24 +168,95 @@ def is_alpha_ne(game: SuccinctGame, profile: Profile, alpha) -> bool:
     return True
 
 
+_DONE = -1  # low-link of a state whose component has completed
+
+
+def _tarjan(roots: Iterable, successors: Callable[[object], list], cap: int | None = None) -> Closure:
+    """The one traversal: iterative Tarjan (1972) from each unvisited root.
+
+    ``successors`` runs exactly once per state. An edge leaves its component
+    exactly when it ends in a component that has already completed, so sinks
+    are found in the same pass: each DFS frame carries a "leaves" flag and
+    hands it to its parent while the two share a component.
+    """
+    states: list = []
+    index: dict = {}
+    low: list[int] = []  # by discovery number
+    stack: list[int] = []  # Tarjan's stack of discovery numbers, ascending
+    components: list[list] = []
+    sinks: list[list] = []
+    edges = 0
+    for root in roots:
+        if root in index:
+            continue
+        work: list[list] = []  # DFS frames: [discovery number, successor iterator, leaves]
+        new = root
+        while new is not None or work:
+            if new is not None:
+                k = len(states)
+                if cap is not None and k >= cap:
+                    return Closure(states, False, components, sinks, edges, index)
+                index[new] = k
+                states.append(new)
+                low.append(k)
+                stack.append(k)
+                succ = successors(new)
+                edges += len(succ)
+                work.append([k, iter(succ), False])
+                new = None
+            frame = work[-1]
+            k = frame[0]
+            for w in frame[1]:
+                j = index.get(w)
+                if j is None:
+                    new = w
+                    break
+                if low[j] == _DONE:
+                    frame[2] = True
+                elif j < low[k]:
+                    low[k] = j
+            if new is not None:
+                continue
+            work.pop()
+            if low[k] == k:
+                cut = bisect_left(stack, k)
+                members = stack[cut:]
+                del stack[cut:]
+                for j in members:
+                    low[j] = _DONE
+                component = [states[j] for j in members]
+                components.append(component)
+                if not frame[2]:
+                    sinks.append(component)
+                if work:
+                    work[-1][2] = True
+            else:
+                parent = work[-1]
+                low[parent[0]] = min(low[parent[0]], low[k])
+                parent[2] = parent[2] or frame[2]
+    return Closure(states, True, components, sinks, edges, index)
+
+
+def _next_states(graph: StateGraph) -> Callable[[Profile], list[Profile]]:
+    return lambda v: [w for w, _ in graph.successors(v)]
+
+
 def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None) -> Closure:
-    """All profiles reachable from ``start``; deterministic BFS order."""
+    """All profiles reachable from ``start``, in discovery order, with their SCCs."""
     if cap is None:
         cap = default_closure_cap()
-    start = tuple(start)
-    order = [start]
-    index = {start: 0}
-    head = 0
-    while head < len(order):
-        current = order[head]
-        head += 1
-        for nxt, _ in graph.successors(current):
-            if nxt not in index:
-                if len(order) >= cap:
-                    return Closure(order, exhausted=False, index=index)
-                index[nxt] = len(order)
-                order.append(nxt)
-    return Closure(order, exhausted=True, index=index)
+    return _tarjan([tuple(start)], _next_states(graph), cap)
+
+
+def state_space(graph: StateGraph, cap: int | None = None) -> Closure:
+    """The whole profile space, rooted at every profile in code order."""
+    _require_enumerable(graph.game, cap)
+    return _tarjan(graph.codec.all_profiles(), _next_states(graph))
+
+
+def _restricted(vertices: Sequence, successors: Callable[[object], Iterable]) -> Closure:
+    allowed = set(vertices)
+    return _tarjan(vertices, lambda v: [w for w in successors(v) if w in allowed])
 
 
 def sccs(vertices: Sequence, successors: Callable[[object], Iterable]) -> list[list]:
@@ -173,76 +265,12 @@ def sccs(vertices: Sequence, successors: Callable[[object], Iterable]) -> list[l
     Components come out in completion order, deterministic for a fixed
     vertex order; vertices inside each component keep discovery order.
     """
-    allowed = set(vertices)
-    index: dict = {}
-    low: dict = {}
-    onstack: set = set()
-    stack: list = []
-    components: list[list] = []
-    counter = 0
-
-    for root in vertices:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        work = [(root, iter([w for w in successors(root) if w in allowed]))]
-        while work:
-            v, edges = work[-1]
-            pushed = False
-            for w in edges:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter([u for u in successors(w) if u in allowed])))
-                    pushed = True
-                    break
-                if w in onstack:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if pushed:
-                continue
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                component.reverse()
-                components.append(component)
-    return components
+    return _restricted(vertices, successors).components
 
 
 def bottom_sccs(vertices: Sequence, successors: Callable) -> list[list]:
-    """Components with no edge leaving them."""
-    allowed = set(vertices)
-    components = sccs(vertices, successors)
-    comp_of = {}
-    for k, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = k
-    bottoms = []
-    for k, comp in enumerate(components):
-        closed = True
-        for v in comp:
-            for w in successors(v):
-                if w in allowed and comp_of[w] != k:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            bottoms.append(comp)
-    return bottoms
+    """Components with no edge leaving them inside the vertex set."""
+    return _restricted(vertices, successors).sinks
 
 
 def _require_enumerable(game: SuccinctGame, cap: int | None) -> int:
@@ -256,19 +284,19 @@ def _require_enumerable(game: SuccinctGame, cap: int | None) -> int:
     return size
 
 
+def sink_equilibria(closure: Closure, codec) -> list[SinkEquilibrium]:
+    """A closure's sinks, ordered by the lowest profile code in each."""
+    bottoms = sorted(closure.sinks, key=lambda comp: min(map(codec.encode, comp)))
+    return [SinkEquilibrium(frozenset(comp)) for comp in bottoms]
+
+
 def sinks(
     game: SuccinctGame,
     semantics: EdgeSemantics = EdgeSemantics.IMPROVEMENT,
     cap: int | None = None,
 ) -> list[SinkEquilibrium]:
     """All sink equilibria of the full state graph; at least one always exists."""
-    _require_enumerable(game, cap)
-    graph = StateGraph(game, semantics)
-    vertices = list(game.codec.all_profiles())
-    succ = lambda v: [w for w, _ in graph.successors(v)]
-    bottoms = bottom_sccs(vertices, succ)
-    bottoms.sort(key=lambda comp: min(game.codec.encode(v) for v in comp))
-    return [SinkEquilibrium(frozenset(comp)) for comp in bottoms]
+    return sink_equilibria(state_space(StateGraph(game, semantics), cap), game.codec)
 
 
 def in_a_sink(
@@ -277,22 +305,9 @@ def in_a_sink(
     semantics: EdgeSemantics = EdgeSemantics.IMPROVEMENT,
     cap: int | None = None,
 ) -> Answer:
-    """Whether the profile lies in a sink equilibrium; inconclusive on cap.
-
-    The profile is in a sink exactly when its whole forward closure can reach
-    it back, i.e. the closure is one strongly connected component.
-    """
+    """Whether the profile lies in a sink equilibrium; inconclusive on cap."""
     profile = game.validate_profile(profile)
-    graph = StateGraph(game, semantics)
-    closure = forward_closure(graph, profile, cap)
-    if not closure.exhausted:
-        return Answer.INCONCLUSIVE
-    succ = lambda v: [w for w, _ in graph.successors(v)]
-    components = sccs(closure.states, succ)
-    for comp in components:
-        if profile in comp:
-            return Answer.YES if len(comp) == len(closure.states) else Answer.NO
-    raise AssertionError("profile missing from its own closure")
+    return forward_closure(StateGraph(game, semantics), profile, cap).start_in_sink
 
 
 def has_singleton_sink(game: SuccinctGame, cap: int | None = None) -> bool:

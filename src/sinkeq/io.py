@@ -25,6 +25,7 @@ from .games import (
     ValidUtilityInstance,
     predicate_from_json,
 )
+from .games.valid_utility import _powerset
 from .turing import TMSpec
 
 GAME_CLASSES = ("table", "congestion", "anonymous", "market", "valid_utility")
@@ -63,7 +64,8 @@ def game_from_json(doc: dict) -> SuccinctGame:
     try:
         if tag == "table":
             return TableGame(
-                _need(doc, "strategy_counts", "$"), _need(doc, "tables", "$")
+                _as_list(_need(doc, "strategy_counts", "$"), "$.strategy_counts"),
+                _as_list(_need(doc, "tables", "$"), "$.tables"),
             )
         if tag == "congestion":
             return _congestion_from_json(doc)
@@ -222,25 +224,12 @@ def _market_from_json(doc: dict) -> TwoSidedMarketGame:
     return TwoSidedMarketGame(passive, active)
 
 
-def _lattice_profiles(ground_sets):
-    spaces = []
-    for ground in ground_sets:
-        ground = tuple(ground)
-        subsets = []
-        for mask in range(1 << len(ground)):
-            subsets.append(frozenset(
-                ground[i] for i in range(len(ground)) if mask >> i & 1
-            ))
-        spaces.append(subsets)
-    return list(product(*spaces))
-
-
 def _valid_utility_to_json(inst: ValidUtilityInstance) -> dict:
     utilities = []
     for profile in inst.codec.all_profiles():
         sets = inst.set_profile(profile)
         utilities.append([inst.utility_fn(sets, i) for i in range(inst.num_players)])
-    social = [inst.social_fn(p) for p in _lattice_profiles(inst.ground_sets)]
+    social = [inst.social_fn(p) for p in product(*map(_powerset, inst.ground_sets))]
     return {
         "class": "valid_utility",
         "ground_sets": [list(g) for g in inst.ground_sets],
@@ -259,8 +248,14 @@ def _valid_utility_from_json(doc: dict) -> ValidUtilityInstance:
         for family in _need(doc, "feasible", "$")
     ]
     utilities = _need(doc, "utilities", "$")
-    social = _need(doc, "social", "$")
-    lattice = {p: v for p, v in zip(_lattice_profiles(ground_sets), social)}
+    social = _as_list(_need(doc, "social", "$"), "$.social")
+    subsets = list(product(*map(_powerset, ground_sets)))
+    if len(social) != len(subsets):
+        raise FormatError(
+            f"social table has {len(social)} entries, subset lattice {len(subsets)}",
+            "$.social",
+        )
+    lattice = dict(zip(subsets, social))
     fam_index = {}
     for i, family in enumerate(feasible):
         for k, s in enumerate(family):

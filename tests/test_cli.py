@@ -194,3 +194,28 @@ def test_cli_parity_on_more_questions(mp_path):
     assert (json.loads(out)["answer"] == "true") == (
         in_a_sink(game, (1, 0)) is Answer.YES
     )
+
+
+def test_export_dot_refuses_a_closure_the_cap_cuts(mp_path):
+    code, out, _ = run(["--cap", "2", "export-dot", mp_path, "--from", "0,0"])
+    assert code == 2
+    assert "inconclusive" in out and "digraph" not in out
+    code, out, _ = run(["--cap", "4", "export-dot", mp_path, "--from", "0,0"])
+    assert code == 0
+    assert out.count("doublecircle") == 4
+
+
+@pytest.mark.parametrize("cap", ["0", "-3", "abc"])
+def test_cap_must_be_a_positive_integer(mp_path, cap, capsys):
+    code, out, _ = run(["--cap", cap, "in-sink", mp_path, "--profile", "0,0"])
+    assert code == 1 and out == ""
+    assert "--cap: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_env_cap_must_be_a_positive_integer(mp_path, monkeypatch, value):
+    monkeypatch.setenv("SINKEQ_DEFAULT_CAP", value)
+    for argv in (["in-sink", mp_path, "--profile", "0,0"], ["sinks", mp_path]):
+        code, out, err = run(argv)
+        assert code == 1 and out == ""
+        assert err == f"error: SINKEQ_DEFAULT_CAP must be a positive integer, not {value!r}\n"

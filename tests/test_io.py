@@ -1,5 +1,9 @@
+import io
+import json
+
 import pytest
 
+from sinkeq.cli import run_cli
 from sinkeq.cnf import CnfFormula, parse_dimacs
 from sinkeq.compilers import compile_sat_market, compile_tm_weighted
 from sinkeq.dynamics import has_singleton_sink
@@ -152,3 +156,30 @@ def test_dimacs_rejects_bad_header_count():
 def test_game_to_json_deterministic():
     pd = prisoners_dilemma()
     assert game_to_json(pd) == game_to_json(prisoners_dilemma())
+
+
+def _short_social_table() -> str:
+    inst = coverage_instance(
+        [("a", "b"), ("b",)],
+        [(frozenset(), frozenset({"a"})), (frozenset(), frozenset({"b"}))],
+    )
+    doc = json.loads(serialize_game(inst))
+    doc["social"] = doc["social"][:-1]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, path", [
+    ('{"class": "table", "strategy_counts": [2], "tables": 5}', "$.tables"),
+    ('{"class": "table", "strategy_counts": null, "tables": [[1, 2]]}',
+     "$.strategy_counts"),
+    (_short_social_table(), "$.social"),
+], ids=["tables", "strategy_counts", "social"])
+def test_malformed_documents_name_a_path(tmp_path, text, path):
+    with pytest.raises(FormatError) as info:
+        parse_game_file(text)
+    assert info.value.path == path
+    game_path = tmp_path / "bad.json"
+    game_path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(["check-valid-utility", str(game_path)], out=out, err=err) == 1
+    assert err.getvalue() == f"error: {info.value}\n"
