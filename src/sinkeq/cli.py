@@ -131,8 +131,8 @@ def _load_game(path: str):
     return gameio.parse_game_file(Path(path).read_bytes())
 
 
-def _load_compiled(path: str):
-    game = _load_game(path)
+def _load_compiled(path: str, game):
+    """The compiled reduction of the already parsed game at ``path``."""
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise SinkeqError(f"no sidecar symbol table at {sidecar}")
@@ -141,7 +141,7 @@ def _load_compiled(path: str):
 
 def _resolve_profile(spec: str, game, game_path: str):
     if spec == "@initial":
-        return game.validate_profile(_load_compiled(game_path).initial)
+        return game.validate_profile(_load_compiled(game_path, game).initial)
     try:
         choices = tuple(int(tok) for tok in spec.split(","))
     except ValueError:
@@ -250,7 +250,7 @@ def _dispatch(args) -> AnalysisReport:
     if args.command == "compile":
         return _compile(args)
     if args.command == "verify-round":
-        compiled = _load_compiled(args.game)
+        compiled = _load_compiled(args.game, _load_game(args.game))
         if args.profile == "@initial":
             start = compiled.initial
         else:

@@ -16,18 +16,34 @@ class SymbolTable:
 
     players: dict[str, int] = field(default_factory=dict)
     strategies: dict[str, dict[str, int]] = field(default_factory=dict)
+    # Reverse lookups (index -> first name given it), kept in step by the add_* methods.
+    _roles: dict[int, str] = field(init=False, repr=False, compare=False, default_factory=dict)
+    _names: dict[str, dict[int, str]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self):
+        for role, index in self.players.items():
+            self._roles.setdefault(index, role)
+        for role, table in self.strategies.items():
+            names = self._names.setdefault(role, {})
+            for name, index in table.items():
+                names.setdefault(index, name)
 
     def add_player(self, role: str, index: int):
         if role in self.players:
             raise ConfigurationError(f"duplicate role {role}")
         self.players[role] = index
         self.strategies[role] = {}
+        self._roles.setdefault(index, role)
+        self._names[role] = {}
 
     def add_strategy(self, role: str, name: str, index: int):
         table = self.strategies[role]
         if name in table:
             raise ConfigurationError(f"duplicate strategy {name} for role {role}")
         table[name] = index
+        self._names[role].setdefault(index, name)
 
     def player(self, role: str) -> int:
         return self.players[role]
@@ -36,16 +52,13 @@ class SymbolTable:
         return self.strategies[role][name]
 
     def strategy_name(self, role: str, index: int) -> str:
-        for name, idx in self.strategies[role].items():
-            if idx == index:
-                return name
-        raise KeyError((role, index))
+        names = self._names[role]
+        if index not in names:
+            raise KeyError((role, index))
+        return names[index]
 
     def role_of(self, player_index: int) -> str:
-        for role, idx in self.players.items():
-            if idx == player_index:
-                return role
-        raise KeyError(player_index)
+        return self._roles[player_index]
 
 
 @dataclass

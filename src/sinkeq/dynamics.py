@@ -63,24 +63,11 @@ class StateGraph:
         self.semantics = semantics
         self.codec = game.codec
 
-    def _deviation_utilities(self, profile: Profile, player: int) -> list[int]:
-        special = getattr(self.game, "deviation_utilities", None)
-        if special is not None:
-            return special(profile, player)
-        out = []
-        for s in range(self.game.strategy_counts[player]):
-            if s == profile[player]:
-                out.append(self.game.utility(profile, player))
-            else:
-                moved = profile[:player] + (s,) + profile[player + 1:]
-                out.append(self.game.utility(moved, player))
-        return out
-
     def improving_moves(self, profile: Profile) -> list[Move]:
         """Qualifying moves in canonical order (ascending player, strategy)."""
         moves: list[Move] = []
         for player in range(self.game.num_players):
-            devs = self._deviation_utilities(profile, player)
+            devs = self.game.deviation_utilities(profile, player)
             current = devs[profile[player]]
             if self.semantics is EdgeSemantics.BEST_RESPONSE:
                 best = max(devs)

@@ -120,25 +120,56 @@ class And:
         return {"and": [p.to_json() for p in self.parts]}
 
 
+# Deepest predicate document accepted; evaluation recurses a few frames per level.
+MAX_NESTING = 100
+
+
 def expr_from_json(doc):
+    return _expr(doc, MAX_NESTING)
+
+
+def predicate_from_json(doc):
+    return _predicate(doc, MAX_NESTING)
+
+
+def _node(doc, levels: int) -> dict:
+    if levels == 0:
+        raise ConfigurationError(f"predicate nested deeper than {MAX_NESTING} levels")
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"expected an object, not {doc!r}")
+    return doc
+
+
+def _field(doc: dict, key: str):
+    if key not in doc:
+        raise ConfigurationError(f"missing key {key!r} in {doc!r}")
+    return doc[key]
+
+
+def _expr(doc, levels: int):
+    doc = _node(doc, levels)
     if "const" in doc:
         return Const(int(doc["const"]))
     if "count" in doc:
         return Count(int(doc["count"]))
-    if "add" in doc:
-        lhs, rhs = doc["add"]
-        return Add(expr_from_json(lhs), expr_from_json(rhs))
-    if "sub" in doc:
-        lhs, rhs = doc["sub"]
-        return Sub(expr_from_json(lhs), expr_from_json(rhs))
+    for key, node in (("add", Add), ("sub", Sub)):
+        if key in doc:
+            operands = doc[key]
+            if not (isinstance(operands, list) and len(operands) == 2):
+                raise ConfigurationError(f"{key!r} needs two operands in {doc!r}")
+            return node(_expr(operands[0], levels - 1), _expr(operands[1], levels - 1))
     raise ConfigurationError(f"unknown expression node {doc!r}")
 
 
-def predicate_from_json(doc):
+def _predicate(doc, levels: int):
+    doc = _node(doc, levels)
     if "and" in doc:
-        return And(*(predicate_from_json(p) for p in doc["and"]))
+        if not isinstance(doc["and"], list):
+            raise ConfigurationError(f"'and' needs a list of predicates in {doc!r}")
+        return And(*(_predicate(p, levels - 1) for p in doc["and"]))
     if "cmp" in doc:
-        return Cmp(doc["cmp"], expr_from_json(doc["lhs"]), expr_from_json(doc["rhs"]))
+        return Cmp(doc["cmp"], _expr(_field(doc, "lhs"), levels - 1),
+                   _expr(_field(doc, "rhs"), levels - 1))
     raise ConfigurationError(f"unknown predicate node {doc!r}")
 
 
@@ -199,6 +230,8 @@ class AnonymousGame(SuccinctGame):
             hist[choice] += 1
         return hist
 
+    _aggregate = histogram
+
     def _utility_from_hist(self, player: int, choice: int, hist) -> int:
         rules = self._rules_by_strategy[player].get(choice)
         if rules is None:
@@ -209,10 +242,11 @@ class AnonymousGame(SuccinctGame):
         return 1
 
     def utility(self, profile: Profile, player: int) -> int:
-        return self._utility_from_hist(player, profile[player], self.histogram(profile))
+        return self._utility_from_hist(player, profile[player],
+                                       self._profile_aggregate(profile))
 
     def deviation_utilities(self, profile: Profile, player: int):
-        hist = self.histogram(profile)
+        hist = list(self._profile_aggregate(profile))
         current = profile[player]
         out = []
         for choice in range(len(self.strategy_names)):

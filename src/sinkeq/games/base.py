@@ -11,11 +11,15 @@ class SuccinctGame:
     """A finite strategic game evaluated through exact integer utilities.
 
     Subclasses set ``strategy_counts`` and implement ``utility``. Games are
-    immutable after construction; every evaluation is a pure function of
-    (game, player, profile).
+    observably immutable after construction: every evaluation is a pure
+    function of (game, player, profile). A class may keep the aggregate of
+    the last profile it evaluated (loads, histogram, winners) in a one-entry
+    ``(profile, aggregate)`` slot, matched by equality and replaced as one
+    tuple, so that the deviations of every player of one profile share it.
     """
 
     strategy_counts: tuple[int, ...]
+    _slot: tuple | None = None  # (profile, aggregate) of the last profile evaluated
 
     @property
     def num_players(self) -> int:
@@ -23,6 +27,31 @@ class SuccinctGame:
 
     def utility(self, profile: Profile, player: int) -> int:
         raise NotImplementedError
+
+    def deviation_utilities(self, profile: Profile, player: int) -> list[int]:
+        """Utility of each strategy of ``player``, the others held fixed.
+
+        The one evaluation hook of the dynamics engine; this default moves
+        the player pointwise, and classes with a per-profile aggregate
+        override it.
+        """
+        before, after = profile[:player], profile[player + 1:]
+        return [
+            self.utility(before + (s,) + after, player)
+            for s in range(self.strategy_counts[player])
+        ]
+
+    def _aggregate(self, profile: Profile):
+        raise NotImplementedError
+
+    def _profile_aggregate(self, profile: Profile):
+        """``_aggregate(profile)`` through the one-entry slot; never mutate it."""
+        slot = self._slot
+        if slot is not None and slot[0] == profile:
+            return slot[1]
+        aggregate = self._aggregate(profile)
+        self._slot = (tuple(profile), aggregate)
+        return aggregate
 
     def validate_profile(self, profile: Sequence[int]) -> Profile:
         return validate_profile(self.strategy_counts, profile)

@@ -125,17 +125,14 @@ class CongestionGame(CostGame):
             out[load] = int(delay)
         return out
 
-    def _potential_users(self, e: int) -> list[int]:
-        return [
-            i for i, strats in enumerate(self.strategies)
-            if any(e in s for s in strats)
-        ]
-
     def _check_delay_coverage(self):
-        for e in range(len(self.resources)):
-            users = self._potential_users(e)
+        users: list[list[int]] = [[] for _ in self.resources]
+        for i, strats in enumerate(self.strategies):
+            for e in frozenset().union(*strats):
+                users[e].append(i)
+        for e, potential in enumerate(users):
             if self.mode == SHARED:
-                reachable = _subset_sums([self.weights[i] for i in users])
+                reachable = _subset_sums([self.weights[i] for i in potential])
                 missing = reachable - set(self.delays[e])
                 if missing:
                     raise ConfigurationError(
@@ -143,8 +140,8 @@ class CongestionGame(CostGame):
                         f"load(s) {sorted(missing)}"
                     )
             else:
-                reachable = set(range(1, len(users) + 1))
-                for i in users:
+                reachable = set(range(1, len(potential) + 1))
+                for i in potential:
                     missing = reachable - set(self.delays[e][i])
                     if missing:
                         raise ConfigurationError(
@@ -161,8 +158,10 @@ class CongestionGame(CostGame):
                 loads[e] += add
         return loads
 
+    _aggregate = loads
+
     def cost(self, profile: Profile, player: int) -> int:
-        return self._cost_at(profile, player, profile[player], self.loads(profile))
+        return self._cost_at(profile, player, profile[player], self._profile_aggregate(profile))
 
     def _cost_at(self, profile, player, choice, loads):
         strat = self.strategies[player][choice]
@@ -170,23 +169,23 @@ class CongestionGame(CostGame):
             return sum(self.delays[e][loads[e]] for e in strat)
         return sum(self.delays[e][player][loads[e]] for e in strat)
 
-    def deviation_costs(self, profile: Profile, player: int, loads=None):
+    def deviation_costs(self, profile: Profile, player: int):
         """Cost of every strategy of ``player`` holding the others fixed.
 
-        Returns a list aligned with the player's strategy indices; used by the
-        dynamics engine to avoid recomputing loads per deviation.
+        Returns a list aligned with the player's strategy indices. The load
+        vector is computed once per profile and shared by every player.
         """
-        if loads is None:
-            loads = self.loads(profile)
+        loads = self._profile_aggregate(profile)
         current = self.strategies[player][profile[player]]
-        add = self.weights[player] if self.mode == SHARED else 1
+        shared = self.mode == SHARED
+        add = self.weights[player] if shared else 1
+        delays = self.delays
         out = []
-        for choice, strat in enumerate(self.strategies[player]):
+        for strat in self.strategies[player]:
             total = 0
             for e in strat:
-                load = loads[e] + (0 if e in current else add)
-                table = self.delays[e] if self.mode == SHARED else self.delays[e][player]
-                total += table[load]
+                table = delays[e] if shared else delays[e][player]
+                total += table[loads[e] if e in current else loads[e] + add]
             out.append(total)
         return out
 

@@ -66,25 +66,33 @@ class TwoSidedMarketGame(SuccinctGame):
         self.strategy_counts = tuple(len(a.strategies) for a in self.active)
         self.codec = ProfileCodec(self.strategy_counts)
 
-    def compute_winners(self, profile: Profile) -> list[int | None]:
-        """The winning active agent per passive agent, or None if undemanded."""
-        winners: list[int | None] = [None] * len(self.passive)
+    def _aggregate(self, profile: Profile):
+        """The top two demanders of each passive agent, None where absent."""
+        first: list[int | None] = [None] * len(self.passive)
+        second: list[int | None] = [None] * len(self.passive)
         for x, choice in enumerate(profile):
             for y in self.active[x].strategies[choice]:
-                cur = winners[y]
-                if cur is None or self._rank[y][x] < self._rank[y][cur]:
-                    winners[y] = x
-        return winners
+                rank = self._rank[y]
+                top = first[y]
+                if top is None or rank[x] < rank[top]:
+                    first[y], second[y] = x, top
+                elif second[y] is None or rank[x] < rank[second[y]]:
+                    second[y] = x
+        return first, second
+
+    def compute_winners(self, profile: Profile) -> list[int | None]:
+        """The winning active agent per passive agent, or None if undemanded."""
+        return list(self._profile_aggregate(profile)[0])
 
     def winner_sets(self, profile: Profile) -> list[set[int]]:
         sets: list[set[int]] = [set() for _ in self.active]
-        for y, x in enumerate(self.compute_winners(profile)):
+        for y, x in enumerate(self._profile_aggregate(profile)[0]):
             if x is not None:
                 sets[x].add(y)
         return sets
 
     def utility(self, profile: Profile, player: int) -> int:
-        winners = self.compute_winners(profile)
+        winners = self._profile_aggregate(profile)[0]
         return sum(
             self.passive[y].value
             for y in self.active[player].strategies[profile[player]]
@@ -92,22 +100,16 @@ class TwoSidedMarketGame(SuccinctGame):
         )
 
     def deviation_utilities(self, profile: Profile, player: int):
-        # Winners among the *other* agents stay fixed across this player's
-        # deviations, so compute them once with the player absent.
-        others: list[int | None] = [None] * len(self.passive)
-        for x, choice in enumerate(profile):
-            if x == player:
-                continue
-            for y in self.active[x].strategies[choice]:
-                cur = others[y]
-                if cur is None or self._rank[y][x] < self._rank[y][cur]:
-                    others[y] = x
+        # The incumbent against ``player`` on each passive agent is the best
+        # other demander: the top one, or the runner-up where ``player`` is top.
+        first, second = self._profile_aggregate(profile)
         out = []
         for strat in self.active[player].strategies:
             total = 0
             for y in strat:
-                incumbent = others[y]
-                if incumbent is None or self._rank[y][player] < self._rank[y][incumbent]:
+                incumbent = second[y] if first[y] == player else first[y]
+                rank = self._rank[y]
+                if incumbent is None or rank[player] < rank[incumbent]:
                     total += self.passive[y].value
             out.append(total)
         return out

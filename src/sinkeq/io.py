@@ -54,18 +54,21 @@ def parse_game_file(text: str | bytes) -> SuccinctGame:
         text = text.decode("utf-8")
     try:
         doc = json.loads(text)
+        return game_from_json(_as_dict(doc, "$"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}", "$") from None
-    return game_from_json(_as_dict(doc, "$"))
+    except RecursionError:
+        raise FormatError("document nested too deeply", "$") from None
 
 
 def game_from_json(doc: dict) -> SuccinctGame:
     tag = _need(doc, "class", "$")
     try:
         if tag == "table":
+            tables = _as_list(_need(doc, "tables", "$"), "$.tables")
             return TableGame(
                 _as_list(_need(doc, "strategy_counts", "$"), "$.strategy_counts"),
-                _as_list(_need(doc, "tables", "$"), "$.tables"),
+                [_as_list(t, f"$.tables[{i}]") for i, t in enumerate(tables)],
             )
         if tag == "congestion":
             return _congestion_from_json(doc)
@@ -175,17 +178,20 @@ def _anonymous_from_json(doc: dict) -> AnonymousGame:
         raw = _as_dict(raw, path)
         rules = []
         for r, rule in enumerate(_as_list(raw.get("rules", []), f"{path}.rules")):
-            rule = _as_dict(rule, f"{path}.rules[{r}]")
-            rules.append(
-                (int(_need(rule, "strategy", f"{path}.rules[{r}]")),
-                 predicate_from_json(_need(rule, "when", f"{path}.rules[{r}]")))
-            )
+            rule_path = f"{path}.rules[{r}]"
+            rule = _as_dict(rule, rule_path)
+            strategy = int(_need(rule, "strategy", rule_path))
+            try:
+                when = predicate_from_json(_need(rule, "when", rule_path))
+            except ConfigurationError as exc:
+                raise FormatError(str(exc), f"{rule_path}.when") from None
+            rules.append((strategy, when))
         players.append(AnonymousPlayer(
             name=str(raw.get("name", f"player_{k}")),
             allowed=frozenset(int(s) for s in _need(raw, "allowed", path)),
             rules=tuple(rules),
         ))
-    return AnonymousGame(_need(doc, "strategies", "$"), players)
+    return AnonymousGame(_as_list(_need(doc, "strategies", "$"), "$.strategies"), players)
 
 
 def _market_to_json(game: TwoSidedMarketGame) -> dict:

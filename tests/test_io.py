@@ -183,3 +183,61 @@ def test_malformed_documents_name_a_path(tmp_path, text, path):
     out, err = io.StringIO(), io.StringIO()
     assert run_cli(["check-valid-utility", str(game_path)], out=out, err=err) == 1
     assert err.getvalue() == f"error: {info.value}\n"
+
+
+def _anonymous_doc(when, strategies=("a", "b")) -> str:
+    return json.dumps({
+        "class": "anonymous", "strategies": strategies,
+        "players": [{"name": "p", "allowed": [0, 1],
+                     "rules": [{"strategy": 0, "when": when}]}],
+    })
+
+
+_LEAF = {"cmp": "==", "lhs": {"count": 0}, "rhs": {"const": 1}}
+
+
+def _nested_and(depth: int) -> str:
+    nested = '{"and": [' * depth + json.dumps(_LEAF) + "]}" * depth
+    return _anonymous_doc("WHEN").replace('"WHEN"', nested)
+
+
+@pytest.mark.parametrize("text", [
+    '{"class": "table", "strategy_counts": [1], "tables": [5]}',
+    _anonymous_doc(_LEAF, strategies=None),
+    _anonymous_doc({"cmp": "==", "lhs": {"count": 0}}),
+    _anonymous_doc({"and": 5}),
+    _anonymous_doc({"and": [5]}),
+    _anonymous_doc({"cmp": "==", "lhs": {"add": 5}, "rhs": {"const": 1}}),
+    _nested_and(200),
+    _nested_and(3000),
+], ids=["table-entry", "strategies-null", "cmp-without-rhs", "and-not-list",
+        "predicate-not-object", "add-not-pair", "and-200-deep", "and-3000-deep"])
+@pytest.mark.parametrize("command", ["has-pure", "sinks"])
+def test_hostile_documents_exit_1_with_one_line(tmp_path, text, command):
+    with pytest.raises(FormatError):
+        parse_game_file(text)
+    game_path = tmp_path / "bad.json"
+    game_path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli([command, str(game_path)], out=out, err=err) == 1
+    message = err.getvalue()
+    assert message.startswith("error: $") and message.count("\n") == 1
+
+
+def test_shallow_nested_predicate_still_evaluates():
+    game = parse_game_file(_nested_and(90))
+    assert game.utility((0,), 0) == 2
+
+
+def test_sidecar_reverse_lookups(flipper):
+    compiled = compile_tm_weighted(flipper)
+    game = parse_game_file(serialize_game(compiled.game))
+    symbols = parse_sidecar(serialize_sidecar(compiled), game).symbols
+    for role, index in symbols.players.items():
+        assert symbols.role_of(index) == role
+        for name, s in symbols.strategies[role].items():
+            assert symbols.strategy_name(role, s) == name
+    with pytest.raises(KeyError):
+        symbols.role_of(len(symbols.players))
+    with pytest.raises(KeyError):
+        symbols.strategy_name("state", -1)
