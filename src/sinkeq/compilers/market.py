@@ -16,6 +16,8 @@ C_VALUE = 310
 R_VALUE = 100
 P_VALUE = 100
 
+OWNER = object()  # placeholder for a gadget resource's owning player
+
 
 def compile_sat_market(formula: CnfFormula) -> CompiledReduction:
     """Clause players cycle through their a/b/c markets until some variable
@@ -124,19 +126,6 @@ def compile_tm_market(spec: TMSpec, penalty: int = 10_000) -> CompiledReduction:
     if n - k * penalty + 20 <= 0:
         raise ConfigurationError("market base N too small for the Read value")
 
-    # Done wins every alpha market it demands (the transition player is their
-    # preferred demander), a windfall of 2 * |controls| that the figure's
-    # N - M + 20 does not offset; without subtracting it the Done strategy
-    # outvalues Wait and the round never resets.
-    nn_values = {
-        "nn_read": n - k * penalty + 20,
-        "nn_write": n - penalty + 40,
-        "nn_verify": n - k * penalty + 60,
-        "nn_done": n - penalty - 2 * len(structure.tuples) + 20,
-        "nn_halt": n - penalty,
-        "nn_clock_wait": CLOCK_WAIT,
-    }
-
     transition = structure.transition_index
     clock = structure.clock_index
     owners: dict[int, int] = {}
@@ -147,27 +136,28 @@ def compile_tm_market(spec: TMSpec, penalty: int = 10_000) -> CompiledReduction:
             for r in resources:
                 owners[r] = player
 
+    # kind -> (value, preference); OWNER stands for the resource's owner.
+    # Done wins every alpha market it demands (the transition player is their
+    # preferred demander), a windfall of 2 * |controls| that the figure's
+    # N - M + 20 does not offset; without subtracting it the Done strategy
+    # outvalues Wait and the round never resets.
+    markets = {
+        "alpha": (1, (transition, OWNER)),
+        "beta": (penalty, (OWNER, transition)),
+        "TriggerMain": (100, (clock, transition)),
+        "TriggerClock": (80, (transition, clock)),
+        "nn_read": (n - k * penalty + 20, (transition,)),
+        "nn_write": (n - penalty + 40, (transition,)),
+        "nn_verify": (n - k * penalty + 60, (transition,)),
+        "nn_done": (n - penalty - 2 * len(structure.tuples) + 20, (transition,)),
+        "nn_halt": (n - penalty, (transition,)),
+        "nn_clock_wait": (CLOCK_WAIT, (clock,)),
+    }
     passive = []
-    for r, name in enumerate(structure.resource_names):
-        if name.startswith("a") and r in owners:
-            passive.append(PassiveAgent(name, 1, (transition, owners[r])))
-        elif name.startswith("b") and r in owners:
-            passive.append(PassiveAgent(name, penalty, (owners[r], transition)))
-        elif name == "TriggerMain":
-            passive.append(PassiveAgent(name, 100, (clock, transition)))
-        elif name == "TriggerClock":
-            passive.append(PassiveAgent(name, 80, (transition, clock)))
-        elif name == "nn_clock_wait":
-            passive.append(PassiveAgent(name, CLOCK_WAIT, (clock,)))
-        else:
-            value = None
-            for prefix, v in nn_values.items():
-                if name.startswith(prefix):
-                    value = v
-                    break
-            if value is None:
-                raise AssertionError(f"unowned resource {name}")
-            passive.append(PassiveAgent(name, value, (transition,)))
+    for r, (name, kind) in enumerate(zip(structure.resource_names, structure.resource_kinds)):
+        value, preference = markets[kind]
+        preference = tuple(owners[r] if x is OWNER else x for x in preference)
+        passive.append(PassiveAgent(name, value, preference))
 
     roster = []
     for player, role in enumerate(structure.player_roles):

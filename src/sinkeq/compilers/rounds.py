@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from ..dynamics import EdgeSemantics, StateGraph
 from ..profiles import Profile
-from ..turing import TMSpec, tm_step
+from ..turing import MOVE_OFFSET, TMSpec, tm_step
 from .anonymous import (
     STRATEGIES,
     _S,
@@ -222,7 +222,7 @@ def verify_round_anonymous(
 
     q, i, sym = config.state, config.head, config.tape[config.head]
     q2, sym2, move = spec.delta[(q, sym)]
-    i2 = i + {"L": -1, "S": 0, "R": 1}[move]
+    i2 = i + MOVE_OFFSET[move]
     q2_rank = rank[q2]
 
     cells = _class_indices(symbols, "cell")

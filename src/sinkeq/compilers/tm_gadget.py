@@ -5,7 +5,11 @@ players (state, position, one per tape cell), write/verify control pairs per
 (next state, next position, position, written symbol) tuple, a latch control,
 a transition player whose strategies drive one machine step per round, and a
 clock. Resources are interned by name; every alpha or beta resource is shared
-by at most the owning player and the transition player.
+by at most the owning player and the transition player, and every other
+resource by at most the transition player and the clock. ``build_structure``
+tags each resource with its kind as it creates it (alpha, beta, TriggerMain,
+TriggerClock, nn_read, nn_write, nn_verify, nn_done, nn_halt, nn_clock_wait);
+the compilers price a resource by its kind alone.
 
 Naming convention for the write/verify controls: the strategy called One
 holds the 0-superscript resources (the pair the transition player's Read and
@@ -74,6 +78,7 @@ class GadgetStructure:
     spec: TMSpec
     tuples: list[ControlTuple]
     resource_names: list[str]
+    resource_kinds: list[str]  # aligned with resource_names
     resource_index: dict[str, int]
     player_roles: list[str]
     strategy_names: list[list[str]]  # per player
@@ -94,30 +99,33 @@ def build_structure(spec: TMSpec, market_halt_nn: bool = False) -> GadgetStructu
     n_states = spec.num_states
 
     names: list[str] = []
+    kinds: list[str] = []
     index: dict[str, int] = {}
 
-    def res(name: str) -> int:
+    def res(name: str, kind: str) -> int:
         if name not in index:
             index[name] = len(names)
             names.append(name)
+            kinds.append(kind)
         return index[name]
 
-    a_state = [res(f"a_state_{q}") for q in range(n_states)]
-    b_state = [res(f"b_state_{q}") for q in range(n_states)]
-    a_pos = [res(f"a_pos_{i}") for i in range(t_prime + 1)]
-    b_pos = [res(f"b_pos_{i}") for i in range(t_prime + 1)]
-    a_cell = {(i, s): res(f"a_cell_{i}_{s}") for i in range(t_prime + 1) for s in SYMBOLS}
-    b_cell = {(i, s): res(f"b_cell_{i}_{s}") for i in range(t_prime + 1) for s in SYMBOLS}
+    a_state = [res(f"a_state_{q}", "alpha") for q in range(n_states)]
+    b_state = [res(f"b_state_{q}", "beta") for q in range(n_states)]
+    a_pos = [res(f"a_pos_{i}", "alpha") for i in range(t_prime + 1)]
+    b_pos = [res(f"b_pos_{i}", "beta") for i in range(t_prime + 1)]
+    cells = [(i, s) for i in range(t_prime + 1) for s in SYMBOLS]
+    a_cell = {(i, s): res(f"a_cell_{i}_{s}", "alpha") for i, s in cells}
+    b_cell = {(i, s): res(f"b_cell_{i}_{s}", "beta") for i, s in cells}
     ctrl = {}
     for kind in ("W", "V"):
         for t in tuples:
             for sup in ("0", "1"):
-                ctrl[(kind, t, "a", sup)] = res(f"a{sup}_{kind}_{t.tag()}")
-                ctrl[(kind, t, "b", sup)] = res(f"b{sup}_{kind}_{t.tag()}")
-    a0_d, a1_d = res("a0_D"), res("a1_D")
-    b0_d, b1_d = res("b0_D"), res("b1_D")
-    trigger_main = res("TriggerMain")
-    trigger_clock = res("TriggerClock")
+                ctrl[(kind, t, "a", sup)] = res(f"a{sup}_{kind}_{t.tag()}", "alpha")
+                ctrl[(kind, t, "b", sup)] = res(f"b{sup}_{kind}_{t.tag()}", "beta")
+    a0_d, a1_d = res("a0_D", "alpha"), res("a1_D", "alpha")
+    b0_d, b1_d = res("b0_D", "beta"), res("b1_D", "beta")
+    trigger_main = res("TriggerMain", "TriggerMain")
+    trigger_clock = res("TriggerClock", "TriggerClock")
 
     player_roles: list[str] = []
     strategy_names: list[list[str]] = []
@@ -179,7 +187,8 @@ def build_structure(spec: TMSpec, market_halt_nn: bool = False) -> GadgetStructu
                     [b_state[p] for p in range(n_states) if p != q]
                     + [b_pos[j] for j in range(t_prime + 1) if j != i]
                     + [b_cell[(i, s)] for s in SYMBOLS if s != sym]
-                    + [b1_d, ctrl[("W", target, "a", "0")], res(f"nn_read_{q}_{i}_{sym}")]
+                    + [b1_d, ctrl[("W", target, "a", "0")],
+                       res(f"nn_read_{q}_{i}_{sym}", "nn_read")]
                 )
     for t in tuples:
         trans_names.append(f"Write_{t.tag()}")
@@ -188,7 +197,7 @@ def build_structure(spec: TMSpec, market_halt_nn: bool = False) -> GadgetStructu
             + [a_pos[j] for j in range(t_prime + 1) if j != t.i2]
             + [a_cell[(t.i, s)] for s in SYMBOLS if s != t.sym2]
             + [ctrl[("V", t, "a", "0")], ctrl[("W", t, "b", "0")],
-               res(f"nn_write_{t.tag()}")]
+               res(f"nn_write_{t.tag()}", "nn_write")]
         )
     for t in tuples:
         trans_names.append(f"Verify_{t.tag()}")
@@ -196,32 +205,33 @@ def build_structure(spec: TMSpec, market_halt_nn: bool = False) -> GadgetStructu
             [b_state[p] for p in range(n_states) if p != t.q2]
             + [b_pos[j] for j in range(t_prime + 1) if j != t.i2]
             + [b_cell[(t.i, s)] for s in SYMBOLS if s != t.sym2]
-            + [ctrl[("V", t, "b", "0")], a0_d, res(f"nn_verify_{t.tag()}")]
+            + [ctrl[("V", t, "b", "0")], a0_d, res(f"nn_verify_{t.tag()}", "nn_verify")]
         )
     trans_names.append("Done")
     trans_resources.append(
         [trigger_clock, b0_d]
         + [ctrl[("W", t, "a", "1")] for t in tuples]
         + [ctrl[("V", t, "a", "1")] for t in tuples]
-        + [res("nn_done")]
+        + [res("nn_done", "nn_done")]
     )
     trans_names.append("Halt")
     halt_resources = [b_state[p] for p in range(n_states) if p != spec.q_halt]
     if market_halt_nn:
-        halt_resources.append(res("nn_halt"))
+        halt_resources.append(res("nn_halt", "nn_halt"))
     trans_resources.append(halt_resources)
     add_player("transition", trans_names, trans_resources)
 
     add_player(
         "clock",
         ["Trigger", "Wait"],
-        [[trigger_main, trigger_clock], [res("nn_clock_wait")]],
+        [[trigger_main, trigger_clock], [res("nn_clock_wait", "nn_clock_wait")]],
     )
 
     return GadgetStructure(
         spec=spec,
         tuples=tuples,
         resource_names=names,
+        resource_kinds=kinds,
         resource_index=index,
         player_roles=player_roles,
         strategy_names=strategy_names,

@@ -18,21 +18,6 @@ from .tm_gadget import (
     build_structure,
 )
 
-_NN_VALUES = {
-    "nn_read": READ_NN,
-    "nn_write": WRITE_NN,
-    "nn_verify": VERIFY_NN,
-    "nn_done": DONE_NN,
-    "nn_clock_wait": CLOCK_WAIT,
-}
-
-
-def _nn_value(name: str) -> int:
-    for prefix, value in _NN_VALUES.items():
-        if name.startswith(prefix):
-            return value
-    raise AssertionError(name)
-
 
 def compile_tm_weighted(spec: TMSpec, penalty: int = 10_000) -> CompiledReduction:
     """Weighted shared-delay congestion game simulating one step per round.
@@ -44,28 +29,23 @@ def compile_tm_weighted(spec: TMSpec, penalty: int = 10_000) -> CompiledReductio
     if penalty <= 110:
         raise ConfigurationError("the penalty must exceed every constant delay (110)")
     structure = build_structure(spec)
-    m1, m2, m3 = TRIGGER_MAIN
-    c1, c2, c3 = TRIGGER_CLOCK
-    delays = []
-    for name in structure.resource_names:
-        if name.startswith("a"):
-            delays.append({1: 0, 2: 1})
-        elif name.startswith("b"):
-            delays.append({1: 0, 2: penalty})
-        elif name == "TriggerMain":
-            delays.append({1: m1, 2: m2, 3: m3})
-        elif name == "TriggerClock":
-            delays.append({1: c1, 2: c2, 3: c3})
-        elif name == "nn_clock_wait":
-            delays.append({1: CLOCK_WAIT, 2: CLOCK_WAIT})
-        else:
-            delays.append({1: _nn_value(name)})
+    delays = {
+        "alpha": {1: 0, 2: 1},
+        "beta": {1: 0, 2: penalty},
+        "TriggerMain": dict(enumerate(TRIGGER_MAIN, start=1)),
+        "TriggerClock": dict(enumerate(TRIGGER_CLOCK, start=1)),
+        "nn_read": {1: READ_NN},
+        "nn_write": {1: WRITE_NN},
+        "nn_verify": {1: VERIFY_NN},
+        "nn_done": {1: DONE_NN},
+        "nn_clock_wait": {1: CLOCK_WAIT, 2: CLOCK_WAIT},
+    }
     weights = [1] * len(structure.player_roles)
     weights[structure.clock_index] = 2
     game = CongestionGame(
         resources=structure.resource_names,
         strategies=structure.strategy_resources,
-        delays=delays,
+        delays=[delays[kind] for kind in structure.resource_kinds],
         weights=weights,
         mode=SHARED,
     )
@@ -75,56 +55,30 @@ def compile_tm_weighted(spec: TMSpec, penalty: int = 10_000) -> CompiledReductio
 
 
 def compile_tm_player_specific(spec: TMSpec, penalty: int = 10_000) -> CompiledReduction:
-    """Unit-weight variant with player-specific trigger delays.
+    """Unit-weight variant: the weighted compile read per player.
 
-    The clock pays 100 on TriggerMain regardless of who else is there; the
-    transition player pays 0 alone and 100 shared. TriggerClock costs both
-    players 0 alone and 20 together. Every player's delay matches the
+    A resource has at most two potential users. Each user's table gives, at
+    user count 1, the weighted delay at its own weight and, at count 2, the
+    weighted delay at both users' weights; a player who never uses the
+    resource gets an empty table. Every player's cost therefore matches the
     weighted compile profile for profile.
     """
-    if penalty <= 110:
-        raise ConfigurationError("the penalty must exceed every constant delay (110)")
-    structure = build_structure(spec)
-    n_players = len(structure.player_roles)
-    transition = structure.transition_index
-    clock = structure.clock_index
-    m1, m2, _ = TRIGGER_MAIN
-    c1, c2, c3 = TRIGGER_CLOCK
-
-    def uniform(table):
-        return [dict(table) for _ in range(n_players)]
-
+    compiled = compile_tm_weighted(spec, penalty)
+    weighted = compiled.game
+    weights = weighted.weights
     delays = []
-    for name in structure.resource_names:
-        if name.startswith("a"):
-            delays.append(uniform({1: 0, 2: 1}))
-        elif name.startswith("b"):
-            delays.append(uniform({1: 0, 2: penalty}))
-        elif name == "TriggerMain":
-            per = uniform({})
-            per[transition] = {1: m1, 2: m2}
-            per[clock] = {1: m2, 2: m2}
-            delays.append(per)
-        elif name == "TriggerClock":
-            per = uniform({})
-            per[transition] = {1: c1, 2: c3}
-            per[clock] = {1: c2, 2: c3}
-            delays.append(per)
-        elif name == "nn_clock_wait":
-            per = uniform({})
-            per[clock] = {1: CLOCK_WAIT}
-            delays.append(per)
-        else:
-            per = uniform({})
-            per[transition] = {1: _nn_value(name)}
-            delays.append(per)
-    game = CongestionGame(
-        resources=structure.resource_names,
-        strategies=structure.strategy_resources,
+    for table, users in zip(weighted.delays, weighted.potential_users()):
+        per_player = [{} for _ in weights]
+        for i in users:
+            per_player[i] = {1: table[weights[i]]}
+            if len(users) == 2:
+                per_player[i][2] = table[sum(weights[j] for j in users)]
+        delays.append(per_player)
+    compiled.game = CongestionGame(
+        resources=weighted.resources,
+        strategies=weighted.strategies,
         delays=delays,
-        weights=[1] * n_players,
+        weights=[1] * len(weights),
         mode=PLAYER_SPECIFIC,
     )
-    compiled = assemble(structure, game, spec)
-    compiled.penalty = penalty
     return compiled

@@ -90,7 +90,7 @@ class Cmp:
     rhs: object
 
     def __post_init__(self):
-        if self.op not in _OPS:
+        if not (isinstance(self.op, str) and self.op in _OPS):
             raise ConfigurationError(f"unknown comparison {self.op!r}")
 
     def eval(self, hist) -> bool:
@@ -146,12 +146,18 @@ def _field(doc: dict, key: str):
     return doc[key]
 
 
+def _integer(doc: dict, key: str) -> int:
+    if type(doc[key]) is not int:
+        raise ConfigurationError(f"{key!r} needs an integer in {doc!r}")
+    return doc[key]
+
+
 def _expr(doc, levels: int):
     doc = _node(doc, levels)
     if "const" in doc:
-        return Const(int(doc["const"]))
+        return Const(_integer(doc, "const"))
     if "count" in doc:
-        return Count(int(doc["count"]))
+        return Count(_integer(doc, "count"))
     for key, node in (("add", Add), ("sub", Sub)):
         if key in doc:
             operands = doc[key]

@@ -69,7 +69,7 @@ class CongestionGame(CostGame):
                 raise ConfigurationError(f"player {player} has no strategies")
             per_player = []
             for s_idx, strat in enumerate(strat_list):
-                fs = frozenset(int(e) for e in strat)
+                fs = frozenset(map(int, strat))
                 for e in fs:
                     if not 0 <= e < n_res:
                         raise ConfigurationError(
@@ -125,12 +125,16 @@ class CongestionGame(CostGame):
             out[load] = int(delay)
         return out
 
-    def _check_delay_coverage(self):
+    def potential_users(self) -> list[list[int]]:
+        """Per resource, the players with some strategy using it, ascending."""
         users: list[list[int]] = [[] for _ in self.resources]
         for i, strats in enumerate(self.strategies):
             for e in frozenset().union(*strats):
                 users[e].append(i)
-        for e, potential in enumerate(users):
+        return users
+
+    def _check_delay_coverage(self):
+        for e, potential in enumerate(self.potential_users()):
             if self.mode == SHARED:
                 reachable = _subset_sums([self.weights[i] for i in potential])
                 missing = reachable - set(self.delays[e])

@@ -35,6 +35,7 @@ class TwoSidedMarketGame(SuccinctGame):
         self.passive = tuple(passive)
         self.active = tuple(active)
         n_passive = len(self.passive)
+        demanders: list[set[int]] = [set() for _ in self.passive]
         for x, agent in enumerate(self.active):
             if not agent.strategies:
                 raise ConfigurationError(f"agent {agent.name}: no strategies")
@@ -45,17 +46,14 @@ class TwoSidedMarketGame(SuccinctGame):
                             f"agent {agent.name} strategy {s_idx}: passive index "
                             f"{y} out of range"
                         )
+                    demanders[y].add(x)
         for y, p in enumerate(self.passive):
             if p.value <= 0:
                 raise ConfigurationError(f"passive agent {p.name}: value not positive")
             if len(set(p.preference)) != len(p.preference):
                 raise ConfigurationError(f"passive agent {p.name}: preference repeats")
-            demanders = {
-                x for x, agent in enumerate(self.active)
-                if any(y in s for s in agent.strategies)
-            }
-            if not demanders <= set(p.preference):
-                missing = sorted(demanders - set(p.preference))
+            if not demanders[y] <= set(p.preference):
+                missing = sorted(demanders[y] - set(p.preference))
                 raise ConfigurationError(
                     f"passive agent {p.name}: preference omits demander(s) {missing}"
                 )

@@ -26,7 +26,7 @@ class TableGame(SuccinctGame):
             )
         frozen = []
         for player, table in enumerate(tables):
-            t = tuple(int(v) for v in table)
+            t = tuple(map(int, table))
             if len(t) != self.codec.num_profiles:
                 raise ConfigurationError(
                     f"player {player}: table has {len(t)} entries, "

@@ -2,13 +2,15 @@
 
 Every game document carries a ``class`` tag; strategy subsets serialize as
 sorted index arrays and delay tables as sorted [load, delay] pairs, so
-parse -> serialize -> parse is bit-exact.
+parse -> serialize -> parse is bit-exact. Every number in a document is a
+JSON integer: a fraction, a string, a boolean or a null where a number
+belongs is a ``FormatError`` naming its path.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import product
+from itertools import chain, product
 from typing import Any
 
 from .compilers.common import CompiledReduction, SymbolTable
@@ -49,6 +51,34 @@ def _as_list(value, path: str) -> list:
     return value
 
 
+def _int(value, path: str) -> int:
+    if type(value) is not int:
+        raise FormatError("expected an integer", path)
+    return value
+
+
+_ONLY_INT, _ONLY_LIST = frozenset({int}), frozenset({list})
+
+
+def _ints(value, path: str) -> list[int]:
+    """An array of integers, checked in one pass; the error names the bad entry."""
+    values = _as_list(value, path)
+    if not set(map(type, values)) <= _ONLY_INT:
+        k = next(k for k, v in enumerate(values) if type(v) is not int)
+        _int(values[k], f"{path}[{k}]")
+    return values
+
+
+def _int_rows(value, path: str) -> list[list[int]]:
+    """An array of integer arrays, checked in one pass over its entries."""
+    rows = _as_list(value, path)
+    if not (set(map(type, rows)) <= _ONLY_LIST
+            and set(map(type, chain.from_iterable(rows))) <= _ONLY_INT):
+        for k, row in enumerate(rows):
+            _ints(row, f"{path}[{k}]")
+    return rows
+
+
 def parse_game_file(text: str | bytes) -> SuccinctGame:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -65,10 +95,9 @@ def game_from_json(doc: dict) -> SuccinctGame:
     tag = _need(doc, "class", "$")
     try:
         if tag == "table":
-            tables = _as_list(_need(doc, "tables", "$"), "$.tables")
             return TableGame(
-                _as_list(_need(doc, "strategy_counts", "$"), "$.strategy_counts"),
-                [_as_list(t, f"$.tables[{i}]") for i, t in enumerate(tables)],
+                _ints(_need(doc, "strategy_counts", "$"), "$.strategy_counts"),
+                _int_rows(_need(doc, "tables", "$"), "$.tables"),
             )
         if tag == "congestion":
             return _congestion_from_json(doc)
@@ -114,7 +143,9 @@ def _pairs_to_table(pairs, path) -> dict[int, int]:
     for k, pair in enumerate(_as_list(pairs, path)):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise FormatError("expected a [load, delay] pair", f"{path}[{k}]")
-        table[int(pair[0])] = int(pair[1])
+        if type(pair[0]) is not int or type(pair[1]) is not int:
+            _ints(pair, f"{path}[{k}]")
+        table[pair[0]] = pair[1]
     return table
 
 
@@ -142,14 +173,19 @@ def _congestion_from_json(doc: dict) -> CongestionGame:
         delays = [_pairs_to_table(t, f"$.delays[{e}]") for e, t in enumerate(raw)]
     else:
         delays = [
-            [_pairs_to_table(t, f"$.delays[{e}][{i}]") for i, t in enumerate(per)]
+            [_pairs_to_table(t, f"$.delays[{e}][{i}]")
+             for i, t in enumerate(_as_list(per, f"$.delays[{e}]"))]
             for e, per in enumerate(raw)
         ]
+    strategies = _as_list(_need(doc, "strategies", "$"), "$.strategies")
+    weights = doc.get("weights")
     return CongestionGame(
-        resources=_need(doc, "resources", "$"),
-        strategies=_need(doc, "strategies", "$"),
+        resources=_as_list(_need(doc, "resources", "$"), "$.resources"),
+        strategies=[
+            _int_rows(per, f"$.strategies[{i}]") for i, per in enumerate(strategies)
+        ],
         delays=delays,
-        weights=doc.get("weights"),
+        weights=None if weights is None else _ints(weights, "$.weights"),
         mode=mode,
     )
 
@@ -180,7 +216,7 @@ def _anonymous_from_json(doc: dict) -> AnonymousGame:
         for r, rule in enumerate(_as_list(raw.get("rules", []), f"{path}.rules")):
             rule_path = f"{path}.rules[{r}]"
             rule = _as_dict(rule, rule_path)
-            strategy = int(_need(rule, "strategy", rule_path))
+            strategy = _int(_need(rule, "strategy", rule_path), f"{rule_path}.strategy")
             try:
                 when = predicate_from_json(_need(rule, "when", rule_path))
             except ConfigurationError as exc:
@@ -188,7 +224,7 @@ def _anonymous_from_json(doc: dict) -> AnonymousGame:
             rules.append((strategy, when))
         players.append(AnonymousPlayer(
             name=str(raw.get("name", f"player_{k}")),
-            allowed=frozenset(int(s) for s in _need(raw, "allowed", path)),
+            allowed=frozenset(_ints(_need(raw, "allowed", path), f"{path}.allowed")),
             rules=tuple(rules),
         ))
     return AnonymousGame(_as_list(_need(doc, "strategies", "$"), "$.strategies"), players)
@@ -211,21 +247,21 @@ def _market_to_json(game: TwoSidedMarketGame) -> dict:
 def _market_from_json(doc: dict) -> TwoSidedMarketGame:
     passive = []
     for k, raw in enumerate(_as_list(_need(doc, "passive", "$"), "$.passive")):
-        raw = _as_dict(raw, f"$.passive[{k}]")
+        path = f"$.passive[{k}]"
+        raw = _as_dict(raw, path)
         passive.append(PassiveAgent(
-            name=str(_need(raw, "name", f"$.passive[{k}]")),
-            value=int(_need(raw, "value", f"$.passive[{k}]")),
-            preference=tuple(int(x) for x in _need(raw, "preference", f"$.passive[{k}]")),
+            name=str(_need(raw, "name", path)),
+            value=_int(_need(raw, "value", path), f"{path}.value"),
+            preference=tuple(_ints(_need(raw, "preference", path), f"{path}.preference")),
         ))
     active = []
     for k, raw in enumerate(_as_list(_need(doc, "active", "$"), "$.active")):
-        raw = _as_dict(raw, f"$.active[{k}]")
+        path = f"$.active[{k}]"
+        raw = _as_dict(raw, path)
+        strategies = _int_rows(_need(raw, "strategies", path), f"{path}.strategies")
         active.append(ActiveAgent(
-            name=str(_need(raw, "name", f"$.active[{k}]")),
-            strategies=tuple(
-                frozenset(int(y) for y in s)
-                for s in _need(raw, "strategies", f"$.active[{k}]")
-            ),
+            name=str(_need(raw, "name", path)),
+            strategies=tuple(map(frozenset, strategies)),
         ))
     return TwoSidedMarketGame(passive, active)
 
@@ -247,14 +283,37 @@ def _valid_utility_to_json(inst: ValidUtilityInstance) -> dict:
     }
 
 
+def _elements(value, path: str) -> list:
+    values = _as_list(value, path)
+    for k, v in enumerate(values):
+        if isinstance(v, (list, dict)):
+            raise FormatError("expected a ground-set element, not a container",
+                              f"{path}[{k}]")
+    return values
+
+
 def _valid_utility_from_json(doc: dict) -> ValidUtilityInstance:
-    ground_sets = [tuple(g) for g in _need(doc, "ground_sets", "$")]
-    feasible = [
-        tuple(frozenset(s) for s in family)
-        for family in _need(doc, "feasible", "$")
+    ground_sets = [
+        tuple(_elements(g, f"$.ground_sets[{i}]"))
+        for i, g in enumerate(_as_list(_need(doc, "ground_sets", "$"), "$.ground_sets"))
     ]
-    utilities = _need(doc, "utilities", "$")
-    social = _as_list(_need(doc, "social", "$"), "$.social")
+    feasible = [
+        tuple(
+            frozenset(_elements(s, f"$.feasible[{i}][{k}]"))
+            for k, s in enumerate(_as_list(family, f"$.feasible[{i}]"))
+        )
+        for i, family in enumerate(_as_list(_need(doc, "feasible", "$"), "$.feasible"))
+    ]
+    if len(feasible) != len(ground_sets):
+        raise FormatError(
+            f"{len(feasible)} feasible families for {len(ground_sets)} ground sets",
+            "$.feasible",
+        )
+    utilities = _int_rows(_need(doc, "utilities", "$"), "$.utilities")
+    for k, row in enumerate(utilities):
+        if len(row) != len(ground_sets):
+            raise FormatError(f"expected {len(ground_sets)} utilities", f"$.utilities[{k}]")
+    social = _ints(_need(doc, "social", "$"), "$.social")
     subsets = list(product(*map(_powerset, ground_sets)))
     if len(social) != len(subsets):
         raise FormatError(
@@ -314,19 +373,19 @@ def parse_tm_file(text: str | bytes) -> TMSpec:
     delta = {}
     for k, rule in enumerate(_as_list(_need(doc, "delta", "$"), "$.delta")):
         rule = _as_dict(rule, f"$.delta[{k}]")
-        key = (int(_need(rule, "state", f"$.delta[{k}]")),
+        key = (_int(_need(rule, "state", f"$.delta[{k}]"), f"$.delta[{k}].state"),
                str(_need(rule, "read", f"$.delta[{k}]")))
         delta[key] = (
-            int(_need(rule, "next", f"$.delta[{k}]")),
+            _int(_need(rule, "next", f"$.delta[{k}]"), f"$.delta[{k}].next"),
             str(_need(rule, "write", f"$.delta[{k}]")),
             str(_need(rule, "move", f"$.delta[{k}]")),
         )
     try:
         return TMSpec(
-            num_states=int(_need(doc, "states", "$")),
-            q0=int(_need(doc, "q0", "$")),
-            q_halt=int(_need(doc, "q_halt", "$")),
-            t_prime=int(_need(doc, "t_prime", "$")),
+            num_states=_int(_need(doc, "states", "$"), "$.states"),
+            q0=_int(_need(doc, "q0", "$"), "$.q0"),
+            q_halt=_int(_need(doc, "q_halt", "$"), "$.q_halt"),
+            t_prime=_int(_need(doc, "t_prime", "$"), "$.t_prime"),
             delta=delta,
             state_names=tuple(doc.get("state_names", ())),
         )
@@ -349,25 +408,33 @@ def serialize_sidecar(compiled: CompiledReduction) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def _int_values(value, path: str) -> dict:
+    """An object whose values are integers; the error names the bad key."""
+    mapping = _as_dict(value, path)
+    if not set(map(type, mapping.values())) <= _ONLY_INT:
+        key = next(k for k, v in mapping.items() if type(v) is not int)
+        _int(mapping[key], f"{path}.{key}")
+    return mapping
+
+
 def parse_sidecar(text: str | bytes, game: SuccinctGame) -> CompiledReduction:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     doc = _as_dict(json.loads(text), "$")
     symbols = SymbolTable()
-    for role, idx in sorted(
-        _as_dict(_need(doc, "players", "$"), "$.players").items(), key=lambda kv: kv[1]
-    ):
-        symbols.add_player(role, int(idx))
+    players = _int_values(_need(doc, "players", "$"), "$.players")
+    for role, idx in sorted(players.items(), key=lambda kv: kv[1]):
+        symbols.add_player(role, idx)
     for role, table in _as_dict(_need(doc, "strategies", "$"), "$.strategies").items():
-        for name, idx in table.items():
-            symbols.add_strategy(role, name, int(idx))
+        for name, idx in _int_values(table, f"$.strategies.{role}").items():
+            symbols.add_strategy(role, name, idx)
     machine = doc.get("machine")
     spec = None
     if machine is not None:
         spec = parse_tm_file(json.dumps(machine))
     return CompiledReduction(
         game=game,
-        initial=tuple(int(c) for c in _need(doc, "initial", "$")),
+        initial=tuple(_ints(_need(doc, "initial", "$"), "$.initial")),
         symbols=symbols,
         machine=spec,
         penalty=doc.get("penalty"),

@@ -1,7 +1,11 @@
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinkeq.cli import run_cli
 from sinkeq.cnf import CnfFormula, parse_dimacs
@@ -201,6 +205,34 @@ def _nested_and(depth: int) -> str:
     return _anonymous_doc("WHEN").replace('"WHEN"', nested)
 
 
+def _congestion_doc(**fields) -> str:
+    doc = {"class": "congestion", "resources": ["e"], "mode": "shared",
+           "weights": [1, 1], "strategies": [[[0]], [[0]]],
+           "delays": [[[1, 1], [2, 3]]]}
+    return json.dumps(doc | fields)
+
+
+def _market_doc(**fields) -> str:
+    passive = {"name": "y", "value": 1, "preference": [0]} | fields
+    return json.dumps({"class": "market", "passive": [passive],
+                       "active": [{"name": "x", "strategies": [[], [0]]}]})
+
+
+def _anonymous_player_doc(**fields) -> str:
+    player = {"name": "p", "allowed": [0, 1],
+              "rules": [{"strategy": 0, "when": _LEAF}]} | fields
+    return json.dumps({"class": "anonymous", "strategies": ["a", "b"],
+                       "players": [player]})
+
+
+def _coverage_doc(**fields) -> str:
+    inst = coverage_instance(
+        [("a", "b"), ("b",)],
+        [(frozenset(), frozenset({"a"})), (frozenset(), frozenset({"b"}))],
+    )
+    return json.dumps(game_to_json(inst) | fields)
+
+
 @pytest.mark.parametrize("text", [
     '{"class": "table", "strategy_counts": [1], "tables": [5]}',
     _anonymous_doc(_LEAF, strategies=None),
@@ -210,8 +242,31 @@ def _nested_and(depth: int) -> str:
     _anonymous_doc({"cmp": "==", "lhs": {"add": 5}, "rhs": {"const": 1}}),
     _nested_and(200),
     _nested_and(3000),
+    '{"class": "table", "strategy_counts": [1], "tables": [[null]]}',
+    '{"class": "table", "strategy_counts": [null], "tables": [[1]]}',
+    _congestion_doc(strategies=[[[None]], [[0]]]),
+    _congestion_doc(weights=[None, 1]),
+    _congestion_doc(delays=[[[1, 1], [2, None]]]),
+    _market_doc(preference=[None]),
+    _anonymous_player_doc(allowed=[None, 1]),
+    _anonymous_player_doc(rules=[{"strategy": None, "when": _LEAF}]),
+    _anonymous_doc({"cmp": "==", "lhs": {"count": 0}, "rhs": {"const": None}}),
+    _congestion_doc(weights=[1.9, 1]),
+    _market_doc(value=2.5),
+    '{"class": "table", "strategy_counts": [2], "tables": [[0.5, 0.7]]}',
+    '{"class": "table", "strategy_counts": [2], "tables": [["x", 1]]}',
+    _congestion_doc(weights=[True, 1]),
+    _anonymous_doc({"cmp": [], "lhs": {"count": 0}, "rhs": {"const": 1}}),
+    _coverage_doc(ground_sets=[["a", []], ["b"]]),
+    _coverage_doc(feasible=[[[]], [[]], [[]]]),
+    _coverage_doc(utilities=[[0]] * 4),
 ], ids=["table-entry", "strategies-null", "cmp-without-rhs", "and-not-list",
-        "predicate-not-object", "add-not-pair", "and-200-deep", "and-3000-deep"])
+        "predicate-not-object", "add-not-pair", "and-200-deep", "and-3000-deep",
+        "table-entry-null", "strategy-count-null", "congestion-strategy-null",
+        "weight-null", "delay-null", "preference-null", "allowed-null",
+        "rule-strategy-null", "const-null", "weight-float", "value-float",
+        "table-entry-float", "table-entry-string", "weight-bool", "cmp-op-array",
+        "ground-element-array", "extra-feasible-family", "short-utility-row"])
 @pytest.mark.parametrize("command", ["has-pure", "sinks"])
 def test_hostile_documents_exit_1_with_one_line(tmp_path, text, command):
     with pytest.raises(FormatError):
@@ -241,3 +296,81 @@ def test_sidecar_reverse_lookups(flipper):
         symbols.role_of(len(symbols.players))
     with pytest.raises(KeyError):
         symbols.strategy_name("state", -1)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaf_paths(child, (*path, key))
+    elif isinstance(node, list):
+        for k, child in enumerate(node):
+            yield from _leaf_paths(child, (*path, k))
+    else:
+        yield path
+
+
+def _valid_documents() -> list[dict]:
+    congestion = CongestionGame(
+        ["e", "f"], [[[0], [1]], [[0, 1], [1]]],
+        [{1: 0, 2: 3, 3: 5}, {1: 1, 2: 2, 3: 4}], weights=[1, 2],
+    )
+    anonymous = AnonymousGame(
+        ["a", "b"],
+        [
+            AnonymousPlayer("p0", frozenset({0, 1}), ((0, count_ge(0, 2)),)),
+            AnonymousPlayer("p1", frozenset({0, 1}), ((1, count_ge(1, 1)),)),
+        ],
+    )
+    coverage = coverage_instance(
+        [("a", "b"), ("b",)],
+        [(frozenset(), frozenset({"a"})), (frozenset(), frozenset({"b"}))],
+    )
+    market = compile_sat_market(CnfFormula(1, ((1, 1, 1),))).game
+    games = (prisoners_dilemma(), congestion, anonymous, market, coverage)
+    return [game_to_json(game) for game in games]
+
+
+_DOCUMENTS = _valid_documents()
+_REPLACEMENTS = (None, 0.5, 2.0, "x", "1", True, False, [], {})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_documents_exit_cleanly(data):
+    """One leaf of a valid document replaced: an answer or one error line."""
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(_DOCUMENTS))))
+    path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(st.sampled_from(_REPLACEMENTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        game_path = Path(tmp) / "game.json"
+        game_path.write_text(json.dumps(doc))
+        for command in ("has-pure", "sinks"):
+            out, err = io.StringIO(), io.StringIO()
+            code = run_cli([command, str(game_path)], out=out, err=err)
+            assert code in (0, 1, 2)
+            if code == 1:
+                message = err.getvalue()
+                assert message.startswith("error: $") and message.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, path", [
+    ("players", "$.players.clock"),
+    ("strategies", "$.strategies.clock.Trigger"),
+])
+def test_sidecar_index_must_be_an_integer(tmp_path, flipper, field, path):
+    compiled = compile_tm_weighted(flipper)
+    game_path = tmp_path / "gadget.json"
+    game_path.write_text(serialize_game(compiled.game))
+    sidecar = json.loads(serialize_sidecar(compiled))
+    if field == "players":
+        sidecar["players"]["clock"] = None
+    else:
+        sidecar["strategies"]["clock"]["Trigger"] = 0.0
+    (tmp_path / "gadget.symbols.json").write_text(json.dumps(sidecar))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["in-sink", str(game_path), "--profile", "@initial"]
+    assert run_cli(argv, out=out, err=err) == 1
+    assert err.getvalue() == f"error: {path}: expected an integer\n"

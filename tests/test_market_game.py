@@ -114,3 +114,17 @@ def test_lower_ideal_lint():
     )
     findings = lint_lower_ideal(gadget)
     assert findings and all("x:" in f for f in findings)
+
+
+def test_preference_omitting_a_demander_is_rejected():
+    # x1 and x2 demand y (x2 only through its second strategy); y ranks only x1.
+    with pytest.raises(ConfigurationError) as info:
+        TwoSidedMarketGame(
+            [PassiveAgent("y", 5, (1,)), PassiveAgent("z", 5, (0, 1, 2))],
+            [
+                ActiveAgent("x0", (frozenset({1}),)),
+                ActiveAgent("x1", (frozenset({0, 1}),)),
+                ActiveAgent("x2", (frozenset({1}), frozenset({0}))),
+            ],
+        )
+    assert str(info.value) == "passive agent y: preference omits demander(s) [2]"
