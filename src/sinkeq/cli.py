@@ -250,13 +250,10 @@ def _dispatch(args) -> AnalysisReport:
     if args.command == "compile":
         return _compile(args)
     if args.command == "verify-round":
-        compiled = _load_compiled(args.game, _load_game(args.game))
-        if args.profile == "@initial":
-            start = compiled.initial
-        else:
-            start = compiled.game.validate_profile(
-                tuple(int(tok) for tok in args.profile.split(","))
-            )
+        game = _load_game(args.game)
+        compiled = _load_compiled(args.game, game)
+        start = (compiled.initial if args.profile == "@initial"
+                 else _resolve_profile(args.profile, game, args.game))
         verify = (verify_round_weighted if args.flavor == "weighted"
                   else verify_round_anonymous)
         result = verify(compiled, start)

@@ -10,10 +10,9 @@ state in unary occupancy counts; the configuration players then adjust to
 match. Machine state j is encoded as j players on state^1, with the halting
 state mapped to the highest index.
 
-Counter-balancing rules use non-strict comparisons on with-self occupancy
-counts: the strict forms leave the final balancing move non-improving. The
-cell rewrite rules carry an extra "head is here" conjunct so only the
-scanned cell can adopt the new symbol.
+The four unary classes (see ``_unary_roles``) move toward their targets by
+one balancing rule, ``_balance``. The cell rewrite rules carry an extra "head
+is here" conjunct so only the scanned cell can adopt the new symbol.
 """
 
 from __future__ import annotations
@@ -53,6 +52,31 @@ STRATEGIES = (
 )
 _S = {name: k for k, name in enumerate(STRATEGIES)}
 
+MAX_PLAYERS = 4096
+
+
+def _unary_roles(spec: TMSpec, cls: str) -> list[str]:
+    """Roles of a unary class, which encodes a number as its players on
+    ``cls^1``: t' players for a head position (``position``, ``new-pos``),
+    |Q|-1 for a state rank (``state``, ``new-state``)."""
+    size = {"position": spec.t_prime, "new-pos": spec.t_prime,
+            "state": spec.num_states - 1, "new-state": spec.num_states - 1}[cls]
+    prefix = cls.replace("-", "_")
+    return [f"{prefix}_{k}" for k in range(size)]
+
+
+def _balance(cls: str, guards: list, target) -> list[tuple[str, object]]:
+    """The rules that move a unary class, while ``guards`` hold, until
+    ``Count(cls^1) == target``: a player gains by joining ``cls^1`` when the
+    count is at most the target and by leaving it when the count is at least
+    the target. The comparisons are non-strict because counts include the
+    mover: the strict forms leave the final balancing move non-improving."""
+    ones = Count(_S[f"{cls}^1"])
+    return [
+        (f"{cls}^1", And(*guards, Cmp("<=", ones, target))),
+        (f"{cls}^0", And(*guards, Cmp(">=", ones, target))),
+    ]
+
 
 def state_rank(spec: TMSpec) -> dict[int, int]:
     """Machine state -> unary encoding value; the halting state is last."""
@@ -75,15 +99,15 @@ def _delta_cases(spec: TMSpec, rank: dict[int, int]):
     return cases
 
 
-def compile_tm_anonymous(spec: TMSpec, max_players: int = 4096) -> CompiledReduction:
+def compile_tm_anonymous(spec: TMSpec) -> CompiledReduction:
     if spec.num_states < 2:
         raise ConfigurationError("the reduction needs at least two machine states")
     t_prime = spec.t_prime
     m = spec.num_states - 1
     roster_size = 2 * (t_prime + 1) + 2 * t_prime + 2 * m + 4
-    if roster_size > max_players:
+    if roster_size > MAX_PLAYERS:
         raise ConfigurationError(
-            f"reduction needs {roster_size} players, above the cap {max_players}"
+            f"reduction needs {roster_size} players, above the cap {MAX_PLAYERS}"
         )
     rank = state_rank(spec)
     cases = _delta_cases(spec, rank)
@@ -132,45 +156,16 @@ def compile_tm_anonymous(spec: TMSpec, max_players: int = 4096) -> CompiledReduc
         for sym in SYMBOLS
     ]
     for k in range(t_prime + 1):
-        add(f"tape_{k}", tape_allowed, list(tape_rules))
+        add(f"tape_{k}", tape_allowed, tape_rules)
 
-    position_rules = [
-        (
-            "position^1",
-            And(
-                count_ge(_S["new-pos2"], 1),
-                Cmp("<=", Count(_S["position^1"]), Count(_S["new-pos^1"])),
-            ),
-        ),
-        (
-            "position^0",
-            And(
-                count_ge(_S["new-pos2"], 1),
-                Cmp(">=", Count(_S["position^1"]), Count(_S["new-pos^1"])),
-            ),
-        ),
-    ]
-    for k in range(t_prime):
-        add(f"position_{k}", ["position^1", "position^0"], list(position_rules))
+    def add_class(cls: str, rules: list[tuple[str, object]]):
+        for role in _unary_roles(spec, cls):
+            add(role, [f"{cls}^1", f"{cls}^0"], rules)
 
-    state_rules = [
-        (
-            "state^1",
-            And(
-                count_ge(_S["new-state2"], 1),
-                Cmp("<=", Count(_S["state^1"]), Count(_S["new-state^1"])),
-            ),
-        ),
-        (
-            "state^0",
-            And(
-                count_ge(_S["new-state2"], 1),
-                Cmp(">=", Count(_S["state^1"]), Count(_S["new-state^1"])),
-            ),
-        ),
-    ]
-    for k in range(m):
-        add(f"state_{k}", ["state^1", "state^0"], list(state_rules))
+    add_class("position", _balance(
+        "position", [count_ge(_S["new-pos2"], 1)], Count(_S["new-pos^1"])))
+    add_class("state", _balance(
+        "state", [count_ge(_S["new-state2"], 1)], Count(_S["new-state^1"])))
 
     add("symbol", ["symbol^0", "symbol^1", "symbol^b"], [
         (
@@ -188,38 +183,16 @@ def compile_tm_anonymous(spec: TMSpec, max_players: int = 4096) -> CompiledReduc
         for case in cases
     ])
 
-    new_pos_rules = []
-    for case in cases:
-        d = case[3]
-        target = Add(Count(_S["position^1"]), Const(d))
-        new_pos_rules.append((
-            "new-pos^1",
-            And(count_ge(_S["new-pos"], 1), *sel(case),
-                Cmp("<=", Count(_S["new-pos^1"]), target)),
-        ))
-        new_pos_rules.append((
-            "new-pos^0",
-            And(count_ge(_S["new-pos"], 1), *sel(case),
-                Cmp(">=", Count(_S["new-pos^1"]), target)),
-        ))
-    for k in range(t_prime):
-        add(f"new_pos_{k}", ["new-pos^1", "new-pos^0"], list(new_pos_rules))
-
-    new_state_rules = []
-    for case in cases:
-        q2_rank = case[4]
-        new_state_rules.append((
-            "new-state^1",
-            And(count_ge(_S["new-state"], 1), *sel(case),
-                Cmp("<=", Count(_S["new-state^1"]), Const(q2_rank))),
-        ))
-        new_state_rules.append((
-            "new-state^0",
-            And(count_ge(_S["new-state"], 1), *sel(case),
-                Cmp(">=", Count(_S["new-state^1"]), Const(q2_rank))),
-        ))
-    for k in range(m):
-        add(f"new_state_{k}", ["new-state^1", "new-state^0"], list(new_state_rules))
+    add_class("new-pos", [
+        rule for case in cases
+        for rule in _balance("new-pos", [count_ge(_S["new-pos"], 1), *sel(case)],
+                             Add(Count(_S["position^1"]), Const(case[3])))
+    ])
+    add_class("new-state", [
+        rule for case in cases
+        for rule in _balance("new-state", [count_ge(_S["new-state"], 1), *sel(case)],
+                             Const(case[4]))
+    ])
 
     histogram_match = [
         Cmp("==", Count(_S[f"cell^{sym}"]), Count(_S[f"tape^{sym}"]))
@@ -296,7 +269,6 @@ def anonymous_round_start(compiled: CompiledReduction, config: TapeConfig):
     spec: TMSpec = compiled.machine
     rank = state_rank(spec)
     symbols = compiled.symbols
-    t_prime = spec.t_prime
     profile = [0] * len(symbols.players)
 
     def put(role: str, strategy: str):
@@ -307,18 +279,14 @@ def anonymous_round_start(compiled: CompiledReduction, config: TapeConfig):
     tape_pool = sorted(config.tape, key=SYMBOLS.index)
     for k, sym in enumerate(tape_pool):
         put(f"tape_{k}", f"tape^{sym}")
-    for k in range(t_prime):
-        put(f"position_{k}", "position^1" if k < config.head else "position^0")
     q_rank = rank[config.state]
-    for k in range(spec.num_states - 1):
-        put(f"state_{k}", "state^1" if k < q_rank else "state^0")
+    for cls, value in (("position", config.head), ("state", q_rank),
+                       ("new-pos", config.head), ("new-state", q_rank)):
+        for k, role in enumerate(_unary_roles(spec, cls)):
+            put(role, f"{cls}^1" if k < value else f"{cls}^0")
     head_sym = config.tape[config.head]
     put("symbol", f"symbol^{head_sym}")
     put("new_sym", f"new-sym^{head_sym}")
-    for k in range(t_prime):
-        put(f"new_pos_{k}", "new-pos^1" if k < config.head else "new-pos^0")
-    for k in range(spec.num_states - 1):
-        put(f"new_state_{k}", "new-state^1" if k < q_rank else "new-state^0")
     put("control1", "init")
     put("control2", "Xnew-state2")
     return tuple(profile)
@@ -336,12 +304,9 @@ def decode_anonymous_config(compiled: CompiledReduction, profile) -> TapeConfig:
         if not name.startswith("cell^"):
             raise ValueError(f"cell_{i} is mid-rewrite (on {name})")
         tape.append(name.split("^")[1])
-    head = sum(
-        1 for k in range(spec.t_prime)
-        if STRATEGIES[profile[symbols.player(f"position_{k}")]] == "position^1"
-    )
-    q_rank = sum(
-        1 for k in range(spec.num_states - 1)
-        if STRATEGIES[profile[symbols.player(f"state_{k}")]] == "state^1"
-    )
-    return TapeConfig(unrank[q_rank], head, tuple(tape))
+
+    def ones(cls: str) -> int:
+        return sum(profile[symbols.player(role)] == _S[f"{cls}^1"]
+                   for role in _unary_roles(spec, cls))
+
+    return TapeConfig(unrank[ones("state")], ones("position"), tuple(tape))

@@ -70,13 +70,6 @@ class CompiledReduction:
     penalty: int | None = None  # M
     market_base: int | None = None  # N, market compiles only
 
-    def profile_of(self, assignments: dict[str, str]) -> Profile:
-        """Initial profile with some roles moved to named strategies."""
-        profile = list(self.initial)
-        for role, strategy in assignments.items():
-            profile[self.symbols.player(role)] = self.symbols.strategy(role, strategy)
-        return tuple(profile)
-
     def describe(self, profile: Profile) -> dict[str, str]:
         return {
             role: self.symbols.strategy_name(role, profile[idx])

@@ -13,13 +13,12 @@ def export_dot(
     vertices: Sequence[Profile],
     sink_states: Iterable[Profile] = (),
     decode: bool = False,
-    strategy_names=None,
 ) -> str:
     """Render the subgraph induced by ``vertices``.
 
-    Vertices are labeled by profile index (plus decoded strategy names when
+    Vertices are labeled by profile index (plus the profile itself when
     ``decode`` is set), edges by the moving player. Sink members get a double
-    circle. ``strategy_names``, when given, maps (player, strategy) -> name.
+    circle.
     """
     codec = graph.codec
     sink_set = set(sink_states)
@@ -29,11 +28,7 @@ def export_dot(
     for profile in ordered:
         pid = codec.encode(profile)
         if decode:
-            if strategy_names:
-                parts = [strategy_names(p, s) for p, s in enumerate(profile)]
-            else:
-                parts = [str(s) for s in profile]
-            label = f"{pid}: ({', '.join(parts)})"
+            label = f"{pid}: ({', '.join(map(str, profile))})"
         else:
             label = str(pid)
         shape = ' shape=doublecircle' if profile in sink_set else ""

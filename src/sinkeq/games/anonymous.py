@@ -262,6 +262,3 @@ class AnonymousGame(SuccinctGame):
             hist[choice] -= 1
             hist[current] += 1
         return out
-
-    def strategy_index(self, name: str) -> int:
-        return self.strategy_names.index(name)

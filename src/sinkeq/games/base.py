@@ -56,9 +56,6 @@ class SuccinctGame:
     def validate_profile(self, profile: Sequence[int]) -> Profile:
         return validate_profile(self.strategy_counts, profile)
 
-    def utilities(self, profile: Profile) -> tuple[int, ...]:
-        return tuple(self.utility(profile, i) for i in range(self.num_players))
-
 
 class CostGame(SuccinctGame):
     """A cost-minimizing game; utility is the negated cost."""

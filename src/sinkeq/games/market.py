@@ -112,12 +112,6 @@ class TwoSidedMarketGame(SuccinctGame):
             out.append(total)
         return out
 
-    def passive_index(self, name: str) -> int:
-        for y, p in enumerate(self.passive):
-            if p.name == name:
-                return y
-        raise KeyError(name)
-
 
 def lint_lower_ideal(game: TwoSidedMarketGame) -> list[str]:
     """Report strategies whose subsets are not all available.

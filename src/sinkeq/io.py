@@ -3,8 +3,8 @@
 Every game document carries a ``class`` tag; strategy subsets serialize as
 sorted index arrays and delay tables as sorted [load, delay] pairs, so
 parse -> serialize -> parse is bit-exact. Every number in a document is a
-JSON integer: a fraction, a string, a boolean or a null where a number
-belongs is a ``FormatError`` naming its path.
+JSON integer and every name a JSON string: anything else where a number or a
+name belongs is a ``FormatError`` naming its path.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ def _need(doc: dict, key: str, path: str) -> Any:
     return doc[key]
 
 
+def _field(doc: dict, key: str, path: str, check) -> Any:
+    """``doc[key]`` passed through ``check`` at the path of the entry."""
+    return check(_need(doc, key, path), f"{path}.{key}")
+
+
 def _as_dict(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise FormatError("expected an object", path)
@@ -57,16 +62,43 @@ def _int(value, path: str) -> int:
     return value
 
 
+def _str(value, path: str) -> str:
+    if type(value) is not str:
+        raise FormatError("expected a string", path)
+    return value
+
+
 _ONLY_INT, _ONLY_LIST = frozenset({int}), frozenset({list})
 
 
-def _ints(value, path: str) -> list[int]:
-    """An array of integers, checked in one pass; the error names the bad entry."""
+def _array_of(check, kind: type, value, path: str) -> list:
+    """An array whose entries are all of ``kind``, checked in one pass; the
+    error is ``check``'s, naming the first bad entry."""
     values = _as_list(value, path)
-    if not set(map(type, values)) <= _ONLY_INT:
-        k = next(k for k, v in enumerate(values) if type(v) is not int)
-        _int(values[k], f"{path}[{k}]")
+    if not set(map(type, values)) <= {kind}:
+        k = next(k for k, v in enumerate(values) if type(v) is not kind)
+        check(values[k], f"{path}[{k}]")
     return values
+
+
+def _ints(value, path: str) -> list[int]:
+    return _array_of(_int, int, value, path)
+
+
+def _strs(value, path: str) -> list[str]:
+    return _array_of(_str, str, value, path)
+
+
+def _load_json(text: str | bytes) -> dict:
+    """The top-level object of a document; bad JSON is a ``FormatError`` at ``$``."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return _as_dict(json.loads(text), "$")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"not valid JSON: {exc}", "$") from None
+    except RecursionError:
+        raise FormatError("document nested too deeply", "$") from None
 
 
 def _int_rows(value, path: str) -> list[list[int]]:
@@ -80,13 +112,9 @@ def _int_rows(value, path: str) -> list[list[int]]:
 
 
 def parse_game_file(text: str | bytes) -> SuccinctGame:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    doc = _load_json(text)
     try:
-        doc = json.loads(text)
-        return game_from_json(_as_dict(doc, "$"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}", "$") from None
+        return game_from_json(doc)
     except RecursionError:
         raise FormatError("document nested too deeply", "$") from None
 
@@ -180,7 +208,7 @@ def _congestion_from_json(doc: dict) -> CongestionGame:
     strategies = _as_list(_need(doc, "strategies", "$"), "$.strategies")
     weights = doc.get("weights")
     return CongestionGame(
-        resources=_as_list(_need(doc, "resources", "$"), "$.resources"),
+        resources=_field(doc, "resources", "$", _strs),
         strategies=[
             _int_rows(per, f"$.strategies[{i}]") for i, per in enumerate(strategies)
         ],
@@ -223,11 +251,11 @@ def _anonymous_from_json(doc: dict) -> AnonymousGame:
                 raise FormatError(str(exc), f"{rule_path}.when") from None
             rules.append((strategy, when))
         players.append(AnonymousPlayer(
-            name=str(raw.get("name", f"player_{k}")),
+            name=_str(raw.get("name", f"player_{k}"), f"{path}.name"),
             allowed=frozenset(_ints(_need(raw, "allowed", path), f"{path}.allowed")),
             rules=tuple(rules),
         ))
-    return AnonymousGame(_as_list(_need(doc, "strategies", "$"), "$.strategies"), players)
+    return AnonymousGame(_field(doc, "strategies", "$", _strs), players)
 
 
 def _market_to_json(game: TwoSidedMarketGame) -> dict:
@@ -250,7 +278,7 @@ def _market_from_json(doc: dict) -> TwoSidedMarketGame:
         path = f"$.passive[{k}]"
         raw = _as_dict(raw, path)
         passive.append(PassiveAgent(
-            name=str(_need(raw, "name", path)),
+            name=_field(raw, "name", path, _str),
             value=_int(_need(raw, "value", path), f"{path}.value"),
             preference=tuple(_ints(_need(raw, "preference", path), f"{path}.preference")),
         ))
@@ -260,7 +288,7 @@ def _market_from_json(doc: dict) -> TwoSidedMarketGame:
         raw = _as_dict(raw, path)
         strategies = _int_rows(_need(raw, "strategies", path), f"{path}.strategies")
         active.append(ActiveAgent(
-            name=str(_need(raw, "name", path)),
+            name=_field(raw, "name", path, _str),
             strategies=tuple(map(frozenset, strategies)),
         ))
     return TwoSidedMarketGame(passive, active)
@@ -363,34 +391,29 @@ def serialize_tm(spec: TMSpec) -> str:
 
 
 def parse_tm_file(text: str | bytes) -> TMSpec:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}", "$") from None
-    doc = _as_dict(doc, "$")
+    return _tm_from_json(_load_json(text), "$")
+
+
+def _tm_from_json(doc: dict, path: str) -> TMSpec:
+    """The machine of a machine document, or of a sidecar's ``machine`` entry."""
     delta = {}
-    for k, rule in enumerate(_as_list(_need(doc, "delta", "$"), "$.delta")):
-        rule = _as_dict(rule, f"$.delta[{k}]")
-        key = (_int(_need(rule, "state", f"$.delta[{k}]"), f"$.delta[{k}].state"),
-               str(_need(rule, "read", f"$.delta[{k}]")))
-        delta[key] = (
-            _int(_need(rule, "next", f"$.delta[{k}]"), f"$.delta[{k}].next"),
-            str(_need(rule, "write", f"$.delta[{k}]")),
-            str(_need(rule, "move", f"$.delta[{k}]")),
-        )
+    for k, rule in enumerate(_as_list(_need(doc, "delta", path), f"{path}.delta")):
+        at = f"{path}.delta[{k}]"
+        rule = _as_dict(rule, at)
+        key = (_field(rule, "state", at, _int), _field(rule, "read", at, _str))
+        delta[key] = (_field(rule, "next", at, _int), _field(rule, "write", at, _str),
+                      _field(rule, "move", at, _str))
     try:
         return TMSpec(
-            num_states=_int(_need(doc, "states", "$"), "$.states"),
-            q0=_int(_need(doc, "q0", "$"), "$.q0"),
-            q_halt=_int(_need(doc, "q_halt", "$"), "$.q_halt"),
-            t_prime=_int(_need(doc, "t_prime", "$"), "$.t_prime"),
+            num_states=_field(doc, "states", path, _int),
+            q0=_field(doc, "q0", path, _int),
+            q_halt=_field(doc, "q_halt", path, _int),
+            t_prime=_field(doc, "t_prime", path, _int),
             delta=delta,
-            state_names=tuple(doc.get("state_names", ())),
+            state_names=tuple(_strs(doc.get("state_names", []), f"{path}.state_names")),
         )
     except ConfigurationError as exc:
-        raise FormatError(str(exc), "$") from None
+        raise FormatError(str(exc), path) from None
 
 
 def serialize_sidecar(compiled: CompiledReduction) -> str:
@@ -417,10 +440,12 @@ def _int_values(value, path: str) -> dict:
     return mapping
 
 
+def _opt_int(value, path: str) -> int | None:
+    return None if value is None else _int(value, path)
+
+
 def parse_sidecar(text: str | bytes, game: SuccinctGame) -> CompiledReduction:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    doc = _as_dict(json.loads(text), "$")
+    doc = _load_json(text)
     symbols = SymbolTable()
     players = _int_values(_need(doc, "players", "$"), "$.players")
     for role, idx in sorted(players.items(), key=lambda kv: kv[1]):
@@ -429,14 +454,12 @@ def parse_sidecar(text: str | bytes, game: SuccinctGame) -> CompiledReduction:
         for name, idx in _int_values(table, f"$.strategies.{role}").items():
             symbols.add_strategy(role, name, idx)
     machine = doc.get("machine")
-    spec = None
-    if machine is not None:
-        spec = parse_tm_file(json.dumps(machine))
     return CompiledReduction(
         game=game,
-        initial=tuple(_ints(_need(doc, "initial", "$"), "$.initial")),
+        initial=tuple(_field(doc, "initial", "$", _ints)),
         symbols=symbols,
-        machine=spec,
-        penalty=doc.get("penalty"),
-        market_base=doc.get("market_base"),
+        machine=None if machine is None else _tm_from_json(
+            _as_dict(machine, "$.machine"), "$.machine"),
+        penalty=_opt_int(doc.get("penalty"), "$.penalty"),
+        market_base=_opt_int(doc.get("market_base"), "$.market_base"),
     )

@@ -55,11 +55,6 @@ class TMSpec:
                 if write not in SYMBOLS or move not in MOVES:
                     raise ConfigurationError(f"bad transition action {(write, move)!r}")
 
-    def state_name(self, q: int) -> str:
-        if self.state_names:
-            return self.state_names[q]
-        return f"q{q}"
-
 
 @dataclass(frozen=True)
 class TapeConfig:

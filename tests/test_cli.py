@@ -112,6 +112,20 @@ def test_compile_anonymous_and_verify(tmp_path, flipper):
     assert code == 0 and "verify-round: true" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-round", "anonymous"],
+    ["in-sink"],
+])
+def test_unparsable_profile_has_one_message(tmp_path, flipper, argv):
+    tm_path = tmp_path / "loop.tm.json"
+    tm_path.write_text(serialize_tm(flipper))
+    game_path = tmp_path / "anon.json"
+    assert run(["compile", "tm2anon", str(tm_path), "-o", str(game_path)])[0] == 0
+    code, _, err = run([*argv, str(game_path), "--profile", "1,x"])
+    assert code == 1
+    assert err == "error: cannot parse profile '1,x'\n"
+
+
 def test_compile_sat_market_pipeline(tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n")

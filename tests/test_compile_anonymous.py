@@ -1,4 +1,7 @@
 import itertools
+import re
+
+import pytest
 
 from sinkeq.compilers import (
     anonymous_round_start,
@@ -6,8 +9,9 @@ from sinkeq.compilers import (
     decode_anonymous_config,
     verify_round_anonymous,
 )
-from sinkeq.compilers.anonymous import _S, STRATEGIES, state_rank
+from sinkeq.compilers.anonymous import _S, STRATEGIES, _unary_roles, state_rank
 from sinkeq.dynamics import StateGraph, forward_closure, sccs
+from sinkeq.games.anonymous import Count
 from sinkeq.turing import SYMBOLS, TapeConfig, initial_config, tm_step
 
 
@@ -184,3 +188,31 @@ def test_frozen_control1_dynamics_are_acyclic(flipper):
             for comp in sccs(closure.states, succ):
                 assert len(comp) == 1
                 assert comp[0] not in succ(comp[0])
+
+
+@pytest.mark.parametrize("machine", ["flipper", "walker"])
+@pytest.mark.parametrize("cls", ["position", "state", "new-pos", "new-state"])
+def test_unary_classes_share_one_balancing_rule(request, machine, cls):
+    # every member of a unary class carries the same rules, in <=/>= pairs
+    # over one target: join cls^1 on <=, leave it on >=
+    spec = request.getfixturevalue(machine)
+    compiled = compile_tm_anonymous(spec)
+    prefix = cls.replace("-", "_")
+    roles = _unary_roles(spec, cls)
+    size = spec.t_prime if cls in ("position", "new-pos") else spec.num_states - 1
+    assert len(roles) == size
+    assert set(roles) == {r for r in compiled.symbols.players
+                          if re.fullmatch(rf"{prefix}_\d+", r)}
+    members = [compiled.game.players[compiled.symbols.player(r)] for r in roles]
+    rules = members[0].rules
+    assert all(p.rules == rules for p in members)
+    assert rules and len(rules) % 2 == 0
+    ones = Count(_S[f"{cls}^1"])
+    for (join, up), (leave, down) in zip(rules[::2], rules[1::2]):
+        assert (join, leave) == (_S[f"{cls}^1"], _S[f"{cls}^0"])
+        *up_guards, at_most = up.parts
+        *down_guards, at_least = down.parts
+        assert up_guards == down_guards
+        assert (at_most.op, at_least.op) == ("<=", ">=")
+        assert at_most.lhs == at_least.lhs == ones
+        assert at_most.rhs == at_least.rhs

@@ -260,13 +260,23 @@ def _coverage_doc(**fields) -> str:
     _coverage_doc(ground_sets=[["a", []], ["b"]]),
     _coverage_doc(feasible=[[[]], [[]], [[]]]),
     _coverage_doc(utilities=[[0]] * 4),
+    _congestion_doc(resources=[0.5]),
+    _congestion_doc(resources=[None]),
+    _anonymous_doc(_LEAF, strategies=["a", True]),
+    _anonymous_player_doc(name=None),
+    _market_doc(name=False),
+    json.dumps({"class": "market",
+                "passive": [{"name": "y", "value": 1, "preference": [0]}],
+                "active": [{"name": 1, "strategies": [[], [0]]}]}),
 ], ids=["table-entry", "strategies-null", "cmp-without-rhs", "and-not-list",
         "predicate-not-object", "add-not-pair", "and-200-deep", "and-3000-deep",
         "table-entry-null", "strategy-count-null", "congestion-strategy-null",
         "weight-null", "delay-null", "preference-null", "allowed-null",
         "rule-strategy-null", "const-null", "weight-float", "value-float",
         "table-entry-float", "table-entry-string", "weight-bool", "cmp-op-array",
-        "ground-element-array", "extra-feasible-family", "short-utility-row"])
+        "ground-element-array", "extra-feasible-family", "short-utility-row",
+        "resource-name-float", "resource-name-null", "strategy-name-bool",
+        "player-name-null", "passive-name-bool", "active-name-int"])
 @pytest.mark.parametrize("command", ["has-pure", "sinks"])
 def test_hostile_documents_exit_1_with_one_line(tmp_path, text, command):
     with pytest.raises(FormatError):
@@ -374,3 +384,65 @@ def test_sidecar_index_must_be_an_integer(tmp_path, flipper, field, path):
     argv = ["in-sink", str(game_path), "--profile", "@initial"]
     assert run_cli(argv, out=out, err=err) == 1
     assert err.getvalue() == f"error: {path}: expected an integer\n"
+
+
+@pytest.mark.parametrize("rule, extra, path, message", [
+    ({"read": 1}, {}, "$.delta[0].read", "expected a string"),
+    ({"write": None}, {}, "$.delta[0].write", "expected a string"),
+    ({"move": True}, {}, "$.delta[0].move", "expected a string"),
+    ({"next": "1"}, {}, "$.delta[0].next", "expected an integer"),
+    ({}, {"state_names": ["a", 2]}, "$.state_names[1]", "expected a string"),
+], ids=["read-int", "write-null", "move-bool", "next-string", "state-name-int"])
+def test_machine_names_must_be_strings(tmp_path, flipper, rule, extra, path, message):
+    doc = json.loads(serialize_tm(flipper)) | extra
+    doc["delta"][0] |= rule
+    text = json.dumps(doc)
+    with pytest.raises(FormatError) as info:
+        parse_tm_file(text)
+    assert info.value.path == path
+    tm_path = tmp_path / "bad.tm.json"
+    tm_path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["compile", "tm2wcg", str(tm_path), "-o", str(tmp_path / "g.json")]
+    assert run_cli(argv, out=out, err=err) == 1
+    assert err.getvalue() == f"error: {path}: {message}\n"
+
+
+def _sidecar_cases():
+    def truncated(text):
+        return text[:12]
+
+    def field(key, value):
+        return lambda text: json.dumps(json.loads(text) | {key: value})
+
+    def machine_rule(key, value):
+        def mutate(text):
+            doc = json.loads(text)
+            doc["machine"]["delta"][0][key] = value
+            return json.dumps(doc)
+        return mutate
+
+    return [
+        (truncated, "$: not valid JSON"),
+        (field("penalty", "10000"), "$.penalty: expected an integer"),
+        (field("market_base", 1.5), "$.market_base: expected an integer"),
+        (field("machine", 5), "$.machine: expected an object"),
+        (machine_rule("next", "x"), "$.machine.delta[0].next: expected an integer"),
+        (machine_rule("read", 0), "$.machine.delta[0].read: expected a string"),
+    ]
+
+
+@pytest.mark.parametrize("mutate, message", _sidecar_cases(), ids=[
+    "truncated", "penalty-string", "market-base-float", "machine-not-object",
+    "machine-next-string", "machine-read-int"])
+def test_malformed_sidecars_name_a_path(tmp_path, flipper, mutate, message):
+    compiled = compile_tm_weighted(flipper)
+    game_path = tmp_path / "gadget.json"
+    game_path.write_text(serialize_game(compiled.game))
+    sidecar = mutate(serialize_sidecar(compiled))
+    (tmp_path / "gadget.symbols.json").write_text(sidecar)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["in-sink", str(game_path), "--profile", "@initial"]
+    assert run_cli(argv, out=out, err=err) == 1
+    assert err.getvalue().startswith(f"error: {message}")
+    assert err.getvalue().count("\n") == 1
