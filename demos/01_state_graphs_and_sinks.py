@@ -17,6 +17,7 @@ from sinkeq.dynamics import (
     has_singleton_sink,
     simulate_walk,
     sinks,
+    state_space,
 )
 from sinkeq.games import matching_pennies, prisoners_dilemma
 
@@ -45,5 +46,4 @@ walk = simulate_walk(StateGraph(mp), (0, 0), RandomImprover(seed=4), max_steps=6
 print("  moves (player, new strategy):", walk.moves)
 
 print("\nDOT export of the matching-pennies state graph:")
-graph = StateGraph(mp)
-print(export_dot(graph, list(mp.codec.all_profiles()), sinks(mp)[0].states))
+print(export_dot(state_space(StateGraph(mp)), mp.codec))

@@ -12,7 +12,7 @@ import itertools
 
 from sinkeq.cnf import CnfFormula, parse_dimacs
 from sinkeq.compilers import compile_sat_market
-from sinkeq.dynamics import StateGraph, forward_closure, has_singleton_sink, sccs
+from sinkeq.dynamics import StateGraph, forward_closure, has_singleton_sink
 from sinkeq.games import ActiveAgent, PassiveAgent, TwoSidedMarketGame
 
 print("A tiny market: two buyers contesting one prize")
@@ -38,12 +38,9 @@ print("  satisfiable formula would give a pure equilibrium; this one:",
 
 print("\nThe unsatisfied clause cycles (its C/K pair forms a 4-state sink):")
 graph = StateGraph(compiled.game)
-closure = forward_closure(graph, compiled.initial)
-succ = lambda v: [w for w, _ in graph.successors(v)]
-for comp in sccs(closure.states, succ):
-    if len(comp) > 1 and all(w in set(comp) for v in comp for w in succ(v)):
-        for state in comp:
-            print("   ", compiled.describe(state))
+for comp in forward_closure(graph, compiled.initial).sinks:
+    for state in comp:
+        print("   ", compiled.describe(state))
 
 print("\nDIMACS input works too:")
 formula = parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n")

@@ -26,6 +26,7 @@ from .compilers import (
 from .dot import export_dot
 from .dynamics import (
     Answer,
+    Closure,
     EdgeSemantics,
     FirstImprover,
     PriorityList,
@@ -38,7 +39,7 @@ from .dynamics import (
     sink_equilibria,
     state_space,
 )
-from .errors import CapExceededError, SinkeqError
+from .errors import CapExceededError, FormatError, SinkeqError
 from .games.valid_utility import ValidUtilityInstance, check_valid_utility
 from .report import AnalysisReport
 
@@ -127,8 +128,17 @@ def _sidecar_path(game_path: str) -> Path:
     return Path(str(path) + ".symbols.json")
 
 
+def _parse(path, parse, *args):
+    """Read and parse one document; a ``FormatError`` names the file."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data, *args)
+    except FormatError as exc:
+        raise FormatError(str(exc), str(path)) from None
+
+
 def _load_game(path: str):
-    return gameio.parse_game_file(Path(path).read_bytes())
+    return _parse(path, gameio.parse_game_file)
 
 
 def _load_compiled(path: str, game):
@@ -136,7 +146,7 @@ def _load_compiled(path: str, game):
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise SinkeqError(f"no sidecar symbol table at {sidecar}")
-    return gameio.parse_sidecar(sidecar.read_bytes(), game)
+    return _parse(sidecar, gameio.parse_sidecar, game)
 
 
 def _resolve_profile(spec: str, game, game_path: str):
@@ -149,15 +159,15 @@ def _resolve_profile(spec: str, game, game_path: str):
     return game.validate_profile(choices)
 
 
-def _closure_from(args, graph: StateGraph, spec: str):
-    """Forward closure of a profile argument; CapExceededError when the cap cuts it."""
+def _closure_from(args, graph: StateGraph, spec: str) -> Closure:
+    """Forward closure of a profile argument, cut at the closure cap."""
     cap = args.cap or default_closure_cap()
-    closure = forward_closure(graph, _resolve_profile(spec, graph.game, args.game), cap)
-    if not closure.exhausted:
-        raise CapExceededError(
-            f"forward closure hit the cap of {cap} at {len(closure)} states", cap
-        )
-    return closure
+    return forward_closure(graph, _resolve_profile(spec, graph.game, args.game), cap)
+
+
+def _cut(closure: Closure) -> str:
+    # a cut closure holds exactly ``cap`` states
+    return f"forward closure hit the cap of {len(closure)} at {len(closure)} states"
 
 
 def _emit(report: AnalysisReport, args, out) -> None:
@@ -206,11 +216,10 @@ def _dispatch(args) -> AnalysisReport:
         )
     if args.command == "in-sink":
         graph = StateGraph(_load_game(args.game), _semantics(args))
-        try:
-            closure = _closure_from(args, graph, args.profile)
-        except CapExceededError as exc:  # a cut closure holds exactly ``cap`` states
-            return AnalysisReport("in-sink", Answer.INCONCLUSIVE.value, str(exc),
-                                  states_explored=exc.cap)
+        closure = _closure_from(args, graph, args.profile)
+        if not closure.exhausted:
+            return AnalysisReport("in-sink", Answer.INCONCLUSIVE.value, _cut(closure),
+                                  states_explored=len(closure))
         return AnalysisReport(
             "in-sink", closure.start_in_sink.value, states_explored=len(closure),
             edges=closure.edges, scc_count=len(closure.components),
@@ -288,21 +297,19 @@ def _dispatch(args) -> AnalysisReport:
         graph = StateGraph(_load_game(args.game), _semantics(args))
         if args.from_profile:
             closure = _closure_from(args, graph, args.from_profile)
+            if not closure.exhausted:
+                raise CapExceededError(_cut(closure), len(closure))
         else:
             closure = state_space(graph, args.cap or 4096)
-        sink_states = [v for comp in closure.sinks for v in comp]
-        return AnalysisReport(
-            question="export-dot", answer=export_dot(graph, closure.states, sink_states)
-        )
+        return AnalysisReport(question="export-dot", answer=export_dot(closure, graph.codec))
     raise SinkeqError(f"unhandled command {args.command}")
 
 
 def _compile(args) -> AnalysisReport:
-    data = Path(args.input).read_bytes()
     if args.kind == "sat2market":
-        compiled = compile_sat_market(parse_dimacs(data))
+        compiled = compile_sat_market(_parse(args.input, parse_dimacs))
     else:
-        spec = gameio.parse_tm_file(data)
+        spec = _parse(args.input, gameio.parse_tm_file)
         if args.kind == "tm2wcg":
             compiled = compile_tm_weighted(spec, penalty=args.penalty)
         elif args.kind == "tm2psg":

@@ -86,13 +86,12 @@ def closures_isomorphic(
     """Label-isomorphism of the reachable closures under the role mapping.
 
     Players correspond by role name and strategies by role-strategy name;
-    checks that mapped edges (including mover labels) coincide exactly.
+    checks that mapped edges coincide exactly. An edge's mover is the one
+    player whose strategy it changes, so equal targets mean equal mover labels.
     """
     mapping = _role_mapping(a, b)
-    graph_a = StateGraph(a.game, semantics)
-    graph_b = StateGraph(b.game, semantics)
-    closure_a = forward_closure(graph_a, a.initial, cap)
-    closure_b = forward_closure(graph_b, b.initial, cap)
+    closure_a = forward_closure(StateGraph(a.game, semantics), a.initial, cap)
+    closure_b = forward_closure(StateGraph(b.game, semantics), b.initial, cap)
     if not (closure_a.exhausted and closure_b.exhausted):
         raise ConfigurationError("closures exceeded the isomorphism cap")
     if len(closure_a) != len(closure_b):
@@ -104,21 +103,13 @@ def closures_isomorphic(
             out[pb] = strat_map[profile[pa]]
         return tuple(out)
 
-    if map_profile(a.initial) != b.initial:
+    image = [closure_b.index.get(map_profile(state)) for state in closure_a.states]
+    if image[0] != 0 or None in image:  # the starts differ, or a state has no image
         return False
-    closure_b_set = closure_b.index
-    for state in closure_a.states:
-        image = map_profile(state)
-        if image not in closure_b_set:
-            return False
-        edges_a = {
-            (map_profile(nxt), mapping[mover][0])
-            for nxt, mover in graph_a.successors(state)
-        }
-        edges_b = set(graph_b.successors(image))
-        if edges_a != edges_b:
-            return False
-    return True
+    return all(
+        {image[j] for j in out} == set(closure_b.successors[image[k]])
+        for k, out in enumerate(closure_a.successors)
+    )
 
 
 def _role_mapping(a: CompiledReduction, b: CompiledReduction):

@@ -1,42 +1,33 @@
-"""DOT export of explicit state-graph fragments; output ordering is stable."""
+"""DOT export of explored state graphs; output ordering is stable."""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-from .dynamics import StateGraph
-from .profiles import Profile
+from .dynamics import Closure
+from .profiles import ProfileCodec
 
 
-def export_dot(
-    graph: StateGraph,
-    vertices: Sequence[Profile],
-    sink_states: Iterable[Profile] = (),
-    decode: bool = False,
-) -> str:
-    """Render the subgraph induced by ``vertices``.
+def export_dot(closure: Closure, codec: ProfileCodec, decode: bool = False) -> str:
+    """Render a closure's states and its recorded edges.
 
     Vertices are labeled by profile index (plus the profile itself when
-    ``decode`` is set), edges by the moving player. Sink members get a double
-    circle.
+    ``decode`` is set), edges by the moving player, the one coordinate in
+    which the two ends differ. Sink members get a double circle.
     """
-    codec = graph.codec
-    sink_set = set(sink_states)
-    ordered = sorted(set(vertices), key=codec.encode)
-    included = set(ordered)
+    states = closure.states
+    pids = [codec.encode(v) for v in states]
+    in_sink = {v for comp in closure.sinks for v in comp}
+    order = sorted(range(len(states)), key=pids.__getitem__)
     lines = ["digraph state_graph {"]
-    for profile in ordered:
-        pid = codec.encode(profile)
+    for k in order:
+        label = str(pids[k])
         if decode:
-            label = f"{pid}: ({', '.join(map(str, profile))})"
-        else:
-            label = str(pid)
-        shape = ' shape=doublecircle' if profile in sink_set else ""
-        lines.append(f'  n{pid} [label="{label}"{shape}];')
-    for profile in ordered:
-        pid = codec.encode(profile)
-        for nxt, player in graph.successors(profile):
-            if nxt in included:
-                lines.append(f'  n{pid} -> n{codec.encode(nxt)} [label="{player}"];')
+            label += f": ({', '.join(map(str, states[k]))})"
+        shape = ' shape=doublecircle' if states[k] in in_sink else ""
+        lines.append(f'  n{pids[k]} [label="{label}"{shape}];')
+    for k in order:
+        source = states[k]
+        for j in closure.successors[k]:
+            mover = next(p for p, (a, b) in enumerate(zip(source, states[j])) if a != b)
+            lines.append(f'  n{pids[k]} -> n{pids[j]} [label="{mover}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -103,17 +103,19 @@ class Closure:
     """One Tarjan pass over everything reachable from some roots.
 
     ``states`` are in discovery order, the first root first, and ``index``
-    maps each to its position. ``components`` are in completion order, members
-    in discovery order; ``sinks`` are the components no edge leaves; ``edges``
-    counts the arcs seen. Only ``states`` and ``index`` are whole when the cap
-    cut the pass short (``exhausted`` False).
+    maps each to its position. ``successors[k]`` lists the positions of state
+    k's successors in the order the successor function gave them (for a
+    ``StateGraph``, canonical move order). ``components`` are in completion
+    order, members in discovery order; ``sinks`` are the components no edge
+    leaves. Only ``states`` and ``index`` are whole when the cap cut the pass
+    short (``exhausted`` False); the recorded edges then stay inside ``states``.
     """
 
     states: list[Profile]
     exhausted: bool
     components: list[list[Profile]]
     sinks: list[list[Profile]]
-    edges: int
+    successors: list[list[int]]
     index: dict[Profile, int]
 
     def __contains__(self, profile: Profile) -> bool:
@@ -121,6 +123,11 @@ class Closure:
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def edges(self) -> int:
+        """The arcs recorded: every arc of the closure once it is exhausted."""
+        return sum(map(len, self.successors))
 
     @property
     def start_in_sink(self) -> Answer:
@@ -161,18 +168,19 @@ _DONE = -1  # low-link of a state whose component has completed
 def _tarjan(roots: Iterable, successors: Callable[[object], list], cap: int | None = None) -> Closure:
     """The one traversal: iterative Tarjan (1972) from each unvisited root.
 
-    ``successors`` runs exactly once per state. An edge leaves its component
-    exactly when it ends in a component that has already completed, so sinks
-    are found in the same pass: each DFS frame carries a "leaves" flag and
-    hands it to its parent while the two share a component.
+    ``successors`` runs exactly once per state, and each edge is recorded as
+    it is resolved; a tree edge when its child is discovered. An edge leaves
+    its component exactly when it ends in a component that has already
+    completed, so sinks are found in the same pass: each DFS frame carries a
+    "leaves" flag and hands it to its parent while the two share a component.
     """
     states: list = []
     index: dict = {}
+    out: list[list[int]] = []  # recorded successors, by discovery number
     low: list[int] = []  # by discovery number
     stack: list[int] = []  # Tarjan's stack of discovery numbers, ascending
     components: list[list] = []
     sinks: list[list] = []
-    edges = 0
     for root in roots:
         if root in index:
             continue
@@ -182,22 +190,25 @@ def _tarjan(roots: Iterable, successors: Callable[[object], list], cap: int | No
             if new is not None:
                 k = len(states)
                 if cap is not None and k >= cap:
-                    return Closure(states, False, components, sinks, edges, index)
+                    return Closure(states, False, components, sinks, out, index)
+                if work:
+                    out[work[-1][0]].append(k)
                 index[new] = k
                 states.append(new)
+                out.append([])
                 low.append(k)
                 stack.append(k)
-                succ = successors(new)
-                edges += len(succ)
-                work.append([k, iter(succ), False])
+                work.append([k, iter(successors(new)), False])
                 new = None
             frame = work[-1]
             k = frame[0]
+            recorded = out[k]
             for w in frame[1]:
                 j = index.get(w)
                 if j is None:
                     new = w
                     break
+                recorded.append(j)
                 if low[j] == _DONE:
                     frame[2] = True
                 elif j < low[k]:
@@ -221,7 +232,7 @@ def _tarjan(roots: Iterable, successors: Callable[[object], list], cap: int | No
                 parent = work[-1]
                 low[parent[0]] = min(low[parent[0]], low[k])
                 parent[2] = parent[2] or frame[2]
-    return Closure(states, True, components, sinks, edges, index)
+    return Closure(states, True, components, sinks, out, index)
 
 
 def _next_states(graph: StateGraph) -> Callable[[Profile], list[Profile]]:
@@ -373,15 +384,11 @@ def simulate_walk(
         elif isinstance(policy, RandomImprover):
             player, strategy, _ = rng.choice(options)
         elif isinstance(policy, PriorityList):
-            by_player = {}
-            for p, s, u in options:
-                by_player.setdefault(p, (p, s, u))  # lowest strategy index wins ties
-            for p in policy.order:
-                if p in by_player:
-                    player, strategy, _ = by_player[p]
-                    break
-            else:
-                player, strategy, _ = options[0]
+            # the first listed mover's lowest strategy: min keeps the first minimum
+            order = policy.order
+            player, strategy, _ = min(
+                options, key=lambda m: order.index(m[0]) if m[0] in order else len(order)
+            )
         else:
             raise TypeError(f"unknown policy {policy!r}")
         current = current[:player] + (strategy,) + current[player + 1:]

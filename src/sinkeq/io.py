@@ -354,8 +354,6 @@ def _valid_utility_from_json(doc: dict) -> ValidUtilityInstance:
         for k, s in enumerate(family):
             fam_index[(i, s)] = k
 
-    inst = ValidUtilityInstance.__new__(ValidUtilityInstance)
-
     def utility_fn(sets, player):
         profile = tuple(fam_index[(i, s)] for i, s in enumerate(sets))
         return utilities[inst.codec.encode(profile)][player]
@@ -363,7 +361,7 @@ def _valid_utility_from_json(doc: dict) -> ValidUtilityInstance:
     def social_fn(sets):
         return lattice[tuple(sets)]
 
-    ValidUtilityInstance.__init__(inst, ground_sets, feasible, utility_fn, social_fn)
+    inst = ValidUtilityInstance(ground_sets, feasible, utility_fn, social_fn)
     expected = inst.codec.num_profiles
     if len(utilities) != expected:
         raise FormatError(

@@ -22,6 +22,7 @@ from sinkeq.dynamics import (
     sccs,
     simulate_walk,
     sinks,
+    state_space,
 )
 from sinkeq.errors import CapExceededError, UnsupportedGameError
 from sinkeq.games import CongestionGame, TableGame, matching_pennies, prisoners_dilemma
@@ -223,6 +224,30 @@ def test_walk_policies():
     assert pri.moves[0] == (1, 1)
 
 
+def test_priority_list_moves_the_first_listed_player():
+    rng = random.Random(83)
+    for _ in range(30):
+        game = TableGame.random(rng)
+        players = list(range(game.num_players))
+        listed = rng.sample(players, rng.randint(1, len(players) - 1))
+        orders = [
+            (),  # nobody listed: the first move
+            tuple(rng.choice(listed) for _ in range(2 * len(listed))),  # repeats, absentees
+            tuple(rng.sample(players, len(players)) * 2),
+        ]
+        for semantics in EdgeSemantics:
+            graph = StateGraph(game, semantics)
+            for order in orders:
+                current = game.codec.decode(rng.randrange(game.codec.num_profiles))
+                walk = simulate_walk(graph, current, PriorityList(order), max_steps=8)
+                for move in walk.moves:
+                    options = graph.improving_moves(current)
+                    firsts = [m for p in order for m in options if m[0] == p]
+                    assert move == (firsts or options)[0][:2]
+                    player, strategy = move
+                    current = current[:player] + (strategy,) + current[player + 1:]
+
+
 def test_walk_inside_cycle_reports_sink():
     mp = matching_pennies()
     walk = simulate_walk(StateGraph(mp), (0, 0), FirstImprover(), max_steps=7)
@@ -280,10 +305,8 @@ def test_potential_descends_along_every_improvement_edge():
 
 def test_dot_export_golden():
     mp = matching_pennies()
-    graph = StateGraph(mp)
-    vertices = list(mp.codec.all_profiles())
-    sink_states = sinks(mp)[0].states
-    dot = export_dot(graph, vertices, sink_states)
+    closure = state_space(StateGraph(mp))
+    dot = export_dot(closure, mp.codec)
     assert dot == (
         "digraph state_graph {\n"
         '  n0 [label="0" shape=doublecircle];\n'
@@ -296,7 +319,7 @@ def test_dot_export_golden():
         '  n3 -> n1 [label="1"];\n'
         "}\n"
     )
-    decoded = export_dot(graph, vertices[:1], set(), decode=True)
+    decoded = export_dot(closure, mp.codec, decode=True)
     assert 'label="0: (0, 0)"' in decoded
 
 

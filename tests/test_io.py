@@ -186,7 +186,7 @@ def test_malformed_documents_name_a_path(tmp_path, text, path):
     game_path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     assert run_cli(["check-valid-utility", str(game_path)], out=out, err=err) == 1
-    assert err.getvalue() == f"error: {info.value}\n"
+    assert err.getvalue() == f"error: {game_path}: {info.value}\n"
 
 
 def _anonymous_doc(when, strategies=("a", "b")) -> str:
@@ -286,7 +286,7 @@ def test_hostile_documents_exit_1_with_one_line(tmp_path, text, command):
     out, err = io.StringIO(), io.StringIO()
     assert run_cli([command, str(game_path)], out=out, err=err) == 1
     message = err.getvalue()
-    assert message.startswith("error: $") and message.count("\n") == 1
+    assert message.startswith(f"error: {game_path}: $") and message.count("\n") == 1
 
 
 def test_shallow_nested_predicate_still_evaluates():
@@ -363,7 +363,7 @@ def test_mutated_documents_exit_cleanly(data):
             assert code in (0, 1, 2)
             if code == 1:
                 message = err.getvalue()
-                assert message.startswith("error: $") and message.count("\n") == 1
+                assert message.startswith(f"error: {game_path}: $") and message.count("\n") == 1
 
 
 @pytest.mark.parametrize("field, path", [
@@ -383,7 +383,7 @@ def test_sidecar_index_must_be_an_integer(tmp_path, flipper, field, path):
     out, err = io.StringIO(), io.StringIO()
     argv = ["in-sink", str(game_path), "--profile", "@initial"]
     assert run_cli(argv, out=out, err=err) == 1
-    assert err.getvalue() == f"error: {path}: expected an integer\n"
+    assert err.getvalue() == f"error: {tmp_path / 'gadget.symbols.json'}: {path}: expected an integer\n"
 
 
 @pytest.mark.parametrize("rule, extra, path, message", [
@@ -405,7 +405,7 @@ def test_machine_names_must_be_strings(tmp_path, flipper, rule, extra, path, mes
     out, err = io.StringIO(), io.StringIO()
     argv = ["compile", "tm2wcg", str(tm_path), "-o", str(tmp_path / "g.json")]
     assert run_cli(argv, out=out, err=err) == 1
-    assert err.getvalue() == f"error: {path}: {message}\n"
+    assert err.getvalue() == f"error: {tm_path}: {path}: {message}\n"
 
 
 def _sidecar_cases():
@@ -444,5 +444,22 @@ def test_malformed_sidecars_name_a_path(tmp_path, flipper, mutate, message):
     out, err = io.StringIO(), io.StringIO()
     argv = ["in-sink", str(game_path), "--profile", "@initial"]
     assert run_cli(argv, out=out, err=err) == 1
-    assert err.getvalue().startswith(f"error: {message}")
+    assert err.getvalue().startswith(f"error: {tmp_path / 'gadget.symbols.json'}: {message}")
     assert err.getvalue().count("\n") == 1
+
+
+def test_a_truncated_document_is_named_in_its_error(tmp_path, flipper):
+    compiled = compile_tm_weighted(flipper)
+    game_path = tmp_path / "gadget.json"
+    sidecar_path = tmp_path / "gadget.symbols.json"
+    argv = ["in-sink", str(game_path), "--profile", "@initial"]
+    messages = []
+    for broken in (game_path, sidecar_path):
+        game_path.write_text(serialize_game(compiled.game))
+        sidecar_path.write_text(serialize_sidecar(compiled))
+        broken.write_text(broken.read_text()[:12])
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(argv, out=out, err=err) == 1
+        assert err.getvalue().startswith(f"error: {broken}: $: not valid JSON")
+        messages.append(err.getvalue())
+    assert messages[0] != messages[1]

@@ -1,10 +1,13 @@
 """The traversal expands every state once, and the CLI's stats come from it.
 
-``StateGraph.successors`` is counted per profile while a question runs; the
-library questions and the CLI commands must call it exactly once for every
-state they explore. The CLI's ``edges`` and ``scc_count`` are checked
-against a plain successor sum and the bitset oracle, and so are the
-components and sinks the one pass finds on random digraphs.
+``StateGraph.successors`` or ``improving_moves`` is counted per profile while
+a question runs; the library questions and the CLI commands must call it
+exactly once for every state they explore, and so must ``export-dot`` and
+``closures_isomorphic``, which read the successor lists the pass records.
+Those lists are checked against a fresh expansion. The CLI's ``edges`` and
+``scc_count`` are checked against a plain successor sum and the bitset
+oracle, and so are the components and sinks the one pass finds on random
+digraphs.
 """
 
 import io
@@ -15,8 +18,25 @@ from collections import Counter, deque
 import pytest
 
 from sinkeq.cli import run_cli
-from sinkeq.compilers import compile_tm_weighted
-from sinkeq.dynamics import Answer, StateGraph, bottom_sccs, in_a_sink, sccs, sinks
+from sinkeq.compilers import (
+    CompiledReduction,
+    SymbolTable,
+    closures_isomorphic,
+    compile_tm_market,
+    compile_tm_player_specific,
+    compile_tm_weighted,
+)
+from sinkeq.dynamics import (
+    Answer,
+    EdgeSemantics,
+    StateGraph,
+    bottom_sccs,
+    forward_closure,
+    in_a_sink,
+    sccs,
+    sinks,
+    state_space,
+)
 from sinkeq.games import TableGame
 from sinkeq.io import serialize_game, serialize_sidecar
 
@@ -33,6 +53,20 @@ def expansions(monkeypatch):
         return successors(self, profile)
 
     monkeypatch.setattr(StateGraph, "successors", counting)
+    return calls
+
+
+@pytest.fixture
+def moves(monkeypatch):
+    """``improving_moves`` calls, keyed by (game, profile)."""
+    calls = Counter()
+    improving_moves = StateGraph.improving_moves
+
+    def counting(self, profile):
+        calls[id(self.game), profile] += 1
+        return improving_moves(self, profile)
+
+    monkeypatch.setattr(StateGraph, "improving_moves", counting)
     return calls
 
 
@@ -139,3 +173,80 @@ def test_components_and_sinks_match_bitset_oracle_on_random_digraphs():
         got = sccs(roots, adj.__getitem__)
         assert sorted(map(sorted, got)) == sorted(map(sorted, components))
         assert {frozenset(c) for c in bottom_sccs(roots, adj.__getitem__)} == set(bottoms)
+
+
+def test_export_dot_expands_each_state_once(gadget, table_4_6, tmp_path, moves):
+    table_path = tmp_path / "t.json"
+    table_path.write_text(serialize_game(table_4_6))
+    game_path = tmp_path / "walker.json"
+    game_path.write_text(serialize_game(gadget.game))
+    (tmp_path / "walker.symbols.json").write_text(serialize_sidecar(gadget))
+    for argv in (["export-dot", str(table_path)],
+                 ["export-dot", str(game_path), "--from", "@initial"]):
+        moves.clear()
+        dot = cli_json(argv)["answer"]
+        assert set(moves.values()) == {1}
+        assert len(moves) == dot.count("[label=") - dot.count("->")
+
+
+def test_closures_isomorphic_expands_each_state_once(flipper, walker, moves):
+    for spec in (flipper, walker):
+        weighted = compile_tm_weighted(spec)
+        size = len(forward_closure(StateGraph(weighted.game), weighted.initial))
+        for other in (compile_tm_player_specific(spec), compile_tm_market(spec)):
+            moves.clear()
+            assert closures_isomorphic(weighted, other)
+            assert set(moves.values()) == {1}
+            per_game = Counter(game for game, _ in moves)
+            assert per_game == {id(weighted.game): size, id(other.game): size}
+
+
+def test_closures_isomorphic_compares_edges_under_the_role_mapping():
+    pennies = {(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1), (1, 1): (1, 0)}
+
+    def reduction(payoffs, row, flip):
+        symbols = SymbolTable()
+        for role, player in (("row", row), ("col", 1 - row)):
+            symbols.add_player(role, player)
+            for name, index in (("H", flip), ("T", 1 - flip)):
+                symbols.add_strategy(role, name, index)
+        return CompiledReduction(TableGame.from_profile_map((2, 2), payoffs), (flip, flip), symbols)
+
+    a = reduction(pennies, 0, 0)
+    # players and strategies renamed: the same 4-cycle
+    relabelled = {(1 - c, 1 - r): (v, u) for (r, c), (u, v) in pennies.items()}
+    assert closures_isomorphic(a, reduction(relabelled, 1, 1))
+    # the same states, the cycle run backwards
+    backwards = {profile: (v, u) for profile, (u, v) in pennies.items()}
+    assert not closures_isomorphic(a, reduction(backwards, 0, 0))
+
+
+def fresh_successors(closure, graph):
+    return [[closure.index.get(w) for w, _ in graph.successors(v)] for v in closure.states]
+
+
+def test_recorded_successors_match_a_fresh_expansion(gadget):
+    rng = random.Random(29)
+    for _ in range(25):
+        game = TableGame.random(rng)
+        for semantics in EdgeSemantics:
+            graph = StateGraph(game, semantics)
+            start = game.codec.decode(rng.randrange(game.codec.num_profiles))
+            for closure in (state_space(graph), forward_closure(graph, start)):
+                assert closure.successors == fresh_successors(closure, graph)
+    graph = StateGraph(gadget.game)
+    closure = forward_closure(graph, gadget.initial)
+    assert closure.successors == fresh_successors(closure, graph)
+
+
+def test_a_cut_closure_records_edges_inside_its_states(gadget):
+    graph = StateGraph(gadget.game)
+    whole = forward_closure(graph, gadget.initial)
+    cut = forward_closure(graph, gadget.initial, len(whole) // 2)
+    assert not cut.exhausted and cut.states == whole.states[:len(cut)]
+    partial = 0
+    for out, fresh in zip(cut.successors, fresh_successors(cut, graph)):
+        assert out == fresh[:len(out)] and None not in out
+        partial += out != fresh
+    # the state being expanded when the cap struck stopped before an undiscovered one
+    assert partial >= 1
