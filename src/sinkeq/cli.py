@@ -32,7 +32,7 @@ from .dynamics import (
     PriorityList,
     RandomImprover,
     StateGraph,
-    default_closure_cap,
+    WalkOutcome,
     forward_closure,
     has_singleton_sink,
     simulate_walk,
@@ -40,6 +40,7 @@ from .dynamics import (
     state_space,
 )
 from .errors import CapExceededError, FormatError, SinkeqError
+from .games import AnonymousGame
 from .games.valid_utility import ValidUtilityInstance, check_valid_utility
 from .report import AnalysisReport
 
@@ -102,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--penalty", type=int, default=10_000)
 
     p = sub.add_parser("verify-round", help="replay one simulated machine step")
-    p.add_argument("flavor", choices=["weighted", "anonymous"])
     p.add_argument("game")
     p.add_argument("--profile", default="@initial")
 
@@ -160,14 +160,14 @@ def _resolve_profile(spec: str, game, game_path: str):
 
 
 def _closure_from(args, graph: StateGraph, spec: str) -> Closure:
-    """Forward closure of a profile argument, cut at the closure cap."""
-    cap = args.cap or default_closure_cap()
-    return forward_closure(graph, _resolve_profile(spec, graph.game, args.game), cap)
-
-
-def _cut(closure: Closure) -> str:
-    # a cut closure holds exactly ``cap`` states
-    return f"forward closure hit the cap of {len(closure)} at {len(closure)} states"
+    """The whole forward closure of a profile argument; a cap that cuts it
+    ends the command as inconclusive."""
+    closure = forward_closure(graph, _resolve_profile(spec, graph.game, args.game), args.cap)
+    if not closure.exhausted:
+        # a cut closure holds exactly ``cap`` states
+        raise CapExceededError(f"forward closure hit the cap of {len(closure)} states",
+                               len(closure))
+    return closure
 
 
 def _emit(report: AnalysisReport, args, out) -> None:
@@ -184,13 +184,8 @@ def run_cli(argv, out=sys.stdout, err=sys.stderr) -> int:
     try:
         report = _dispatch(args)
     except CapExceededError as exc:
-        report = AnalysisReport(
-            question=args.command, answer="inconclusive",
-            reason=f"{exc} (cap {exc.cap})",
-        )
-        report.wall_ms = round((time.perf_counter() - started) * 1000, 3)
-        _emit(report, args, out)
-        return EXIT_INCONCLUSIVE
+        report = AnalysisReport(args.command, Answer.INCONCLUSIVE.value, str(exc),
+                                states_explored=exc.explored)
     except (SinkeqError, OSError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ERROR
@@ -217,9 +212,6 @@ def _dispatch(args) -> AnalysisReport:
     if args.command == "in-sink":
         graph = StateGraph(_load_game(args.game), _semantics(args))
         closure = _closure_from(args, graph, args.profile)
-        if not closure.exhausted:
-            return AnalysisReport("in-sink", Answer.INCONCLUSIVE.value, _cut(closure),
-                                  states_explored=len(closure))
         return AnalysisReport(
             "in-sink", closure.start_in_sink.value, states_explored=len(closure),
             edges=closure.edges, scc_count=len(closure.components),
@@ -250,6 +242,8 @@ def _dispatch(args) -> AnalysisReport:
         return AnalysisReport(
             question="simulate",
             answer=walk.outcome.value,
+            reason=("the cap cut the forward closure of the final profile"
+                    if walk.outcome is WalkOutcome.INCONCLUSIVE else ""),
             states_explored=len(walk.states),
             trace=[
                 {"player": p, "strategy": s} for p, s in walk.moves
@@ -261,10 +255,12 @@ def _dispatch(args) -> AnalysisReport:
     if args.command == "verify-round":
         game = _load_game(args.game)
         compiled = _load_compiled(args.game, game)
+        if compiled.machine is None:
+            raise SinkeqError(f"{_sidecar_path(args.game)} names no machine to replay")
         start = (compiled.initial if args.profile == "@initial"
                  else _resolve_profile(args.profile, game, args.game))
-        verify = (verify_round_weighted if args.flavor == "weighted"
-                  else verify_round_anonymous)
+        verify = (verify_round_anonymous if isinstance(game, AnonymousGame)
+                  else verify_round_weighted)
         result = verify(compiled, start)
         return AnalysisReport(
             question="verify-round",
@@ -279,7 +275,7 @@ def _dispatch(args) -> AnalysisReport:
         game = _load_game(args.game)
         if not isinstance(game, ValidUtilityInstance):
             raise SinkeqError("check-valid-utility needs a valid_utility document")
-        result = check_valid_utility(game, args.cap or 200_000)
+        result = check_valid_utility(game, args.cap)
         return AnalysisReport(
             question="check-valid-utility",
             answer="true" if result.all_hold else "false",
@@ -297,8 +293,6 @@ def _dispatch(args) -> AnalysisReport:
         graph = StateGraph(_load_game(args.game), _semantics(args))
         if args.from_profile:
             closure = _closure_from(args, graph, args.from_profile)
-            if not closure.exhausted:
-                raise CapExceededError(_cut(closure), len(closure))
         else:
             closure = state_space(graph, args.cap or 4096)
         return AnalysisReport(question="export-dot", answer=export_dot(closure, graph.codec))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..dynamics import EdgeSemantics, StateGraph, forward_closure
-from ..errors import ConfigurationError
+from ..errors import CapExceededError, ConfigurationError
 from ..games.base import SuccinctGame
 from ..profiles import Profile
 
@@ -14,21 +14,13 @@ from ..profiles import Profile
 class SymbolTable:
     """Maps gadget roles to player indices and role strategies to indices."""
 
-    players: dict[str, int] = field(default_factory=dict)
-    strategies: dict[str, dict[str, int]] = field(default_factory=dict)
+    players: dict[str, int] = field(init=False, default_factory=dict)
+    strategies: dict[str, dict[str, int]] = field(init=False, default_factory=dict)
     # Reverse lookups (index -> first name given it), kept in step by the add_* methods.
     _roles: dict[int, str] = field(init=False, repr=False, compare=False, default_factory=dict)
     _names: dict[str, dict[int, str]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-
-    def __post_init__(self):
-        for role, index in self.players.items():
-            self._roles.setdefault(index, role)
-        for role, table in self.strategies.items():
-            names = self._names.setdefault(role, {})
-            for name, index in table.items():
-                names.setdefault(index, name)
 
     def add_player(self, role: str, index: int):
         if role in self.players:
@@ -93,7 +85,8 @@ def closures_isomorphic(
     closure_a = forward_closure(StateGraph(a.game, semantics), a.initial, cap)
     closure_b = forward_closure(StateGraph(b.game, semantics), b.initial, cap)
     if not (closure_a.exhausted and closure_b.exhausted):
-        raise ConfigurationError("closures exceeded the isomorphism cap")
+        raise CapExceededError(f"a forward closure hit the isomorphism cap of {cap} states",
+                               len(closure_a) + len(closure_b))
     if len(closure_a) != len(closure_b):
         return False
 

@@ -33,23 +33,14 @@ class Answer(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def _default_cap(default: int) -> int:
+    """``SINKEQ_DEFAULT_CAP`` when it is set, else ``default``."""
+    raw = os.environ.get("SINKEQ_DEFAULT_CAP")
     if not raw:
         return default
     if not raw.isdecimal() or int(raw) < 1:
-        raise SinkeqError(f"{name} must be a positive integer, not {raw!r}")
+        raise SinkeqError(f"SINKEQ_DEFAULT_CAP must be a positive integer, not {raw!r}")
     return int(raw)
-
-
-def default_profile_cap() -> int:
-    cap = _env_cap("SINKEQ_DEFAULT_CAP", 2**26)
-    return _env_cap("SINKEQ_PROFILE_CAP", cap)
-
-
-def default_closure_cap() -> int:
-    cap = _env_cap("SINKEQ_DEFAULT_CAP", 10**7)
-    return _env_cap("SINKEQ_CLOSURE_CAP", cap)
 
 
 Move = tuple[int, int, int]  # (player, strategy, new utility)
@@ -152,13 +143,12 @@ def is_alpha_ne(game: SuccinctGame, profile: Profile, alpha) -> bool:
         raise ValueError("alpha must lie strictly between 0 and 1")
     threshold = 1 - alpha
     for player in range(game.num_players):
-        here = Fraction(game.cost(profile, player))
-        for s in range(game.strategy_counts[player]):
-            if s == profile[player]:
-                continue
-            moved = profile[:player] + (s,) + profile[player + 1:]
-            if Fraction(game.cost(moved, player)) < threshold * here:
-                return False
+        costs = [-u for u in game.deviation_utilities(profile, player)]
+        here = profile[player]
+        # the current strategy is no deviation, even where its cost is negative
+        bound = threshold * costs[here]
+        if any(c < bound for s, c in enumerate(costs) if s != here):
+            return False
     return True
 
 
@@ -242,7 +232,7 @@ def _next_states(graph: StateGraph) -> Callable[[Profile], list[Profile]]:
 def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None) -> Closure:
     """All profiles reachable from ``start``, in discovery order, with their SCCs."""
     if cap is None:
-        cap = default_closure_cap()
+        cap = _default_cap(10**7)
     return _tarjan([tuple(start)], _next_states(graph), cap)
 
 
@@ -271,15 +261,12 @@ def bottom_sccs(vertices: Sequence, successors: Callable) -> list[list]:
     return _restricted(vertices, successors).sinks
 
 
-def _require_enumerable(game: SuccinctGame, cap: int | None) -> int:
+def _require_enumerable(game: SuccinctGame, cap: int | None) -> None:
     if cap is None:
-        cap = default_profile_cap()
+        cap = _default_cap(2**26)
     size = game.codec.num_profiles
     if size > cap:
-        raise CapExceededError(
-            f"profile space has {size} states, above the cap of {cap}", cap
-        )
-    return size
+        raise CapExceededError(f"profile space has {size} states, above the cap of {cap}")
 
 
 def sink_equilibria(closure: Closure, codec) -> list[SinkEquilibrium]:
@@ -344,6 +331,14 @@ class PriorityList:
 class WalkOutcome(Enum):
     REACHED_SINK_STATE = "reached-sink-state"
     STILL_MOVING = "still-moving"
+    INCONCLUSIVE = "inconclusive"  # the cap cut the final in-sink check
+
+
+_WALK_OUTCOME = {
+    Answer.YES: WalkOutcome.REACHED_SINK_STATE,
+    Answer.NO: WalkOutcome.STILL_MOVING,
+    Answer.INCONCLUSIVE: WalkOutcome.INCONCLUSIVE,
+}
 
 
 @dataclass
@@ -368,7 +363,7 @@ def simulate_walk(
 
     Deterministic given the policy (and its seed). The walk stops early at a
     pure NE; otherwise, after ``max_steps`` moves the final profile is
-    classified by an `in_a_sink` check.
+    classified by an `in_a_sink` check, inconclusive when the cap cuts it.
     """
     start = graph.game.validate_profile(start)
     rng = random.Random(policy.seed) if isinstance(policy, RandomImprover) else None
@@ -395,10 +390,7 @@ def simulate_walk(
         states.append(current)
         moves.append((player, strategy))
     verdict = in_a_sink(graph.game, current, graph.semantics, closure_cap)
-    outcome = (
-        WalkOutcome.REACHED_SINK_STATE if verdict is Answer.YES else WalkOutcome.STILL_MOVING
-    )
-    return WalkResult(states, moves, outcome)
+    return WalkResult(states, moves, _WALK_OUTCOME[verdict])
 
 
 def rosenthal_potential(game: CongestionGame, profile: Profile) -> int:

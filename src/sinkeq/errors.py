@@ -13,11 +13,15 @@ class ConfigurationError(SinkeqError):
 
 
 class CapExceededError(SinkeqError):
-    """An enumeration exceeded its configured cap."""
+    """An enumeration exceeded its configured cap.
 
-    def __init__(self, message, cap):
+    ``explored`` counts what was searched before the stop, or is None when
+    the search was refused outright.
+    """
+
+    def __init__(self, message, explored=None):
         super().__init__(message)
-        self.cap = cap
+        self.explored = explored
 
 
 class UnsupportedGameError(SinkeqError):

@@ -85,13 +85,16 @@ def _powerset(items):
         yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
 
 
-def check_valid_utility(instance: ValidUtilityInstance, cap: int = 200_000) -> ValidUtilityReport:
+def check_valid_utility(instance: ValidUtilityInstance,
+                        cap: int | None = None) -> ValidUtilityReport:
     """Exhaustively check the three defining properties (four flags).
 
     Monotonicity and submodularity walk the full subset lattice; the marginal
     and sum bounds walk feasible profiles. Exceeding ``cap`` raises rather
     than silently passing.
     """
+    if cap is None:
+        cap = 200_000
     report = ValidUtilityReport()
 
     lattice_size = 1
@@ -99,8 +102,7 @@ def check_valid_utility(instance: ValidUtilityInstance, cap: int = 200_000) -> V
         lattice_size *= 1 << len(g)
     if lattice_size * lattice_size > cap:
         raise CapExceededError(
-            f"instance too large: {lattice_size}^2 lattice comparisons exceed cap {cap}",
-            cap,
+            f"instance too large: {lattice_size}^2 lattice comparisons exceed cap {cap}"
         )
 
     lattice = list(product(*(list(_powerset(g)) for g in instance.ground_sets)))

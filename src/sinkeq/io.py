@@ -30,8 +30,6 @@ from .games import (
 from .games.valid_utility import _powerset
 from .turing import TMSpec
 
-GAME_CLASSES = ("table", "congestion", "anonymous", "market", "valid_utility")
-
 
 def _need(doc: dict, key: str, path: str) -> Any:
     if key not in doc:

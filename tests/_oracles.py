@@ -24,6 +24,19 @@ def congestion_cost_by_resource(game, profile, player):
     return total
 
 
+def alpha_ne_pointwise(game, profile, alpha):
+    """alpha-Nash from the definition: no player has a move that costs less
+    than (1 - alpha) of its current cost, every cost priced per resource."""
+    for player, current in enumerate(profile):
+        here = congestion_cost_by_resource(game, profile, player)
+        for s in range(len(game.strategies[player])):
+            moved = profile[:player] + (s,) + profile[player + 1:]
+            if s != current and (
+                    congestion_cost_by_resource(game, moved, player) < (1 - alpha) * here):
+                return False
+    return True
+
+
 def market_utility_by_winner_sets(game, profile, player):
     """Recompute a market utility by scanning every passive agent."""
     total = 0

@@ -95,7 +95,7 @@ def test_compile_verify_round_and_in_sink(tmp_path, flipper):
     assert (tmp_path / "loop.symbols.json").exists()
     code, out, _ = run(["in-sink", str(game_path), "--profile", "@initial"])
     assert code == 0 and "in-sink: true" in out
-    code, out, _ = run(["--format", "json", "verify-round", "weighted", str(game_path)])
+    code, out, _ = run(["--format", "json", "verify-round", str(game_path)])
     assert code == 0
     doc = json.loads(out)
     assert doc["answer"] == "true"
@@ -108,12 +108,12 @@ def test_compile_anonymous_and_verify(tmp_path, flipper):
     game_path = tmp_path / "anon.json"
     code, _, _ = run(["compile", "tm2anon", str(tm_path), "-o", str(game_path)])
     assert code == 0
-    code, out, _ = run(["verify-round", "anonymous", str(game_path)])
+    code, out, _ = run(["verify-round", str(game_path)])
     assert code == 0 and "verify-round: true" in out
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify-round", "anonymous"],
+    ["verify-round"],
     ["in-sink"],
 ])
 def test_unparsable_profile_has_one_message(tmp_path, flipper, argv):
@@ -233,3 +233,40 @@ def test_env_cap_must_be_a_positive_integer(mp_path, monkeypatch, value):
         code, out, err = run(argv)
         assert code == 1 and out == ""
         assert err == f"error: SINKEQ_DEFAULT_CAP must be a positive integer, not {value!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["in-sink", "--profile", "0,0"],
+    ["export-dot", "--from", "0,0"],
+    ["sinks"],
+    ["has-pure"],
+    ["has-non-singleton"],
+    ["simulate", "--max-steps", "1"],
+], ids=lambda argv: argv[0])
+def test_a_cap_ends_every_search_as_inconclusive(mp_path, argv):
+    code, out, err = run(["--cap", "2", "--format", "json", argv[0], mp_path, *argv[1:]])
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    assert doc["answer"] == "inconclusive"
+    assert doc["reason"].count("cap") == 1
+    if argv[0] in ("in-sink", "export-dot"):
+        assert doc["reason"] == "forward closure hit the cap of 2 states"
+        assert doc["stats"]["states_explored"] == 2
+
+
+@pytest.mark.parametrize("kind", ["tm2wcg", "tm2psg", "tm2market", "tm2anon", "sat2market"])
+def test_verify_round_replays_the_gadget_it_is_given(tmp_path, flipper, kind):
+    source = tmp_path / "input"
+    if kind == "sat2market":
+        source.write_text("p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n")
+    else:
+        source.write_text(serialize_tm(flipper))
+    game_path = tmp_path / "gadget.json"
+    assert run(["compile", kind, str(source), "-o", str(game_path)])[0] == 0
+    code, out, err = run(["verify-round", str(game_path)])
+    if kind == "sat2market":
+        assert code == 1 and out == ""
+        assert err == f"error: {tmp_path / 'gadget.symbols.json'} names no machine to replay\n"
+    else:
+        assert code == 0 and err == ""
+        assert "verify-round: true" in out

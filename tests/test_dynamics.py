@@ -27,7 +27,7 @@ from sinkeq.dynamics import (
 from sinkeq.errors import CapExceededError, UnsupportedGameError
 from sinkeq.games import CongestionGame, TableGame, matching_pennies, prisoners_dilemma
 
-from _oracles import bitset_bottom_sccs
+from _oracles import alpha_ne_pointwise, bitset_bottom_sccs
 
 
 def successor_fn(graph):
@@ -86,6 +86,30 @@ def test_alpha_ne_boundary_and_strictness():
     assert not is_alpha_ne(game, profile, Fraction(1, 1000))
     # boundary: (1 - alpha) * 100 == 99 exactly at alpha = 1/100
     assert is_alpha_ne(game, profile, Fraction(1, 100))
+
+
+def test_alpha_ne_matches_the_pointwise_definition():
+    # weighted games with negative delays: a negative current cost must not
+    # count the current strategy as a deviation
+    rng = random.Random(20_261_018)
+    cases = 0
+    for _ in range(120):
+        n_players = rng.randint(2, 3)
+        n_res = rng.randint(1, 4)
+        weights = [rng.randint(1, 3) for _ in range(n_players)]
+        strategies = [
+            [[e for e in range(n_res) if rng.random() < 0.5] for _ in range(rng.randint(1, 3))]
+            for _ in range(n_players)
+        ]
+        delays = [{load: rng.randint(-3, 9) for load in range(1, sum(weights) + 1)}
+                  for _ in range(n_res)]
+        game = CongestionGame([f"r{e}" for e in range(n_res)], strategies, delays, weights)
+        for profile in game.codec.all_profiles():
+            for alpha in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
+                assert is_alpha_ne(game, profile, alpha) == alpha_ne_pointwise(
+                    game, profile, alpha)
+                cases += 1
+    assert cases > 1000
 
 
 def test_alpha_ne_on_utility_game_unsupported():
@@ -253,6 +277,13 @@ def test_walk_inside_cycle_reports_sink():
     walk = simulate_walk(StateGraph(mp), (0, 0), FirstImprover(), max_steps=7)
     assert walk.outcome is WalkOutcome.REACHED_SINK_STATE
     assert len(walk.moves) == 7
+
+
+def test_walk_ends_inconclusive_when_the_cap_cuts_its_final_check():
+    mp = matching_pennies()
+    walk = simulate_walk(StateGraph(mp), (0, 0), FirstImprover(), max_steps=1, closure_cap=2)
+    assert walk.outcome is WalkOutcome.INCONCLUSIVE
+    assert len(walk.moves) == 1
 
 
 def test_rosenthal_potential_values():

@@ -37,6 +37,7 @@ from sinkeq.dynamics import (
     sinks,
     state_space,
 )
+from sinkeq.errors import CapExceededError
 from sinkeq.games import TableGame
 from sinkeq.io import serialize_game, serialize_sidecar
 
@@ -219,6 +220,12 @@ def test_closures_isomorphic_compares_edges_under_the_role_mapping():
     # the same states, the cycle run backwards
     backwards = {profile: (v, u) for profile, (u, v) in pennies.items()}
     assert not closures_isomorphic(a, reduction(backwards, 0, 0))
+
+
+def test_closures_isomorphic_is_inconclusive_on_a_cut_closure(gadget):
+    with pytest.raises(CapExceededError, match="cap of 3 states") as info:
+        closures_isomorphic(gadget, gadget, cap=3)
+    assert info.value.explored == 6
 
 
 def fresh_successors(closure, graph):
