@@ -33,6 +33,7 @@ from .dynamics import (
     RandomImprover,
     StateGraph,
     WalkOutcome,
+    _default_cap,
     forward_closure,
     has_singleton_sink,
     simulate_walk,
@@ -53,6 +54,16 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
     return int(text)
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
+def _players(text: str) -> tuple[int, ...]:
+    return tuple(_nonnegative_int(tok) for tok in text.split(",") if tok)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,8 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=["first", "random", "priority"],
                    default="first")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=1000)
-    p.add_argument("--order", default="", help="player priority list, comma-separated")
+    p.add_argument("--max-steps", type=_nonnegative_int, default=1000)
+    p.add_argument("--order", type=_players, default="",
+                   help="player priority list, comma-separated")
     p.add_argument("--profile", default=None,
                    help="start profile; defaults to all zeros")
 
@@ -159,11 +171,15 @@ def _resolve_profile(spec: str, game, game_path: str):
     return game.validate_profile(choices)
 
 
-def _closure_from(args, graph: StateGraph, spec: str) -> Closure:
-    """The whole forward closure of a profile argument; a cap that cuts it
-    ends the command as inconclusive."""
-    closure = forward_closure(graph, _resolve_profile(spec, graph.game, args.game), args.cap)
-    if not closure.exhausted:
+def _closure_from(args, graph: StateGraph, spec: str,
+                  stop_at_foreign_sink: bool = False) -> Closure:
+    """The forward closure of a profile argument: whole, or with
+    ``stop_at_foreign_sink`` up to the first sink without the start. A cap
+    that cuts it short of that ends the command as inconclusive."""
+    closure = forward_closure(graph, _resolve_profile(spec, graph.game, args.game), args.cap,
+                              stop_at_foreign_sink)
+    stopped = stop_at_foreign_sink and closure.start_in_sink is Answer.NO
+    if not closure.exhausted and not stopped:
         # a cut closure holds exactly ``cap`` states
         raise CapExceededError(f"forward closure hit the cap of {len(closure)} states",
                                len(closure))
@@ -211,10 +227,13 @@ def _dispatch(args) -> AnalysisReport:
         )
     if args.command == "in-sink":
         graph = StateGraph(_load_game(args.game), _semantics(args))
-        closure = _closure_from(args, graph, args.profile)
+        closure = _closure_from(args, graph, args.profile, stop_at_foreign_sink=True)
+        answer = closure.start_in_sink
+        # on NO the pass stopped at the first sink it completed, the one without the start
+        extra = {"sink_size": len(closure.sinks[0])} if answer is Answer.NO else {}
         return AnalysisReport(
-            "in-sink", closure.start_in_sink.value, states_explored=len(closure),
-            edges=closure.edges, scc_count=len(closure.components),
+            "in-sink", answer.value, states_explored=len(closure),
+            edges=closure.edges, scc_count=len(closure.components), extra=extra,
         )
     if args.command == "has-pure":
         game = _load_game(args.game)
@@ -236,8 +255,7 @@ def _dispatch(args) -> AnalysisReport:
         elif args.policy == "random":
             policy = RandomImprover(args.seed)
         else:
-            order = tuple(int(tok) for tok in args.order.split(",") if tok)
-            policy = PriorityList(order or tuple(range(game.num_players)))
+            policy = PriorityList(args.order or tuple(range(game.num_players)))
         walk = simulate_walk(graph, start, policy, args.max_steps, args.cap)
         return AnalysisReport(
             question="simulate",
@@ -294,7 +312,7 @@ def _dispatch(args) -> AnalysisReport:
         if args.from_profile:
             closure = _closure_from(args, graph, args.from_profile)
         else:
-            closure = state_space(graph, args.cap or 4096)
+            closure = state_space(graph, args.cap or _default_cap(4096))
         return AnalysisReport(question="export-dot", answer=export_dot(closure, graph.codec))
     raise SinkeqError(f"unhandled command {args.command}")
 

@@ -72,6 +72,16 @@ class StateGraph:
                 )
         return moves
 
+    def can_move(self, profile: Profile) -> bool:
+        """Whether the profile has a successor, stopping at the first player
+        who can improve: under either semantics a player moves exactly when
+        some strategy improves on the current one."""
+        for player in range(self.game.num_players):
+            devs = self.game.deviation_utilities(profile, player)
+            if max(devs) > devs[profile[player]]:
+                return True
+        return False
+
     def successors(self, profile: Profile) -> list[tuple[Profile, int]]:
         """(next profile, moving player) pairs, canonical order."""
         return [
@@ -98,8 +108,11 @@ class Closure:
     k's successors in the order the successor function gave them (for a
     ``StateGraph``, canonical move order). ``components`` are in completion
     order, members in discovery order; ``sinks`` are the components no edge
-    leaves. Only ``states`` and ``index`` are whole when the cap cut the pass
-    short (``exhausted`` False); the recorded edges then stay inside ``states``.
+    leaves. ``exhausted`` is False when the pass ended before it had seen
+    everything: the cap cut it, or it stopped at the first component without
+    the first root. Then only ``states`` and ``index`` are whole, and the
+    recorded edges stay inside ``states``; every completed component is still
+    a strongly connected component of the whole graph.
     """
 
     states: list[Profile]
@@ -123,15 +136,20 @@ class Closure:
     @property
     def start_in_sink(self) -> Answer:
         """Whether a forward closure's start lies in a sink: exactly when
-        everything it reaches reaches it back, i.e. the closure is one SCC."""
-        if not self.exhausted:
-            return Answer.INCONCLUSIVE
-        return Answer.YES if len(self.components) == 1 else Answer.NO
+        everything it reaches reaches it back, i.e. the closure is one SCC.
+
+        NO as soon as a completed component lacks the start, even on a cut
+        or stopped closure, since the start reaches that component but not
+        back; YES only when the exhausted closure is one component.
+        """
+        start = self.states[0]
+        if any(component[0] != start for component in self.components):
+            return Answer.NO
+        return Answer.YES if self.exhausted else Answer.INCONCLUSIVE
 
 
 def is_pure_ne(game: SuccinctGame, profile: Profile) -> bool:
-    graph = StateGraph(game, EdgeSemantics.IMPROVEMENT)
-    return not graph.improving_moves(profile)
+    return not StateGraph(game).can_move(profile)
 
 
 def is_alpha_ne(game: SuccinctGame, profile: Profile, alpha) -> bool:
@@ -155,7 +173,8 @@ def is_alpha_ne(game: SuccinctGame, profile: Profile, alpha) -> bool:
 _DONE = -1  # low-link of a state whose component has completed
 
 
-def _tarjan(roots: Iterable, successors: Callable[[object], list], cap: int | None = None) -> Closure:
+def _tarjan(roots: Iterable, successors: Callable[[object], list], cap: int | None = None,
+            stop_at_foreign_sink: bool = False) -> Closure:
     """The one traversal: iterative Tarjan (1972) from each unvisited root.
 
     ``successors`` runs exactly once per state, and each edge is recorded as
@@ -163,6 +182,10 @@ def _tarjan(roots: Iterable, successors: Callable[[object], list], cap: int | No
     its component exactly when it ends in a component that has already
     completed, so sinks are found in the same pass: each DFS frame carries a
     "leaves" flag and hands it to its parent while the two share a component.
+
+    The first component to complete is always a sink. With
+    ``stop_at_foreign_sink`` the pass ends there, unexhausted, unless that
+    component holds the first root.
     """
     states: list = []
     index: dict = {}
@@ -216,6 +239,8 @@ def _tarjan(roots: Iterable, successors: Callable[[object], list], cap: int | No
                 components.append(component)
                 if not frame[2]:
                     sinks.append(component)
+                if stop_at_foreign_sink and members[0] != 0:
+                    return Closure(states, False, components, sinks, out, index)
                 if work:
                     work[-1][2] = True
             else:
@@ -229,11 +254,16 @@ def _next_states(graph: StateGraph) -> Callable[[Profile], list[Profile]]:
     return lambda v: [w for w, _ in graph.successors(v)]
 
 
-def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None) -> Closure:
-    """All profiles reachable from ``start``, in discovery order, with their SCCs."""
+def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None,
+                    stop_at_foreign_sink: bool = False) -> Closure:
+    """All profiles reachable from ``start``, in discovery order, with their SCCs.
+
+    With ``stop_at_foreign_sink`` the pass ends at the first sink that does
+    not hold ``start``, which is enough for ``Closure.start_in_sink``.
+    """
     if cap is None:
         cap = _default_cap(10**7)
-    return _tarjan([tuple(start)], _next_states(graph), cap)
+    return _tarjan([tuple(start)], _next_states(graph), cap, stop_at_foreign_sink)
 
 
 def state_space(graph: StateGraph, cap: int | None = None) -> Closure:
@@ -290,19 +320,20 @@ def in_a_sink(
     semantics: EdgeSemantics = EdgeSemantics.IMPROVEMENT,
     cap: int | None = None,
 ) -> Answer:
-    """Whether the profile lies in a sink equilibrium; inconclusive on cap."""
+    """Whether the profile lies in a sink equilibrium; inconclusive when the
+    cap cuts the pass before the answer is known. A NO needs only the states
+    explored until the first sink without the profile completes."""
     profile = game.validate_profile(profile)
-    return forward_closure(StateGraph(game, semantics), profile, cap).start_in_sink
+    graph = StateGraph(game, semantics)
+    return forward_closure(graph, profile, cap, stop_at_foreign_sink=True).start_in_sink
 
 
 def has_singleton_sink(game: SuccinctGame, cap: int | None = None) -> bool:
-    """True when some profile is a pure Nash equilibrium; exhaustive scan."""
+    """True when some profile is a pure Nash equilibrium; scans the profile
+    space up to the first."""
     _require_enumerable(game, cap)
-    graph = StateGraph(game, EdgeSemantics.IMPROVEMENT)
-    for profile in game.codec.all_profiles():
-        if not graph.improving_moves(profile):
-            return True
-    return False
+    graph = StateGraph(game)
+    return not all(map(graph.can_move, game.codec.all_profiles()))
 
 
 def has_non_singleton_sink(

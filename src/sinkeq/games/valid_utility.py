@@ -94,7 +94,9 @@ def check_valid_utility(instance: ValidUtilityInstance,
     than silently passing.
     """
     if cap is None:
-        cap = 200_000
+        from ..dynamics import _default_cap  # dynamics imports the games package
+
+        cap = _default_cap(200_000)
     report = ValidUtilityReport()
 
     lattice_size = 1

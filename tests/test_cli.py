@@ -270,3 +270,41 @@ def test_verify_round_replays_the_gadget_it_is_given(tmp_path, flipper, kind):
     else:
         assert code == 0 and err == ""
         assert "verify-round: true" in out
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--order", "a"), ("--order", "1,-2"), ("--max-steps", "-1"), ("--max-steps", "x"),
+])
+def test_simulate_options_are_checked_by_name(mp_path, option, value, capsys):
+    code, out, err = run(["simulate", mp_path, "--policy", "priority", option, value])
+    assert code == 1 and out == "" and err == ""
+    assert (f"sinkeq simulate: error: argument {option}: must be a non-negative integer, "
+            f"not {value.split(',')[-1]!r}") in capsys.readouterr().err
+
+
+def test_simulate_takes_zero_steps_and_a_sparse_order(mp_path):
+    code, out, _ = run(["--format", "json", "simulate", mp_path, "--max-steps", "0"])
+    doc = json.loads(out)
+    assert code == 0 and doc["trace"] == [] and doc["extra"]["final"] == [0, 0]
+    code, out, _ = run(["--format", "json", "simulate", mp_path, "--policy", "priority",
+                        "--order", "1,,0", "--max-steps", "1"])
+    assert code == 0 and json.loads(out)["trace"] == [{"player": 1, "strategy": 1}]
+
+
+def test_env_cap_replaces_every_default(mp_path, tmp_path, monkeypatch):
+    inst = coverage_instance(
+        [("a", "b"), ("b",)],
+        [(frozenset(), frozenset({"a"})), (frozenset(), frozenset({"b"}))],
+    )
+    vu_path = tmp_path / "vu.json"
+    vu_path.write_text(serialize_game(inst))
+    monkeypatch.setenv("SINKEQ_DEFAULT_CAP", "2")
+    for argv, reason in (
+        (["sinks", mp_path], "profile space has 4 states, above the cap of 2"),
+        (["export-dot", mp_path], "profile space has 4 states, above the cap of 2"),
+        (["check-valid-utility", str(vu_path)],
+         "instance too large: 8^2 lattice comparisons exceed cap 2"),
+    ):
+        code, out, err = run(["--format", "json", *argv])
+        assert code == 2 and err == ""
+        assert json.loads(out)["reason"] == reason

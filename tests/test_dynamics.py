@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,32 @@ def test_best_response_edges_subset_of_improvement():
             br_moves = set(br.improving_moves(profile))
             imp_moves = set(imp.improving_moves(profile))
             assert br_moves <= imp_moves
+
+
+def test_has_pure_stops_at_the_first_improving_player(monkeypatch):
+    evaluated = Counter()
+    deviation_utilities = TableGame.deviation_utilities
+
+    def counting(self, profile, player):
+        evaluated[player] += 1
+        return deviation_utilities(self, profile, player)
+
+    monkeypatch.setattr(TableGame, "deviation_utilities", counting)
+    rng = random.Random(5)
+    for _ in range(60):
+        game = TableGame.random(rng)
+        graph = StateGraph(game)
+        stable = []
+        for profile in game.codec.all_profiles():
+            movers = [p for p, _, _ in graph.improving_moves(profile)]
+            for semantics in EdgeSemantics:
+                assert StateGraph(game, semantics).can_move(profile) == bool(movers)
+            evaluated.clear()
+            assert is_pure_ne(game, profile) == (not movers)
+            # players after the first one who can improve are never evaluated
+            assert sum(evaluated.values()) == (movers[0] + 1 if movers else game.num_players)
+            stable.append(not movers)
+        assert has_singleton_sink(game) == any(stable)
 
 
 def test_single_strategy_game_is_pure_ne():

@@ -7,7 +7,8 @@ exactly once for every state they explore, and so must ``export-dot`` and
 Those lists are checked against a fresh expansion. The CLI's ``edges`` and
 ``scc_count`` are checked against a plain successor sum and the bitset
 oracle, and so are the components and sinks the one pass finds on random
-digraphs.
+digraphs. In-sink stops at the first sink without its start: that answer is
+checked against the whole closure's, and that sink against the oracle.
 """
 
 import io
@@ -22,6 +23,7 @@ from sinkeq.compilers import (
     CompiledReduction,
     SymbolTable,
     closures_isomorphic,
+    compile_tm_anonymous,
     compile_tm_market,
     compile_tm_player_specific,
     compile_tm_weighted,
@@ -30,10 +32,12 @@ from sinkeq.dynamics import (
     Answer,
     EdgeSemantics,
     StateGraph,
+    WalkOutcome,
     bottom_sccs,
     forward_closure,
     in_a_sink,
     sccs,
+    simulate_walk,
     sinks,
     state_space,
 )
@@ -100,11 +104,20 @@ def reachable(graph, start):
 
 
 def test_in_a_sink_expands_each_gadget_state_once(gadget, expansions):
+    graph = StateGraph(gadget.game)
     # the walker loops only after a prefix, so its start is not in a sink
     assert in_a_sink(gadget.game, gadget.initial) is Answer.NO
     expanded = dict(expansions)
     assert set(expanded.values()) == {1}
-    assert set(expanded) == reachable(StateGraph(gadget.game), gadget.initial)
+    stopped = forward_closure(graph, gadget.initial, stop_at_foreign_sink=True)
+    assert set(expanded) == set(stopped.states)
+    assert set(expanded) < reachable(graph, gadget.initial)
+    # a start inside that sink answers YES over its whole closure
+    looping = stopped.sinks[0][0]
+    expansions.clear()
+    assert in_a_sink(gadget.game, looping) is Answer.YES
+    assert set(expansions.values()) == {1}
+    assert set(expansions) == reachable(graph, looping)
 
 
 def test_cli_in_sink_expands_each_gadget_state_once(gadget, tmp_path, expansions):
@@ -137,10 +150,11 @@ def test_table_questions_expand_each_profile_once(table_4_6, tmp_path, expansion
 
 def test_cli_stats_match_an_independent_count(tmp_path):
     rng = random.Random(8)
+    answers = Counter()
     for k in range(12):
         game = TableGame.random(rng)
         graph, codec = StateGraph(game), game.codec
-        components, _ = bitset_bottom_sccs(
+        components, bottoms = bitset_bottom_sccs(
             codec.num_profiles,
             lambda v: [codec.encode(w) for w, _ in graph.successors(codec.decode(v))],
         )
@@ -151,14 +165,26 @@ def test_cli_stats_match_an_independent_count(tmp_path):
         assert doc["stats"]["edges"] == sum(
             len(graph.successors(p)) for p in codec.all_profiles()
         )
-        start = codec.decode(rng.randrange(codec.num_profiles))
-        closure = {codec.encode(p) for p in reachable(graph, start)}
-        doc = cli_json(["in-sink", str(game_path), "--profile", ",".join(map(str, start))])
-        assert doc["stats"]["states_explored"] == len(closure)
-        assert doc["stats"]["scc_count"] == sum(1 for c in components if set(c) <= closure)
-        assert doc["stats"]["edges"] == sum(
-            len(graph.successors(codec.decode(v))) for v in closure
-        )
+        # a random start, and one inside a sink so that every game has a YES
+        for start in (rng.randrange(codec.num_profiles), min(bottoms[0])):
+            closure = {codec.encode(p) for p in reachable(graph, codec.decode(start))}
+            profile = ",".join(map(str, codec.decode(start)))
+            doc = cli_json(["in-sink", str(game_path), "--profile", profile])
+            answers[doc["answer"]] += 1
+            if any(start in bottom for bottom in bottoms):
+                assert doc["answer"] == "true" and "extra" not in doc
+                assert doc["stats"]["states_explored"] == len(closure)
+                assert doc["stats"]["scc_count"] == sum(
+                    1 for c in components if set(c) <= closure)
+                assert doc["stats"]["edges"] == sum(
+                    len(graph.successors(codec.decode(v))) for v in closure
+                )
+            else:
+                # a NO reports what was explored until the first foreign sink completed
+                assert doc["answer"] == "false"
+                assert doc["stats"]["states_explored"] <= len(closure)
+                assert doc["extra"]["sink_size"] in {len(b) for b in bottoms if b <= closure}
+    assert answers["false"] > 0
 
 
 def test_components_and_sinks_match_bitset_oracle_on_random_digraphs():
@@ -257,3 +283,90 @@ def test_a_cut_closure_records_edges_inside_its_states(gadget):
         partial += out != fresh
     # the state being expanded when the cap struck stopped before an undiscovered one
     assert partial >= 1
+
+
+def oracle_bottoms(graph, root):
+    """The bottom SCCs among the states ``root`` reaches, by the bitset oracle."""
+    order = list(reachable(graph, root))
+    number = {p: k for k, p in enumerate(order)}
+    _, bottoms = bitset_bottom_sccs(
+        len(order), lambda v: [number[w] for w, _ in graph.successors(order[v])])
+    return [{order[v] for v in bottom} for bottom in bottoms]
+
+
+def check_early_answer(graph, start, expansions):
+    """The stopped in-sink answer against the whole closure's; returns it."""
+    whole = forward_closure(graph, start)
+    expected = Answer.YES if len(whole.components) == 1 else Answer.NO
+    expansions.clear()
+    assert in_a_sink(graph.game, start, graph.semantics) is expected
+    assert set(expansions.values()) == {1}
+    stopped = forward_closure(graph, start, stop_at_foreign_sink=True)
+    assert set(expansions) == set(stopped.states)
+    assert stopped.start_in_sink is expected
+    # the same DFS, cut where the answer became known
+    assert stopped.states == whole.states[:len(stopped)]
+    if expected is Answer.YES:
+        assert stopped.exhausted and len(stopped) == len(whole)
+    else:
+        sink = stopped.sinks[0]
+        assert stopped.components == [sink] and start not in sink
+        assert set(sink) in oracle_bottoms(graph, sink[0])
+    return expected
+
+
+def test_early_answer_matches_the_whole_closure_on_random_tables(expansions):
+    rng = random.Random(81)
+    answers = Counter()
+    for _ in range(40):
+        game = TableGame.random(rng)
+        for semantics in EdgeSemantics:
+            graph = StateGraph(game, semantics)
+            for _ in range(3):
+                start = game.codec.decode(rng.randrange(game.codec.num_profiles))
+                answers[check_early_answer(graph, start, expansions)] += 1
+    assert answers[Answer.YES] and answers[Answer.NO]
+
+
+@pytest.mark.parametrize("semantics", EdgeSemantics, ids=lambda s: s.value)
+@pytest.mark.parametrize("compile_tm", [compile_tm_weighted, compile_tm_player_specific,
+                                        compile_tm_market, compile_tm_anonymous],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("machine", ["flipper", "walker"])
+def test_early_answer_matches_the_whole_closure_on_gadgets(
+        request, machine, compile_tm, semantics, expansions):
+    compiled = compile_tm(request.getfixturevalue(machine))
+    check_early_answer(StateGraph(compiled.game, semantics), compiled.initial, expansions)
+
+
+@pytest.fixture(scope="module")
+def anonymous_gadget(walker):
+    return compile_tm_anonymous(walker)
+
+
+def test_anonymous_walker_stops_at_its_first_sink(anonymous_gadget, expansions):
+    game, initial = anonymous_gadget.game, anonymous_gadget.initial
+    assert in_a_sink(game, initial) is Answer.NO
+    assert set(expansions.values()) == {1}
+    assert len(expansions) == 606
+    stopped = forward_closure(StateGraph(game), initial, stop_at_foreign_sink=True)
+    assert len(stopped.sinks[0]) == 546
+    assert len(forward_closure(StateGraph(game), initial)) == 2850
+
+
+def test_a_cap_past_the_first_sink_answers_no(anonymous_gadget, tmp_path):
+    game, initial = anonymous_gadget.game, anonymous_gadget.initial
+    # the whole closure has 2850 states; the answer is known after 606
+    assert in_a_sink(game, initial, cap=605) is Answer.INCONCLUSIVE
+    assert in_a_sink(game, initial, cap=1000) is Answer.NO
+    walk = simulate_walk(StateGraph(game), initial, max_steps=0, closure_cap=1000)
+    assert walk.outcome is WalkOutcome.STILL_MOVING
+    game_path = tmp_path / "walker.json"
+    game_path.write_text(serialize_game(game))
+    (tmp_path / "walker.symbols.json").write_text(serialize_sidecar(anonymous_gadget))
+    doc = cli_json(["--cap", "1000", "in-sink", str(game_path), "--profile", "@initial"])
+    assert doc["answer"] == "false" and doc["extra"] == {"sink_size": 546}
+    assert doc["stats"]["states_explored"] == 606 and doc["stats"]["scc_count"] == 1
+    doc = cli_json(["--cap", "1000", "simulate", str(game_path), "--profile", "@initial",
+                    "--max-steps", "0"])
+    assert doc["answer"] == "still-moving" and doc["stats"]["states_explored"] == 1
