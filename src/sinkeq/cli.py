@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from . import io as gameio
@@ -193,7 +194,9 @@ def _emit(report: AnalysisReport, args, out) -> None:
 def run_cli(argv, out=sys.stdout, err=sys.stderr) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors and --help to sys.stderr/sys.stdout
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
     started = time.perf_counter()

@@ -31,6 +31,13 @@ class CnfFormula:
         )
 
 
+def _integer(token: str, line_no: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"{token!r} is not an integer", f"line {line_no}") from None
+
+
 def parse_dimacs(text: str | bytes) -> CnfFormula:
     """Parse a DIMACS cnf document; clauses must have exactly 3 literals."""
     if isinstance(text, bytes):
@@ -47,12 +54,12 @@ def parse_dimacs(text: str | bytes) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormatError("malformed problem line", f"line {line_no}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            num_vars, num_clauses = (_integer(t, line_no) for t in parts[2:])
             continue
         if num_vars is None:
             raise FormatError("clause before the problem line", f"line {line_no}")
         for token in line.split():
-            lit = int(token)
+            lit = _integer(token, line_no)
             if lit == 0:
                 if len(pending) != 3:
                     raise FormatError(

@@ -117,10 +117,8 @@ def compile_tm_anonymous(spec: TMSpec) -> CompiledReduction:
         return [count_eq(_S["state^1"], q_rank), count_ge(_S[f"symbol^{sym}"], 1)]
 
     players: list[AnonymousPlayer] = []
-    roles: list[str] = []
 
     def add(role: str, allowed: list[str], rules: list[tuple[str, object]]):
-        roles.append(role)
         players.append(AnonymousPlayer(
             role,
             frozenset(_S[s] for s in allowed),
@@ -251,13 +249,11 @@ def compile_tm_anonymous(spec: TMSpec) -> CompiledReduction:
         (f"X{s}", count_ge(_S[s], 1)) for s in C1_RING
     ])
 
-    game = AnonymousGame(STRATEGIES, players)
-    symbols = SymbolTable()
-    for index, role in enumerate(roles):
-        symbols.add_player(role, index)
-        for s in sorted(players[index].allowed):
-            symbols.add_strategy(role, STRATEGIES[s], s)
-    compiled = CompiledReduction(game=game, initial=(), symbols=symbols, machine=spec)
+    symbols = SymbolTable.from_roles(
+        [p.name for p in players],
+        [{s: STRATEGIES[s] for s in sorted(p.allowed)} for p in players])
+    compiled = CompiledReduction(game=AnonymousGame(STRATEGIES, players), initial=(),
+                                 symbols=symbols, machine=spec)
     compiled.initial = anonymous_round_start(compiled, initial_config(spec))
     return compiled
 

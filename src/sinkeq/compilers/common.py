@@ -22,6 +22,17 @@ class SymbolTable:
         init=False, repr=False, compare=False, default_factory=dict
     )
 
+    @classmethod
+    def from_roles(cls, roles: list[str], names: list[dict[int, str]]) -> SymbolTable:
+        """The table of ``roles`` in player order, role k's strategies named
+        by ``names[k]`` (strategy index -> name)."""
+        table = cls()
+        for index, (role, role_names) in enumerate(zip(roles, names, strict=True)):
+            table.add_player(role, index)
+            for s, name in role_names.items():
+                table.add_strategy(role, name, s)
+        return table
+
     def add_player(self, role: str, index: int):
         if role in self.players:
             raise ConfigurationError(f"duplicate role {role}")

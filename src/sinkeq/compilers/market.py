@@ -7,7 +7,7 @@ from ..errors import ConfigurationError
 from ..games.market import ActiveAgent, PassiveAgent, TwoSidedMarketGame
 from ..turing import SYMBOLS, TMSpec
 from .common import CompiledReduction, SymbolTable
-from .tm_gadget import CLOCK_WAIT, assemble, build_structure
+from .tm_gadget import CLOCK_WAIT, assemble, build_structure, control_tuples
 
 # Clause-gadget market values.
 A_VALUE = 305
@@ -65,47 +65,27 @@ def compile_sat_market(formula: CnfFormula) -> CompiledReduction:
                 one_sets[x_player[i]].add(r)
                 zero_sets[x_player[i]].add(p)
 
-    active = []
-    symbols = SymbolTable()
-    for i in range(1, n + 1):
-        role = f"X{i}"
-        symbols.add_player(role, x_player[i])
-        symbols.add_strategy(role, "zero", 0)
-        symbols.add_strategy(role, "one", 1)
-        active.append(ActiveAgent(
-            role,
-            (frozenset(zero_sets[x_player[i]]), frozenset(one_sets[x_player[i]])),
-        ))
-    agents_by_index: dict[int, ActiveAgent] = {i: a for i, a in enumerate(active)}
-    for j in range(m):
-        for role, idx in ((f"C{j + 1}", c_player[j]), (f"K{j + 1}", k_player[j])):
-            symbols.add_player(role, idx)
-            symbols.add_strategy(role, "zero", 0)
-            symbols.add_strategy(role, "one", 1)
-            agents_by_index[idx] = ActiveAgent(
-                role, (frozenset(zero_sets[idx]), frozenset(one_sets[idx]))
-            )
-    roster = [agents_by_index[i] for i in range(n + 2 * m)]
-    game = TwoSidedMarketGame(passive, roster)
+    roles = [f"X{i}" for i in range(1, n + 1)]
+    roles += [role for j in range(1, m + 1) for role in (f"C{j}", f"K{j}")]
+    roster = [
+        ActiveAgent(role, (frozenset(zero_sets[idx]), frozenset(one_sets[idx])))
+        for idx, role in enumerate(roles)
+    ]
     return CompiledReduction(
-        game=game,
-        initial=(0,) * (n + 2 * m),
-        symbols=symbols,
+        game=TwoSidedMarketGame(passive, roster),
+        initial=(0,) * len(roles),
+        symbols=SymbolTable.from_roles(roles, [{0: "zero", 1: "one"}] * len(roles)),
     )
 
 
 def market_base(spec: TMSpec, penalty: int) -> int:
-    """The base value N: twice the per-kind control count times the penalty.
+    """The base value N: twice the control count times the penalty.
 
     With boundary positions clipped the control family is smaller than the
     unclipped |Q|*(t'+1)*3*|Gamma| grid, and the Wait strategy's total must
-    land exactly at N + 1; computing N from the actual family preserves that.
+    land exactly at N + 1; counting the actual family preserves that.
     """
-    count = 0
-    for i in range(spec.t_prime + 1):
-        count += len([d for d in (i - 1, i, i + 1) if 0 <= d <= spec.t_prime])
-    n_controls = spec.num_states * count * len(SYMBOLS)
-    return 2 * n_controls * penalty
+    return 2 * len(control_tuples(spec)) * penalty
 
 
 def compile_tm_market(spec: TMSpec, penalty: int = 10_000) -> CompiledReduction:
@@ -159,12 +139,10 @@ def compile_tm_market(spec: TMSpec, penalty: int = 10_000) -> CompiledReduction:
         preference = tuple(owners[r] if x is OWNER else x for x in preference)
         passive.append(PassiveAgent(name, value, preference))
 
-    roster = []
-    for player, role in enumerate(structure.player_roles):
-        roster.append(ActiveAgent(
-            role,
-            tuple(frozenset(s) for s in structure.strategy_resources[player]),
-        ))
+    roster = [
+        ActiveAgent(role, tuple(frozenset(s) for s in strategies))
+        for role, strategies in zip(structure.player_roles, structure.strategy_resources)
+    ]
     game = TwoSidedMarketGame(passive, roster)
     compiled = assemble(structure, game, spec)
     compiled.penalty = penalty

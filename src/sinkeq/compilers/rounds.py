@@ -19,7 +19,7 @@ from .anonymous import (
     state_rank,
 )
 from .common import CompiledReduction
-from .tm_gadget import decode_config, delta_tuple, round_start_profile
+from .tm_gadget import decode_config, delta_tuple, round_start_profile, round_start_strategy
 
 
 @dataclass
@@ -42,38 +42,54 @@ def _apply(profile: Profile, player: int, strategy: int) -> Profile:
     return profile[:player] + (strategy,) + profile[player + 1:]
 
 
-def _run_expected_steps(compiled, graph, profile, steps, trace, extra_allowed=None):
-    """Walk scripted steps; each is (label, {player: target strategy}).
+def _named(symbols, moves) -> list[tuple[str, str]]:
+    """Moves as sorted (role, strategy name) pairs."""
+    return sorted(
+        (symbols.role_of(p), symbols.strategy_name(symbols.role_of(p), s)) for p, s in moves
+    )
 
-    At every intermediate profile the qualifying moves must be exactly the
-    yet-unapplied expected ones, modulo ``extra_allowed(profile)`` (the Halt
-    deviation once the state player reaches the halting state). Returns
+
+def _run_rows(compiled, graph, profile, rows, trace, allowance=None, prefix=""):
+    """Walk rows of (label, allowed(P), done(P)) from ``profile``.
+
+    Until a row is done, the qualifying moves at each profile must be exactly
+    ``allowed(P)``, minus the moves in ``allowance(P)`` (the Halt deviation
+    once the state player sits on the halting state); the lowest allowed move
+    is applied and recorded. A row that is not done after 10·n moves fails.
+    A failure text starts with ``prefix`` and the row's label. Returns
     (profile, None) or (profile, failure).
     """
     symbols = compiled.symbols
-    for label, expected in steps:
-        pending = dict(expected)
-        while pending:
+    for label, allowed_fn, done_fn in rows:
+        moves = 0
+        while not done_fn(profile):
+            moves += 1
+            if moves > 10 * compiled.game.num_players:
+                return profile, f"{prefix}{label}: no progress"
+            allowed = allowed_fn(profile)
             actual = {(p, s) for p, s, _ in graph.improving_moves(profile)}
-            wanted = set(pending.items())
-            if extra_allowed is not None:
-                actual -= extra_allowed(profile)
-            if actual != wanted:
-                def pretty(pairs):
-                    return sorted(
-                        (symbols.role_of(p), symbols.strategy_name(symbols.role_of(p), s))
-                        for p, s in pairs
-                    )
-                return profile, (
-                    f"step {label}: expected movers {pretty(wanted)}, "
-                    f"found {pretty(actual)}"
-                )
-            player = min(pending)
-            strategy = pending.pop(player)
+            if allowance is not None:
+                actual -= allowance(profile)
+            if actual != allowed:
+                return profile, (f"{prefix}{label}: expected movers "
+                                 f"{_named(symbols, allowed)}, found {_named(symbols, actual)}")
+            player, strategy = min(allowed)
             profile = _apply(profile, player, strategy)
             role = symbols.role_of(player)
             trace.append(RoundMove(label, role, symbols.strategy_name(role, strategy)))
     return profile, None
+
+
+def _scripted(steps):
+    """Rows from scripted steps (label, {player: target strategy}): each
+    player not yet on its target may move there, and the step is done when
+    every player is."""
+    return [
+        (label,
+         lambda P, t=targets: {(p, s) for p, s in t.items() if P[p] != s},
+         lambda P, t=targets: all(P[p] == s for p, s in t.items()))
+        for label, targets in steps
+    ]
 
 
 def verify_round_weighted(
@@ -81,34 +97,23 @@ def verify_round_weighted(
 ) -> RoundReport:
     """Check one round of the congestion/market machine gadget.
 
-    The start profile must have the clock on Trigger, the transition player
-    on Wait, the write/verify controls on One and control_D on Zero. For a
-    halting-state configuration the expected move is the deviation to Halt,
-    which must land on a pure Nash equilibrium.
+    The start profile must hold every player but the configuration players
+    on its ``round_start_strategy``: the clock on Trigger, the transition
+    player on Wait, the write/verify controls on One and control_D on Zero.
+    For a halting-state configuration the expected move is the deviation to
+    Halt, which must land on a pure Nash equilibrium.
     """
     spec: TMSpec = compiled.machine
     symbols = compiled.symbols
     profile = compiled.initial if start is None else tuple(start)
     report = RoundReport(matches=False)
-
-    def strat(role, name):
-        return symbols.strategy(role, name)
-
-    def player(role):
-        return symbols.player(role)
+    strat, player = symbols.strategy, symbols.player
 
     for role in symbols.players:
-        if role.startswith("control_"):
-            want = "Zero" if role == "control_D" else "One"
-            if profile[player(role)] != strat(role, want):
-                report.failure = f"start profile: {role} must be on {want}"
-                return report
-    if profile[player("transition")] != strat("transition", "Wait"):
-        report.failure = "start profile: transition player must be on Wait"
-        return report
-    if profile[player("clock")] != strat("clock", "Trigger"):
-        report.failure = "start profile: clock must be on Trigger"
-        return report
+        want = round_start_strategy(role)
+        if want is not None and profile[player(role)] != strat(role, want):
+            report.failure = f"start profile: {role} must be on {want}"
+            return report
 
     config = decode_config(compiled, profile)
     graph = StateGraph(compiled.game, EdgeSemantics.IMPROVEMENT)
@@ -116,7 +121,8 @@ def verify_round_weighted(
 
     if config.state == spec.q_halt:
         steps = [("halt", {player("transition"): strat("transition", "Halt")})]
-        profile, failure = _run_expected_steps(compiled, graph, profile, steps, trace)
+        profile, failure = _run_rows(compiled, graph, profile, _scripted(steps), trace,
+                                     prefix="step ")
         if failure is None and graph.improving_moves(profile):
             failure = "halt profile is not a pure Nash equilibrium"
         report.failure = failure
@@ -169,14 +175,11 @@ def verify_round_weighted(
             player("control_D"): strat("control_D", "Zero"),
         }),
     ]
-    profile, failure = _run_expected_steps(
-        compiled, graph, profile, steps, trace, extra_allowed
-    )
+    profile, failure = _run_rows(compiled, graph, profile, _scripted(steps), trace,
+                                 extra_allowed, prefix="step ")
     expected_config = tm_step(spec, config)
-    if failure is None:
-        expected_end = round_start_profile(compiled, expected_config)
-        if profile != expected_end:
-            failure = "end profile is not the round start of the successor configuration"
+    if failure is None and profile != round_start_profile(compiled, expected_config):
+        failure = "end profile is not the round start of the successor configuration"
     report.failure = failure
     report.matches = failure is None
     report.end_profile = profile
@@ -327,30 +330,9 @@ def verify_round_anonymous(
     ]
 
     graph = StateGraph(compiled.game, EdgeSemantics.IMPROVEMENT)
-    trace = report.trace
-    for label, allowed_fn, done_fn in phases:
-        guard = 0
-        while not done_fn(profile):
-            guard += 1
-            if guard > 10 * compiled.game.num_players:
-                report.failure = f"{label}: no progress"
-                return report
-            allowed = allowed_fn(profile)
-            actual = {(p, s) for p, s, _ in graph.improving_moves(profile)}
-            if actual != allowed:
-                def pretty(pairs):
-                    return sorted(
-                        (symbols.role_of(p), STRATEGIES[s]) for p, s in pairs
-                    )
-                report.failure = (
-                    f"{label}: expected movers {pretty(allowed)}, "
-                    f"found {pretty(actual)}"
-                )
-                return report
-            player, strategy = min(allowed)
-            profile = _apply(profile, player, strategy)
-            trace.append(RoundMove(label, symbols.role_of(player), STRATEGIES[strategy]))
-
+    profile, report.failure = _run_rows(compiled, graph, profile, phases, report.trace)
+    if report.failure is not None:
+        return report
     end_config = decode_anonymous_config(compiled, profile)
     expected = tm_step(spec, config)
     if end_config != expected:

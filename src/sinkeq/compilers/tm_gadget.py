@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..turing import MOVE_OFFSET, SYMBOLS, TMSpec, TapeConfig, initial_config
-from .common import CompiledReduction
+from .common import CompiledReduction, SymbolTable
 
 READ_NN = 80
 WRITE_NN = 60
@@ -75,11 +75,9 @@ def delta_tuple(spec: TMSpec, q: int, i: int, sym: str) -> ControlTuple:
 class GadgetStructure:
     """Players, strategies, and per-strategy resource-name lists."""
 
-    spec: TMSpec
     tuples: list[ControlTuple]
     resource_names: list[str]
     resource_kinds: list[str]  # aligned with resource_names
-    resource_index: dict[str, int]
     player_roles: list[str]
     strategy_names: list[list[str]]  # per player
     strategy_resources: list[list[list[int]]]  # per player, per strategy
@@ -228,45 +226,43 @@ def build_structure(spec: TMSpec, market_halt_nn: bool = False) -> GadgetStructu
     )
 
     return GadgetStructure(
-        spec=spec,
         tuples=tuples,
         resource_names=names,
         resource_kinds=kinds,
-        resource_index=index,
         player_roles=player_roles,
         strategy_names=strategy_names,
         strategy_resources=strategy_resources,
     )
 
 
+def round_start_strategy(role: str) -> str | None:
+    """The strategy ``role`` holds at every round start, or None for the
+    configuration players (state, position, cells)."""
+    if role.startswith("control_"):
+        return "Zero" if role == "control_D" else "One"
+    return {"transition": "Wait", "clock": "Trigger"}.get(role)
+
+
 def assemble(structure: GadgetStructure, game, spec: TMSpec) -> CompiledReduction:
     """Wrap an emitted game with its symbol table and canonical initial profile."""
-    from .common import SymbolTable
-
-    symbols = SymbolTable()
-    for index, role in enumerate(structure.player_roles):
-        symbols.add_player(role, index)
-        for s_index, s_name in enumerate(structure.strategy_names[index]):
-            symbols.add_strategy(role, s_name, s_index)
-    compiled = CompiledReduction(game=game, initial=(), symbols=symbols, machine=spec)
-    profile = [0] * len(structure.player_roles)
-    profile[symbols.player("transition")] = symbols.strategy("transition", "Wait")
-    profile[symbols.player("clock")] = symbols.strategy("clock", "Trigger")
-    for role in structure.player_roles:
-        if role.startswith("control_"):
-            name = "Zero" if role == "control_D" else "One"
-            profile[symbols.player(role)] = symbols.strategy(role, name)
-    compiled.initial = tuple(profile)
-    compiled.initial = round_start_profile(compiled, initial_config(spec))
-    return compiled
+    roles = structure.player_roles
+    symbols = SymbolTable.from_roles(
+        roles, [dict(enumerate(names)) for names in structure.strategy_names])
+    # the configuration players, left on 0 here, are set by _encode_config
+    base = [symbols.strategies[role].get(round_start_strategy(role), 0) for role in roles]
+    initial = _encode_config(symbols, base, initial_config(spec))
+    return CompiledReduction(game=game, initial=initial, symbols=symbols, machine=spec)
 
 
 def round_start_profile(compiled: CompiledReduction, config: TapeConfig):
     """The recurring round-start profile whose configuration players encode
-    ``config``: clock on Trigger, transition on Wait, write/verify controls on
-    One, control_D on Zero."""
-    symbols = compiled.symbols
-    profile = list(compiled.initial)
+    ``config``, every other player on its ``round_start_strategy``."""
+    return _encode_config(compiled.symbols, compiled.initial, config)
+
+
+def _encode_config(symbols: SymbolTable, profile, config: TapeConfig):
+    """``profile`` with its configuration players set to encode ``config``."""
+    profile = list(profile)
     profile[symbols.player("state")] = symbols.strategy("state", f"q{config.state}")
     profile[symbols.player("position")] = symbols.strategy("position", f"p{config.head}")
     for i, sym in enumerate(config.tape):

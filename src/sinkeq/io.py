@@ -370,6 +370,11 @@ def _valid_utility_from_json(doc: dict) -> ValidUtilityInstance:
 
 
 def serialize_tm(spec: TMSpec) -> str:
+    return json.dumps(_tm_to_json(spec), sort_keys=True, indent=1) + "\n"
+
+
+def _tm_to_json(spec: TMSpec) -> dict:
+    """The machine document, also a sidecar's ``machine`` entry."""
     delta = [
         {"state": q, "read": sym, "next": q2, "write": w, "move": mv}
         for (q, sym), (q2, w, mv) in sorted(spec.delta.items())
@@ -383,7 +388,7 @@ def serialize_tm(spec: TMSpec) -> str:
     }
     if spec.state_names:
         doc["state_names"] = list(spec.state_names)
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return doc
 
 
 def parse_tm_file(text: str | bytes) -> TMSpec:
@@ -422,7 +427,7 @@ def serialize_sidecar(compiled: CompiledReduction) -> str:
         "initial": list(compiled.initial),
         "penalty": compiled.penalty,
         "market_base": compiled.market_base,
-        "machine": json.loads(serialize_tm(compiled.machine)) if compiled.machine else None,
+        "machine": _tm_to_json(compiled.machine) if compiled.machine else None,
     }
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 

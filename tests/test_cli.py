@@ -220,10 +220,10 @@ def test_export_dot_refuses_a_closure_the_cap_cuts(mp_path):
 
 
 @pytest.mark.parametrize("cap", ["0", "-3", "abc"])
-def test_cap_must_be_a_positive_integer(mp_path, cap, capsys):
-    code, out, _ = run(["--cap", cap, "in-sink", mp_path, "--profile", "0,0"])
+def test_cap_must_be_a_positive_integer(mp_path, cap):
+    code, out, err = run(["--cap", cap, "in-sink", mp_path, "--profile", "0,0"])
     assert code == 1 and out == ""
-    assert "--cap: must be a positive integer" in capsys.readouterr().err
+    assert "--cap: must be a positive integer" in err
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])
@@ -275,11 +275,19 @@ def test_verify_round_replays_the_gadget_it_is_given(tmp_path, flipper, kind):
 @pytest.mark.parametrize("option, value", [
     ("--order", "a"), ("--order", "1,-2"), ("--max-steps", "-1"), ("--max-steps", "x"),
 ])
-def test_simulate_options_are_checked_by_name(mp_path, option, value, capsys):
+def test_simulate_options_are_checked_by_name(mp_path, option, value):
     code, out, err = run(["simulate", mp_path, "--policy", "priority", option, value])
-    assert code == 1 and out == "" and err == ""
+    assert code == 1 and out == ""
     assert (f"sinkeq simulate: error: argument {option}: must be a non-negative integer, "
-            f"not {value.split(',')[-1]!r}") in capsys.readouterr().err
+            f"not {value.split(',')[-1]!r}") in err
+
+
+def test_help_and_usage_errors_reach_the_callers_streams(capsys):
+    code, out, err = run(["--help"])
+    assert code == 0 and out.startswith("usage: sinkeq") and err == ""
+    code, out, err = run(["no-such-command"])
+    assert code == 1 and out == "" and "invalid choice: 'no-such-command'" in err
+    assert capsys.readouterr() == ("", "")
 
 
 def test_simulate_takes_zero_steps_and_a_sparse_order(mp_path):

@@ -157,6 +157,22 @@ def test_dimacs_rejects_bad_header_count():
         parse_dimacs("p cnf 1 2\n1 1 1 0\n")
 
 
+@pytest.mark.parametrize("text, line, token", [
+    ("p cnf 3 1\n1 x 3 0\n", 2, "x"),
+    ("p cnf three 1\n1 2 3 0\n", 1, "three"),
+], ids=["clause", "problem-line"])
+def test_dimacs_non_integers_name_the_file_and_the_line(tmp_path, text, line, token):
+    with pytest.raises(FormatError) as info:
+        parse_dimacs(text)
+    assert info.value.path == f"line {line}"
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["compile", "sat2market", str(cnf), "-o", str(tmp_path / "sat.json")]
+    assert run_cli(argv, out=out, err=err) == 1
+    assert err.getvalue() == f"error: {cnf}: line {line}: {token!r} is not an integer\n"
+
+
 def test_game_to_json_deterministic():
     pd = prisoners_dilemma()
     assert game_to_json(pd) == game_to_json(prisoners_dilemma())
