@@ -35,8 +35,8 @@ from .dynamics import (
     StateGraph,
     WalkOutcome,
     _default_cap,
+    first_pure_ne_code,
     forward_closure,
-    has_singleton_sink,
     simulate_walk,
     sink_equilibria,
     state_space,
@@ -217,7 +217,7 @@ def _dispatch(args) -> AnalysisReport:
     if args.command in ("sinks", "has-non-singleton"):
         game = _load_game(args.game)
         closure = state_space(StateGraph(game, _semantics(args)), args.cap)
-        found = sink_equilibria(closure, game.codec)
+        found = sink_equilibria(closure)
         extra = {"sink_sizes": [len(s.states) for s in found]}
         if args.command == "has-non-singleton":
             answer = "true" if any(not s.singleton for s in found) else "false"
@@ -240,12 +240,13 @@ def _dispatch(args) -> AnalysisReport:
         )
     if args.command == "has-pure":
         game = _load_game(args.game)
-        answer = has_singleton_sink(game, args.cap)
-        return AnalysisReport(
-            question="has-pure",
-            answer="true" if answer else "false",
-            states_explored=game.codec.num_profiles,
-        )
+        code = first_pure_ne_code(game, args.cap)
+        if code is None:
+            return AnalysisReport("has-pure", "false",
+                                  states_explored=game.codec.num_profiles)
+        # the scan stopped at the first equilibrium, the lowest code that is one
+        return AnalysisReport("has-pure", "true", states_explored=code + 1,
+                              extra={"equilibrium": list(game.codec.decode(code))})
     if args.command == "simulate":
         game = _load_game(args.game)
         graph = StateGraph(game, _semantics(args))

@@ -214,6 +214,11 @@ def verify_round_anonymous(
     if profile[c1] != _S["init"]:
         report.failure = "start profile: control1 must be on init"
         return report
+    for player, choice in enumerate(profile):
+        if choice not in compiled.game.players[player].allowed:
+            report.failure = (f"start profile: {symbols.role_of(player)} may not be on "
+                              f"{STRATEGIES[choice]}")
+            return report
     try:
         config = decode_anonymous_config(compiled, profile)
     except ValueError as exc:

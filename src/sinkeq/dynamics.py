@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError, SinkeqError, UnsupportedGameError
@@ -46,6 +47,26 @@ def _default_cap(default: int) -> int:
 Move = tuple[int, int, int]  # (player, strategy, new utility)
 
 
+def _improvements(current: int, devs: Sequence[int], labels: Iterable) -> list:
+    here = devs[current]
+    return [x for x, u in zip(labels, devs) if u > here]
+
+
+def _best_responses(current: int, devs: Sequence[int], labels: Iterable) -> list:
+    best = max(devs)
+    if best > devs[current]:
+        return [x for x, u in zip(labels, devs) if u == best]
+    return []
+
+
+# The one place the edge semantics is decided. Given a player's current
+# strategy, deviation utilities and one label per strategy, each returns the
+# labels of the strategies it may move to, ascending: every strict
+# improvement, or the maximizers when they improve on the current one.
+_TARGETS = {EdgeSemantics.IMPROVEMENT: _improvements,
+            EdgeSemantics.BEST_RESPONSE: _best_responses}
+
+
 class StateGraph:
     """View of a game's state graph under one edge semantics."""
 
@@ -53,34 +74,23 @@ class StateGraph:
         self.game = game
         self.semantics = semantics
         self.codec = game.codec
+        self._targets = _TARGETS[semantics]
+        # (player, place weight, strategy count): one digit of a profile code
+        self._digits = tuple(zip(range(len(self.codec.place_weights)),
+                                 self.codec.place_weights, self.codec.strategy_counts))
 
     def improving_moves(self, profile: Profile) -> list[Move]:
         """Qualifying moves in canonical order (ascending player, strategy)."""
         moves: list[Move] = []
         for player in range(self.game.num_players):
             devs = self.game.deviation_utilities(profile, player)
-            current = devs[profile[player]]
-            if self.semantics is EdgeSemantics.BEST_RESPONSE:
-                best = max(devs)
-                if best > current:
-                    moves.extend(
-                        (player, s, u) for s, u in enumerate(devs) if u == best
-                    )
-            else:
-                moves.extend(
-                    (player, s, u) for s, u in enumerate(devs) if u > current
-                )
+            for s in self._targets(profile[player], devs, range(len(devs))):
+                moves.append((player, s, devs[s]))
         return moves
 
     def can_move(self, profile: Profile) -> bool:
-        """Whether the profile has a successor, stopping at the first player
-        who can improve: under either semantics a player moves exactly when
-        some strategy improves on the current one."""
-        for player in range(self.game.num_players):
-            devs = self.game.deviation_utilities(profile, player)
-            if max(devs) > devs[profile[player]]:
-                return True
-        return False
+        """``code_can_move`` at ``profile``."""
+        return self.code_can_move(self.codec.encode(profile))
 
     def successors(self, profile: Profile) -> list[tuple[Profile, int]]:
         """(next profile, moving player) pairs, canonical order."""
@@ -88,6 +98,35 @@ class StateGraph:
             (profile[:p] + (s,) + profile[p + 1:], p)
             for p, s, _ in self.improving_moves(profile)
         ]
+
+    @cached_property
+    def _code_reader(self):
+        return self.game.code_reader()
+
+    def code_successors(self, code: int) -> list[int]:
+        """The codes of a profile code's successors, canonical order: player
+        p moving from d to s adds (s - d) times p's place weight."""
+        key, read = self._code_reader
+        at, targets = key(code), self._targets
+        out: list[int] = []
+        for player, weight, choices in self._digits:
+            current = code // weight % choices
+            base = code - current * weight
+            # each strategy labelled by the code it moves to
+            out += targets(current, read(at, player), range(base, base + choices * weight, weight))
+        return out
+
+    def code_can_move(self, code: int) -> bool:
+        """Whether the profile numbered ``code`` has a successor, stopping at
+        the first player who can improve: under either semantics a player
+        moves exactly when some strategy improves on the current one."""
+        key, read = self._code_reader
+        at = key(code)
+        for player, weight, choices in self._digits:
+            devs = read(at, player)
+            if max(devs) > devs[code // weight % choices]:
+                return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -112,7 +151,8 @@ class Closure:
     everything: the cap cut it, or it stopped at the first component without
     the first root. Then only ``states`` and ``index`` are whole, and the
     recorded edges stay inside ``states``; every completed component is still
-    a strongly connected component of the whole graph.
+    a strongly connected component of the whole graph. ``codes`` lists each
+    state's profile code when the pass walked codes (``state_space``).
     """
 
     states: list[Profile]
@@ -121,6 +161,7 @@ class Closure:
     sinks: list[list[Profile]]
     successors: list[list[int]]
     index: dict[Profile, int]
+    codes: list[int] | None = None
 
     def __contains__(self, profile: Profile) -> bool:
         return profile in self.index
@@ -250,10 +291,6 @@ def _tarjan(roots: Iterable, successors: Callable[[object], list], cap: int | No
     return Closure(states, True, components, sinks, out, index)
 
 
-def _next_states(graph: StateGraph) -> Callable[[Profile], list[Profile]]:
-    return lambda v: [w for w, _ in graph.successors(v)]
-
-
 def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None,
                     stop_at_foreign_sink: bool = False) -> Closure:
     """All profiles reachable from ``start``, in discovery order, with their SCCs.
@@ -263,13 +300,27 @@ def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None,
     """
     if cap is None:
         cap = _default_cap(10**7)
-    return _tarjan([tuple(start)], _next_states(graph), cap, stop_at_foreign_sink)
+    return _tarjan([tuple(start)], lambda v: [w for w, _ in graph.successors(v)], cap,
+                   stop_at_foreign_sink)
 
 
 def state_space(graph: StateGraph, cap: int | None = None) -> Closure:
-    """The whole profile space, rooted at every profile in code order."""
+    """The whole profile space, rooted at every profile in code order.
+
+    The pass walks profile codes; its states are decoded once at the end,
+    in discovery order, and keep their codes in ``Closure.codes``.
+    """
     _require_enumerable(graph.game, cap)
-    return _tarjan(graph.codec.all_profiles(), _next_states(graph))
+    coded = _tarjan(range(graph.codec.num_profiles), graph.code_successors)
+    codes, position = coded.states, coded.index
+    states = list(map(graph.codec.decode, codes))
+
+    def decoded(component: list[int]) -> list[Profile]:
+        return [states[position[k]] for k in component]
+
+    return Closure(states, True, list(map(decoded, coded.components)),
+                   list(map(decoded, coded.sinks)), coded.successors,
+                   {p: k for k, p in enumerate(states)}, codes)
 
 
 def _restricted(vertices: Sequence, successors: Callable[[object], Iterable]) -> Closure:
@@ -299,9 +350,10 @@ def _require_enumerable(game: SuccinctGame, cap: int | None) -> None:
         raise CapExceededError(f"profile space has {size} states, above the cap of {cap}")
 
 
-def sink_equilibria(closure: Closure, codec) -> list[SinkEquilibrium]:
-    """A closure's sinks, ordered by the lowest profile code in each."""
-    bottoms = sorted(closure.sinks, key=lambda comp: min(map(codec.encode, comp)))
+def sink_equilibria(closure: Closure) -> list[SinkEquilibrium]:
+    """A full-space closure's sinks, ordered by the lowest profile code in each."""
+    codes, index = closure.codes, closure.index
+    bottoms = sorted(closure.sinks, key=lambda comp: min(codes[index[v]] for v in comp))
     return [SinkEquilibrium(frozenset(comp)) for comp in bottoms]
 
 
@@ -311,7 +363,7 @@ def sinks(
     cap: int | None = None,
 ) -> list[SinkEquilibrium]:
     """All sink equilibria of the full state graph; at least one always exists."""
-    return sink_equilibria(state_space(StateGraph(game, semantics), cap), game.codec)
+    return sink_equilibria(state_space(StateGraph(game, semantics), cap))
 
 
 def in_a_sink(
@@ -328,12 +380,19 @@ def in_a_sink(
     return forward_closure(graph, profile, cap, stop_at_foreign_sink=True).start_in_sink
 
 
-def has_singleton_sink(game: SuccinctGame, cap: int | None = None) -> bool:
-    """True when some profile is a pure Nash equilibrium; scans the profile
-    space up to the first."""
+def first_pure_ne_code(game: SuccinctGame, cap: int | None = None) -> int | None:
+    """The lowest profile code at which no player can improve, or None: a
+    scan of the codes in order that stops there, checking each profile only
+    up to its first player with an improving move."""
     _require_enumerable(game, cap)
     graph = StateGraph(game)
-    return not all(map(graph.can_move, game.codec.all_profiles()))
+    return next((code for code in range(game.codec.num_profiles)
+                 if not graph.code_can_move(code)), None)
+
+
+def has_singleton_sink(game: SuccinctGame, cap: int | None = None) -> bool:
+    """True when some profile is a pure Nash equilibrium."""
+    return first_pure_ne_code(game, cap) is not None
 
 
 def has_non_singleton_sink(

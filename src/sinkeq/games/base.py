@@ -2,23 +2,25 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
-from ..profiles import Profile, validate_profile
+from ..profiles import Profile, ProfileCodec, validate_profile
 
 
 class SuccinctGame:
     """A finite strategic game evaluated through exact integer utilities.
 
-    Subclasses set ``strategy_counts`` and implement ``utility``. Games are
-    observably immutable after construction: every evaluation is a pure
-    function of (game, player, profile). A class may keep the aggregate of
-    the last profile it evaluated (loads, histogram, winners) in a one-entry
-    ``(profile, aggregate)`` slot, matched by equality and replaced as one
-    tuple, so that the deviations of every player of one profile share it.
+    Subclasses set ``strategy_counts`` and ``codec`` and implement
+    ``utility``. Games are observably immutable after construction: every
+    evaluation is a pure function of (game, player, profile). A class may
+    keep the aggregate of the last profile it evaluated (loads, histogram,
+    winners) in a one-entry ``(profile, aggregate)`` slot, matched by
+    equality and replaced as one tuple, so that the deviations of every
+    player of one profile share it.
     """
 
     strategy_counts: tuple[int, ...]
+    codec: ProfileCodec
     _slot: tuple | None = None  # (profile, aggregate) of the last profile evaluated
 
     @property
@@ -28,7 +30,7 @@ class SuccinctGame:
     def utility(self, profile: Profile, player: int) -> int:
         raise NotImplementedError
 
-    def deviation_utilities(self, profile: Profile, player: int) -> list[int]:
+    def deviation_utilities(self, profile: Profile, player: int) -> Sequence[int]:
         """Utility of each strategy of ``player``, the others held fixed.
 
         The one evaluation hook of the dynamics engine; this default moves
@@ -40,6 +42,13 @@ class SuccinctGame:
             self.utility(before + (s,) + after, player)
             for s in range(self.strategy_counts[player])
         ]
+
+    def code_reader(self) -> tuple[Callable, Callable]:
+        """How a walk over profile codes reads deviation utilities: ``(key,
+        read)``, where ``read(key(code), player)`` is ``player``'s row at the
+        profile numbered ``code``. Here ``key`` decodes, once per state, and
+        ``read`` is ``deviation_utilities``."""
+        return self.codec.decode, self.deviation_utilities
 
     def _aggregate(self, profile: Profile):
         raise NotImplementedError

@@ -34,19 +34,27 @@ class TableGame(SuccinctGame):
                 )
             frozen.append(t)
         self.tables = tuple(frozen)
+        self._strides = tuple(zip(self.tables, self.codec.place_weights, self.strategy_counts))
+
+    def _aggregate(self, profile: Profile) -> int:
+        return self.codec.encode(profile)  # a profile's aggregate is its code
 
     def utility(self, profile: Profile, player: int) -> int:
-        return self.tables[player][self.codec.encode(profile)]
+        return self.tables[player][self._profile_aggregate(profile)]
 
-    def deviation_utilities(self, profile: Profile, player: int):
-        base = self.codec.encode(profile)
-        weight = self.codec.place_weights[player]
-        current = profile[player]
-        table = self.tables[player]
-        return [
-            table[base + (s - current) * weight]
-            for s in range(self.strategy_counts[player])
-        ]
+    def _row(self, code: int, player: int) -> tuple[int, ...]:
+        """``player``'s deviation utilities at the profile numbered ``code``:
+        one strided slice of the player's table."""
+        table, weight, count = self._strides[player]
+        base = code - code // weight % count * weight
+        return table[base:base + count * weight:weight]
+
+    def deviation_utilities(self, profile: Profile, player: int) -> tuple[int, ...]:
+        return self._row(self._profile_aggregate(profile), player)
+
+    def code_reader(self):
+        # a code is its own key: rows are read without decoding
+        return int, self._row
 
     @classmethod
     def from_profile_map(cls, strategy_counts, payoffs) -> "TableGame":

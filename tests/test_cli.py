@@ -1,14 +1,21 @@
 import io
 import json
+import random
+from collections import Counter
 
 import pytest
 
 from sinkeq.cli import run_cli
 from sinkeq.cnf import CnfFormula
 from sinkeq.compilers import compile_sat_market
-from sinkeq.dynamics import has_singleton_sink
-from sinkeq.games import matching_pennies, prisoners_dilemma, coverage_instance
-from sinkeq.io import parse_game_file, serialize_game, serialize_tm
+from sinkeq.dynamics import has_singleton_sink, is_pure_ne
+from sinkeq.games import TableGame, matching_pennies, prisoners_dilemma, coverage_instance
+from sinkeq.io import (
+    parse_game_file,
+    parse_sidecar,
+    serialize_game,
+    serialize_tm,
+)
 
 
 def run(argv):
@@ -73,6 +80,43 @@ def test_cli_answers_match_library(pd_path):
     doc = json.loads(out)
     game = parse_game_file(open(pd_path).read())
     assert (doc["answer"] == "true") == has_singleton_sink(game)
+
+
+def check_has_pure_report(game, path):
+    """CLI has-pure names the lowest-coded pure NE and counts the profiles
+    scanned up to it; on NO it scanned them all."""
+    code, out, _ = run(["--format", "json", "has-pure", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    codec = game.codec
+    if doc["answer"] == "true":
+        witness = tuple(doc["extra"]["equilibrium"])
+        assert is_pure_ne(game, witness)
+        first = codec.encode(witness)
+        assert doc["stats"]["states_explored"] == first + 1
+    else:
+        assert "extra" not in doc
+        first = codec.num_profiles
+        assert doc["stats"]["states_explored"] == first
+    assert not any(is_pure_ne(game, codec.decode(k)) for k in range(first))
+    return doc["answer"]
+
+
+def test_has_pure_reports_the_first_equilibrium_and_the_profiles_scanned(tmp_path):
+    rng = random.Random(41)
+    answers = Counter()
+    for k in range(40):
+        game = TableGame.random(rng, max_players=4, max_profiles=81)
+        path = tmp_path / f"t{k}.json"
+        path.write_text(serialize_game(game))
+        answers[check_has_pure_report(game, path)] += 1
+    assert answers["true"] and answers["false"]
+    for k, text in enumerate(["p cnf 2 1\n-1 2 2 0\n", "p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n"]):
+        cnf, path = tmp_path / f"f{k}.cnf", tmp_path / f"f{k}.json"
+        cnf.write_text(text)
+        assert run(["compile", "sat2market", str(cnf), "-o", str(path)])[0] == 0
+        answer = check_has_pure_report(parse_game_file(path.read_bytes()), path)
+        assert answer == ("true" if k == 0 else "false")
 
 
 def test_simulate_walk(mp_path):
@@ -270,6 +314,23 @@ def test_verify_round_replays_the_gadget_it_is_given(tmp_path, flipper, kind):
     else:
         assert code == 0 and err == ""
         assert "verify-round: true" in out
+
+
+def test_verify_round_rejects_a_start_off_the_allowed_strategies(tmp_path, flipper):
+    source, game_path = tmp_path / "flipper.tm.json", tmp_path / "gadget.json"
+    source.write_text(serialize_tm(flipper))
+    assert run(["compile", "tm2anon", str(source), "-o", str(game_path)])[0] == 0
+    game = parse_game_file(game_path.read_bytes())
+    compiled = parse_sidecar((tmp_path / "gadget.symbols.json").read_bytes(), game)
+    start = list(compiled.initial)
+    start[3] += 1  # tape_0 from tape^b onto position^1, outside its allowed set
+    assert start[3] not in game.players[3].allowed
+    code, out, err = run(["--format", "json", "verify-round", str(game_path),
+                          "--profile", ",".join(map(str, start))])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["answer"] == "false" and doc["trace"] == []
+    assert doc["reason"] == "start profile: tape_0 may not be on position^1"
 
 
 @pytest.mark.parametrize("option, value", [

@@ -1,0 +1,51 @@
+"""The full-space pass walks profile codes and gives the tuple walk's Closure.
+
+``state_space`` runs Tarjan over the codes 0 … num_profiles−1 through
+``StateGraph.code_successors`` and decodes its states once at the end. Here
+it is compared, field by field, with a naive pass over tuple profiles in code
+order, expanded through ``StateGraph.successors``, on hypothesis-random
+table, congestion, anonymous and market games under both semantics.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sinkeq.dynamics import EdgeSemantics, StateGraph, _tarjan, state_space
+from sinkeq.games import TableGame
+
+from test_eval_once import random_anonymous, random_congestion, random_market
+
+RANDOM_GAMES = {
+    "table": lambda rng: TableGame.random(rng, max_players=4, max_profiles=96),
+    "congestion-shared": lambda rng: random_congestion(rng, "shared"),
+    "congestion-player-specific": lambda rng: random_congestion(rng, "player_specific"),
+    "anonymous": random_anonymous,
+    "market": random_market,
+}
+
+
+def tuple_walk(graph):
+    """Every profile in code order as a root, expanded as tuples."""
+    codec = graph.codec
+    profiles = [codec.decode(k) for k in range(codec.num_profiles)]
+    return _tarjan(profiles, lambda v: [w for w, _ in graph.successors(v)])
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_GAMES))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_code_walk_matches_the_tuple_walk(kind, seed):
+    game = RANDOM_GAMES[kind](random.Random(seed))
+    for semantics in EdgeSemantics:
+        graph = StateGraph(game, semantics)
+        walked, naive = state_space(graph), tuple_walk(graph)
+        assert walked.exhausted and naive.exhausted
+        assert walked.states == naive.states
+        assert walked.index == naive.index
+        assert walked.successors == naive.successors
+        assert walked.components == naive.components
+        assert walked.sinks == naive.sinks
+        assert walked.edges == naive.edges
+        assert walked.codes == [game.codec.encode(v) for v in walked.states]

@@ -72,13 +72,13 @@ def test_best_response_edges_subset_of_improvement():
 
 def test_has_pure_stops_at_the_first_improving_player(monkeypatch):
     evaluated = Counter()
-    deviation_utilities = TableGame.deviation_utilities
+    row = TableGame._row  # every read of a table row goes through it
 
-    def counting(self, profile, player):
+    def counting(self, code, player):
         evaluated[player] += 1
-        return deviation_utilities(self, profile, player)
+        return row(self, code, player)
 
-    monkeypatch.setattr(TableGame, "deviation_utilities", counting)
+    monkeypatch.setattr(TableGame, "_row", counting)
     rng = random.Random(5)
     for _ in range(60):
         game = TableGame.random(rng)

@@ -1,7 +1,8 @@
 """The traversal expands every state once, and the CLI's stats come from it.
 
-``StateGraph.successors`` or ``improving_moves`` is counted per profile while
-a question runs; the library questions and the CLI commands must call it
+``StateGraph.successors`` or ``improving_moves`` (forward closures) and
+``code_successors`` (the full-space walk) are counted per profile while a
+question runs; the library questions and the CLI commands must call it
 exactly once for every state they explore, and so must ``export-dot`` and
 ``closures_isomorphic``, which read the successor lists the pass records.
 Those lists are checked against a fresh expansion. The CLI's ``edges`` and
@@ -35,6 +36,7 @@ from sinkeq.dynamics import (
     WalkOutcome,
     bottom_sccs,
     forward_closure,
+    has_singleton_sink,
     in_a_sink,
     sccs,
     simulate_walk,
@@ -44,13 +46,30 @@ from sinkeq.dynamics import (
 from sinkeq.errors import CapExceededError
 from sinkeq.games import TableGame
 from sinkeq.io import serialize_game, serialize_sidecar
+from sinkeq.profiles import ProfileCodec
 
 from _oracles import bitset_bottom_sccs
 
 
+def count_code_successors(monkeypatch, key):
+    """Count ``StateGraph.code_successors`` calls (the full-space walk) by
+    ``key(graph, profile)``, the profile decoded from the code."""
+    calls = Counter()
+    code_successors = StateGraph.code_successors
+
+    def counting(self, code):
+        calls[key(self, self.codec.decode(code))] += 1
+        return code_successors(self, code)
+
+    monkeypatch.setattr(StateGraph, "code_successors", counting)
+    return calls
+
+
 @pytest.fixture
 def expansions(monkeypatch):
-    calls = Counter()
+    """States expanded, by profile: ``successors`` (forward closures) plus
+    ``code_successors`` (the full-space walk)."""
+    calls = count_code_successors(monkeypatch, lambda graph, profile: profile)
     successors = StateGraph.successors
 
     def counting(self, profile):
@@ -63,8 +82,8 @@ def expansions(monkeypatch):
 
 @pytest.fixture
 def moves(monkeypatch):
-    """``improving_moves`` calls, keyed by (game, profile)."""
-    calls = Counter()
+    """``improving_moves`` and ``code_successors`` calls, keyed by (game, profile)."""
+    calls = count_code_successors(monkeypatch, lambda graph, profile: (id(graph.game), profile))
     improving_moves = StateGraph.improving_moves
 
     def counting(self, profile):
@@ -146,6 +165,19 @@ def test_table_questions_expand_each_profile_once(table_4_6, tmp_path, expansion
         doc = cli_json(argv)
         assert set(expansions.values()) == {1}
         assert len(expansions) == doc["stats"]["states_explored"]
+
+
+def test_full_space_questions_encode_no_profile(table_4_6, monkeypatch):
+    encoded = []
+    encode = ProfileCodec.encode
+
+    def counting(self, profile):
+        encoded.append(profile)
+        return encode(self, profile)
+
+    monkeypatch.setattr(ProfileCodec, "encode", counting)
+    assert sinks(table_4_6) and has_singleton_sink(table_4_6)
+    assert encoded == []
 
 
 def test_cli_stats_match_an_independent_count(tmp_path):
