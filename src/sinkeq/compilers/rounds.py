@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from ..dynamics import EdgeSemantics, StateGraph
 from ..profiles import Profile
-from ..turing import MOVE_OFFSET, TMSpec, tm_step
+from ..turing import TMSpec, tm_step
 from .anonymous import (
     STRATEGIES,
     _S,
@@ -31,11 +31,14 @@ class RoundMove:
 
 @dataclass
 class RoundReport:
-    matches: bool
     trace: list[RoundMove] = field(default_factory=list)
     failure: str | None = None
     end_profile: Profile | None = None
     end_config: object = None
+
+    @property
+    def matches(self) -> bool:
+        return self.failure is None
 
 
 def _apply(profile: Profile, player: int, strategy: int) -> Profile:
@@ -49,24 +52,30 @@ def _named(symbols, moves) -> list[tuple[str, str]]:
     )
 
 
-def _run_rows(compiled, graph, profile, rows, trace, allowance=None, prefix=""):
-    """Walk rows of (label, allowed(P), done(P)) from ``profile``.
+def _pins(profile: Profile, targets: dict[int, int]) -> set[tuple[int, int]]:
+    """Moves of the players in ``targets`` ({player: strategy}) not yet on
+    their target strategies."""
+    return {(p, s) for p, s in targets.items() if profile[p] != s}
 
-    Until a row is done, the qualifying moves at each profile must be exactly
-    ``allowed(P)``, minus the moves in ``allowance(P)`` (the Halt deviation
-    once the state player sits on the halting state); the lowest allowed move
-    is applied and recorded. A row that is not done after 10·n moves fails.
-    A failure text starts with ``prefix`` and the row's label. Returns
-    (profile, None) or (profile, failure).
+
+def _run_rows(compiled, graph, profile, rows, trace, allowance=None, prefix=""):
+    """Walk rows of (label, allowed(P)) from ``profile``.
+
+    A row ends at the first profile where it allows no move. Until then the
+    qualifying moves at each profile must be exactly ``allowed(P)``, minus
+    the moves in ``allowance(P)`` (the Halt deviation once the state player
+    sits on the halting state); the lowest allowed move is applied and
+    recorded. A row that has not ended after 10·n moves fails. A failure
+    text starts with ``prefix`` and the row's label. Returns (profile, None)
+    or (profile, failure).
     """
     symbols = compiled.symbols
-    for label, allowed_fn, done_fn in rows:
+    for label, allowed_fn in rows:
         moves = 0
-        while not done_fn(profile):
+        while allowed := allowed_fn(profile):
             moves += 1
             if moves > 10 * compiled.game.num_players:
                 return profile, f"{prefix}{label}: no progress"
-            allowed = allowed_fn(profile)
             actual = {(p, s) for p, s, _ in graph.improving_moves(profile)}
             if allowance is not None:
                 actual -= allowance(profile)
@@ -80,16 +89,10 @@ def _run_rows(compiled, graph, profile, rows, trace, allowance=None, prefix=""):
     return profile, None
 
 
-def _scripted(steps):
-    """Rows from scripted steps (label, {player: target strategy}): each
-    player not yet on its target may move there, and the step is done when
-    every player is."""
-    return [
-        (label,
-         lambda P, t=targets: {(p, s) for p, s in t.items() if P[p] != s},
-         lambda P, t=targets: all(P[p] == s for p, s in t.items()))
-        for label, targets in steps
-    ]
+def _steps(compiled, graph, profile, steps, trace, allowance=None):
+    """Run scripted steps (label, {player: target strategy}) as pin rows."""
+    rows = [(label, lambda P, t=targets: _pins(P, t)) for label, targets in steps]
+    return _run_rows(compiled, graph, profile, rows, trace, allowance, prefix="step ")
 
 
 def verify_round_weighted(
@@ -106,30 +109,23 @@ def verify_round_weighted(
     spec: TMSpec = compiled.machine
     symbols = compiled.symbols
     profile = compiled.initial if start is None else tuple(start)
-    report = RoundReport(matches=False)
     strat, player = symbols.strategy, symbols.player
 
     for role in symbols.players:
         want = round_start_strategy(role)
         if want is not None and profile[player(role)] != strat(role, want):
-            report.failure = f"start profile: {role} must be on {want}"
-            return report
+            return RoundReport(failure=f"start profile: {role} must be on {want}")
 
     config = decode_config(compiled, profile)
     graph = StateGraph(compiled.game, EdgeSemantics.IMPROVEMENT)
-    trace = report.trace
+    trace: list[RoundMove] = []
 
     if config.state == spec.q_halt:
         steps = [("halt", {player("transition"): strat("transition", "Halt")})]
-        profile, failure = _run_rows(compiled, graph, profile, _scripted(steps), trace,
-                                     prefix="step ")
+        profile, failure = _steps(compiled, graph, profile, steps, trace)
         if failure is None and graph.improving_moves(profile):
             failure = "halt profile is not a pure Nash equilibrium"
-        report.failure = failure
-        report.matches = failure is None
-        report.end_profile = profile
-        report.end_config = config
-        return report
+        return RoundReport(trace, failure, profile, config)
 
     q, i, sym = config.state, config.head, config.tape[config.head]
     tau = delta_tuple(spec, q, i, sym)
@@ -175,16 +171,11 @@ def verify_round_weighted(
             player("control_D"): strat("control_D", "Zero"),
         }),
     ]
-    profile, failure = _run_rows(compiled, graph, profile, _scripted(steps), trace,
-                                 extra_allowed, prefix="step ")
+    profile, failure = _steps(compiled, graph, profile, steps, trace, extra_allowed)
     expected_config = tm_step(spec, config)
     if failure is None and profile != round_start_profile(compiled, expected_config):
         failure = "end profile is not the round start of the successor configuration"
-    report.failure = failure
-    report.matches = failure is None
-    report.end_profile = profile
-    report.end_config = expected_config if failure is None else None
-    return report
+    return RoundReport(trace, failure, profile, expected_config if failure is None else None)
 
 
 def _class_indices(symbols, prefix: str) -> list[int]:
@@ -201,37 +192,30 @@ def verify_round_anonymous(
 
     Balancing rows allow any member of the moving class to step (the players
     are interchangeable); every row's qualifying moves must stay inside the
-    row's allowed set, and each row must reach its milestone.
+    row's allowed set until the row allows no move.
     """
     spec: TMSpec = compiled.machine
     symbols = compiled.symbols
     profile = compiled.initial if start is None else tuple(start)
-    report = RoundReport(matches=False)
-    rank = state_rank(spec)
 
     c1 = symbols.player("control1")
     c2 = symbols.player("control2")
     if profile[c1] != _S["init"]:
-        report.failure = "start profile: control1 must be on init"
-        return report
+        return RoundReport(failure="start profile: control1 must be on init")
     for player, choice in enumerate(profile):
         if choice not in compiled.game.players[player].allowed:
-            report.failure = (f"start profile: {symbols.role_of(player)} may not be on "
-                              f"{STRATEGIES[choice]}")
-            return report
+            return RoundReport(failure=(f"start profile: {symbols.role_of(player)} may not be "
+                                        f"on {STRATEGIES[choice]}"))
     try:
         config = decode_anonymous_config(compiled, profile)
     except ValueError as exc:
-        report.failure = f"start profile: {exc}"
-        return report
+        return RoundReport(failure=f"start profile: {exc}")
     if config.state == spec.q_halt:
-        report.failure = "start configuration is already halted"
-        return report
+        return RoundReport(failure="start configuration is already halted")
 
-    q, i, sym = config.state, config.head, config.tape[config.head]
-    q2, sym2, move = spec.delta[(q, sym)]
-    i2 = i + MOVE_OFFSET[move]
-    q2_rank = rank[q2]
+    i, sym = config.head, config.tape[config.head]
+    tau = delta_tuple(spec, config.state, i, sym)
+    i2, sym2, q2_rank = tau.i2, tau.sym2, state_rank(spec)[tau.q2]
 
     cells = _class_indices(symbols, "cell")
     tapes = _class_indices(symbols, "tape")
@@ -266,10 +250,6 @@ def verify_round_anonymous(
             return {(p, _S[zero_name]) for p in players if profile[p] == _S[one_name]}
         return set()
 
-    def follower(profile, x_name):
-        return {(c2, _S[x_name])} if profile[c2] != _S[x_name] else set()
-
-    cell_names = [f"cell^{s}" for s in ("0", "1", "b")]
     tape_names = [f"tape^{s}" for s in ("0", "1", "b")]
 
     def tape_targets(profile):
@@ -277,75 +257,40 @@ def verify_round_anonymous(
             f"tape^{s}": counts(profile, cells, f"cell^{s}") for s in ("0", "1", "b")
         }
 
-    # Each phase: (row label, allowed-moves fn, completion fn).
-    phases = [
-        ("row 2", lambda P: follower(P, "Xinit") | histogram_moves(
-            P, tapes, tape_names, tape_targets(P)),
-            lambda P: P[c2] == _S["Xinit"] and not histogram_moves(
-                P, tapes, tape_names, tape_targets(P))),
-        ("row 3", lambda P: {(c1, _S["tape-change"])},
-            lambda P: P[c1] == _S["tape-change"]),
-        ("row 4", lambda P: follower(P, "Xtape-change")
-            | ({(cell_head, _S["change"])} if P[cell_head] != _S["change"] else set()),
-            lambda P: P[c2] == _S["Xtape-change"] and P[cell_head] == _S["change"]),
-        ("row 5", lambda P: {(c1, _S["eval-tape"])},
-            lambda P: P[c1] == _S["eval-tape"]),
-        ("row 6", lambda P: follower(P, "Xeval-tape")
-            | ({(symbol_p, _S[f"symbol^{sym}"])}
-               if P[symbol_p] != _S[f"symbol^{sym}"] else set()),
-            lambda P: P[c2] == _S["Xeval-tape"] and P[symbol_p] == _S[f"symbol^{sym}"]),
-        ("row 7", lambda P: {(c1, _S["new-sym"])},
-            lambda P: P[c1] == _S["new-sym"]),
-        ("row 8", lambda P: follower(P, "Xnew-sym")
-            | ({(new_sym_p, _S[f"new-sym^{sym2}"])}
-               if P[new_sym_p] != _S[f"new-sym^{sym2}"] else set()),
-            lambda P: P[c2] == _S["Xnew-sym"] and P[new_sym_p] == _S[f"new-sym^{sym2}"]),
-        ("row 9", lambda P: {(c1, _S["new-sym2"])},
-            lambda P: P[c1] == _S["new-sym2"]),
-        ("row 10", lambda P: follower(P, "Xnew-sym2")
-            | ({(cell_head, _S[f"cell^{sym2}"])}
-               if P[cell_head] != _S[f"cell^{sym2}"] else set()),
-            lambda P: P[c2] == _S["Xnew-sym2"] and P[cell_head] == _S[f"cell^{sym2}"]),
-        ("row 11", lambda P: {(c1, _S["new-pos"])},
-            lambda P: P[c1] == _S["new-pos"]),
-        ("row 12", lambda P: follower(P, "Xnew-pos")
-            | unary_moves(P, new_pos, "new-pos^1", "new-pos^0", i2),
-            lambda P: P[c2] == _S["Xnew-pos"]
-            and counts(P, new_pos, "new-pos^1") == i2),
-        ("row 13", lambda P: {(c1, _S["new-pos2"])},
-            lambda P: P[c1] == _S["new-pos2"]),
-        ("row 14", lambda P: follower(P, "Xnew-pos2")
-            | unary_moves(P, positions, "position^1", "position^0", i2),
-            lambda P: P[c2] == _S["Xnew-pos2"]
-            and counts(P, positions, "position^1") == i2),
-        ("row 15", lambda P: {(c1, _S["new-state"])},
-            lambda P: P[c1] == _S["new-state"]),
-        ("row 16", lambda P: follower(P, "Xnew-state")
-            | unary_moves(P, new_states, "new-state^1", "new-state^0", q2_rank),
-            lambda P: P[c2] == _S["Xnew-state"]
-            and counts(P, new_states, "new-state^1") == q2_rank),
-        ("row 17", lambda P: {(c1, _S["new-state2"])},
-            lambda P: P[c1] == _S["new-state2"]),
-        ("row 18", lambda P: follower(P, "Xnew-state2")
-            | unary_moves(P, states, "state^1", "state^0", q2_rank),
-            lambda P: P[c2] == _S["Xnew-state2"]
-            and counts(P, states, "state^1") == q2_rank),
-        ("row 19", lambda P: {(c1, _S["init"])},
-            lambda P: P[c1] == _S["init"]),
+    # Each row: (row label, allowed moves at P); it ends when none are allowed.
+    rows = [
+        ("row 2", lambda P: _pins(P, {c2: _S["Xinit"]})
+            | histogram_moves(P, tapes, tape_names, tape_targets(P))),
+        ("row 3", lambda P: _pins(P, {c1: _S["tape-change"]})),
+        ("row 4", lambda P: _pins(P, {c2: _S["Xtape-change"], cell_head: _S["change"]})),
+        ("row 5", lambda P: _pins(P, {c1: _S["eval-tape"]})),
+        ("row 6", lambda P: _pins(P, {c2: _S["Xeval-tape"], symbol_p: _S[f"symbol^{sym}"]})),
+        ("row 7", lambda P: _pins(P, {c1: _S["new-sym"]})),
+        ("row 8", lambda P: _pins(P, {c2: _S["Xnew-sym"], new_sym_p: _S[f"new-sym^{sym2}"]})),
+        ("row 9", lambda P: _pins(P, {c1: _S["new-sym2"]})),
+        ("row 10", lambda P: _pins(P, {c2: _S["Xnew-sym2"], cell_head: _S[f"cell^{sym2}"]})),
+        ("row 11", lambda P: _pins(P, {c1: _S["new-pos"]})),
+        ("row 12", lambda P: _pins(P, {c2: _S["Xnew-pos"]})
+            | unary_moves(P, new_pos, "new-pos^1", "new-pos^0", i2)),
+        ("row 13", lambda P: _pins(P, {c1: _S["new-pos2"]})),
+        ("row 14", lambda P: _pins(P, {c2: _S["Xnew-pos2"]})
+            | unary_moves(P, positions, "position^1", "position^0", i2)),
+        ("row 15", lambda P: _pins(P, {c1: _S["new-state"]})),
+        ("row 16", lambda P: _pins(P, {c2: _S["Xnew-state"]})
+            | unary_moves(P, new_states, "new-state^1", "new-state^0", q2_rank)),
+        ("row 17", lambda P: _pins(P, {c1: _S["new-state2"]})),
+        ("row 18", lambda P: _pins(P, {c2: _S["Xnew-state2"]})
+            | unary_moves(P, states, "state^1", "state^0", q2_rank)),
+        ("row 19", lambda P: _pins(P, {c1: _S["init"]})),
     ]
 
     graph = StateGraph(compiled.game, EdgeSemantics.IMPROVEMENT)
-    profile, report.failure = _run_rows(compiled, graph, profile, phases, report.trace)
-    if report.failure is not None:
-        return report
-    end_config = decode_anonymous_config(compiled, profile)
-    expected = tm_step(spec, config)
-    if end_config != expected:
-        report.failure = (
-            f"end configuration {end_config} differs from the machine step {expected}"
-        )
-        return report
-    report.matches = True
-    report.end_profile = profile
-    report.end_config = end_config
-    return report
+    trace: list[RoundMove] = []
+    profile, failure = _run_rows(compiled, graph, profile, rows, trace)
+    if failure is None:
+        end_config = decode_anonymous_config(compiled, profile)
+        expected = tm_step(spec, config)
+        if end_config == expected:
+            return RoundReport(trace, None, profile, end_config)
+        failure = f"end configuration {end_config} differs from the machine step {expected}"
+    return RoundReport(trace, failure)

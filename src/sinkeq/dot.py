@@ -14,7 +14,7 @@ def export_dot(closure: Closure, codec: ProfileCodec, decode: bool = False) -> s
     which the two ends differ. Sink members get a double circle.
     """
     states = closure.states
-    pids = [codec.encode(v) for v in states]
+    pids = closure.codes or [codec.encode(v) for v in states]
     in_sink = {v for comp in closure.sinks for v in comp}
     order = sorted(range(len(states)), key=pids.__getitem__)
     lines = ["digraph state_graph {"]

@@ -1,13 +1,6 @@
 from .base import CostGame, SuccinctGame
 from .table import TableGame, matching_pennies, prisoners_dilemma
-from .congestion import (
-    PLAYER_SPECIFIC,
-    SHARED,
-    CongestionGame,
-    constant,
-    three_level,
-    two_level,
-)
+from .congestion import PLAYER_SPECIFIC, SHARED, CongestionGame
 from .anonymous import (
     Add,
     And,
@@ -34,7 +27,6 @@ __all__ = [
     "SuccinctGame", "CostGame",
     "TableGame", "prisoners_dilemma", "matching_pennies",
     "CongestionGame", "SHARED", "PLAYER_SPECIFIC",
-    "two_level", "three_level", "constant",
     "AnonymousGame", "AnonymousPlayer",
     "Const", "Count", "Add", "Sub", "Cmp", "And",
     "count_eq", "count_ge", "expr_from_json", "predicate_from_json",

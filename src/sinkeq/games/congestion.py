@@ -12,23 +12,6 @@ SHARED = "shared"
 PLAYER_SPECIFIC = "player_specific"
 
 
-def two_level(low: int, high: int, max_load: int) -> dict[int, int]:
-    """Delay ``low`` at load 1 and ``high`` for every load above."""
-    return {load: (low if load <= 1 else high) for load in range(1, max_load + 1)}
-
-
-def three_level(d1: int, d2: int, d3: int, max_load: int) -> dict[int, int]:
-    """Delays at loads 1, 2, and >= 3 respectively."""
-    table = {}
-    for load in range(1, max_load + 1):
-        table[load] = d1 if load == 1 else (d2 if load == 2 else d3)
-    return table
-
-
-def constant(value: int, max_load: int) -> dict[int, int]:
-    return {load: value for load in range(1, max_load + 1)}
-
-
 def _subset_sums(weights: Sequence[int]) -> set[int]:
     sums = {0}
     for w in weights:

@@ -82,13 +82,6 @@ class TwoSidedMarketGame(SuccinctGame):
         """The winning active agent per passive agent, or None if undemanded."""
         return list(self._profile_aggregate(profile)[0])
 
-    def winner_sets(self, profile: Profile) -> list[set[int]]:
-        sets: list[set[int]] = [set() for _ in self.active]
-        for y, x in enumerate(self._profile_aggregate(profile)[0]):
-            if x is not None:
-                sets[x].add(y)
-        return sets
-
     def utility(self, profile: Profile, player: int) -> int:
         winners = self._profile_aggregate(profile)[0]
         return sum(

@@ -333,6 +333,24 @@ def test_verify_round_rejects_a_start_off_the_allowed_strategies(tmp_path, flipp
     assert doc["reason"] == "start profile: tape_0 may not be on position^1"
 
 
+@pytest.mark.parametrize("kind, role, strategy", [
+    ("tm2wcg", "state", "q1"), ("tm2anon", "state_0", "state^1"),
+])
+def test_verify_round_rejects_a_step_off_the_tape(tmp_path, walker, kind, role, strategy):
+    # the walker in state 1 at cell 0 reads a blank and moves left
+    source, game_path = tmp_path / "walker.tm.json", tmp_path / "gadget.json"
+    source.write_text(serialize_tm(walker))
+    assert run(["compile", kind, str(source), "-o", str(game_path)])[0] == 0
+    game = parse_game_file(game_path.read_bytes())
+    compiled = parse_sidecar((tmp_path / "gadget.symbols.json").read_bytes(), game)
+    start = list(compiled.initial)
+    start[compiled.symbols.player(role)] = compiled.symbols.strategy(role, strategy)
+    code, out, err = run(["verify-round", str(game_path),
+                          "--profile", ",".join(map(str, start))])
+    assert code == 1 and out == ""
+    assert err == "error: transition from state 1 at cell 0 leaves the tape\n"
+
+
 @pytest.mark.parametrize("option, value", [
     ("--order", "a"), ("--order", "1,-2"), ("--max-steps", "-1"), ("--max-steps", "x"),
 ])

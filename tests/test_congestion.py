@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sinkeq.errors import ConfigurationError, UnsupportedGameError
-from sinkeq.games.congestion import (
-    PLAYER_SPECIFIC,
-    CongestionGame,
-    constant,
-    three_level,
-    two_level,
-)
+from sinkeq.games.congestion import PLAYER_SPECIFIC, CongestionGame
 
 from _oracles import congestion_cost_by_resource
 
@@ -108,12 +102,6 @@ def test_player_specific_rejects_weights():
             ["e"], [[[0]], [[0]]], [[{1: 0, 2: 0}, {1: 0, 2: 0}]],
             weights=[2, 1], mode=PLAYER_SPECIFIC,
         )
-
-
-def test_delay_table_builders():
-    assert two_level(0, 7, 3) == {1: 0, 2: 7, 3: 7}
-    assert three_level(0, 100, 100, 4) == {1: 0, 2: 100, 3: 100, 4: 100}
-    assert constant(110, 2) == {1: 110, 2: 110}
 
 
 @settings(max_examples=60, deadline=None)

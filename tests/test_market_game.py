@@ -53,7 +53,7 @@ def test_undemanded_market_has_no_winner():
     assert game.utility((0,), 0) == 0
 
 
-def test_winner_sets_are_disjoint_and_match_oracle():
+def test_utility_and_deviations_match_the_winner_set_oracle():
     rng = random.Random(11)
     for _ in range(20):
         n_passive = rng.randint(1, 4)
@@ -75,10 +75,6 @@ def test_winner_sets_are_disjoint_and_match_oracle():
         ]
         game = TwoSidedMarketGame(passive, active)
         for profile in game.codec.all_profiles():
-            sets = game.winner_sets(profile)
-            for a in range(n_active):
-                for b in range(a + 1, n_active):
-                    assert not sets[a] & sets[b]
             for player in range(n_active):
                 assert game.utility(profile, player) == (
                     market_utility_by_winner_sets(game, profile, player)

@@ -43,6 +43,7 @@ from sinkeq.dynamics import (
     sinks,
     state_space,
 )
+from sinkeq.dot import export_dot
 from sinkeq.errors import CapExceededError
 from sinkeq.games import TableGame
 from sinkeq.io import serialize_game, serialize_sidecar
@@ -177,6 +178,7 @@ def test_full_space_questions_encode_no_profile(table_4_6, monkeypatch):
 
     monkeypatch.setattr(ProfileCodec, "encode", counting)
     assert sinks(table_4_6) and has_singleton_sink(table_4_6)
+    assert export_dot(state_space(StateGraph(table_4_6)), table_4_6.codec)
     assert encoded == []
 
 
