@@ -41,7 +41,10 @@ def _integer(token: str, line_no: int) -> int:
 def parse_dimacs(text: str | bytes) -> CnfFormula:
     """Parse a DIMACS cnf document; clauses must have exactly 3 literals."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not valid UTF-8: {exc}") from None
     num_vars = None
     num_clauses = None
     clauses: list[tuple[int, int, int]] = []

@@ -63,8 +63,8 @@ def _run_rows(compiled, graph, profile, rows, trace, allowance=None, prefix=""):
 
     A row ends at the first profile where it allows no move. Until then the
     qualifying moves at each profile must be exactly ``allowed(P)``, minus
-    the moves in ``allowance(P)`` (the Halt deviation once the state player
-    sits on the halting state); the lowest allowed move is applied and
+    the moves in ``allowance(P)`` (the halt deviation once the machine state
+    is the halting one); the lowest allowed move is applied and
     recorded. A row that has not ended after 10·n moves fails. A failure
     text starts with ``prefix`` and the row's label. Returns (profile, None)
     or (profile, failure).
@@ -215,7 +215,8 @@ def verify_round_anonymous(
 
     i, sym = config.head, config.tape[config.head]
     tau = delta_tuple(spec, config.state, i, sym)
-    i2, sym2, q2_rank = tau.i2, tau.sym2, state_rank(spec)[tau.q2]
+    rank = state_rank(spec)
+    i2, sym2, q2_rank = tau.i2, tau.sym2, rank[tau.q2]
 
     cells = _class_indices(symbols, "cell")
     tapes = _class_indices(symbols, "tape")
@@ -286,7 +287,14 @@ def verify_round_anonymous(
 
     graph = StateGraph(compiled.game, EdgeSemantics.IMPROVEMENT)
     trace: list[RoundMove] = []
-    profile, failure = _run_rows(compiled, graph, profile, rows, trace)
+    halt_move = {(c1, _S["halt"])}
+
+    def halt_allowed(P):
+        # Once the state class holds the halting rank, control1's halt
+        # deviation qualifies alongside the remaining rows.
+        return halt_move if counts(P, states, "state^1") == rank[spec.q_halt] else set()
+
+    profile, failure = _run_rows(compiled, graph, profile, rows, trace, halt_allowed)
     if failure is None:
         end_config = decode_anonymous_config(compiled, profile)
         expected = tm_step(spec, config)

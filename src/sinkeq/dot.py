@@ -6,12 +6,12 @@ from .dynamics import Closure
 from .profiles import ProfileCodec
 
 
-def export_dot(closure: Closure, codec: ProfileCodec, decode: bool = False) -> str:
+def export_dot(closure: Closure, codec: ProfileCodec) -> str:
     """Render a closure's states and its recorded edges.
 
-    Vertices are labeled by profile index (plus the profile itself when
-    ``decode`` is set), edges by the moving player, the one coordinate in
-    which the two ends differ. Sink members get a double circle.
+    Vertices are labeled by profile index, edges by the moving player, the
+    one coordinate in which the two ends differ. Sink members get a double
+    circle.
     """
     states = closure.states
     pids = closure.codes or [codec.encode(v) for v in states]
@@ -19,11 +19,8 @@ def export_dot(closure: Closure, codec: ProfileCodec, decode: bool = False) -> s
     order = sorted(range(len(states)), key=pids.__getitem__)
     lines = ["digraph state_graph {"]
     for k in order:
-        label = str(pids[k])
-        if decode:
-            label += f": ({', '.join(map(str, states[k]))})"
         shape = ' shape=doublecircle' if states[k] in in_sink else ""
-        lines.append(f'  n{pids[k]} [label="{label}"{shape}];')
+        lines.append(f'  n{pids[k]} [label="{pids[k]}"{shape}];')
     for k in order:
         source = states[k]
         for j in closure.successors[k]:

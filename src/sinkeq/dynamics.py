@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError, SinkeqError, UnsupportedGameError
-from .games.base import CostGame, SuccinctGame
+from .games.base import SuccinctGame
 from .games.congestion import CongestionGame
 from .profiles import Profile
 
@@ -163,9 +163,6 @@ class Closure:
     index: dict[Profile, int]
     codes: list[int] | None = None
 
-    def __contains__(self, profile: Profile) -> bool:
-        return profile in self.index
-
     def __len__(self) -> int:
         return len(self.states)
 
@@ -195,8 +192,8 @@ def is_pure_ne(game: SuccinctGame, profile: Profile) -> bool:
 
 def is_alpha_ne(game: SuccinctGame, profile: Profile, alpha) -> bool:
     """Every deviation's cost stays at least (1 - alpha) of the current cost."""
-    if not isinstance(game, CostGame):
-        raise UnsupportedGameError("alpha-Nash equilibria are defined on cost games")
+    if not isinstance(game, CongestionGame):
+        raise UnsupportedGameError("alpha-Nash equilibria are defined on congestion games")
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")

@@ -1,4 +1,4 @@
-from .base import CostGame, SuccinctGame
+from .base import SuccinctGame
 from .table import TableGame, matching_pennies, prisoners_dilemma
 from .congestion import PLAYER_SPECIFIC, SHARED, CongestionGame
 from .anonymous import (
@@ -24,7 +24,7 @@ from .valid_utility import (
 )
 
 __all__ = [
-    "SuccinctGame", "CostGame",
+    "SuccinctGame",
     "TableGame", "prisoners_dilemma", "matching_pennies",
     "CongestionGame", "SHARED", "PLAYER_SPECIFIC",
     "AnonymousGame", "AnonymousPlayer",

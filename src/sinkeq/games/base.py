@@ -64,13 +64,3 @@ class SuccinctGame:
 
     def validate_profile(self, profile: Sequence[int]) -> Profile:
         return validate_profile(self.strategy_counts, profile)
-
-
-class CostGame(SuccinctGame):
-    """A cost-minimizing game; utility is the negated cost."""
-
-    def cost(self, profile: Profile, player: int) -> int:
-        raise NotImplementedError
-
-    def utility(self, profile: Profile, player: int) -> int:
-        return -self.cost(profile, player)

@@ -6,7 +6,7 @@ from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError, UnsupportedGameError
 from ..profiles import Profile, ProfileCodec
-from .base import CostGame
+from .base import SuccinctGame
 
 SHARED = "shared"
 PLAYER_SPECIFIC = "player_specific"
@@ -20,7 +20,7 @@ def _subset_sums(weights: Sequence[int]) -> set[int]:
     return sums
 
 
-class CongestionGame(CostGame):
+class CongestionGame(SuccinctGame):
     """Resource cost game; player cost sums per-resource delays at the load.
 
     ``strategies[i]`` lists player ``i``'s strategies, each a set of resource
@@ -76,6 +76,14 @@ class CongestionGame(CostGame):
 
         self.delays = self._freeze_delays(delays, n, n_res)
         self._check_delay_coverage()
+        # _tables[i][e]: the delay table player i reads for resource e
+        if mode == SHARED:
+            self._tables = (self.delays,) * n
+        else:
+            self._tables = tuple(
+                {e: self.delays[e][i] for e in frozenset().union(*strats)}
+                for i, strats in enumerate(self.strategies)
+            )
 
     def _freeze_delays(self, delays, n_players, n_res):
         if len(delays) != n_res:
@@ -137,47 +145,37 @@ class CongestionGame(CostGame):
                         )
 
     def loads(self, profile: Profile) -> list[int]:
-        """Weighted load per resource (shared) or user count (player-specific)."""
+        """Weighted load per resource: the user count under unit weights."""
         loads = [0] * len(self.resources)
-        for i, choice in enumerate(profile):
-            add = self.weights[i] if self.mode == SHARED else 1
-            for e in self.strategies[i][choice]:
-                loads[e] += add
+        for w, strats, choice in zip(self.weights, self.strategies, profile):
+            for e in strats[choice]:
+                loads[e] += w
         return loads
 
     _aggregate = loads
 
     def cost(self, profile: Profile, player: int) -> int:
-        return self._cost_at(profile, player, profile[player], self._profile_aggregate(profile))
+        loads = self._profile_aggregate(profile)
+        table = self._tables[player]
+        return sum(table[e][loads[e]] for e in self.strategies[player][profile[player]])
 
-    def _cost_at(self, profile, player, choice, loads):
-        strat = self.strategies[player][choice]
-        if self.mode == SHARED:
-            return sum(self.delays[e][loads[e]] for e in strat)
-        return sum(self.delays[e][player][loads[e]] for e in strat)
+    def utility(self, profile: Profile, player: int) -> int:
+        return -self.cost(profile, player)
 
-    def deviation_costs(self, profile: Profile, player: int):
-        """Cost of every strategy of ``player`` holding the others fixed.
-
-        Returns a list aligned with the player's strategy indices. The load
-        vector is computed once per profile and shared by every player.
-        """
+    def deviation_utilities(self, profile: Profile, player: int):
+        """Negated cost of every strategy of ``player``, the others held
+        fixed, read off the one load vector shared by every player."""
         loads = self._profile_aggregate(profile)
         current = self.strategies[player][profile[player]]
-        shared = self.mode == SHARED
-        add = self.weights[player] if shared else 1
-        delays = self.delays
+        add = self.weights[player]
+        table = self._tables[player]
         out = []
         for strat in self.strategies[player]:
             total = 0
             for e in strat:
-                table = delays[e] if shared else delays[e][player]
-                total += table[loads[e] if e in current else loads[e] + add]
+                total -= table[e][loads[e] if e in current else loads[e] + add]
             out.append(total)
         return out
-
-    def deviation_utilities(self, profile: Profile, player: int):
-        return [-c for c in self.deviation_costs(profile, player)]
 
     @property
     def unweighted_shared(self) -> bool:

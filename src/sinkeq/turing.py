@@ -19,6 +19,7 @@ from .errors import ConfigurationError, CapExceededError, TapeBoundError
 SYMBOLS = ("0", "1", "b")
 MOVES = ("L", "S", "R")
 MOVE_OFFSET = {"L": -1, "S": 0, "R": 1}
+MAX_T_PRIME = 64  # the largest tape bound wrap_machine builds
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,7 @@ def counter_width(machine: TMSpec, t: int) -> int:
     return math.ceil(math.log2(configs)) + 1
 
 
-def wrap_machine(machine: TMSpec, x: str, t: int, halt_is_accept: bool = False,
-                 max_t_prime: int = 64) -> TMSpec:
+def wrap_machine(machine: TMSpec, x: str, t: int, halt_is_accept: bool = False) -> TMSpec:
     """Build the looping wrapper for ``machine`` run on ``x`` within ``t`` cells.
 
     The wrapper writes ``x``, zeroes a ``w``-bit step counter on cells
@@ -168,9 +168,9 @@ def wrap_machine(machine: TMSpec, x: str, t: int, halt_is_accept: bool = False,
         raise ConfigurationError("input symbols must be 0 or 1")
     w = counter_width(machine, t)
     t_prime = t + w
-    if t_prime > max_t_prime:
+    if t_prime > MAX_T_PRIME:
         raise ConfigurationError(
-            f"wrapper needs tape bound {t_prime}, above the maximum {max_t_prime}"
+            f"wrapper needs tape bound {t_prime}, above the maximum {MAX_T_PRIME}"
         )
 
     b = _StateBuilder()

@@ -12,10 +12,8 @@ import itertools
 def congestion_cost_by_resource(game, profile, player):
     """Per-resource accumulation written independently of CongestionGame.cost."""
     total = 0
-    for e in range(len(game.resources)):
+    for e in game.strategies[player][profile[player]]:
         users = [i for i, c in enumerate(profile) if e in game.strategies[i][c]]
-        if player not in users:
-            continue
         if game.mode == "shared":
             load = sum(game.weights[i] for i in users)
             total += game.delays[e][load]

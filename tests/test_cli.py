@@ -7,7 +7,7 @@ import pytest
 
 from sinkeq.cli import run_cli
 from sinkeq.cnf import CnfFormula
-from sinkeq.compilers import compile_sat_market
+from sinkeq.compilers import compile_sat_market, verify_round_anonymous
 from sinkeq.dynamics import has_singleton_sink, is_pure_ne
 from sinkeq.games import TableGame, matching_pennies, prisoners_dilemma, coverage_instance
 from sinkeq.io import (
@@ -16,6 +16,7 @@ from sinkeq.io import (
     serialize_game,
     serialize_tm,
 )
+from sinkeq.turing import initial_config, tm_step
 
 
 def run(argv):
@@ -349,6 +350,31 @@ def test_verify_round_rejects_a_step_off_the_tape(tmp_path, walker, kind, role, 
                           "--profile", ",".join(map(str, start))])
     assert code == 1 and out == ""
     assert err == "error: transition from state 1 at cell 0 leaves the tape\n"
+
+
+def test_verify_round_replays_a_step_into_the_halting_state_on_tm2anon(tmp_path, halter):
+    # from row 18 on the state class holds the halting rank, so control1's
+    # halt deviation qualifies beside the moves that finish the round
+    source, game_path = tmp_path / "halter.tm.json", tmp_path / "gadget.json"
+    source.write_text(serialize_tm(halter))
+    assert run(["compile", "tm2anon", str(source), "-o", str(game_path)])[0] == 0
+    code, out, err = run(["verify-round", str(game_path)])
+    assert code == 0 and err == ""
+    assert "verify-round: true" in out
+    game = parse_game_file(game_path.read_bytes())
+    compiled = parse_sidecar((tmp_path / "gadget.symbols.json").read_bytes(), game)
+    report = verify_round_anonymous(compiled)
+    assert report.end_config == tm_step(halter, initial_config(halter))
+    assert report.end_config.state == halter.q_halt
+
+
+def test_compile_names_a_dimacs_file_that_is_not_utf8(tmp_path):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_bytes(b"p cnf 1 2\n1 1 \xff 0\n")
+    code, out, err = run(["compile", "sat2market", str(cnf), "-o", str(tmp_path / "g.json")])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cnf}: not valid UTF-8: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("option, value", [

@@ -148,10 +148,8 @@ def test_no_reachable_profile_costs_the_penalty(flipper, halter):
         closure = forward_closure(graph, compiled.initial)
         assert closure.exhausted
         for profile in closure.states:
-            loads = compiled.game.loads(profile)
             for player in range(compiled.game.num_players):
-                cost = compiled.game._cost_at(profile, player, profile[player], loads)
-                assert cost < compiled.penalty
+                assert compiled.game.cost(profile, player) < compiled.penalty
 
 
 def round_start_states(compiled, closure):

@@ -61,10 +61,10 @@ def test_deviation_costs_match_pointwise_eval():
     )
     for profile in game.codec.all_profiles():
         for player in range(3):
-            devs = game.deviation_costs(profile, player)
-            for s, cost in enumerate(devs):
+            devs = game.deviation_utilities(profile, player)
+            for s, utility in enumerate(devs):
                 moved = profile[:player] + (s,) + profile[player + 1:]
-                assert cost == game.cost(moved, player)
+                assert -utility == game.cost(moved, player)
 
 
 def test_missing_delay_for_reachable_load_rejected():

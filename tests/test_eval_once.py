@@ -49,11 +49,6 @@ def interleaved(num_players, a, b):
 # --- the weighted gadget of the walker machine ------------------------------
 
 
-def fresh_cost(game, profile, player):
-    """Cost from a load vector built for this profile alone."""
-    return game._cost_at(profile, player, profile[player], game.loads(profile))
-
-
 def test_gadget_closure_matches_fresh_loads(walker):
     compiled = compile_tm_weighted(walker)
     game = compiled.game
@@ -63,13 +58,12 @@ def test_gadget_closure_matches_fresh_loads(walker):
     for k in range(0, len(states) - 1, 2):
         pairs += interleaved(game.num_players, states[k], states[k + 1])
     for profile, player in pairs:
-        costs = game.deviation_costs(profile, player)
+        costs = [-u for u in game.deviation_utilities(profile, player)]
         assert costs == [
-            fresh_cost(game, moved(profile, player, s), player)
+            congestion_cost_by_resource(game, moved(profile, player, s), player)
             for s in range(game.strategy_counts[player])
         ], (profile, player)
         assert game.cost(profile, player) == costs[profile[player]]
-        assert game.deviation_utilities(profile, player) == [-c for c in costs]
 
 
 # --- hypothesis-random games --------------------------------------------------

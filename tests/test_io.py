@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from sinkeq.io import (
     serialize_sidecar,
     serialize_tm,
 )
+from sinkeq.turing import wrap_machine
 
 
 def round_trip(game):
@@ -125,6 +127,15 @@ def test_tm_round_trip(flipper):
     again = parse_tm_file(text)
     assert again.delta == flipper.delta
     assert serialize_tm(again) == text
+
+
+def test_wrapped_machine_keeps_its_state_names(flipper):
+    wrapped = wrap_machine(flipper, "1", 1)
+    assert wrapped.state_names
+    assert parse_tm_file(serialize_tm(wrapped)) == wrapped
+    compiled = replace(compile_tm_weighted(flipper), machine=wrapped)
+    again = parse_sidecar(serialize_sidecar(compiled), compiled.game)
+    assert again.machine == wrapped
 
 
 def test_sidecar_round_trip(flipper):

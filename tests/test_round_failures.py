@@ -3,6 +3,8 @@ table fails at the row or step where they leave it."""
 
 from dataclasses import replace
 
+import pytest
+
 import sinkeq.compilers.anonymous as anonymous
 import sinkeq.compilers.weighted as weighted
 from sinkeq.compilers import (
@@ -15,6 +17,31 @@ from sinkeq.compilers import (
 )
 from sinkeq.games.anonymous import And, Cmp, Count
 from sinkeq.games.market import TwoSidedMarketGame
+
+
+def moved_start(compiled, role, strategy):
+    start = list(compiled.initial)
+    start[compiled.symbols.player(role)] = compiled.symbols.strategy(role, strategy)
+    return tuple(start)
+
+
+@pytest.mark.parametrize("compile_tm, verify, role, strategy, failure", [
+    (compile_tm_weighted, verify_round_weighted, "clock", "Wait",
+     "start profile: clock must be on Trigger"),
+    (compile_tm_anonymous, verify_round_anonymous, "control1", "tape-change",
+     "start profile: control1 must be on init"),
+    (compile_tm_anonymous, verify_round_anonymous, "cell_0", "change",
+     "start profile: cell_0 is mid-rewrite (on change)"),
+    (compile_tm_anonymous, verify_round_anonymous, "state_0", "state^1",
+     "start configuration is already halted"),
+], ids=["clock", "control1", "mid-rewrite", "halted"])
+def test_a_start_off_the_round_start_fails_before_any_move(
+        halter, compile_tm, verify, role, strategy, failure):
+    compiled = compile_tm(halter)
+    report = verify(compiled, moved_start(compiled, role, strategy))
+    assert not report.matches
+    assert report.failure == failure
+    assert report.trace == [] and report.end_profile is None
 
 
 def test_the_figure_done_constant_stalls_the_congestion_round_at_step_7(

@@ -156,5 +156,5 @@ def test_wrapper_size_checks():
     assert counter_width(machine, 1) >= 1
     with pytest.raises(ConfigurationError, match="longer"):
         wrap_machine(machine, "00", 1)
-    with pytest.raises(ConfigurationError, match="maximum"):
-        wrap_machine(machine, "", 1, max_t_prime=2)
+    with pytest.raises(ConfigurationError, match="tape bound 65, above the maximum 64"):
+        wrap_machine(machine, "", 22)
