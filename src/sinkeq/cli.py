@@ -35,8 +35,8 @@ from .dynamics import (
     StateGraph,
     WalkOutcome,
     _default_cap,
-    first_pure_ne_code,
     forward_closure,
+    pure_ne_search,
     simulate_walk,
     sink_equilibria,
     state_space,
@@ -78,8 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="improvement",
     )
     parser.add_argument("--cap", type=_positive_int, default=None,
-                        help="bound on the profile space (full-space commands) "
-                             "or on the forward closure (in-sink, export-dot --from)")
+                        help="bound on the profile space (full-space commands), "
+                             "on the search nodes (has-pure) or on the forward "
+                             "closure (in-sink, export-dot --from)")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -240,12 +241,10 @@ def _dispatch(args) -> AnalysisReport:
         )
     if args.command == "has-pure":
         game = _load_game(args.game)
-        code = first_pure_ne_code(game, args.cap)
+        code, nodes = pure_ne_search(game, args.cap)
         if code is None:
-            return AnalysisReport("has-pure", "false",
-                                  states_explored=game.codec.num_profiles)
-        # the scan stopped at the first equilibrium, the lowest code that is one
-        return AnalysisReport("has-pure", "true", states_explored=code + 1,
+            return AnalysisReport("has-pure", "false", states_explored=nodes)
+        return AnalysisReport("has-pure", "true", states_explored=nodes,
                               extra={"equilibrium": list(game.codec.decode(code))})
     if args.command == "simulate":
         game = _load_game(args.game)

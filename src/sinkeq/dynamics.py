@@ -88,10 +88,6 @@ class StateGraph:
                 moves.append((player, s, devs[s]))
         return moves
 
-    def can_move(self, profile: Profile) -> bool:
-        """``code_can_move`` at ``profile``."""
-        return self.code_can_move(self.codec.encode(profile))
-
     def successors(self, profile: Profile) -> list[tuple[Profile, int]]:
         """(next profile, moving player) pairs, canonical order."""
         return [
@@ -116,13 +112,15 @@ class StateGraph:
             out += targets(current, read(at, player), range(base, base + choices * weight, weight))
         return out
 
-    def code_can_move(self, code: int) -> bool:
-        """Whether the profile numbered ``code`` has a successor, stopping at
-        the first player who can improve: under either semantics a player
-        moves exactly when some strategy improves on the current one."""
+    def code_can_move(self, code: int, digits: Iterable | None = None) -> bool:
+        """Whether some player among ``digits`` (each a ``(player, place
+        weight, strategy count)``; every player by default) can move at the
+        profile numbered ``code``, stopping at the first who can: under
+        either semantics a player moves exactly when some strategy improves
+        on the current one."""
         key, read = self._code_reader
         at = key(code)
-        for player, weight, choices in self._digits:
+        for player, weight, choices in self._digits if digits is None else digits:
             devs = read(at, player)
             if max(devs) > devs[code // weight % choices]:
                 return True
@@ -187,7 +185,7 @@ class Closure:
 
 
 def is_pure_ne(game: SuccinctGame, profile: Profile) -> bool:
-    return not StateGraph(game).can_move(profile)
+    return not StateGraph(game).code_can_move(game.codec.encode(profile))
 
 
 def is_alpha_ne(game: SuccinctGame, profile: Profile, alpha) -> bool:
@@ -307,8 +305,12 @@ def state_space(graph: StateGraph, cap: int | None = None) -> Closure:
     The pass walks profile codes; its states are decoded once at the end,
     in discovery order, and keep their codes in ``Closure.codes``.
     """
-    _require_enumerable(graph.game, cap)
-    coded = _tarjan(range(graph.codec.num_profiles), graph.code_successors)
+    if cap is None:
+        cap = _default_cap(2**26)
+    size = graph.codec.num_profiles
+    if size > cap:
+        raise CapExceededError(f"profile space has {size} states, above the cap of {cap}")
+    coded = _tarjan(range(size), graph.code_successors)
     codes, position = coded.states, coded.index
     states = list(map(graph.codec.decode, codes))
 
@@ -337,14 +339,6 @@ def sccs(vertices: Sequence, successors: Callable[[object], Iterable]) -> list[l
 def bottom_sccs(vertices: Sequence, successors: Callable) -> list[list]:
     """Components with no edge leaving them inside the vertex set."""
     return _restricted(vertices, successors).sinks
-
-
-def _require_enumerable(game: SuccinctGame, cap: int | None) -> None:
-    if cap is None:
-        cap = _default_cap(2**26)
-    size = game.codec.num_profiles
-    if size > cap:
-        raise CapExceededError(f"profile space has {size} states, above the cap of {cap}")
 
 
 def sink_equilibria(closure: Closure) -> list[SinkEquilibrium]:
@@ -377,19 +371,50 @@ def in_a_sink(
     return forward_closure(graph, profile, cap, stop_at_foreign_sink=True).start_in_sink
 
 
-def first_pure_ne_code(game: SuccinctGame, cap: int | None = None) -> int | None:
-    """The lowest profile code at which no player can improve, or None: a
-    scan of the codes in order that stops there, checking each profile only
-    up to its first player with an improving move."""
-    _require_enumerable(game, cap)
+def pure_ne_search(game: SuccinctGame, cap: int | None = None) -> tuple[int | None, int]:
+    """The first pure Nash equilibrium in search order, as a profile code or
+    None, and the number of search nodes visited.
+
+    A depth-first search assigns players in ascending order, each strategy
+    in ascending order, and keeps the partial profile as a code whose
+    unplaced digits are 0. Each node places one strategy. A player's row
+    reads only the players it interacts with
+    (``SuccinctGame.interacting_players``), so once the highest of those is
+    placed the row is final: the player is checked there, and the branch is
+    pruned at the first player who can improve. The first full assignment
+    is the equilibrium. ``cap`` bounds the nodes; past it the search stops
+    with ``CapExceededError``.
+    """
+    if cap is None:
+        cap = _default_cap(2**26)
     graph = StateGraph(game)
-    return next((code for code in range(game.codec.num_profiles)
-                 if not graph.code_can_move(code)), None)
+    due: list[list[tuple[int, int, int]]] = [[] for _ in game.strategy_counts]
+    for digit, near in zip(graph._digits, game.interacting_players()):
+        due[max(near)].append(digit)
+    n, weights, counts = game.num_players, game.codec.place_weights, game.codec.strategy_counts
+    tried = [0] * n  # strategies of each placed player tried so far
+    player = code = nodes = 0
+    while 0 <= player < n:
+        s = tried[player]
+        if s == counts[player]:  # every strategy failed: back up
+            code -= (s - 1) * weights[player]
+            tried[player] = 0
+            player -= 1
+            continue
+        if nodes == cap:
+            raise CapExceededError(f"pure equilibrium search hit the cap of {cap} nodes", nodes)
+        nodes += 1
+        tried[player] = s + 1
+        if s:
+            code += weights[player]
+        if not (due[player] and graph.code_can_move(code, due[player])):
+            player += 1
+    return (code if player == n else None), nodes
 
 
 def has_singleton_sink(game: SuccinctGame, cap: int | None = None) -> bool:
     """True when some profile is a pure Nash equilibrium."""
-    return first_pure_ne_code(game, cap) is not None
+    return pure_ne_search(game, cap)[0] is not None
 
 
 def has_non_singleton_sink(

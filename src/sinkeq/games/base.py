@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from ..profiles import Profile, ProfileCodec, validate_profile
 
@@ -42,6 +42,14 @@ class SuccinctGame:
             self.utility(before + (s,) + after, player)
             for s in range(self.strategy_counts[player])
         ]
+
+    def interacting_players(self) -> list[Collection[int]]:
+        """For each player, the players whose strategies can change that
+        player's deviation utilities, the player itself included. This
+        default names every player; classes whose rows read only part of the
+        profile narrow it."""
+        everyone = range(self.num_players)
+        return [everyone] * self.num_players
 
     def code_reader(self) -> tuple[Callable, Callable]:
         """How a walk over profile codes reads deviation utilities: ``(key,

@@ -124,6 +124,15 @@ class CongestionGame(SuccinctGame):
                 users[e].append(i)
         return users
 
+    def interacting_players(self) -> list[set[int]]:
+        """A player's row reads only the loads on resources it can use, so
+        it interacts with the potential users of those resources."""
+        users = self.potential_users()
+        return [
+            {i}.union(*(users[e] for e in frozenset().union(*strats)))
+            for i, strats in enumerate(self.strategies)
+        ]
+
     def _check_delay_coverage(self):
         for e, potential in enumerate(self.potential_users()):
             if self.mode == SHARED:

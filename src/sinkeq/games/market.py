@@ -57,12 +57,22 @@ class TwoSidedMarketGame(SuccinctGame):
                 raise ConfigurationError(
                     f"passive agent {p.name}: preference omits demander(s) {missing}"
                 )
+        self._demanders = tuple(map(frozenset, demanders))
         # rank[y][x]: lower is better; absent demanders never win
         self._rank = tuple(
             {x: r for r, x in enumerate(p.preference)} for p in self.passive
         )
         self.strategy_counts = tuple(len(a.strategies) for a in self.active)
         self.codec = ProfileCodec(self.strategy_counts)
+
+    def interacting_players(self) -> list[set[int]]:
+        """An agent's row reads only who else demands the passive agents it
+        can demand, so it interacts with those co-demanders."""
+        demanders = self._demanders
+        return [
+            {x}.union(*(demanders[y] for y in frozenset().union(*agent.strategies)))
+            for x, agent in enumerate(self.active)
+        ]
 
     def _aggregate(self, profile: Profile):
         """The top two demanders of each passive agent, None where absent."""

@@ -50,6 +50,19 @@ def market_utility_by_winner_sets(game, profile, player):
     return total
 
 
+def brute_force_pure_nes(game):
+    """Every pure Nash equilibrium, from the definition: a profile at which
+    no player's utility rises by changing only its own strategy, every
+    utility evaluated pointwise at every profile."""
+    counts = game.strategy_counts
+    found = set()
+    for profile in itertools.product(*map(range, counts)):
+        if all(game.utility(profile[:p] + (s,) + profile[p + 1:], p) <= game.utility(profile, p)
+               for p, count in enumerate(counts) for s in range(count)):
+            found.add(profile)
+    return found
+
+
 def bitset_bottom_sccs(num_vertices, successor_indices):
     """Bottom SCCs via boolean transitive closure over integer bitsets.
 

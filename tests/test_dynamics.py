@@ -86,8 +86,9 @@ def test_has_pure_stops_at_the_first_improving_player(monkeypatch):
         stable = []
         for profile in game.codec.all_profiles():
             movers = [p for p, _, _ in graph.improving_moves(profile)]
+            code = game.codec.encode(profile)
             for semantics in EdgeSemantics:
-                assert StateGraph(game, semantics).can_move(profile) == bool(movers)
+                assert StateGraph(game, semantics).code_can_move(code) == bool(movers)
             evaluated.clear()
             assert is_pure_ne(game, profile) == (not movers)
             # players after the first one who can improve are never evaluated
