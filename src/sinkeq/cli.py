@@ -27,7 +27,6 @@ from .compilers import (
 from .dot import export_dot
 from .dynamics import (
     Answer,
-    Closure,
     EdgeSemantics,
     FirstImprover,
     PriorityList,
@@ -165,27 +164,12 @@ def _load_compiled(path: str, game):
 
 def _resolve_profile(spec: str, game, game_path: str):
     if spec == "@initial":
-        return game.validate_profile(_load_compiled(game_path, game).initial)
+        return _load_compiled(game_path, game).initial
     try:
         choices = tuple(int(tok) for tok in spec.split(","))
     except ValueError:
         raise SinkeqError(f"cannot parse profile {spec!r}") from None
     return game.validate_profile(choices)
-
-
-def _closure_from(args, graph: StateGraph, spec: str,
-                  stop_at_foreign_sink: bool = False) -> Closure:
-    """The forward closure of a profile argument: whole, or with
-    ``stop_at_foreign_sink`` up to the first sink without the start. A cap
-    that cuts it short of that ends the command as inconclusive."""
-    closure = forward_closure(graph, _resolve_profile(spec, graph.game, args.game), args.cap,
-                              stop_at_foreign_sink)
-    stopped = stop_at_foreign_sink and closure.start_in_sink is Answer.NO
-    if not closure.exhausted and not stopped:
-        # a cut closure holds exactly ``cap`` states
-        raise CapExceededError(f"forward closure hit the cap of {len(closure)} states",
-                               len(closure))
-    return closure
 
 
 def _emit(report: AnalysisReport, args, out) -> None:
@@ -204,7 +188,7 @@ def run_cli(argv, out=sys.stdout, err=sys.stderr) -> int:
     try:
         report = _dispatch(args)
     except CapExceededError as exc:
-        report = AnalysisReport(args.command, Answer.INCONCLUSIVE.value, str(exc),
+        report = AnalysisReport(args.command, "inconclusive", str(exc),
                                 states_explored=exc.explored)
     except (SinkeqError, OSError, ValueError) as exc:
         err.write(f"error: {exc}\n")
@@ -230,8 +214,10 @@ def _dispatch(args) -> AnalysisReport:
             edges=closure.edges, scc_count=len(closure.components), extra=extra,
         )
     if args.command == "in-sink":
-        graph = StateGraph(_load_game(args.game), _semantics(args))
-        closure = _closure_from(args, graph, args.profile, stop_at_foreign_sink=True)
+        game = _load_game(args.game)
+        closure = forward_closure(StateGraph(game, _semantics(args)),
+                                  _resolve_profile(args.profile, game, args.game), args.cap,
+                                  stop_at_foreign_sink=True)
         answer = closure.start_in_sink
         # on NO the pass stopped at the first sink it completed, the one without the start
         extra = {"sink_size": len(closure.sinks[0])} if answer is Answer.NO else {}
@@ -311,9 +297,11 @@ def _dispatch(args) -> AnalysisReport:
             },
         )
     if args.command == "export-dot":
-        graph = StateGraph(_load_game(args.game), _semantics(args))
+        game = _load_game(args.game)
+        graph = StateGraph(game, _semantics(args))
         if args.from_profile:
-            closure = _closure_from(args, graph, args.from_profile)
+            closure = forward_closure(graph, _resolve_profile(args.from_profile, game, args.game),
+                                      args.cap)
         else:
             closure = state_space(graph, args.cap or _default_cap(4096))
         return AnalysisReport(question="export-dot", answer=export_dot(closure, graph.codec))

@@ -5,14 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..dynamics import EdgeSemantics, StateGraph, forward_closure
-from ..errors import CapExceededError, ConfigurationError
+from ..errors import ConfigurationError, SymbolError
 from ..games.base import SuccinctGame
 from ..profiles import Profile
 
 
 @dataclass
 class SymbolTable:
-    """Maps gadget roles to player indices and role strategies to indices."""
+    """Maps gadget roles to player indices and role strategies to indices;
+    looking up a name it lacks raises ``SymbolError``."""
 
     players: dict[str, int] = field(init=False, default_factory=dict)
     strategies: dict[str, dict[str, int]] = field(init=False, default_factory=dict)
@@ -49,18 +50,24 @@ class SymbolTable:
         self._names[role].setdefault(index, name)
 
     def player(self, role: str) -> int:
+        if role not in self.players:
+            raise SymbolError(f"the symbol table has no role {role!r}")
         return self.players[role]
 
     def strategy(self, role: str, name: str) -> int:
+        if name not in self.strategies.get(role, ()):
+            raise SymbolError(f"the symbol table has no strategy {name!r} of role {role!r}")
         return self.strategies[role][name]
 
     def strategy_name(self, role: str, index: int) -> str:
-        names = self._names[role]
+        names = self._names.get(role, {})
         if index not in names:
-            raise KeyError((role, index))
+            raise SymbolError(f"the symbol table names no strategy {index} of role {role!r}")
         return names[index]
 
     def role_of(self, player_index: int) -> str:
+        if player_index not in self._roles:
+            raise SymbolError(f"the symbol table names no player {player_index}")
         return self._roles[player_index]
 
 
@@ -84,20 +91,18 @@ def closures_isomorphic(
     a: CompiledReduction,
     b: CompiledReduction,
     semantics: EdgeSemantics = EdgeSemantics.IMPROVEMENT,
-    cap: int = 200_000,
+    cap: int | None = None,
 ) -> bool:
     """Label-isomorphism of the reachable closures under the role mapping.
 
     Players correspond by role name and strategies by role-strategy name;
     checks that mapped edges coincide exactly. An edge's mover is the one
     player whose strategy it changes, so equal targets mean equal mover labels.
+    ``cap`` bounds each closure as in ``forward_closure``.
     """
     mapping = _role_mapping(a, b)
     closure_a = forward_closure(StateGraph(a.game, semantics), a.initial, cap)
     closure_b = forward_closure(StateGraph(b.game, semantics), b.initial, cap)
-    if not (closure_a.exhausted and closure_b.exhausted):
-        raise CapExceededError(f"a forward closure hit the isomorphism cap of {cap} states",
-                               len(closure_a) + len(closure_b))
     if len(closure_a) != len(closure_b):
         return False
 

@@ -31,7 +31,6 @@ class EdgeSemantics(Enum):
 class Answer(Enum):
     YES = "true"
     NO = "false"
-    INCONCLUSIVE = "inconclusive"
 
 
 def _default_cap(default: int) -> int:
@@ -145,12 +144,12 @@ class Closure:
     k's successors in the order the successor function gave them (for a
     ``StateGraph``, canonical move order). ``components`` are in completion
     order, members in discovery order; ``sinks`` are the components no edge
-    leaves. ``exhausted`` is False when the pass ended before it had seen
-    everything: the cap cut it, or it stopped at the first component without
-    the first root. Then only ``states`` and ``index`` are whole, and the
-    recorded edges stay inside ``states``; every completed component is still
-    a strongly connected component of the whole graph. ``codes`` lists each
-    state's profile code when the pass walked codes (``state_space``).
+    leaves. A pass is never cut: at its cap it raises ``CapExceededError``.
+    It is either whole (``exhausted``) or stopped at the first component
+    without the first root. A stopped pass has whole ``states`` and
+    ``index``, recorded edges that stay inside ``states``, and exactly one
+    component, a sink of the whole graph. ``codes`` lists each state's
+    profile code when the pass walked codes (``state_space``).
     """
 
     states: list[Profile]
@@ -166,22 +165,15 @@ class Closure:
 
     @property
     def edges(self) -> int:
-        """The arcs recorded: every arc of the closure once it is exhausted."""
+        """The arcs recorded: every arc of the closure when it is exhausted."""
         return sum(map(len, self.successors))
 
     @property
     def start_in_sink(self) -> Answer:
         """Whether a forward closure's start lies in a sink: exactly when
-        everything it reaches reaches it back, i.e. the closure is one SCC.
-
-        NO as soon as a completed component lacks the start, even on a cut
-        or stopped closure, since the start reaches that component but not
-        back; YES only when the exhausted closure is one component.
-        """
-        start = self.states[0]
-        if any(component[0] != start for component in self.components):
-            return Answer.NO
-        return Answer.YES if self.exhausted else Answer.INCONCLUSIVE
+        everything it reaches reaches it back, i.e. the whole closure is one
+        SCC. A stopped closure holds a sink without the start: NO."""
+        return Answer.YES if self.exhausted and len(self.components) == 1 else Answer.NO
 
 
 def is_pure_ne(game: SuccinctGame, profile: Profile) -> bool:
@@ -221,7 +213,7 @@ def _tarjan(roots: Iterable, successors: Callable[[object], list], cap: int | No
 
     The first component to complete is always a sink. With
     ``stop_at_foreign_sink`` the pass ends there, unexhausted, unless that
-    component holds the first root.
+    component holds the first root. A state past ``cap`` raises ``CapExceededError``.
     """
     states: list = []
     index: dict = {}
@@ -239,7 +231,7 @@ def _tarjan(roots: Iterable, successors: Callable[[object], list], cap: int | No
             if new is not None:
                 k = len(states)
                 if cap is not None and k >= cap:
-                    return Closure(states, False, components, sinks, out, index)
+                    raise CapExceededError(f"forward closure hit the cap of {cap} states", cap)
                 if work:
                     out[work[-1][0]].append(k)
                 index[new] = k
@@ -291,7 +283,8 @@ def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None,
     """All profiles reachable from ``start``, in discovery order, with their SCCs.
 
     With ``stop_at_foreign_sink`` the pass ends at the first sink that does
-    not hold ``start``, which is enough for ``Closure.start_in_sink``.
+    not hold ``start``, which is enough for ``Closure.start_in_sink``. Past
+    ``cap`` states (default 10^7) the pass raises ``CapExceededError``.
     """
     if cap is None:
         cap = _default_cap(10**7)
@@ -363,9 +356,9 @@ def in_a_sink(
     semantics: EdgeSemantics = EdgeSemantics.IMPROVEMENT,
     cap: int | None = None,
 ) -> Answer:
-    """Whether the profile lies in a sink equilibrium; inconclusive when the
-    cap cuts the pass before the answer is known. A NO needs only the states
-    explored until the first sink without the profile completes."""
+    """Whether the profile lies in a sink equilibrium. A NO needs only the
+    states explored until the first sink without the profile completes; a
+    pass that reaches ``cap`` states first raises ``CapExceededError``."""
     profile = game.validate_profile(profile)
     graph = StateGraph(game, semantics)
     return forward_closure(graph, profile, cap, stop_at_foreign_sink=True).start_in_sink
@@ -446,13 +439,6 @@ class WalkOutcome(Enum):
     INCONCLUSIVE = "inconclusive"  # the cap cut the final in-sink check
 
 
-_WALK_OUTCOME = {
-    Answer.YES: WalkOutcome.REACHED_SINK_STATE,
-    Answer.NO: WalkOutcome.STILL_MOVING,
-    Answer.INCONCLUSIVE: WalkOutcome.INCONCLUSIVE,
-}
-
-
 @dataclass
 class WalkResult:
     states: list[Profile]
@@ -475,7 +461,7 @@ def simulate_walk(
 
     Deterministic given the policy (and its seed). The walk stops early at a
     pure NE; otherwise, after ``max_steps`` moves the final profile is
-    classified by an `in_a_sink` check, inconclusive when the cap cuts it.
+    classified by an `in_a_sink` check, inconclusive when it hits the cap.
     """
     start = graph.game.validate_profile(start)
     rng = random.Random(policy.seed) if isinstance(policy, RandomImprover) else None
@@ -501,8 +487,12 @@ def simulate_walk(
         current = current[:player] + (strategy,) + current[player + 1:]
         states.append(current)
         moves.append((player, strategy))
-    verdict = in_a_sink(graph.game, current, graph.semantics, closure_cap)
-    return WalkResult(states, moves, _WALK_OUTCOME[verdict])
+    try:
+        in_sink = in_a_sink(graph.game, current, graph.semantics, closure_cap) is Answer.YES
+    except CapExceededError:
+        return WalkResult(states, moves, WalkOutcome.INCONCLUSIVE)
+    return WalkResult(states, moves, (WalkOutcome.REACHED_SINK_STATE if in_sink
+                                      else WalkOutcome.STILL_MOVING))
 
 
 def rosenthal_potential(game: CongestionGame, profile: Profile) -> int:

@@ -24,6 +24,12 @@ class CapExceededError(SinkeqError):
         self.explored = explored
 
 
+class SymbolError(SinkeqError, KeyError):
+    """A symbol table lacks a role or strategy; its text is not quoted like a key's."""
+
+    __str__ = Exception.__str__
+
+
 class UnsupportedGameError(SinkeqError):
     """An operation was applied to a game class it is not defined for."""
 

@@ -432,12 +432,12 @@ def serialize_sidecar(compiled: CompiledReduction) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def _int_values(value, path: str) -> dict:
-    """An object whose values are integers; the error names the bad key."""
+def _int_values(value, path: str, bound: int) -> dict:
+    """An object of integers in [0, ``bound``); the error names the bad key."""
     mapping = _as_dict(value, path)
-    if not set(map(type, mapping.values())) <= _ONLY_INT:
-        key = next(k for k, v in mapping.items() if type(v) is not int)
-        _int(mapping[key], f"{path}.{key}")
+    for key, index in mapping.items():
+        if not 0 <= _int(index, f"{path}.{key}") < bound:
+            raise FormatError(f"{index} is out of range [0, {bound})", f"{path}.{key}")
     return mapping
 
 
@@ -446,18 +446,27 @@ def _opt_int(value, path: str) -> int | None:
 
 
 def parse_sidecar(text: str | bytes, game: SuccinctGame) -> CompiledReduction:
+    """The reduction a sidecar describes, its indices and ``initial`` checked against ``game``."""
     doc = _load_json(text)
+    counts = game.strategy_counts
     symbols = SymbolTable()
-    players = _int_values(_need(doc, "players", "$"), "$.players")
+    players = _int_values(_need(doc, "players", "$"), "$.players", len(counts))
     for role, idx in sorted(players.items(), key=lambda kv: kv[1]):
         symbols.add_player(role, idx)
     for role, table in _as_dict(_need(doc, "strategies", "$"), "$.strategies").items():
-        for name, idx in _int_values(table, f"$.strategies.{role}").items():
+        path = f"$.strategies.{role}"
+        if role not in players:
+            raise FormatError(f"role {role!r} is not in $.players", path)
+        for name, idx in _int_values(table, path, counts[players[role]]).items():
             symbols.add_strategy(role, name, idx)
+    try:
+        initial = game.validate_profile(_field(doc, "initial", "$", _ints))
+    except ValueError as exc:
+        raise FormatError(str(exc), "$.initial") from None
     machine = doc.get("machine")
     return CompiledReduction(
         game=game,
-        initial=tuple(_field(doc, "initial", "$", _ints)),
+        initial=initial,
         symbols=symbols,
         machine=None if machine is None else _tm_from_json(
             _as_dict(machine, "$.machine"), "$.machine"),

@@ -409,6 +409,66 @@ def test_verify_round_replays_a_step_into_the_halting_state_on_tm2anon(tmp_path,
     assert report.end_config.state == halter.q_halt
 
 
+def _broken_sidecar(tmp_path, machine, kind, mutate):
+    """Compile ``machine`` with ``kind`` and rewrite its sidecar through
+    ``mutate(doc)``; returns the game path and the sidecar path."""
+    source, game_path = tmp_path / "machine.tm.json", tmp_path / "gadget.json"
+    source.write_text(serialize_tm(machine))
+    assert run(["compile", kind, str(source), "-o", str(game_path)])[0] == 0
+    sidecar = tmp_path / "gadget.symbols.json"
+    doc = json.loads(sidecar.read_text())
+    mutate(doc)
+    sidecar.write_text(json.dumps(doc))
+    return str(game_path), sidecar
+
+
+def _one_error_line(argv) -> str:
+    code, out, err = run(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("kind", ["tm2wcg", "tm2anon"])
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc.update(initial=doc["initial"][:3]),
+     "$.initial: profile has 3 entries, game has"),
+    (lambda doc: doc["initial"].__setitem__(0, 999),
+     "$.initial: player 0: strategy index 999 out of range"),
+], ids=["initial-truncated", "initial-out-of-range"])
+def test_verify_round_validates_the_sidecar_initial(tmp_path, flipper, kind, mutate, message):
+    game_path, sidecar = _broken_sidecar(tmp_path, flipper, kind, mutate)
+    for argv in (["verify-round", game_path], ["in-sink", game_path, "--profile", "@initial"]):
+        assert _one_error_line(argv).startswith(f"error: {sidecar}: {message}")
+
+
+@pytest.mark.parametrize("kind", ["tm2wcg", "tm2anon"])
+def test_sidecar_strategies_of_an_unknown_role_are_a_format_error(tmp_path, flipper, kind):
+    game_path, sidecar = _broken_sidecar(
+        tmp_path, flipper, kind, lambda doc: doc["strategies"].update(ghost={"x": 0}))
+    for argv in (["verify-round", game_path], ["in-sink", game_path, "--profile", "@initial"]):
+        assert _one_error_line(argv) == (
+            f"error: {sidecar}: $.strategies.ghost: role 'ghost' is not in $.players\n")
+
+
+@pytest.mark.parametrize("kind", ["tm2wcg", "tm2anon"])
+def test_verify_round_names_a_cell_role_the_sidecar_lacks(tmp_path, flipper, kind):
+    # the sidecar's machine claims five cells; the symbol table holds three
+    game_path, _ = _broken_sidecar(
+        tmp_path, flipper, kind, lambda doc: doc["machine"].update(t_prime=4))
+    assert _one_error_line(["verify-round", game_path]) == (
+        "error: the symbol table has no role 'cell_3'\n")
+
+
+@pytest.mark.parametrize("kind", ["tm2wcg", "tm2anon"])
+def test_verify_round_names_a_strategy_the_sidecar_lacks(tmp_path, flipper, kind):
+    game_path, _ = _broken_sidecar(
+        tmp_path, flipper, kind, lambda doc: doc["strategies"].update(cell_0={}))
+    err = _one_error_line(["verify-round", game_path])
+    assert err.startswith("error: the symbol table names no strategy ")
+    assert err.endswith(" of role 'cell_0'\n")
+
+
 def test_compile_names_a_dimacs_file_that_is_not_utf8(tmp_path):
     cnf = tmp_path / "bad.cnf"
     cnf.write_bytes(b"p cnf 1 2\n1 1 \xff 0\n")

@@ -168,9 +168,11 @@ def test_forward_closure_cycle_and_cap():
     closure = forward_closure(graph, (0, 0))
     assert len(closure) == 4
     assert closure.exhausted
-    capped = forward_closure(graph, (0, 0), cap=2)
-    assert not capped.exhausted
-    assert len(capped) == 2
+    # a closure is never cut: at its cap the pass raises
+    with pytest.raises(CapExceededError, match="forward closure hit the cap of 2 states") as info:
+        forward_closure(graph, (0, 0), cap=2)
+    assert info.value.explored == 2
+    assert forward_closure(graph, (0, 0), cap=4).exhausted
 
 
 def test_sccs_handles_dag_and_cycle():
@@ -236,7 +238,9 @@ def test_in_a_sink_answers():
     assert in_a_sink(pd, (0, 0)) is Answer.NO
     mp = matching_pennies()
     assert in_a_sink(mp, (0, 0)) is Answer.YES
-    assert in_a_sink(mp, (0, 0), cap=2) is Answer.INCONCLUSIVE
+    with pytest.raises(CapExceededError, match="cap of 2 states") as info:
+        in_a_sink(mp, (0, 0), cap=2)
+    assert info.value.explored == 2
 
 
 def test_in_a_sink_members_belong_to_some_sink():

@@ -12,7 +12,7 @@ from sinkeq.cli import run_cli
 from sinkeq.cnf import CnfFormula, parse_dimacs
 from sinkeq.compilers import compile_sat_market, compile_tm_weighted
 from sinkeq.dynamics import has_singleton_sink
-from sinkeq.errors import FormatError
+from sinkeq.errors import FormatError, SinkeqError, SymbolError
 from sinkeq.games import (
     AnonymousGame,
     AnonymousPlayer,
@@ -335,6 +335,25 @@ def test_sidecar_reverse_lookups(flipper):
         symbols.strategy_name("state", -1)
 
 
+def test_a_missing_symbol_raises_an_error_naming_it(flipper):
+    symbols = compile_tm_weighted(flipper).symbols
+    lookups = [
+        (lambda: symbols.player("cell_9"), "the symbol table has no role 'cell_9'"),
+        (lambda: symbols.strategy("cell_9", "b"),
+         "the symbol table has no strategy 'b' of role 'cell_9'"),
+        (lambda: symbols.strategy("state", "q9"),
+         "the symbol table has no strategy 'q9' of role 'state'"),
+        (lambda: symbols.strategy_name("state", 9),
+         "the symbol table names no strategy 9 of role 'state'"),
+        (lambda: symbols.role_of(-1), "the symbol table names no player -1"),
+    ]
+    for lookup, message in lookups:
+        with pytest.raises(SymbolError) as info:
+            lookup()
+        assert isinstance(info.value, SinkeqError) and isinstance(info.value, KeyError)
+        assert str(info.value) == message
+
+
 def _leaf_paths(node, path=()):
     if isinstance(node, dict):
         for key, child in node.items():
@@ -442,6 +461,13 @@ def _sidecar_cases():
     def field(key, value):
         return lambda text: json.dumps(json.loads(text) | {key: value})
 
+    def symbol(table, key, value):
+        def mutate(text):
+            doc = json.loads(text)
+            doc[table][key] = value
+            return json.dumps(doc)
+        return mutate
+
     def machine_rule(key, value):
         def mutate(text):
             doc = json.loads(text)
@@ -456,12 +482,15 @@ def _sidecar_cases():
         (field("machine", 5), "$.machine: expected an object"),
         (machine_rule("next", "x"), "$.machine.delta[0].next: expected an integer"),
         (machine_rule("read", 0), "$.machine.delta[0].read: expected a string"),
+        (symbol("players", "cell_0", 92), "$.players.cell_0: 92 is out of range [0, 92)"),
+        (symbol("strategies", "cell_0", {"b": 3}),
+         "$.strategies.cell_0.b: 3 is out of range [0, 3)"),
     ]
 
 
 @pytest.mark.parametrize("mutate, message", _sidecar_cases(), ids=[
     "truncated", "penalty-string", "market-base-float", "machine-not-object",
-    "machine-next-string", "machine-read-int"])
+    "machine-next-string", "machine-read-int", "player-index", "strategy-index"])
 def test_malformed_sidecars_name_a_path(tmp_path, flipper, mutate, message):
     compiled = compile_tm_weighted(flipper)
     game_path = tmp_path / "gadget.json"

@@ -285,7 +285,14 @@ def test_closures_isomorphic_compares_edges_under_the_role_mapping():
 def test_closures_isomorphic_is_inconclusive_on_a_cut_closure(gadget):
     with pytest.raises(CapExceededError, match="cap of 3 states") as info:
         closures_isomorphic(gadget, gadget, cap=3)
-    assert info.value.explored == 6
+    assert info.value.explored == 3
+
+
+def test_closures_isomorphic_takes_the_default_cap_of_a_forward_closure(gadget, monkeypatch):
+    monkeypatch.setenv("SINKEQ_DEFAULT_CAP", "4")
+    with pytest.raises(CapExceededError, match="cap of 4 states") as info:
+        closures_isomorphic(gadget, gadget)
+    assert info.value.explored == 4
 
 
 def fresh_successors(closure, graph):
@@ -307,15 +314,16 @@ def test_recorded_successors_match_a_fresh_expansion(gadget):
 
 
 def test_a_cut_closure_records_edges_inside_its_states(gadget):
+    # a closure is cut only where it stops at its first sink without the start
     graph = StateGraph(gadget.game)
     whole = forward_closure(graph, gadget.initial)
-    cut = forward_closure(graph, gadget.initial, len(whole) // 2)
-    assert not cut.exhausted and cut.states == whole.states[:len(cut)]
+    stopped = forward_closure(graph, gadget.initial, stop_at_foreign_sink=True)
+    assert not stopped.exhausted and stopped.states == whole.states[:len(stopped)]
     partial = 0
-    for out, fresh in zip(cut.successors, fresh_successors(cut, graph)):
+    for out, fresh in zip(stopped.successors, fresh_successors(stopped, graph)):
         assert out == fresh[:len(out)] and None not in out
         partial += out != fresh
-    # the state being expanded when the cap struck stopped before an undiscovered one
+    # the states still being expanded at the stop ended before an undiscovered one
     assert partial >= 1
 
 
@@ -391,7 +399,10 @@ def test_anonymous_walker_stops_at_its_first_sink(anonymous_gadget, expansions):
 def test_a_cap_past_the_first_sink_answers_no(anonymous_gadget, tmp_path):
     game, initial = anonymous_gadget.game, anonymous_gadget.initial
     # the whole closure has 2850 states; the answer is known after 606
-    assert in_a_sink(game, initial, cap=605) is Answer.INCONCLUSIVE
+    with pytest.raises(CapExceededError, match="cap of 605 states") as info:
+        in_a_sink(game, initial, cap=605)
+    assert info.value.explored == 605
+    assert in_a_sink(game, initial, cap=606) is Answer.NO
     assert in_a_sink(game, initial, cap=1000) is Answer.NO
     walk = simulate_walk(StateGraph(game), initial, max_steps=0, closure_cap=1000)
     assert walk.outcome is WalkOutcome.STILL_MOVING
