@@ -8,6 +8,7 @@ sidecar symbol table (written next to the game file by ``compile``).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -66,6 +67,7 @@ def _players(text: str) -> tuple[int, ...]:
     return tuple(_nonnegative_int(tok) for tok in text.split(",") if tok)
 
 
+@functools.cache  # one parser per process: building it costs far more than a parse
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sinkeq",

@@ -77,22 +77,44 @@ class StateGraph:
         # (player, place weight, strategy count): one digit of a profile code
         self._digits = tuple(zip(range(len(self.codec.place_weights)),
                                  self.codec.place_weights, self.codec.strategy_counts))
+        # profile -> (a generator's moves, mover, the mover's old strategy),
+        # recorded by ``successors`` for each profile it generates
+        self._origins: dict[Profile, tuple[list[Move], int, int]] = {}
 
     def improving_moves(self, profile: Profile) -> list[Move]:
-        """Qualifying moves in canonical order (ascending player, strategy)."""
-        moves: list[Move] = []
-        for player in range(self.game.num_players):
-            devs = self.game.deviation_utilities(profile, player)
-            for s in self._targets(profile[player], devs, range(len(devs))):
+        """Qualifying moves in canonical order (ascending player, strategy).
+
+        A profile that ``successors`` generated re-evaluates only the players
+        its move can affect (``SuccinctGame.affected_players``) and copies
+        every other player's moves from its generator: their rows and
+        current strategies are the generator's. Any other profile evaluates
+        every player.
+        """
+        origin = self._origins.get(profile)
+        if origin is None:
+            players, moves = range(self.game.num_players), []
+        else:
+            before, mover, old = origin
+            players = self.game.affected_players(mover, old, profile[mover])
+            moves = [m for m in before if m[0] not in players]
+        deviations, targets = self.game.deviation_utilities, self._targets
+        for player in players:
+            devs = deviations(profile, player)
+            for s in targets(profile[player], devs, range(len(devs))):
                 moves.append((player, s, devs[s]))
+        moves.sort()  # copied and re-evaluated moves interleave by player
         return moves
 
     def successors(self, profile: Profile) -> list[tuple[Profile, int]]:
-        """(next profile, moving player) pairs, canonical order."""
-        return [
-            (profile[:p] + (s,) + profile[p + 1:], p)
-            for p, s, _ in self.improving_moves(profile)
-        ]
+        """(next profile, moving player) pairs, canonical order. Each next
+        profile's origin is recorded for ``improving_moves``."""
+        moves = self.improving_moves(profile)
+        out = []
+        for p, s, _ in moves:
+            child = profile[:p] + (s,) + profile[p + 1:]
+            self._origins[child] = (moves, p, profile[p])
+            out.append((child, p))
+        return out
 
     @cached_property
     def _code_reader(self):

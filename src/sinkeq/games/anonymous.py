@@ -204,7 +204,9 @@ class AnonymousGame(SuccinctGame):
             raise ConfigurationError("duplicate strategy names")
         k = len(self.strategy_names)
         self.players = tuple(players)
-        for p in self.players:
+        # readers[s]: the players whose rules read the count of strategy s
+        readers: list[set[int]] = [set() for _ in range(k)]
+        for i, p in enumerate(self.players):
             for s in p.allowed:
                 if not 0 <= s < k:
                     raise ConfigurationError(
@@ -223,12 +225,19 @@ class AnonymousGame(SuccinctGame):
                             f"player {p.name}: predicate references undeclared "
                             f"strategy {ref}"
                         )
+                    readers[ref].add(i)
         self.strategy_counts = (k,) * len(self.players)
         self.codec = ProfileCodec(self.strategy_counts)
         self._rules_by_strategy = tuple(
             {s: tuple(pred for st, pred in p.rules if st == s) for s in p.allowed}
             for p in self.players
         )
+        self._readers = tuple(map(frozenset, readers))
+
+    def affected_players(self, player: int, old: int, new: int) -> set[int]:
+        """A move changes only the counts of its two strategies, so it
+        affects the players whose rules read either count."""
+        return {player} | self._readers[old] | self._readers[new]
 
     def histogram(self, profile: Profile) -> list[int]:
         hist = [0] * len(self.strategy_names)

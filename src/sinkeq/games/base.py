@@ -51,6 +51,14 @@ class SuccinctGame:
         everyone = range(self.num_players)
         return [everyone] * self.num_players
 
+    def affected_players(self, player: int, old: int, new: int) -> Collection[int]:
+        """The players whose ``deviation_utilities`` row can change when
+        ``player`` moves from strategy ``old`` to ``new``, the mover
+        included. This default names every player; classes whose rows read
+        only part of an aggregate narrow it to the readers of what the move
+        changes."""
+        return range(self.num_players)
+
     def code_reader(self) -> tuple[Callable, Callable]:
         """How a walk over profile codes reads deviation utilities: ``(key,
         read)``, where ``read(key(code), player)`` is ``player``'s row at the
@@ -64,7 +72,8 @@ class SuccinctGame:
     def _profile_aggregate(self, profile: Profile):
         """``_aggregate(profile)`` through the one-entry slot; never mutate it."""
         slot = self._slot
-        if slot is not None and slot[0] == profile:
+        # identity first: tuple equality compares every entry, even of itself
+        if slot is not None and (slot[0] is profile or slot[0] == profile):
             return slot[1]
         aggregate = self._aggregate(profile)
         self._slot = (tuple(profile), aggregate)

@@ -75,6 +75,7 @@ class CongestionGame(SuccinctGame):
             raise ConfigurationError("player-specific games use unit weights")
 
         self.delays = self._freeze_delays(delays, n, n_res)
+        self._users = self.potential_users()
         self._check_delay_coverage()
         # _tables[i][e]: the delay table player i reads for resource e
         if mode == SHARED:
@@ -127,14 +128,20 @@ class CongestionGame(SuccinctGame):
     def interacting_players(self) -> list[set[int]]:
         """A player's row reads only the loads on resources it can use, so
         it interacts with the potential users of those resources."""
-        users = self.potential_users()
+        users = self._users
         return [
             {i}.union(*(users[e] for e in frozenset().union(*strats)))
             for i, strats in enumerate(self.strategies)
         ]
 
+    def affected_players(self, player: int, old: int, new: int) -> set[int]:
+        """A move changes the loads only on the resources in exactly one of
+        its two strategies, so it affects the potential users of those."""
+        users, strats = self._users, self.strategies[player]
+        return {player}.union(*(users[e] for e in strats[old] ^ strats[new]))
+
     def _check_delay_coverage(self):
-        for e, potential in enumerate(self.potential_users()):
+        for e, potential in enumerate(self._users):
             if self.mode == SHARED:
                 reachable = _subset_sums([self.weights[i] for i in potential])
                 missing = reachable - set(self.delays[e])

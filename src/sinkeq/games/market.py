@@ -74,6 +74,12 @@ class TwoSidedMarketGame(SuccinctGame):
             for x, agent in enumerate(self.active)
         ]
 
+    def affected_players(self, player: int, old: int, new: int) -> set[int]:
+        """A move changes the top demanders only of the passive agents in
+        exactly one of its two strategies, so it affects their demanders."""
+        demanders, strats = self._demanders, self.active[player].strategies
+        return {player}.union(*(demanders[y] for y in strats[old] ^ strats[new]))
+
     def _aggregate(self, profile: Profile):
         """The top two demanders of each passive agent, None where absent."""
         first: list[int | None] = [None] * len(self.passive)

@@ -36,7 +36,7 @@ from sinkeq.dynamics import (
     simulate_walk,
     sinks,
 )
-from sinkeq.games import CongestionGame, TableGame
+from sinkeq.games import CongestionGame, SuccinctGame, TableGame
 from sinkeq.games.valid_utility import (
     ValidUtilityInstance,
     check_valid_utility,
@@ -351,12 +351,11 @@ def test_criterion_7_anonymous_reproduction(desk_looper, desk_walker):
         first_round = verify_round_anonymous(compiled)
         seeds = [compiled.initial, first_round.end_profile]
 
-        class Frozen:
+        class Frozen(SuccinctGame):
             def __init__(self, pin):
                 self.pin = pin
                 self.strategy_counts = game.strategy_counts
                 self.codec = game.codec
-                self.num_players = game.num_players
 
             def utility(self, profile, player):
                 return game.utility(profile, player)

@@ -496,6 +496,16 @@ def test_help_and_usage_errors_reach_the_callers_streams(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_one_parser_serves_every_command_of_a_process(pd_path):
+    code, out, err = run(["has-pure", pd_path])
+    assert code == 0 and "has-pure: true" in out and err == ""
+    code, out, err = run(["in-sink", pd_path])
+    assert code == 1 and out == "" and err.startswith("usage: sinkeq in-sink")
+    assert "the following arguments are required: --profile" in err
+    first, second = run(["--help"]), run(["--help"])
+    assert first == second and first[0] == 0 and first[1].startswith("usage: sinkeq")
+
+
 def test_simulate_takes_zero_steps_and_a_sparse_order(mp_path):
     code, out, _ = run(["--format", "json", "simulate", mp_path, "--max-steps", "0"])
     doc = json.loads(out)

@@ -11,6 +11,7 @@ from sinkeq.compilers import (
 )
 from sinkeq.compilers.anonymous import _S, STRATEGIES, _unary_roles, state_rank
 from sinkeq.dynamics import StateGraph, forward_closure, sccs
+from sinkeq.games import SuccinctGame
 from sinkeq.games.anonymous import Count
 from sinkeq.turing import SYMBOLS, TapeConfig, initial_config, tm_step
 
@@ -158,13 +159,12 @@ def test_frozen_control1_dynamics_are_acyclic(flipper):
     seeds = [compiled.initial, report.end_profile]
     c1_strategies = sorted(compiled.symbols.strategies["control1"].values())
 
-    class Frozen:
+    class Frozen(SuccinctGame):
         def __init__(self, base, pin):
             self.base = base
             self.pin = pin
             self.strategy_counts = base.strategy_counts
             self.codec = base.codec
-            self.num_players = base.num_players
 
         def utility(self, profile, player):
             return self.base.utility(profile, player)

@@ -1,0 +1,147 @@
+"""A closure state re-evaluates only the players its move can affect.
+
+``StateGraph.successors`` records where each profile it generates came
+from, and ``improving_moves`` on such a profile evaluates only the rows of
+``SuccinctGame.affected_players`` and copies the rest from the generator.
+Here the hook is checked against evaluation on hypothesis-random congestion
+(shared, weighted and player-specific), anonymous and market games: a
+player it leaves out has the same row before and after the move. The
+closures of the machine gadgets are compared with closures over the same
+game behind the every-player default, and each closure state is checked to
+have evaluated exactly the rows of one move into it.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sinkeq.compilers import (
+    compile_tm_anonymous,
+    compile_tm_market,
+    compile_tm_player_specific,
+    compile_tm_weighted,
+)
+from sinkeq.dynamics import EdgeSemantics, StateGraph, forward_closure
+from sinkeq.games import SuccinctGame
+from sinkeq.games.anonymous import AnonymousGame, AnonymousPlayer, Cmp, Const, Count
+
+from test_pure_search import sparse_congestion, sparse_market
+
+
+def sparse_anonymous(rng):
+    """4-6 players over 4-5 strategies, each rule reading one or two counts."""
+    k = rng.randint(4, 5)
+    players = []
+    for i in range(rng.randint(4, 6)):
+        allowed = frozenset(rng.sample(range(k), rng.randint(1, k)))
+        rules = []
+        for _ in range(rng.randint(0, 2)):
+            lhs = Count(rng.randrange(k))
+            rhs = Count(rng.randrange(k)) if rng.random() < 0.5 else Const(rng.randint(0, 3))
+            rules.append((rng.choice(sorted(allowed)),
+                          Cmp(rng.choice(["==", "<", ">", "<=", ">="]), lhs, rhs)))
+        players.append(AnonymousPlayer(f"p{i}", allowed, tuple(rules)))
+    return AnonymousGame([f"s{j}" for j in range(k)], players)
+
+
+GAMES = {
+    "congestion-shared": lambda rng: sparse_congestion(rng, "shared", weighted=False),
+    "congestion-weighted": lambda rng: sparse_congestion(rng, "shared"),
+    "congestion-player-specific": lambda rng: sparse_congestion(rng, "player_specific"),
+    "anonymous": sparse_anonymous,
+    "market": sparse_market,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GAMES))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_a_player_the_move_does_not_affect_keeps_its_row(kind, seed):
+    rng = random.Random(seed)
+    game = GAMES[kind](rng)
+    for _ in range(8):
+        before = tuple(rng.randrange(c) for c in game.strategy_counts)
+        mover = rng.randrange(game.num_players)
+        old, new = before[mover], rng.randrange(game.strategy_counts[mover])
+        after = before[:mover] + (new,) + before[mover + 1:]
+        affected = game.affected_players(mover, old, new)
+        assert mover in affected
+        for player in range(game.num_players):
+            if player not in affected:
+                assert (list(game.deviation_utilities(before, player))
+                        == list(game.deviation_utilities(after, player))), (player, mover)
+
+
+class EveryPlayer(SuccinctGame):
+    """A game behind the default hook: every move affects every player."""
+
+    def __init__(self, game):
+        self.game = game
+        self.strategy_counts = game.strategy_counts
+        self.codec = game.codec
+
+    def deviation_utilities(self, profile, player):
+        return self.game.deviation_utilities(profile, player)
+
+
+COMPILERS = {
+    "tm2wcg": compile_tm_weighted,
+    "tm2psg": compile_tm_player_specific,
+    "tm2anon": compile_tm_anonymous,
+    "tm2market": compile_tm_market,
+}
+
+
+@pytest.fixture(scope="module")
+def gadgets(flipper, walker, halter):
+    machines = {"flipper": flipper, "walker": walker, "halter": halter}
+    return {(m, kind): compile(machines[m])
+            for m in machines for kind, compile in COMPILERS.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(COMPILERS))
+@pytest.mark.parametrize("machine", ["flipper", "walker", "halter"])
+def test_delta_closures_equal_every_player_closures(gadgets, machine, kind):
+    compiled = gadgets[machine, kind]
+    for semantics in EdgeSemantics:
+        for stop in (True, False):
+            delta = forward_closure(StateGraph(compiled.game, semantics), compiled.initial,
+                                    stop_at_foreign_sink=stop)
+            full = forward_closure(StateGraph(EveryPlayer(compiled.game), semantics),
+                                   compiled.initial, stop_at_foreign_sink=stop)
+            assert delta.states == full.states
+            assert delta.successors == full.successors
+            assert delta.components == full.components
+            assert delta.sinks == full.sinks
+            assert delta.exhausted == full.exhausted
+
+
+@pytest.mark.parametrize("kind", sorted(COMPILERS))
+def test_a_closure_state_evaluates_the_rows_of_one_move_into_it(gadgets, kind):
+    game = gadgets["walker", kind].game
+    rows = Counter()
+    evaluate = game.deviation_utilities
+
+    def counting(profile, player):
+        rows[profile] += 1
+        return evaluate(profile, player)
+
+    game.deviation_utilities = counting  # shadows the method on this instance only
+    try:
+        closure = forward_closure(StateGraph(game), gadgets["walker", kind].initial)
+    finally:
+        del game.deviation_utilities
+    states = closure.states
+    moves_into = [set() for _ in states]  # |affected| of each arc into each state
+    for k, targets in enumerate(closure.successors):
+        u = states[k]
+        for j in targets:
+            v = states[j]
+            (p,) = [i for i in range(game.num_players) if u[i] != v[i]]
+            moves_into[j].add(len(game.affected_players(p, u[p], v[p])))
+    assert rows[states[0]] == game.num_players
+    for v, sizes in zip(states[1:], moves_into[1:]):
+        assert rows[v] in sizes, v
+    assert sum(rows.values()) < len(states) * game.num_players / 2

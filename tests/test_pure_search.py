@@ -26,15 +26,16 @@ from _oracles import brute_force_pure_nes
 from test_code_walk import RANDOM_GAMES
 
 
-def sparse_congestion(rng, mode):
-    """5-6 players, each strategy one or two of 6-9 resources."""
+def sparse_congestion(rng, mode, weighted=True):
+    """5-6 players, each strategy one or two of 6-9 resources; shared
+    delays read weighted loads unless ``weighted`` is false."""
     n, n_res = rng.randint(5, 6), rng.randint(6, 9)
     strategies = [
         [rng.sample(range(n_res), rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
         for _ in range(n)
     ]
     if mode == "shared":
-        weights = [rng.randint(1, 3) for _ in range(n)]
+        weights = [rng.randint(1, 3) if weighted else 1 for _ in range(n)]
         delays = [{load: rng.randint(0, 9) for load in range(1, sum(weights) + 1)}
                   for _ in range(n_res)]
     else:
