@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress
+from operator import and_, eq, gt, lt
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError, SinkeqError, UnsupportedGameError
@@ -51,6 +53,10 @@ def _improvements(current: int, devs: Sequence[int], labels: Iterable) -> list:
     return [x for x, u in zip(labels, devs) if u > here]
 
 
+def _improvement_layers(layers: Sequence[Sequence[int]]) -> Callable:
+    return lambda a, b: map(gt, layers[b], layers[a])
+
+
 def _best_responses(current: int, devs: Sequence[int], labels: Iterable) -> list:
     best = max(devs)
     if best > devs[current]:
@@ -58,12 +64,24 @@ def _best_responses(current: int, devs: Sequence[int], labels: Iterable) -> list
     return []
 
 
-# The one place the edge semantics is decided. Given a player's current
-# strategy, deviation utilities and one label per strategy, each returns the
+def _best_response_layers(layers: Sequence[Sequence[int]]) -> Callable:
+    best = list(map(max, *layers))
+    tops = [list(map(eq, layer, best)) for layer in layers]
+    below = [list(map(lt, layer, best)) for layer in layers]
+    return lambda a, b: map(and_, tops[b], below[a])
+
+
+# The one place the edge semantics is decided, as a per-row rule and a
+# layer rule side by side. The per-row rule takes a player's current
+# strategy, deviation utilities and one label per strategy, and returns the
 # labels of the strategies it may move to, ascending: every strict
-# improvement, or the maximizers when they improve on the current one.
-_TARGETS = {EdgeSemantics.IMPROVEMENT: _improvements,
-            EdgeSemantics.BEST_RESPONSE: _best_responses}
+# improvement, or the maximizers when they improve on the current one. The
+# layer rule takes a player's rows on many lines transposed into layers
+# (layer s: the utility of strategy s on each line, at least two layers)
+# and returns ``mask(a, b)``: for each line, whether a player on strategy a
+# may move to b != a under the same rule.
+_TARGETS = {EdgeSemantics.IMPROVEMENT: (_improvements, _improvement_layers),
+            EdgeSemantics.BEST_RESPONSE: (_best_responses, _best_response_layers)}
 
 
 class StateGraph:
@@ -73,7 +91,7 @@ class StateGraph:
         self.game = game
         self.semantics = semantics
         self.codec = game.codec
-        self._targets = _TARGETS[semantics]
+        self._targets, self._layer_rule = _TARGETS[semantics]
         # (player, place weight, strategy count): one digit of a profile code
         self._digits = tuple(zip(range(len(self.codec.place_weights)),
                                  self.codec.place_weights, self.codec.strategy_counts))
@@ -120,18 +138,36 @@ class StateGraph:
     def _code_reader(self):
         return self.game.code_reader()
 
-    def code_successors(self, code: int) -> list[int]:
-        """The codes of a profile code's successors, canonical order: player
-        p moving from d to s adds (s - d) times p's place weight."""
+    def code_adjacency(self) -> list[list[int]]:
+        """Every profile code's successor codes, canonical order, built one
+        player at a time.
+
+        For player p with place weight w, the codes whose digit p is 0 are
+        the line bases; a line is a base and the codes that differ from it
+        only in p's strategy. Every profile on a line has the same row for
+        p, so the row is read once, at the base. The rows, transposed, are
+        p's layers: layer s holds the utility of strategy s on each line.
+        The layer rule compares two whole layers at once, and a move from a
+        to b adds (b - a) * w to a code. Players ascending and targets
+        ascending append each list in canonical order.
+        """
         key, read = self._code_reader
-        at, targets = key(code), self._targets
-        out: list[int] = []
+        size = self.codec.num_profiles
+        adjacency: list[list[int]] = [[] for _ in range(size)]
         for player, weight, choices in self._digits:
-            current = code // weight % choices
-            base = code - current * weight
-            # each strategy labelled by the code it moves to
-            out += targets(current, read(at, player), range(base, base + choices * weight, weight))
-        return out
+            if choices == 1:
+                continue
+            bases = list(chain.from_iterable(
+                range(top, top + weight) for top in range(0, size, weight * choices)))
+            mask = self._layer_rule(list(zip(*[read(key(base), player) for base in bases])))
+            layer_codes = [[base + a * weight for base in bases] for a in range(choices)]
+            for b in range(choices):
+                for a in range(choices):
+                    if a != b:
+                        shift = (b - a) * weight
+                        for source in compress(layer_codes[a], mask(a, b)):
+                            adjacency[source].append(source + shift)
+        return adjacency
 
     def code_can_move(self, code: int, digits: Iterable | None = None) -> bool:
         """Whether some player among ``digits`` (each a ``(player, place
@@ -317,17 +353,18 @@ def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None,
 def state_space(graph: StateGraph, cap: int | None = None) -> Closure:
     """The whole profile space, rooted at every profile in code order.
 
-    The pass walks profile codes; its states are decoded once at the end,
-    in discovery order, and keep their codes in ``Closure.codes``.
+    The pass walks profile codes over ``StateGraph.code_adjacency``; its
+    states are decoded once at the end, in discovery order, and keep their
+    codes in ``Closure.codes``.
     """
     if cap is None:
         cap = _default_cap(2**26)
     size = graph.codec.num_profiles
     if size > cap:
         raise CapExceededError(f"profile space has {size} states, above the cap of {cap}")
-    coded = _tarjan(range(size), graph.code_successors)
+    coded = _tarjan(range(size), graph.code_adjacency().__getitem__)
     codes, position = coded.states, coded.index
-    states = list(map(graph.codec.decode, codes))
+    states = list(map(graph.codec.all_profiles().__getitem__, codes))
 
     def decoded(component: list[int]) -> list[Profile]:
         return [states[position[k]] for k in component]
@@ -491,24 +528,25 @@ def simulate_walk(
     moves: list[tuple[int, int]] = []
     current = start
     for _ in range(max_steps):
-        options = graph.improving_moves(current)
+        # (next profile, mover) in canonical move order; each next profile
+        # has an origin, so the step into it re-prices only what the move affects
+        options = graph.successors(current)
         if not options:
             return WalkResult(states, moves, WalkOutcome.REACHED_SINK_STATE)
         if isinstance(policy, FirstImprover):
-            player, strategy, _ = options[0]
+            current, player = options[0]
         elif isinstance(policy, RandomImprover):
-            player, strategy, _ = rng.choice(options)
+            current, player = rng.choice(options)
         elif isinstance(policy, PriorityList):
             # the first listed mover's lowest strategy: min keeps the first minimum
             order = policy.order
-            player, strategy, _ = min(
-                options, key=lambda m: order.index(m[0]) if m[0] in order else len(order)
+            current, player = min(
+                options, key=lambda m: order.index(m[1]) if m[1] in order else len(order)
             )
         else:
             raise TypeError(f"unknown policy {policy!r}")
-        current = current[:player] + (strategy,) + current[player + 1:]
         states.append(current)
-        moves.append((player, strategy))
+        moves.append((player, current[player]))
     try:
         in_sink = in_a_sink(graph.game, current, graph.semantics, closure_cap) is Answer.YES
     except CapExceededError:

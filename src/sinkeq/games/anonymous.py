@@ -261,13 +261,17 @@ class AnonymousGame(SuccinctGame):
                                        self._profile_aggregate(profile))
 
     def deviation_utilities(self, profile: Profile, player: int):
+        """A disallowed strategy reads 0, so only the allowed ones are
+        evaluated, each on the histogram without the player plus that strategy."""
         hist = list(self._profile_aggregate(profile))
-        current = profile[player]
-        out = []
-        for choice in range(len(self.strategy_names)):
-            hist[current] -= 1
+        hist[profile[player]] -= 1
+        out = [0] * len(self.strategy_names)
+        for choice, rules in self._rules_by_strategy[player].items():
             hist[choice] += 1
-            out.append(self._utility_from_hist(player, choice, hist))
+            out[choice] = 1
+            for pred in rules:
+                if pred.eval(hist):
+                    out[choice] = 2
+                    break
             hist[choice] -= 1
-            hist[current] += 1
         return out

@@ -8,7 +8,8 @@ digit.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Sequence
 
 Profile = tuple[int, ...]
 
@@ -61,6 +62,8 @@ class ProfileCodec:
             index //= count
         return tuple(out)
 
-    def all_profiles(self) -> Iterable[Profile]:
-        for i in range(self.num_profiles):
-            yield self.decode(i)
+    def all_profiles(self) -> list[Profile]:
+        """Every profile in code order: entry i is ``decode(i)``."""
+        # product varies its last range fastest, so player 0 comes last
+        ranges = [range(c) for c in reversed(self.strategy_counts)]
+        return [p[::-1] for p in product(*ranges)]

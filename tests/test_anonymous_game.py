@@ -9,6 +9,7 @@ from sinkeq.games.anonymous import (
     AnonymousGame,
     AnonymousPlayer,
     Cmp,
+    Const,
     Count,
     count_eq,
     count_ge,
@@ -82,6 +83,33 @@ def test_deviation_utilities_match_pointwise():
             for s in range(2):
                 moved = profile[:player] + (s,) + profile[player + 1:]
                 assert devs[s] == game.utility(moved, player)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_rows_equal_moving_the_player_to_every_strategy(seed):
+    # every player disallows some strategy, and each is also checked sitting on one
+    rng = random.Random(seed)
+    k = rng.randint(2, 6)
+    players = []
+    for i in range(rng.randint(1, 5)):
+        allowed = frozenset(rng.sample(range(k), rng.randint(1, k - 1)))
+        rules = tuple(
+            (rng.choice(sorted(allowed)),
+             Cmp(rng.choice(["==", "<", ">", "<=", ">="]),
+                 Count(rng.randrange(k)), Const(rng.randint(0, 3))))
+            for _ in range(rng.randint(0, 3)))
+        players.append(AnonymousPlayer(f"p{i}", allowed, rules))
+    game = AnonymousGame([f"s{j}" for j in range(k)], players)
+    for _ in range(4):
+        profile = tuple(rng.randrange(k) for _ in players)
+        for player, spec in enumerate(players):
+            disallowed = min(set(range(k)) - spec.allowed)
+            for here in (profile[player], disallowed):
+                at = profile[:player] + (here,) + profile[player + 1:]
+                assert game.deviation_utilities(at, player) == [
+                    game.utility(at[:player] + (s,) + at[player + 1:], player)
+                    for s in range(k)], (at, player)
 
 
 @settings(max_examples=50, deadline=None)

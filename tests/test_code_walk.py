@@ -1,12 +1,17 @@
 """The full-space pass walks profile codes and gives the tuple walk's Closure.
 
-``state_space`` runs Tarjan over the codes 0 … num_profiles−1 through
-``StateGraph.code_successors`` and decodes its states once at the end. Here
-it is compared, field by field, with a naive pass over tuple profiles in code
-order, expanded through ``StateGraph.successors``, on hypothesis-random
-table, congestion, anonymous and market games under both semantics.
+``state_space`` runs Tarjan over the codes 0 … num_profiles−1, with each
+code's successors from ``StateGraph.code_adjacency`` (rows read once per
+line, moves found by the layer rule), and decodes its states once at the
+end. Here it is compared, field by field, with a naive pass over tuple
+profiles in code order, expanded through ``StateGraph.successors`` (the
+per-row rule), on hypothesis-random table, congestion, anonymous, market
+and valid-utility games under both semantics: tables with payoffs in
+{0, 1}, whose ties make best response differ from improvement, a player
+with one strategy, and games with a single profile among them.
 """
 
+import math
 import random
 
 import pytest
@@ -16,9 +21,27 @@ from sinkeq.dynamics import EdgeSemantics, StateGraph, _tarjan, state_space
 from sinkeq.games import TableGame
 
 from test_eval_once import random_anonymous, random_congestion, random_market
+from test_valid_utility_dynamics import random_coverage
+
+
+def random_table(rng, counts):
+    size = math.prod(counts)
+    return TableGame(counts, [[rng.randint(0, 3) for _ in range(size)] for _ in counts])
+
+
+def one_strategy_player(rng):
+    counts = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+    counts[rng.randrange(len(counts))] = 1
+    return random_table(rng, counts)
+
 
 RANDOM_GAMES = {
     "table": lambda rng: TableGame.random(rng, max_players=4, max_profiles=96),
+    "table-ties": lambda rng: TableGame.random(rng, max_players=4, max_profiles=96,
+                                               payoff_range=(0, 1)),
+    "table-one-strategy-player": one_strategy_player,
+    "table-one-profile": lambda rng: random_table(rng, [1] * rng.randint(1, 3)),
+    "valid-utility": random_coverage,
     "congestion-shared": lambda rng: random_congestion(rng, "shared"),
     "congestion-player-specific": lambda rng: random_congestion(rng, "player_specific"),
     "anonymous": random_anonymous,

@@ -8,7 +8,10 @@ Here the hook is checked against evaluation on hypothesis-random congestion
 player it leaves out has the same row before and after the move. The
 closures of the machine gadgets are compared with closures over the same
 game behind the every-player default, and each closure state is checked to
-have evaluated exactly the rows of one move into it.
+have evaluated exactly the rows of one move into it. Walks take their steps
+from ``successors`` too: they are compared with walks behind the
+every-player default, and each step after the first evaluates exactly the
+rows of the move into it.
 """
 
 import random
@@ -23,8 +26,16 @@ from sinkeq.compilers import (
     compile_tm_player_specific,
     compile_tm_weighted,
 )
-from sinkeq.dynamics import EdgeSemantics, StateGraph, forward_closure
-from sinkeq.games import SuccinctGame
+from sinkeq.dynamics import (
+    EdgeSemantics,
+    FirstImprover,
+    PriorityList,
+    RandomImprover,
+    StateGraph,
+    forward_closure,
+    simulate_walk,
+)
+from sinkeq.games import SuccinctGame, TableGame
 from sinkeq.games.anonymous import AnonymousGame, AnonymousPlayer, Cmp, Const, Count
 
 from test_pure_search import sparse_congestion, sparse_market
@@ -145,3 +156,66 @@ def test_a_closure_state_evaluates_the_rows_of_one_move_into_it(gadgets, kind):
     for v, sizes in zip(states[1:], moves_into[1:]):
         assert rows[v] in sizes, v
     assert sum(rows.values()) < len(states) * game.num_players / 2
+
+
+def policies(rng, num_players):
+    return [FirstImprover(), RandomImprover(rng.randrange(100)),
+            PriorityList(tuple(rng.sample(range(num_players), num_players)))]
+
+
+def check_walks_equal_every_player_walks(game, starts, rng, max_steps):
+    for semantics in EdgeSemantics:
+        for start in starts:
+            for policy in policies(rng, game.num_players):
+                delta = simulate_walk(StateGraph(game, semantics), start, policy, max_steps)
+                full = simulate_walk(StateGraph(EveryPlayer(game), semantics), start, policy,
+                                     max_steps)
+                assert delta.moves == full.moves, (semantics, policy)
+                assert delta.states == full.states
+                assert delta.outcome == full.outcome
+
+
+def test_walks_equal_every_player_walks_on_the_walker_gadget(gadgets):
+    compiled = gadgets["walker", "tm2wcg"]
+    check_walks_equal_every_player_walks(compiled.game, [compiled.initial],
+                                         random.Random(5), max_steps=40)
+
+
+def test_walks_equal_every_player_walks_on_random_tables():
+    rng = random.Random(12)
+    for _ in range(20):
+        game = TableGame.random(rng, max_players=4, max_profiles=96)
+        starts = [game.codec.decode(rng.randrange(game.codec.num_profiles)) for _ in range(2)]
+        check_walks_equal_every_player_walks(game, starts, rng, max_steps=12)
+
+
+@pytest.mark.parametrize("kind", sorted(COMPILERS))
+def test_a_walk_step_evaluates_the_rows_of_the_move_into_it(gadgets, kind):
+    compiled = gadgets["walker", kind]
+    game = compiled.game
+    calls = []
+    evaluate = game.deviation_utilities
+
+    def counting(profile, player):
+        calls.append((profile, player))
+        return evaluate(profile, player)
+
+    game.deviation_utilities = counting  # shadows the method on this instance only
+    try:
+        walk = simulate_walk(StateGraph(game), compiled.initial, max_steps=30, closure_cap=1)
+    finally:
+        del game.deviation_utilities
+    # consecutive states differ, so the calls split into one run per step
+    steps: list[list[int]] = []
+    last = None
+    for profile, player in calls:
+        if profile != last:
+            steps.append([])
+            last = profile
+        steps[-1].append(player)
+    states = walk.states
+    assert len(walk.moves) == 30 and len(steps) > 30
+    assert sorted(steps[0]) == list(range(game.num_players))
+    for k, (player, strategy) in enumerate(walk.moves[:-1], start=1):
+        old = states[k - 1][player]
+        assert sorted(steps[k]) == sorted(game.affected_players(player, old, strategy)), k

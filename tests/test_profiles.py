@@ -32,6 +32,12 @@ def test_codec_bijection(counts, data):
     assert all(0 <= c < n for c, n in zip(profile, counts))
 
 
+@pytest.mark.parametrize("counts", [(), (1,), (2, 3, 2), (1, 3, 1, 2), (4, 1), (1, 1, 1)])
+def test_all_profiles_lists_the_codes_in_order(counts):
+    codec = ProfileCodec(counts)
+    assert codec.all_profiles() == [codec.decode(i) for i in range(codec.num_profiles)]
+
+
 def test_validate_profile_bounds():
     assert validate_profile((2, 2), [1, 0]) == (1, 0)
     with pytest.raises(ValueError):

@@ -1,15 +1,17 @@
 """The traversal expands every state once, and the CLI's stats come from it.
 
-``StateGraph.successors`` or ``improving_moves`` (forward closures) and
-``code_successors`` (the full-space walk) are counted per profile while a
-question runs; the library questions and the CLI commands must call it
-exactly once for every state they explore, and so must ``export-dot`` and
-``closures_isomorphic``, which read the successor lists the pass records.
-Those lists are checked against a fresh expansion. The CLI's ``edges`` and
-``scc_count`` are checked against a plain successor sum and the bitset
-oracle, and so are the components and sinks the one pass finds on random
-digraphs. In-sink stops at the first sink without its start: that answer is
-checked against the whole closure's, and that sink against the oracle.
+Forward closures call ``StateGraph.successors`` or ``improving_moves`` once
+for every state they explore, counted per profile while a question runs,
+and so do ``export-dot --from`` and ``closures_isomorphic``, which read the
+successor lists the pass records. The full-space walk
+(``StateGraph.code_adjacency``) expands no single state: it reads each
+player's row once per line of profiles that differ only in that player's
+strategy, counted through ``TableGame._row``. Recorded successor lists are
+checked against a fresh expansion. The CLI's ``edges`` and ``scc_count``
+are checked against a plain successor sum and the bitset oracle, and so are
+the components and sinks the one pass finds on random digraphs. In-sink
+stops at the first sink without its start: that answer is checked against
+the whole closure's, and that sink against the oracle.
 """
 
 import io
@@ -52,25 +54,10 @@ from sinkeq.profiles import ProfileCodec
 from _oracles import bitset_bottom_sccs
 
 
-def count_code_successors(monkeypatch, key):
-    """Count ``StateGraph.code_successors`` calls (the full-space walk) by
-    ``key(graph, profile)``, the profile decoded from the code."""
-    calls = Counter()
-    code_successors = StateGraph.code_successors
-
-    def counting(self, code):
-        calls[key(self, self.codec.decode(code))] += 1
-        return code_successors(self, code)
-
-    monkeypatch.setattr(StateGraph, "code_successors", counting)
-    return calls
-
-
 @pytest.fixture
 def expansions(monkeypatch):
-    """States expanded, by profile: ``successors`` (forward closures) plus
-    ``code_successors`` (the full-space walk)."""
-    calls = count_code_successors(monkeypatch, lambda graph, profile: profile)
+    """``successors`` calls (forward closures), by profile."""
+    calls = Counter()
     successors = StateGraph.successors
 
     def counting(self, profile):
@@ -83,8 +70,8 @@ def expansions(monkeypatch):
 
 @pytest.fixture
 def moves(monkeypatch):
-    """``improving_moves`` and ``code_successors`` calls, keyed by (game, profile)."""
-    calls = count_code_successors(monkeypatch, lambda graph, profile: (id(graph.game), profile))
+    """``improving_moves`` calls, keyed by (game, profile)."""
+    calls = Counter()
     improving_moves = StateGraph.improving_moves
 
     def counting(self, profile):
@@ -93,6 +80,32 @@ def moves(monkeypatch):
 
     monkeypatch.setattr(StateGraph, "improving_moves", counting)
     return calls
+
+
+@pytest.fixture
+def rows(monkeypatch):
+    """``TableGame._row`` calls, keyed by (player, code)."""
+    calls = Counter()
+    row = TableGame._row
+
+    def counting(self, code, player):
+        calls[player, code] += 1
+        return row(self, code, player)
+
+    monkeypatch.setattr(TableGame, "_row", counting)
+    return calls
+
+
+def check_one_row_per_line(rows, game):
+    """The full-space walk read each player's row once per line, at the
+    line's base (the player's digit 0): N / k rows for a player with k
+    strategies."""
+    assert set(rows.values()) == {1}
+    codec = game.codec
+    for player, (weight, count) in enumerate(zip(codec.place_weights, codec.strategy_counts)):
+        read = {code for p, code in rows if p == player}
+        assert len(read) == codec.num_profiles // count
+        assert all(code // weight % count == 0 for code in read)
 
 
 @pytest.fixture(scope="module")
@@ -150,22 +163,24 @@ def test_cli_in_sink_expands_each_gadget_state_once(gadget, tmp_path, expansions
     assert len(expansions) == doc["stats"]["states_explored"]
 
 
-def test_table_questions_expand_each_profile_once(table_4_6, tmp_path, expansions):
+def test_table_questions_expand_each_profile_once(table_4_6, tmp_path, expansions, rows):
     found = sinks(table_4_6)
-    assert found and set(expansions.values()) == {1}
-    assert len(expansions) == 4 ** 6
-    expansions.clear()
+    assert found and not expansions
+    check_one_row_per_line(rows, table_4_6)
     start = next(iter(found[0].states))
     assert in_a_sink(table_4_6, start) is Answer.YES
     assert set(expansions.values()) == {1}
     assert len(expansions) == len(found[0].states)
     game_path = tmp_path / "t.json"
     game_path.write_text(serialize_game(table_4_6))
-    for argv in (["sinks", str(game_path)], ["in-sink", str(game_path), "--profile", "0,0,0,0,0,0"]):
-        expansions.clear()
-        doc = cli_json(argv)
-        assert set(expansions.values()) == {1}
-        assert len(expansions) == doc["stats"]["states_explored"]
+    rows.clear()
+    doc = cli_json(["sinks", str(game_path)])
+    check_one_row_per_line(rows, table_4_6)
+    assert doc["stats"]["states_explored"] == 4 ** 6
+    expansions.clear()
+    doc = cli_json(["in-sink", str(game_path), "--profile", "0,0,0,0,0,0"])
+    assert set(expansions.values()) == {1}
+    assert len(expansions) == doc["stats"]["states_explored"]
 
 
 def test_full_space_questions_encode_no_profile(table_4_6, monkeypatch):
@@ -236,18 +251,19 @@ def test_components_and_sinks_match_bitset_oracle_on_random_digraphs():
         assert {frozenset(c) for c in bottom_sccs(roots, adj.__getitem__)} == set(bottoms)
 
 
-def test_export_dot_expands_each_state_once(gadget, table_4_6, tmp_path, moves):
+def test_export_dot_expands_each_state_once(gadget, table_4_6, tmp_path, moves, rows):
     table_path = tmp_path / "t.json"
     table_path.write_text(serialize_game(table_4_6))
     game_path = tmp_path / "walker.json"
     game_path.write_text(serialize_game(gadget.game))
     (tmp_path / "walker.symbols.json").write_text(serialize_sidecar(gadget))
-    for argv in (["export-dot", str(table_path)],
-                 ["export-dot", str(game_path), "--from", "@initial"]):
-        moves.clear()
-        dot = cli_json(argv)["answer"]
-        assert set(moves.values()) == {1}
-        assert len(moves) == dot.count("[label=") - dot.count("->")
+    dot = cli_json(["export-dot", str(table_path)])["answer"]
+    assert not moves
+    check_one_row_per_line(rows, table_4_6)
+    assert dot.count("[label=") - dot.count("->") == 4 ** 6
+    dot = cli_json(["export-dot", str(game_path), "--from", "@initial"])["answer"]
+    assert set(moves.values()) == {1}
+    assert len(moves) == dot.count("[label=") - dot.count("->")
 
 
 def test_closures_isomorphic_expands_each_state_once(flipper, walker, moves):
