@@ -14,7 +14,6 @@ from .dynamics import (
     has_singleton_sink,
     in_a_sink,
     is_alpha_ne,
-    is_pure_ne,
     rosenthal_potential,
     sccs,
     simulate_walk,

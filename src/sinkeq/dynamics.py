@@ -234,10 +234,6 @@ class Closure:
         return Answer.YES if self.exhausted and len(self.components) == 1 else Answer.NO
 
 
-def is_pure_ne(game: SuccinctGame, profile: Profile) -> bool:
-    return not StateGraph(game).code_can_move(game.codec.encode(profile))
-
-
 def is_alpha_ne(game: SuccinctGame, profile: Profile, alpha) -> bool:
     """Every deviation's cost stays at least (1 - alpha) of the current cost."""
     if not isinstance(game, CongestionGame):
@@ -545,6 +541,8 @@ def simulate_walk(
             )
         else:
             raise TypeError(f"unknown policy {policy!r}")
+        # only the next step reads an origin: keep just the one moved to
+        graph._origins = {current: graph._origins[current]}
         states.append(current)
         moves.append((player, current[player]))
     try:

@@ -15,7 +15,7 @@ from .anonymous import (
     expr_from_json,
     predicate_from_json,
 )
-from .market import ActiveAgent, PassiveAgent, TwoSidedMarketGame, lint_lower_ideal
+from .market import ActiveAgent, PassiveAgent, TwoSidedMarketGame
 from .valid_utility import (
     ValidUtilityInstance,
     ValidUtilityReport,
@@ -30,7 +30,7 @@ __all__ = [
     "AnonymousGame", "AnonymousPlayer",
     "Const", "Count", "Add", "Sub", "Cmp", "And",
     "count_eq", "count_ge", "expr_from_json", "predicate_from_json",
-    "TwoSidedMarketGame", "PassiveAgent", "ActiveAgent", "lint_lower_ideal",
+    "TwoSidedMarketGame", "PassiveAgent", "ActiveAgent",
     "ValidUtilityInstance", "ValidUtilityReport",
     "check_valid_utility", "coverage_instance",
 ]

@@ -232,12 +232,9 @@ class AnonymousGame(SuccinctGame):
             {s: tuple(pred for st, pred in p.rules if st == s) for s in p.allowed}
             for p in self.players
         )
-        self._readers = tuple(map(frozenset, readers))
-
-    def affected_players(self, player: int, old: int, new: int) -> set[int]:
-        """A move changes only the counts of its two strategies, so it
-        affects the players whose rules read either count."""
-        return {player} | self._readers[old] | self._readers[new]
+        # a player on strategy s adds only to the count of s
+        singletons = tuple(frozenset({s}) for s in range(k))
+        self._footprint = ((singletons,) * len(self.players), tuple(map(frozenset, readers)))
 
     def histogram(self, profile: Profile) -> list[int]:
         hist = [0] * len(self.strategy_names)

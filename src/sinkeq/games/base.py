@@ -17,11 +17,20 @@ class SuccinctGame:
     winners) in a one-entry ``(profile, aggregate)`` slot, matched by
     equality and replaced as one tuple, so that the deviations of every
     player of one profile share it.
+
+    A class states its locality once, as its footprint ``(touches,
+    readers)``: ``touches[p][s]`` is the frozenset of aggregate entries
+    (resource loads, passive agents, strategy counts) that player p adds to
+    on strategy s, and ``readers[x]`` the players whose rows read entry x.
+    Both locality sets derive from it: ``affected_players`` for the closure
+    delta and ``interacting_players`` for the has-pure search. The default,
+    None, means that every row reads the whole profile.
     """
 
     strategy_counts: tuple[int, ...]
     codec: ProfileCodec
     _slot: tuple | None = None  # (profile, aggregate) of the last profile evaluated
+    _footprint: tuple | None = None  # (touches, readers); None: rows read everything
 
     @property
     def num_players(self) -> int:
@@ -45,19 +54,32 @@ class SuccinctGame:
 
     def interacting_players(self) -> list[Collection[int]]:
         """For each player, the players whose strategies can change that
-        player's deviation utilities, the player itself included. This
-        default names every player; classes whose rows read only part of the
-        profile narrow it."""
-        everyone = range(self.num_players)
-        return [everyone] * self.num_players
+        player's deviation utilities, the player itself included: the
+        writers of every entry it reads."""
+        if self._footprint is None:
+            everyone = range(self.num_players)
+            return [everyone] * self.num_players
+        touches, readers = self._footprint
+        writers: list[set[int]] = [set() for _ in readers]
+        for p, strats in enumerate(touches):
+            for x in frozenset().union(*strats):
+                writers[x].add(p)
+        near = [{i} for i in range(self.num_players)]
+        for x, rows in enumerate(readers):
+            for i in rows:
+                near[i] |= writers[x]
+        return near
 
     def affected_players(self, player: int, old: int, new: int) -> Collection[int]:
         """The players whose ``deviation_utilities`` row can change when
         ``player`` moves from strategy ``old`` to ``new``, the mover
-        included. This default names every player; classes whose rows read
-        only part of an aggregate narrow it to the readers of what the move
-        changes."""
-        return range(self.num_players)
+        included: the readers of the entries in exactly one of its two
+        strategies, the only ones the move changes."""
+        if self._footprint is None:
+            return range(self.num_players)
+        touches, readers = self._footprint
+        strats = touches[player]
+        return {player}.union(*(readers[x] for x in strats[old] ^ strats[new]))
 
     def code_reader(self) -> tuple[Callable, Callable]:
         """How a walk over profile codes reads deviation utilities: ``(key,

@@ -76,6 +76,7 @@ class CongestionGame(SuccinctGame):
 
         self.delays = self._freeze_delays(delays, n, n_res)
         self._users = self.potential_users()
+        self._footprint = (self.strategies, self._users)
         self._check_delay_coverage()
         # _tables[i][e]: the delay table player i reads for resource e
         if mode == SHARED:
@@ -124,21 +125,6 @@ class CongestionGame(SuccinctGame):
             for e in frozenset().union(*strats):
                 users[e].append(i)
         return users
-
-    def interacting_players(self) -> list[set[int]]:
-        """A player's row reads only the loads on resources it can use, so
-        it interacts with the potential users of those resources."""
-        users = self._users
-        return [
-            {i}.union(*(users[e] for e in frozenset().union(*strats)))
-            for i, strats in enumerate(self.strategies)
-        ]
-
-    def affected_players(self, player: int, old: int, new: int) -> set[int]:
-        """A move changes the loads only on the resources in exactly one of
-        its two strategies, so it affects the potential users of those."""
-        users, strats = self._users, self.strategies[player]
-        return {player}.union(*(users[e] for e in strats[old] ^ strats[new]))
 
     def _check_delay_coverage(self):
         for e, potential in enumerate(self._users):

@@ -58,27 +58,13 @@ class TwoSidedMarketGame(SuccinctGame):
                     f"passive agent {p.name}: preference omits demander(s) {missing}"
                 )
         self._demanders = tuple(map(frozenset, demanders))
+        self._footprint = (tuple(a.strategies for a in self.active), self._demanders)
         # rank[y][x]: lower is better; absent demanders never win
         self._rank = tuple(
             {x: r for r, x in enumerate(p.preference)} for p in self.passive
         )
         self.strategy_counts = tuple(len(a.strategies) for a in self.active)
         self.codec = ProfileCodec(self.strategy_counts)
-
-    def interacting_players(self) -> list[set[int]]:
-        """An agent's row reads only who else demands the passive agents it
-        can demand, so it interacts with those co-demanders."""
-        demanders = self._demanders
-        return [
-            {x}.union(*(demanders[y] for y in frozenset().union(*agent.strategies)))
-            for x, agent in enumerate(self.active)
-        ]
-
-    def affected_players(self, player: int, old: int, new: int) -> set[int]:
-        """A move changes the top demanders only of the passive agents in
-        exactly one of its two strategies, so it affects their demanders."""
-        demanders, strats = self._demanders, self.active[player].strategies
-        return {player}.union(*(demanders[y] for y in strats[old] ^ strats[new]))
 
     def _aggregate(self, profile: Profile):
         """The top two demanders of each passive agent, None where absent."""
@@ -121,23 +107,3 @@ class TwoSidedMarketGame(SuccinctGame):
             out.append(total)
         return out
 
-
-def lint_lower_ideal(game: TwoSidedMarketGame) -> list[str]:
-    """Report strategies whose subsets are not all available.
-
-    Strategy families are not required to be lower-ideal at construction
-    (gadget games list strategies explicitly); this on-demand check names
-    each (agent, strategy, missing subset) violation.
-    """
-    findings = []
-    for agent in game.active:
-        family = set(agent.strategies)
-        for strat in agent.strategies:
-            for y in strat:
-                smaller = strat - {y}
-                if smaller not in family:
-                    findings.append(
-                        f"{agent.name}: subset {sorted(smaller)} of "
-                        f"{sorted(strat)} is not a strategy"
-                    )
-    return findings

@@ -50,17 +50,22 @@ def market_utility_by_winner_sets(game, profile, player):
     return total
 
 
+def is_pure_ne_pointwise(game, profile):
+    """Whether no player's utility rises by changing only its own strategy,
+    every utility evaluated pointwise through ``game.utility``."""
+    profile = tuple(profile)
+    for p, count in enumerate(game.strategy_counts):
+        here = game.utility(profile, p)
+        if any(game.utility(profile[:p] + (s,) + profile[p + 1:], p) > here
+               for s in range(count)):
+            return False
+    return True
+
+
 def brute_force_pure_nes(game):
-    """Every pure Nash equilibrium, from the definition: a profile at which
-    no player's utility rises by changing only its own strategy, every
-    utility evaluated pointwise at every profile."""
-    counts = game.strategy_counts
-    found = set()
-    for profile in itertools.product(*map(range, counts)):
-        if all(game.utility(profile[:p] + (s,) + profile[p + 1:], p) <= game.utility(profile, p)
-               for p, count in enumerate(counts) for s in range(count)):
-            found.add(profile)
-    return found
+    """Every pure Nash equilibrium, from the definition, at every profile."""
+    return {profile for profile in itertools.product(*map(range, game.strategy_counts))
+            if is_pure_ne_pointwise(game, profile)}
 
 
 def bitset_bottom_sccs(num_vertices, successor_indices):

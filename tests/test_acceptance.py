@@ -30,7 +30,6 @@ from sinkeq.dynamics import (
     has_non_singleton_sink,
     has_singleton_sink,
     in_a_sink,
-    is_pure_ne,
     rosenthal_potential,
     sccs,
     simulate_walk,
@@ -54,6 +53,7 @@ from _oracles import (
     bitset_bottom_sccs,
     brute_force_satisfiable,
     direct_tm_rejects,
+    is_pure_ne_pointwise,
 )
 
 
@@ -136,7 +136,7 @@ def test_criterion_2_oracle_equivalence():
             }
             found = sinks(game)
             assert {s.states for s in found} == expected
-            pure = {p for p in codec.all_profiles() if is_pure_ne(game, p)}
+            pure = {p for p in codec.all_profiles() if is_pure_ne_pointwise(game, p)}
             assert {
                 next(iter(s.states)) for s in found if s.singleton
             } == pure
@@ -282,7 +282,7 @@ def test_criterion_5_weighted_reproduction(desk_looper, desk_walker, desk_halter
         settled = list(round_start_profile(halting, config))
         transition = halting.symbols.player("transition")
         settled[transition] = halting.symbols.strategy("transition", "Halt")
-        assert is_pure_ne(halting.game, tuple(settled))
+        assert is_pure_ne_pointwise(halting.game, tuple(settled))
         # (d) every state of the looping closure reaches a round-start profile
         symbols = compiled.symbols
         fixed = {

@@ -8,7 +8,7 @@ import pytest
 from sinkeq.cli import run_cli
 from sinkeq.cnf import CnfFormula
 from sinkeq.compilers import compile_sat_market, verify_round_anonymous
-from sinkeq.dynamics import has_singleton_sink, is_pure_ne
+from sinkeq.dynamics import has_singleton_sink
 from sinkeq.games import TableGame, matching_pennies, prisoners_dilemma, coverage_instance
 from sinkeq.io import (
     parse_game_file,
@@ -18,7 +18,7 @@ from sinkeq.io import (
 )
 from sinkeq.turing import initial_config, tm_step
 
-from _oracles import brute_force_pure_nes
+from _oracles import brute_force_pure_nes, is_pure_ne_pointwise
 
 
 def run(argv):
@@ -143,8 +143,11 @@ def test_has_pure_answers_on_the_machine_gadgets(tmp_path, request, machine, kin
     assert code == 0
     doc = json.loads(out)
     assert doc["answer"] == "true"
+    # search nodes, the same on both gadgets of a machine
+    nodes = {"flipper": 251, "walker": 364, "halter": 245}[machine]
+    assert doc["stats"]["states_explored"] == nodes
     game = parse_game_file(game_path.read_bytes())
-    assert is_pure_ne(game, tuple(doc["extra"]["equilibrium"]))
+    assert is_pure_ne_pointwise(game, tuple(doc["extra"]["equilibrium"]))
 
 
 def test_has_pure_on_a_market_gadget_stops_at_the_cap(tmp_path, halter):

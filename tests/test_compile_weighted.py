@@ -8,7 +8,6 @@ from sinkeq.dynamics import (
     StateGraph,
     forward_closure,
     in_a_sink,
-    is_pure_ne,
     sccs,
 )
 from sinkeq.errors import ConfigurationError
@@ -21,6 +20,8 @@ from sinkeq.compilers import (
     verify_round_weighted,
 )
 from sinkeq.turing import SYMBOLS, TapeConfig, initial_config, run_bounded, tm_step
+
+from _oracles import is_pure_ne_pointwise
 
 
 def expected_player_count(spec):
@@ -130,7 +131,7 @@ def test_halting_machine_initial_not_in_sink_and_halt_is_ne(halter):
     settled[transition] = compiled.symbols.strategy("transition", "Halt")
     settled = tuple(settled)
     assert settled in closure.index
-    assert is_pure_ne(compiled.game, settled)
+    assert is_pure_ne_pointwise(compiled.game, settled)
     # every sink of the halting closure is that kind of settled halt profile
     succ = lambda v: [w for w, _ in graph.successors(v)]
     for comp in sccs(closure.states, succ):
@@ -138,7 +139,7 @@ def test_halting_machine_initial_not_in_sink_and_halt_is_ne(halter):
         if all(w in members for v in comp for w in succ(v)):
             assert len(comp) == 1
             assert comp[0][transition] == settled[transition]
-            assert is_pure_ne(compiled.game, comp[0])
+            assert is_pure_ne_pointwise(compiled.game, comp[0])
 
 
 def test_no_reachable_profile_costs_the_penalty(flipper, halter):

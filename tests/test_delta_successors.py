@@ -11,7 +11,7 @@ game behind the every-player default, and each closure state is checked to
 have evaluated exactly the rows of one move into it. Walks take their steps
 from ``successors`` too: they are compared with walks behind the
 every-player default, and each step after the first evaluates exactly the
-rows of the move into it.
+rows of the move into it; a walk keeps only the origin it moves to.
 """
 
 import random
@@ -32,29 +32,13 @@ from sinkeq.dynamics import (
     PriorityList,
     RandomImprover,
     StateGraph,
+    WalkOutcome,
     forward_closure,
     simulate_walk,
 )
 from sinkeq.games import SuccinctGame, TableGame
-from sinkeq.games.anonymous import AnonymousGame, AnonymousPlayer, Cmp, Const, Count
 
-from test_pure_search import sparse_congestion, sparse_market
-
-
-def sparse_anonymous(rng):
-    """4-6 players over 4-5 strategies, each rule reading one or two counts."""
-    k = rng.randint(4, 5)
-    players = []
-    for i in range(rng.randint(4, 6)):
-        allowed = frozenset(rng.sample(range(k), rng.randint(1, k)))
-        rules = []
-        for _ in range(rng.randint(0, 2)):
-            lhs = Count(rng.randrange(k))
-            rhs = Count(rng.randrange(k)) if rng.random() < 0.5 else Const(rng.randint(0, 3))
-            rules.append((rng.choice(sorted(allowed)),
-                          Cmp(rng.choice(["==", "<", ">", "<=", ">="]), lhs, rhs)))
-        players.append(AnonymousPlayer(f"p{i}", allowed, tuple(rules)))
-    return AnonymousGame([f"s{j}" for j in range(k)], players)
+from test_pure_search import sparse_anonymous, sparse_congestion, sparse_market
 
 
 GAMES = {
@@ -219,3 +203,18 @@ def test_a_walk_step_evaluates_the_rows_of_the_move_into_it(gadgets, kind):
     for k, (player, strategy) in enumerate(walk.moves[:-1], start=1):
         old = states[k - 1][player]
         assert sorted(steps[k]) == sorted(game.affected_players(player, old, strategy)), k
+
+
+def test_a_walk_keeps_only_the_origin_it_moves_to():
+    rng = random.Random(1)
+    game = TableGame((3,) * 8, [[rng.randint(0, 9) for _ in range(3 ** 8)] for _ in range(8)])
+    graph = StateGraph(game)
+    walk = simulate_walk(graph, (0,) * 8, RandomImprover(1), max_steps=1000)
+    assert len(walk.moves) == 1000 and walk.outcome is WalkOutcome.STILL_MOVING
+    assert len(graph._origins) <= 1
+    # the same walk on a fresh graph each step, where no origin is ever read
+    choose, current, moves = random.Random(1), (0,) * 8, []
+    for _ in range(1000):
+        current, player = choose.choice(StateGraph(game).successors(current))
+        moves.append((player, current[player]))
+    assert walk.moves == moves

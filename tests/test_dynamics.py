@@ -18,7 +18,6 @@ from sinkeq.dynamics import (
     has_singleton_sink,
     in_a_sink,
     is_alpha_ne,
-    is_pure_ne,
     rosenthal_potential,
     sccs,
     simulate_walk,
@@ -28,7 +27,7 @@ from sinkeq.dynamics import (
 from sinkeq.errors import CapExceededError, UnsupportedGameError
 from sinkeq.games import CongestionGame, TableGame, matching_pennies, prisoners_dilemma
 
-from _oracles import alpha_ne_pointwise, bitset_bottom_sccs
+from _oracles import alpha_ne_pointwise, bitset_bottom_sccs, is_pure_ne_pointwise
 
 
 def successor_fn(graph):
@@ -39,8 +38,8 @@ def test_improving_moves_empty_at_pure_ne():
     pd = prisoners_dilemma()
     graph = StateGraph(pd)
     assert graph.improving_moves((1, 1)) == []
-    assert is_pure_ne(pd, (1, 1))
-    assert not is_pure_ne(pd, (0, 0))
+    assert is_pure_ne_pointwise(pd, (1, 1))
+    assert not is_pure_ne_pointwise(pd, (0, 0))
 
 
 def test_matching_pennies_has_one_mover_per_state():
@@ -88,18 +87,19 @@ def test_has_pure_stops_at_the_first_improving_player(monkeypatch):
             movers = [p for p, _, _ in graph.improving_moves(profile)]
             code = game.codec.encode(profile)
             for semantics in EdgeSemantics:
+                evaluated.clear()
                 assert StateGraph(game, semantics).code_can_move(code) == bool(movers)
-            evaluated.clear()
-            assert is_pure_ne(game, profile) == (not movers)
-            # players after the first one who can improve are never evaluated
-            assert sum(evaluated.values()) == (movers[0] + 1 if movers else game.num_players)
+                # players after the first one who can improve are never evaluated
+                assert sum(evaluated.values()) == (movers[0] + 1 if movers
+                                                   else game.num_players)
+            assert is_pure_ne_pointwise(game, profile) == (not movers)
             stable.append(not movers)
         assert has_singleton_sink(game) == any(stable)
 
 
 def test_single_strategy_game_is_pure_ne():
     game = TableGame((1, 1), [[0], [0]])
-    assert is_pure_ne(game, (0, 0))
+    assert is_pure_ne_pointwise(game, (0, 0))
     assert has_singleton_sink(game)
 
 
@@ -151,7 +151,7 @@ def test_alpha_ne_true_at_pure_ne():
         [{1: 1, 2: 2}, {1: 1, 2: 2}],
     )
     for profile in game.codec.all_profiles():
-        if is_pure_ne(game, profile):
+        if is_pure_ne_pointwise(game, profile):
             assert is_alpha_ne(game, profile, Fraction(1, 2))
 
 
@@ -210,7 +210,7 @@ def test_sinks_match_bitset_oracle_on_random_games():
         assert got == expected
         # singleton sinks are exactly the pure equilibria
         pure = {
-            p for p in codec.all_profiles() if is_pure_ne(game, p)
+            p for p in codec.all_profiles() if is_pure_ne_pointwise(game, p)
         }
         assert {next(iter(s.states)) for s in sinks(game) if s.singleton} == pure
 
@@ -388,7 +388,7 @@ def test_pure_ne_is_singleton_sink_under_both_semantics():
     rng = random.Random(61)
     for _ in range(15):
         game = TableGame.random(rng)
-        pure = {p for p in game.codec.all_profiles() if is_pure_ne(game, p)}
+        pure = {p for p in game.codec.all_profiles() if is_pure_ne_pointwise(game, p)}
         for semantics in (EdgeSemantics.IMPROVEMENT, EdgeSemantics.BEST_RESPONSE):
             singletons = {
                 next(iter(s.states))

@@ -96,22 +96,6 @@ def test_incomplete_preference_rejected():
         )
 
 
-def test_lower_ideal_lint():
-    from sinkeq.games.market import lint_lower_ideal
-
-    ideal = TwoSidedMarketGame(
-        [PassiveAgent("y", 1, (0,))],
-        [ActiveAgent("x", (frozenset(), frozenset({0})))],
-    )
-    assert lint_lower_ideal(ideal) == []
-    gadget = TwoSidedMarketGame(
-        [PassiveAgent("a", 1, (0,)), PassiveAgent("b", 1, (0,))],
-        [ActiveAgent("x", (frozenset({0, 1}),))],
-    )
-    findings = lint_lower_ideal(gadget)
-    assert findings and all("x:" in f for f in findings)
-
-
 def test_preference_omitting_a_demander_is_rejected():
     # x1 and x2 demand y (x2 only through its second strategy); y ranks only x1.
     with pytest.raises(ConfigurationError) as info:

@@ -20,6 +20,7 @@ from sinkeq.compilers import compile_sat_market
 from sinkeq.dynamics import pure_ne_search
 from sinkeq.errors import CapExceededError
 from sinkeq.games import CongestionGame, TwoSidedMarketGame
+from sinkeq.games.anonymous import AnonymousGame, AnonymousPlayer, Cmp, Const, Count
 from sinkeq.games.market import ActiveAgent, PassiveAgent
 
 from _oracles import brute_force_pure_nes
@@ -44,6 +45,22 @@ def sparse_congestion(rng, mode, weighted=True):
                   for _ in range(n_res)]
     return CongestionGame([f"e{e}" for e in range(n_res)], strategies, delays,
                           weights=weights, mode=mode)
+
+
+def sparse_anonymous(rng):
+    """4-6 players over 4-5 strategies, each rule reading one or two counts."""
+    k = rng.randint(4, 5)
+    players = []
+    for i in range(rng.randint(4, 6)):
+        allowed = frozenset(rng.sample(range(k), rng.randint(1, k)))
+        rules = []
+        for _ in range(rng.randint(0, 2)):
+            lhs = Count(rng.randrange(k))
+            rhs = Count(rng.randrange(k)) if rng.random() < 0.5 else Const(rng.randint(0, 3))
+            rules.append((rng.choice(sorted(allowed)),
+                          Cmp(rng.choice(["==", "<", ">", "<=", ">="]), lhs, rhs)))
+        players.append(AnonymousPlayer(f"p{i}", allowed, tuple(rules)))
+    return AnonymousGame([f"s{j}" for j in range(k)], players)
 
 
 def sparse_market(rng):
@@ -98,13 +115,13 @@ def test_search_agrees_with_brute_force(kind, seed):
     assert nodes >= 1
 
 
-@pytest.mark.parametrize("kind", ["sparse-congestion-shared",
+@pytest.mark.parametrize("kind", ["sparse-anonymous", "sparse-congestion-shared",
                                   "sparse-congestion-player-specific", "sparse-market"])
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_only_interacting_players_change_a_row(kind, seed):
     rng = random.Random(seed)
-    game = GAMES[kind](rng)
+    game = sparse_anonymous(rng) if kind == "sparse-anonymous" else GAMES[kind](rng)
     counts = game.strategy_counts
     for player, near in enumerate(game.interacting_players()):
         assert player in near
@@ -115,6 +132,15 @@ def test_only_interacting_players_change_a_row(kind, seed):
                 for s in range(counts[other]):
                     moved = profile[:other] + (s,) + profile[other + 1:]
                     assert list(game.deviation_utilities(moved, player)) == row
+
+
+def test_a_player_whose_rules_read_no_count_interacts_only_with_itself():
+    game = AnonymousGame(["a", "b"], [
+        AnonymousPlayer("reader", frozenset({0, 1}), ((0, Cmp(">=", Count(1), Const(1))),)),
+        AnonymousPlayer("constant", frozenset({0, 1}), ((1, Cmp("==", Const(0), Const(0))),)),
+        AnonymousPlayer("ruleless", frozenset({0}), ()),
+    ])
+    assert game.interacting_players() == [{0, 1, 2}, {1}, {2}]
 
 
 def test_the_cap_bounds_search_nodes():
