@@ -95,42 +95,76 @@ class StateGraph:
         # (player, place weight, strategy count): one digit of a profile code
         self._digits = tuple(zip(range(len(self.codec.place_weights)),
                                  self.codec.place_weights, self.codec.strategy_counts))
-        # profile -> (a generator's moves, mover, the mover's old strategy),
-        # recorded by ``successors`` for each profile it generates
-        self._origins: dict[Profile, tuple[list[Move], int, int]] = {}
+        # profile -> (its generator's expansion, mover, the mover's old
+        # strategy), recorded by ``successors`` for each profile it generates
+        # that the graph has not expanded, and dropped when read
+        self._origins: dict[Profile, tuple[tuple, int, int]] = {}
+        self._expanded: set[Profile] = set()
+        # (moves, rows, aggregate) of the profile ``improving_moves`` last expanded
+        self._expansion: tuple | None = None
 
     def improving_moves(self, profile: Profile) -> list[Move]:
         """Qualifying moves in canonical order (ascending player, strategy).
 
-        A profile that ``successors`` generated re-evaluates only the players
-        its move can affect (``SuccinctGame.affected_players``) and copies
-        every other player's moves from its generator: their rows and
-        current strategies are the generator's. Any other profile evaluates
-        every player.
+        A profile that ``successors`` generated starts from its generator's
+        rows and moves. A row never depends on its own player's strategy, so
+        the mover's row is copied and only its moves are recomputed. Every
+        other player of ``SuccinctGame.affected_rows`` re-prices only the
+        strategies whose value reads an entry the move changes, and keeps the
+        rest of its row; every player whose row is unchanged keeps its moves.
+        Where the game steps its aggregate, the generator's is stepped by the
+        move. Any other profile evaluates every row.
         """
-        origin = self._origins.get(profile)
+        game = self.game
+        deviations, targets = game.deviation_utilities, self._targets
+        origin = self._origins.pop(profile, None)
+        self._expanded.add(profile)
         if origin is None:
-            players, moves = range(self.game.num_players), []
+            rows = [deviations(profile, player) for player in range(game.num_players)]
+            aggregate = game._profile_aggregate(profile) if game._step else None
+            players, moves = range(game.num_players), []
         else:
-            before, mover, old = origin
-            players = self.game.affected_players(mover, old, profile[mover])
+            (before, rows, aggregate), mover, old = origin
+            if game._step:
+                aggregate = game._stepped_aggregate(profile, aggregate, mover, old)
+            rows = rows.copy()
+            players = {mover}
+            for player, strategies in game.affected_rows(mover, old, profile[mover]):
+                row = rows[player]
+                # a row whose re-priced entries kept their values keeps its moves
+                if strategies is None:
+                    fresh = deviations(profile, player)
+                    if fresh == row:
+                        continue
+                    rows[player] = fresh
+                else:
+                    fresh = deviations(profile, player, strategies)
+                    if fresh == [row[s] for s in strategies]:
+                        continue
+                    row = rows[player] = list(row)
+                    for s, u in zip(strategies, fresh):
+                        row[s] = u
+                players.add(player)
             moves = [m for m in before if m[0] not in players]
-        deviations, targets = self.game.deviation_utilities, self._targets
         for player in players:
-            devs = deviations(profile, player)
-            for s in targets(profile[player], devs, range(len(devs))):
-                moves.append((player, s, devs[s]))
-        moves.sort()  # copied and re-evaluated moves interleave by player
+            row = rows[player]
+            for s in targets(profile[player], row, range(len(row))):
+                moves.append((player, s, row[s]))
+        moves.sort()  # copied and recomputed moves interleave by player
+        self._expansion = (moves, rows, aggregate)
         return moves
 
     def successors(self, profile: Profile) -> list[tuple[Profile, int]]:
         """(next profile, moving player) pairs, canonical order. Each next
-        profile's origin is recorded for ``improving_moves``."""
+        profile the graph has not expanded gets its origin recorded for
+        ``improving_moves``."""
         moves = self.improving_moves(profile)
+        expansion, expanded, origins = self._expansion, self._expanded, self._origins
         out = []
         for p, s, _ in moves:
             child = profile[:p] + (s,) + profile[p + 1:]
-            self._origins[child] = (moves, p, profile[p])
+            if child not in expanded:
+                origins[child] = (expansion, p, profile[p])
             out.append((child, p))
         return out
 
@@ -148,25 +182,31 @@ class StateGraph:
         p, so the row is read once, at the base. The rows, transposed, are
         p's layers: layer s holds the utility of strategy s on each line.
         The layer rule compares two whole layers at once, and a move from a
-        to b adds (b - a) * w to a code. Players ascending and targets
-        ascending append each list in canonical order.
+        to b leads to the code on the same line whose digit p is b. Players
+        ascending and targets ascending append each list in canonical order.
+        Every list holds the same int object for a code, so an edge costs one
+        reference.
         """
         key, read = self._code_reader
         size = self.codec.num_profiles
-        adjacency: list[list[int]] = [[] for _ in range(size)]
+        codes = list(range(size))
+        adjacency: list[list[int]] = [[] for _ in codes]
         for player, weight, choices in self._digits:
             if choices == 1:
                 continue
-            bases = list(chain.from_iterable(
-                range(top, top + weight) for top in range(0, size, weight * choices)))
-            mask = self._layer_rule(list(zip(*[read(key(base), player) for base in bases])))
-            layer_codes = [[base + a * weight for base in bases] for a in range(choices)]
+            # layer_codes[a]: the codes whose digit p is a, one per line
+            layer_codes = [
+                list(chain.from_iterable(codes[top + a * weight:top + (a + 1) * weight]
+                                         for top in range(0, size, weight * choices)))
+                for a in range(choices)]
+            mask = self._layer_rule(list(zip(*[read(key(base), player)
+                                               for base in layer_codes[0]])))
             for b in range(choices):
                 for a in range(choices):
                     if a != b:
-                        shift = (b - a) * weight
-                        for source in compress(layer_codes[a], mask(a, b)):
-                            adjacency[source].append(source + shift)
+                        for source, target in compress(zip(layer_codes[a], layer_codes[b]),
+                                                       mask(a, b)):
+                            adjacency[source].append(target)
         return adjacency
 
     def code_can_move(self, code: int, digits: Iterable | None = None) -> bool:
@@ -358,7 +398,14 @@ def state_space(graph: StateGraph, cap: int | None = None) -> Closure:
     size = graph.codec.num_profiles
     if size > cap:
         raise CapExceededError(f"profile space has {size} states, above the cap of {cap}")
-    coded = _tarjan(range(size), graph.code_adjacency().__getitem__)
+    adjacency = graph.code_adjacency()
+
+    def successors(code: int) -> list[int]:
+        # the pass reads each list once and records its edges anew: release it
+        out, adjacency[code] = adjacency[code], None
+        return out
+
+    coded = _tarjan(range(size), successors)
     codes, position = coded.states, coded.index
     states = list(map(graph.codec.all_profiles().__getitem__, codes))
 
@@ -524,8 +571,10 @@ def simulate_walk(
     moves: list[tuple[int, int]] = []
     current = start
     for _ in range(max_steps):
-        # (next profile, mover) in canonical move order; each next profile
-        # has an origin, so the step into it re-prices only what the move affects
+        # (next profile, mover) in canonical move order; with what was
+        # expanded forgotten, each next profile, even one walked before, gets
+        # an origin, so the step into it re-prices only what the move affects
+        graph._expanded.clear()
         options = graph.successors(current)
         if not options:
             return WalkResult(states, moves, WalkOutcome.REACHED_SINK_STATE)

@@ -204,9 +204,9 @@ class AnonymousGame(SuccinctGame):
             raise ConfigurationError("duplicate strategy names")
         k = len(self.strategy_names)
         self.players = tuple(players)
-        # readers[s]: the players whose rules read the count of strategy s
-        readers: list[set[int]] = [set() for _ in range(k)]
-        for i, p in enumerate(self.players):
+        # the value of each player's strategy s reads the counts its rules refer to
+        reads = []
+        for p in self.players:
             for s in p.allowed:
                 if not 0 <= s < k:
                     raise ConfigurationError(
@@ -214,18 +214,21 @@ class AnonymousGame(SuccinctGame):
                     )
             if not p.allowed:
                 raise ConfigurationError(f"player {p.name}: empty allowed set")
+            row = [frozenset()] * k
             for strat, pred in p.rules:
                 if strat not in p.allowed:
                     raise ConfigurationError(
                         f"player {p.name}: rule on disallowed strategy {strat}"
                     )
-                for ref in pred.strategy_refs():
+                refs = pred.strategy_refs()
+                for ref in refs:
                     if not 0 <= ref < k:
                         raise ConfigurationError(
                             f"player {p.name}: predicate references undeclared "
                             f"strategy {ref}"
                         )
-                    readers[ref].add(i)
+                row[strat] = row[strat].union(refs)
+            reads.append(row)
         self.strategy_counts = (k,) * len(self.players)
         self.codec = ProfileCodec(self.strategy_counts)
         self._rules_by_strategy = tuple(
@@ -234,7 +237,7 @@ class AnonymousGame(SuccinctGame):
         )
         # a player on strategy s adds only to the count of s
         singletons = tuple(frozenset({s}) for s in range(k))
-        self._footprint = ((singletons,) * len(self.players), tuple(map(frozenset, readers)))
+        self._footprint = ((singletons,) * len(self.players), reads)
 
     def histogram(self, profile: Profile) -> list[int]:
         hist = [0] * len(self.strategy_names)
@@ -257,18 +260,27 @@ class AnonymousGame(SuccinctGame):
         return self._utility_from_hist(player, profile[player],
                                        self._profile_aggregate(profile))
 
-    def deviation_utilities(self, profile: Profile, player: int):
-        """A disallowed strategy reads 0, so only the allowed ones are
-        evaluated, each on the histogram without the player plus that strategy."""
+    def _step(self, hist: list[int], player: int, old: int, new: int) -> list[int]:
+        """The histogram after ``player`` moves from ``old`` to ``new``."""
+        hist = hist.copy()
+        hist[old] -= 1
+        hist[new] += 1
+        return hist
+
+    def deviation_utilities(self, profile: Profile, player: int, strategies=None):
+        """A disallowed strategy reads 0, so only the allowed ones (of
+        ``strategies``, when given) are evaluated, each on the histogram
+        without the player plus that strategy."""
         hist = list(self._profile_aggregate(profile))
         hist[profile[player]] -= 1
+        by_strategy = self._rules_by_strategy[player]
         out = [0] * len(self.strategy_names)
-        for choice, rules in self._rules_by_strategy[player].items():
+        for choice in by_strategy if strategies is None else by_strategy.keys() & strategies:
             hist[choice] += 1
             out[choice] = 1
-            for pred in rules:
+            for pred in by_strategy[choice]:
                 if pred.eval(hist):
                     out[choice] = 2
                     break
             hist[choice] -= 1
-        return out
+        return out if strategies is None else [out[s] for s in strategies]

@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import compress
+from operator import not_
 from typing import Callable, Collection, Sequence
 
 from ..profiles import Profile, ProfileCodec, validate_profile
+
+
+def _players_by_entry(per_player) -> dict[int, list[int]]:
+    """Each entry of some ``per_player[p][s]``, to the players p that name
+    it, ascending."""
+    players: defaultdict[int, list[int]] = defaultdict(list)
+    for p, strats in enumerate(per_player):
+        for x in frozenset().union(*strats):
+            players[x].append(p)
+    return players
 
 
 class SuccinctGame:
@@ -16,21 +29,32 @@ class SuccinctGame:
     keep the aggregate of the last profile it evaluated (loads, histogram,
     winners) in a one-entry ``(profile, aggregate)`` slot, matched by
     equality and replaced as one tuple, so that the deviations of every
-    player of one profile share it.
+    player of one profile share it. A class whose aggregate can follow one
+    move sets ``_step(aggregate, player, old, new)``, which returns the
+    aggregate after ``player`` moves from ``old`` to ``new`` as a new
+    object; the default, None, means that every profile's aggregate is
+    built from the profile.
+
+    A player's ``deviation_utilities`` row never depends on that player's
+    own strategy, so a move leaves the mover's row as it was.
 
     A class states its locality once, as its footprint ``(touches,
-    readers)``: ``touches[p][s]`` is the frozenset of aggregate entries
+    reads)``: ``touches[p][s]`` is the frozenset of aggregate entries
     (resource loads, passive agents, strategy counts) that player p adds to
-    on strategy s, and ``readers[x]`` the players whose rows read entry x.
-    Both locality sets derive from it: ``affected_players`` for the closure
-    delta and ``interacting_players`` for the has-pure search. The default,
-    None, means that every row reads the whole profile.
+    on strategy s, and ``reads[p][s]`` the frozenset of entries that the
+    value of p's strategy s reads. Everything else derives from it:
+    ``_entry_readers`` (each entry to the players whose rows read it), and
+    from that the locality sets: ``affected_players`` and ``affected_rows``
+    for the closure delta, ``interacting_players`` for the has-pure search.
+    The default, None, means that every row reads the whole profile.
     """
 
     strategy_counts: tuple[int, ...]
     codec: ProfileCodec
     _slot: tuple | None = None  # (profile, aggregate) of the last profile evaluated
-    _footprint: tuple | None = None  # (touches, readers); None: rows read everything
+    _footprint: tuple | None = None  # (touches, reads); None: rows read everything
+    _step: Callable | None = None  # (aggregate, player, old, new) -> aggregate; None: rebuild
+    _readers: dict | None = None  # see _entry_readers
 
     @property
     def num_players(self) -> int:
@@ -39,18 +63,28 @@ class SuccinctGame:
     def utility(self, profile: Profile, player: int) -> int:
         raise NotImplementedError
 
-    def deviation_utilities(self, profile: Profile, player: int) -> Sequence[int]:
-        """Utility of each strategy of ``player``, the others held fixed.
+    def deviation_utilities(self, profile: Profile, player: int,
+                            strategies: Sequence[int] | None = None) -> Sequence[int]:
+        """Utility of each strategy of ``player``, the others held fixed;
+        with ``strategies``, of just those, in that order.
 
         The one evaluation hook of the dynamics engine; this default moves
         the player pointwise, and classes with a per-profile aggregate
         override it.
         """
         before, after = profile[:player], profile[player + 1:]
-        return [
-            self.utility(before + (s,) + after, player)
-            for s in range(self.strategy_counts[player])
-        ]
+        if strategies is None:
+            strategies = range(self.strategy_counts[player])
+        return [self.utility(before + (s,) + after, player) for s in strategies]
+
+    def _entry_readers(self) -> dict[int, list[int]]:
+        """Each entry some row reads, to the players whose rows read it,
+        ascending; derived on first use. (A plain attribute, not a cached
+        property: reading ``__dict__`` would slow every attribute load of
+        the game.)"""
+        if self._readers is None:
+            self._readers = _players_by_entry(self._footprint[1])
+        return self._readers
 
     def interacting_players(self) -> list[Collection[int]]:
         """For each player, the players whose strategies can change that
@@ -59,27 +93,49 @@ class SuccinctGame:
         if self._footprint is None:
             everyone = range(self.num_players)
             return [everyone] * self.num_players
-        touches, readers = self._footprint
-        writers: list[set[int]] = [set() for _ in readers]
-        for p, strats in enumerate(touches):
-            for x in frozenset().union(*strats):
-                writers[x].add(p)
+        touches, reads = self._footprint
+        readers = self._entry_readers()
+        writers = readers if touches is reads else _players_by_entry(touches)
         near = [{i} for i in range(self.num_players)]
-        for x, rows in enumerate(readers):
+        for x, rows in readers.items():
             for i in rows:
-                near[i] |= writers[x]
+                near[i].update(writers.get(x, ()))
         return near
+
+    def _changed(self, player: int, old: int, new: int) -> frozenset:
+        """The entries ``player``'s move from ``old`` to ``new`` changes:
+        those in exactly one of its two strategies."""
+        strats = self._footprint[0][player]
+        return strats[old] ^ strats[new]
 
     def affected_players(self, player: int, old: int, new: int) -> Collection[int]:
         """The players whose ``deviation_utilities`` row can change when
         ``player`` moves from strategy ``old`` to ``new``, the mover
-        included: the readers of the entries in exactly one of its two
-        strategies, the only ones the move changes."""
+        included: the readers of the entries the move changes."""
         if self._footprint is None:
             return range(self.num_players)
-        touches, readers = self._footprint
-        strats = touches[player]
-        return {player}.union(*(readers[x] for x in strats[old] ^ strats[new]))
+        readers = self._entry_readers()
+        return {player}.union(*(readers.get(x, ()) for x in self._changed(player, old, new)))
+
+    def affected_rows(self, player: int, old: int, new: int) -> list[tuple[int, list[int] | None]]:
+        """The rows ``player``'s move from ``old`` to ``new`` can change, as
+        (player, strategies) pairs: every affected player but the mover,
+        whose row the move leaves as it was, with the strategies whose
+        value reads an entry the move changes, ascending; without a
+        footprint, every other player with None, all of its strategies.
+        Each player's strategies are found by testing each one's entries
+        against the changed ones, which costs nothing before the first move
+        (an index from entry to strategies costs its game's incidences)."""
+        if self._footprint is None:
+            return [(p, None) for p in range(self.num_players) if p != player]
+        changed = self._changed(player, old, new)
+        reads = self._footprint[1]
+        out = []
+        for p in self.affected_players(player, old, new):
+            if p != player:
+                meets = map(not_, map(changed.isdisjoint, reads[p]))
+                out.append((p, list(compress(range(len(reads[p])), meets))))
+        return out
 
     def code_reader(self) -> tuple[Callable, Callable]:
         """How a walk over profile codes reads deviation utilities: ``(key,
@@ -99,6 +155,14 @@ class SuccinctGame:
             return slot[1]
         aggregate = self._aggregate(profile)
         self._slot = (tuple(profile), aggregate)
+        return aggregate
+
+    def _stepped_aggregate(self, profile: Profile, aggregate, player: int, old: int):
+        """``profile``'s aggregate, stepped by ``_step`` from ``aggregate``,
+        the aggregate of the profile ``player`` left from strategy ``old``,
+        and put in the slot for ``profile``'s rows to share."""
+        aggregate = self._step(aggregate, player, old, profile[player])
+        self._slot = (profile, aggregate)
         return aggregate
 
     def validate_profile(self, profile: Sequence[int]) -> Profile:

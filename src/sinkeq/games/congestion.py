@@ -75,8 +75,8 @@ class CongestionGame(SuccinctGame):
             raise ConfigurationError("player-specific games use unit weights")
 
         self.delays = self._freeze_delays(delays, n, n_res)
-        self._users = self.potential_users()
-        self._footprint = (self.strategies, self._users)
+        # a strategy's cost reads exactly the loads it adds to
+        self._footprint = (self.strategies, self.strategies)
         self._check_delay_coverage()
         # _tables[i][e]: the delay table player i reads for resource e
         if mode == SHARED:
@@ -93,9 +93,18 @@ class CongestionGame(SuccinctGame):
                 f"{len(delays)} delay tables for {n_res} resources"
             )
         frozen = []
+        once: dict[int, dict[int, int]] = {}  # id of a table given -> the table frozen
+
+        def freeze(table, label):
+            # the same table object, given for many resources, is frozen once
+            out = once.get(id(table))
+            if out is None:
+                out = once[id(table)] = self._freeze_table(table, label())
+            return out
+
         if self.mode == SHARED:
             for e, table in enumerate(delays):
-                frozen.append(self._freeze_table(table, f"resource {self.resources[e]}"))
+                frozen.append(freeze(table, lambda: f"resource {self.resources[e]}"))
         else:
             for e, per_player in enumerate(delays):
                 if len(per_player) != n_players:
@@ -103,7 +112,7 @@ class CongestionGame(SuccinctGame):
                         f"resource {self.resources[e]}: expected one table per player"
                     )
                 frozen.append(tuple(
-                    self._freeze_table(t, f"resource {self.resources[e]} player {i}")
+                    freeze(t, lambda: f"resource {self.resources[e]} player {i}")
                     for i, t in enumerate(per_player)
                 ))
         return tuple(frozen)
@@ -120,17 +129,20 @@ class CongestionGame(SuccinctGame):
 
     def potential_users(self) -> list[list[int]]:
         """Per resource, the players with some strategy using it, ascending."""
-        users: list[list[int]] = [[] for _ in self.resources]
-        for i, strats in enumerate(self.strategies):
-            for e in frozenset().union(*strats):
-                users[e].append(i)
-        return users
+        readers = self._entry_readers()
+        return [list(readers.get(e, ())) for e in range(len(self.resources))]
 
     def _check_delay_coverage(self):
-        for e, potential in enumerate(self._users):
+        sums: dict[tuple[int, ...], set[int]] = {}  # sorted weights -> their subset sums
+        readers = self._entry_readers()
+        for e in range(len(self.resources)):
+            potential = readers.get(e, ())
             if self.mode == SHARED:
-                reachable = _subset_sums([self.weights[i] for i in potential])
-                missing = reachable - set(self.delays[e])
+                weights = tuple(sorted(map(self.weights.__getitem__, potential)))
+                reachable = sums.get(weights)
+                if reachable is None:
+                    reachable = sums[weights] = _subset_sums(weights)
+                missing = reachable.difference(self.delays[e])
                 if missing:
                     raise ConfigurationError(
                         f"resource {self.resources[e]}: no delay for reachable "
@@ -164,15 +176,29 @@ class CongestionGame(SuccinctGame):
     def utility(self, profile: Profile, player: int) -> int:
         return -self.cost(profile, player)
 
-    def deviation_utilities(self, profile: Profile, player: int):
-        """Negated cost of every strategy of ``player``, the others held
-        fixed, read off the one load vector shared by every player."""
+    def _step(self, loads: list[int], player: int, old: int, new: int) -> list[int]:
+        """The load vector after ``player`` moves from ``old`` to ``new``: its
+        weight leaves the resources only ``old`` uses and joins those only
+        ``new`` uses."""
+        strats, weight = self.strategies[player], self.weights[player]
+        loads = loads.copy()
+        for e in strats[old] - strats[new]:
+            loads[e] -= weight
+        for e in strats[new] - strats[old]:
+            loads[e] += weight
+        return loads
+
+    def deviation_utilities(self, profile: Profile, player: int, strategies=None):
+        """Negated cost of every strategy of ``player`` (or of each of
+        ``strategies``), the others held fixed, read off the one load vector
+        shared by every player."""
         loads = self._profile_aggregate(profile)
         current = self.strategies[player][profile[player]]
         add = self.weights[player]
         table = self._tables[player]
+        strats = self.strategies[player]
         out = []
-        for strat in self.strategies[player]:
+        for strat in strats if strategies is None else map(strats.__getitem__, strategies):
             total = 0
             for e in strat:
                 total -= table[e][loads[e] if e in current else loads[e] + add]

@@ -35,8 +35,7 @@ class TwoSidedMarketGame(SuccinctGame):
         self.passive = tuple(passive)
         self.active = tuple(active)
         n_passive = len(self.passive)
-        demanders: list[set[int]] = [set() for _ in self.passive]
-        for x, agent in enumerate(self.active):
+        for agent in self.active:
             if not agent.strategies:
                 raise ConfigurationError(f"agent {agent.name}: no strategies")
             for s_idx, strat in enumerate(agent.strategies):
@@ -46,19 +45,21 @@ class TwoSidedMarketGame(SuccinctGame):
                             f"agent {agent.name} strategy {s_idx}: passive index "
                             f"{y} out of range"
                         )
-                    demanders[y].add(x)
+        # a strategy's value reads exactly the passive agents it demands
+        strategies = tuple(a.strategies for a in self.active)
+        self._footprint = (strategies, strategies)
+        demanders = self._entry_readers()
         for y, p in enumerate(self.passive):
             if p.value <= 0:
                 raise ConfigurationError(f"passive agent {p.name}: value not positive")
-            if len(set(p.preference)) != len(p.preference):
+            ranked = set(p.preference)
+            if len(ranked) != len(p.preference):
                 raise ConfigurationError(f"passive agent {p.name}: preference repeats")
-            if not demanders[y] <= set(p.preference):
-                missing = sorted(demanders[y] - set(p.preference))
+            if not ranked.issuperset(demanders.get(y, ())):
+                missing = sorted(set(demanders[y]) - ranked)
                 raise ConfigurationError(
                     f"passive agent {p.name}: preference omits demander(s) {missing}"
                 )
-        self._demanders = tuple(map(frozenset, demanders))
-        self._footprint = (tuple(a.strategies for a in self.active), self._demanders)
         # rank[y][x]: lower is better; absent demanders never win
         self._rank = tuple(
             {x: r for r, x in enumerate(p.preference)} for p in self.passive
@@ -92,12 +93,13 @@ class TwoSidedMarketGame(SuccinctGame):
             if winners[y] == player
         )
 
-    def deviation_utilities(self, profile: Profile, player: int):
+    def deviation_utilities(self, profile: Profile, player: int, strategies=None):
         # The incumbent against ``player`` on each passive agent is the best
         # other demander: the top one, or the runner-up where ``player`` is top.
         first, second = self._profile_aggregate(profile)
+        strats = self.active[player].strategies
         out = []
-        for strat in self.active[player].strategies:
+        for strat in strats if strategies is None else map(strats.__getitem__, strategies):
             total = 0
             for y in strat:
                 incumbent = second[y] if first[y] == player else first[y]

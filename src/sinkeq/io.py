@@ -175,6 +175,23 @@ def _pairs_to_table(pairs, path) -> dict[int, int]:
     return table
 
 
+def _delay_tables(value, path) -> list[dict[int, int]]:
+    """An array of delay tables, each an array of [load, delay] pairs. When
+    every pair is two integers, equal tables are parsed once and share one
+    dict; otherwise each table is parsed alone, naming the first bad pair."""
+    tables = _as_list(value, path)
+    pairs = list(chain.from_iterable(tables)) if set(map(type, tables)) <= _ONLY_LIST else ()
+    if (pairs and set(map(type, pairs)) <= _ONLY_LIST and set(map(len, pairs)) == {2}
+            and set(map(type, chain.from_iterable(pairs))) <= _ONLY_INT):
+        # each table's loads and delays, interleaved, is its key
+        keys = list(map(tuple, map(chain.from_iterable, tables)))
+        parsed: dict[tuple, dict[int, int]] = dict.fromkeys(keys)
+        for key in parsed:
+            parsed[key] = dict(zip(key[::2], key[1::2]))
+        return list(map(parsed.__getitem__, keys))
+    return [_pairs_to_table(t, f"{path}[{k}]") for k, t in enumerate(tables)]
+
+
 def _congestion_to_json(game: CongestionGame) -> dict:
     if game.mode == "shared":
         delays = [_delay_pairs(t) for t in game.delays]
@@ -194,15 +211,12 @@ def _congestion_to_json(game: CongestionGame) -> dict:
 
 def _congestion_from_json(doc: dict) -> CongestionGame:
     mode = doc.get("mode", "shared")
-    raw = _as_list(_need(doc, "delays", "$"), "$.delays")
+    raw = _need(doc, "delays", "$")
     if mode == "shared":
-        delays = [_pairs_to_table(t, f"$.delays[{e}]") for e, t in enumerate(raw)]
+        delays = _delay_tables(raw, "$.delays")
     else:
-        delays = [
-            [_pairs_to_table(t, f"$.delays[{e}][{i}]")
-             for i, t in enumerate(_as_list(per, f"$.delays[{e}]"))]
-            for e, per in enumerate(raw)
-        ]
+        delays = [_delay_tables(per, f"$.delays[{e}]")
+                  for e, per in enumerate(_as_list(raw, "$.delays"))]
     strategies = _as_list(_need(doc, "strategies", "$"), "$.strategies")
     weights = doc.get("weights")
     return CongestionGame(

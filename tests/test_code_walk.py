@@ -72,3 +72,28 @@ def test_code_walk_matches_the_tuple_walk(kind, seed):
         assert walked.sinks == naive.sinks
         assert walked.edges == naive.edges
         assert walked.codes == [game.codec.encode(v) for v in walked.states]
+
+
+def test_the_pass_releases_each_successor_list_once_read(monkeypatch):
+    game = TableGame.random(random.Random(3), max_players=4, max_profiles=96)
+    built = []
+    adjacency = StateGraph.code_adjacency
+
+    def keep(graph):
+        built.append(adjacency(graph))
+        return built[-1]
+
+    monkeypatch.setattr(StateGraph, "code_adjacency", keep)
+    closure = state_space(StateGraph(game))
+    assert closure.edges > 0
+    assert built[0] == [None] * game.codec.num_profiles
+
+
+def test_successor_lists_share_one_object_per_code():
+    rng = random.Random(1)
+    game = TableGame((3,) * 8, [[rng.randint(0, 9) for _ in range(3 ** 8)] for _ in range(8)])
+    seen: dict[int, int] = {}
+    for out in StateGraph(game).code_adjacency():
+        for code in out:
+            assert seen.setdefault(code, code) is code
+    assert len(seen) > 256  # above the interpreter's cached small ints

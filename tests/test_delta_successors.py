@@ -1,21 +1,25 @@
-"""A closure state re-evaluates only the players its move can affect.
+"""A closure state re-prices only the entries its move can change.
 
 ``StateGraph.successors`` records where each profile it generates came
-from, and ``improving_moves`` on such a profile evaluates only the rows of
-``SuccinctGame.affected_players`` and copies the rest from the generator.
-Here the hook is checked against evaluation on hypothesis-random congestion
-(shared, weighted and player-specific), anonymous and market games: a
-player it leaves out has the same row before and after the move. The
-closures of the machine gadgets are compared with closures over the same
-game behind the every-player default, and each closure state is checked to
-have evaluated exactly the rows of one move into it. Walks take their steps
-from ``successors`` too: they are compared with walks behind the
-every-player default, and each step after the first evaluates exactly the
-rows of the move into it; a walk keeps only the origin it moves to.
+from: the generator's rows, moves and aggregate. ``improving_moves`` on
+such a profile copies the mover's row (a row never depends on its own
+player's strategy), re-prices, for every other player of
+``SuccinctGame.affected_rows``, only the strategies whose value reads an
+entry the move changes, and steps the generator's aggregate by the move
+where the game has a step. Here the facts this rests on are checked on
+hypothesis-random games of every class: a player's own move leaves its row,
+a strategy subset reads the full row's entries, an entry the move does not
+reach keeps its value, and a stepped aggregate equals the rebuilt one. The
+rows and aggregate of every closure state are compared with a fresh
+evaluation, and closures and walks are compared, under both semantics,
+with those over the same game behind the every-player default. Each
+closure state and each walk step is checked to have evaluated exactly the
+entries of one move into it, never the mover's row; origins are dropped
+once read.
 """
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +43,7 @@ from sinkeq.dynamics import (
 from sinkeq.games import SuccinctGame, TableGame
 
 from test_pure_search import sparse_anonymous, sparse_congestion, sparse_market
+from test_valid_utility_dynamics import random_coverage
 
 
 GAMES = {
@@ -48,6 +53,48 @@ GAMES = {
     "anonymous": sparse_anonymous,
     "market": sparse_market,
 }
+# every game class: the footprint classes above, and two that read everything
+CLASSES = dict(GAMES, **{
+    "table": lambda rng: TableGame.random(rng, max_players=4, max_profiles=96),
+    "valid-utility": random_coverage,
+})
+STEPPED = ("congestion-shared", "congestion-weighted", "congestion-player-specific",
+           "anonymous")
+
+
+def random_move(rng, game):
+    """(profile before, mover, its new strategy, profile after)."""
+    before = tuple(rng.randrange(c) for c in game.strategy_counts)
+    mover = rng.randrange(game.num_players)
+    new = rng.randrange(game.strategy_counts[mover])
+    return before, mover, new, before[:mover] + (new,) + before[mover + 1:]
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_a_players_own_move_leaves_its_row(kind, seed):
+    rng = random.Random(seed)
+    game = CLASSES[kind](rng)
+    for _ in range(8):
+        before, mover, _, after = random_move(rng, game)
+        assert (list(game.deviation_utilities(before, mover))
+                == list(game.deviation_utilities(after, mover)))
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_a_strategy_subset_reads_the_full_rows_entries(kind, seed):
+    rng = random.Random(seed)
+    game = CLASSES[kind](rng)
+    for _ in range(8):
+        profile = tuple(rng.randrange(c) for c in game.strategy_counts)
+        player = rng.randrange(game.num_players)
+        full = game.deviation_utilities(profile, player)
+        count = game.strategy_counts[player]
+        subset = rng.sample(range(count), rng.randint(0, count))
+        assert game.deviation_utilities(profile, player, subset) == [full[s] for s in subset]
 
 
 @pytest.mark.parametrize("kind", sorted(GAMES))
@@ -57,16 +104,67 @@ def test_a_player_the_move_does_not_affect_keeps_its_row(kind, seed):
     rng = random.Random(seed)
     game = GAMES[kind](rng)
     for _ in range(8):
-        before = tuple(rng.randrange(c) for c in game.strategy_counts)
-        mover = rng.randrange(game.num_players)
-        old, new = before[mover], rng.randrange(game.strategy_counts[mover])
-        after = before[:mover] + (new,) + before[mover + 1:]
-        affected = game.affected_players(mover, old, new)
+        before, mover, new, after = random_move(rng, game)
+        affected = game.affected_players(mover, before[mover], new)
         assert mover in affected
         for player in range(game.num_players):
             if player not in affected:
                 assert (list(game.deviation_utilities(before, player))
                         == list(game.deviation_utilities(after, player))), (player, mover)
+
+
+@pytest.mark.parametrize("kind", sorted(GAMES))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_an_entry_the_move_does_not_reach_keeps_its_value(kind, seed):
+    rng = random.Random(seed)
+    game = GAMES[kind](rng)
+    for _ in range(8):
+        before, mover, new, after = random_move(rng, game)
+        listed = dict(game.affected_rows(mover, before[mover], new))
+        assert mover not in listed
+        assert set(listed) | {mover} == set(game.affected_players(mover, before[mover], new))
+        for player in range(game.num_players):
+            if player == mover:
+                continue
+            row_before = game.deviation_utilities(before, player)
+            row_after = game.deviation_utilities(after, player)
+            assert listed.get(player, []) == sorted(listed.get(player, []))
+            for s in set(range(game.strategy_counts[player])) - set(listed.get(player, [])):
+                assert row_before[s] == row_after[s], (player, s, mover)
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_a_stepped_aggregate_equals_the_rebuilt_one(kind, seed):
+    rng = random.Random(seed)
+    game = CLASSES[kind](rng)
+    if kind not in STEPPED:
+        assert game._step is None
+        return
+    for _ in range(8):
+        before, mover, new, after = random_move(rng, game)
+        aggregate = game._aggregate(before)
+        stepped = game._step(aggregate, mover, before[mover], new)
+        assert stepped == game._aggregate(after)
+        assert aggregate == game._aggregate(before)  # the step made a new one
+
+
+class FreshRows(StateGraph):
+    """A graph that checks, at every state it expands, its rows and stepped
+    aggregate against an evaluation from scratch."""
+
+    def improving_moves(self, profile):
+        moves = super().improving_moves(profile)
+        _, rows, aggregate = self._expansion
+        game = self.game
+        game._slot = None  # rebuild the aggregate from the profile
+        assert [list(row) for row in rows] == [
+            list(game.deviation_utilities(profile, p)) for p in range(game.num_players)]
+        if game._step is not None:
+            assert aggregate == game._aggregate(profile)
+        return moves
 
 
 class EveryPlayer(SuccinctGame):
@@ -77,8 +175,31 @@ class EveryPlayer(SuccinctGame):
         self.strategy_counts = game.strategy_counts
         self.codec = game.codec
 
-    def deviation_utilities(self, profile, player):
-        return self.game.deviation_utilities(profile, player)
+    def deviation_utilities(self, profile, player, strategies=None):
+        return self.game.deviation_utilities(profile, player, strategies)
+
+
+def check_closures_equal_every_player_closures(game, start, semantics):
+    for stop in (True, False):
+        delta = forward_closure(FreshRows(game, semantics), start, stop_at_foreign_sink=stop)
+        full = forward_closure(StateGraph(EveryPlayer(game), semantics), start,
+                               stop_at_foreign_sink=stop)
+        assert delta.states == full.states
+        assert delta.successors == full.successors
+        assert delta.components == full.components
+        assert delta.sinks == full.sinks
+        assert delta.exhausted == full.exhausted
+
+
+@pytest.mark.parametrize("semantics", list(EdgeSemantics))
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_delta_closures_equal_every_player_closures_on_random_games(kind, semantics, seed):
+    rng = random.Random(seed)
+    game = CLASSES[kind](rng)
+    start = tuple(rng.randrange(c) for c in game.strategy_counts)
+    check_closures_equal_every_player_closures(game, start, semantics)
 
 
 COMPILERS = {
@@ -101,45 +222,53 @@ def gadgets(flipper, walker, halter):
 def test_delta_closures_equal_every_player_closures(gadgets, machine, kind):
     compiled = gadgets[machine, kind]
     for semantics in EdgeSemantics:
-        for stop in (True, False):
-            delta = forward_closure(StateGraph(compiled.game, semantics), compiled.initial,
-                                    stop_at_foreign_sink=stop)
-            full = forward_closure(StateGraph(EveryPlayer(compiled.game), semantics),
-                                   compiled.initial, stop_at_foreign_sink=stop)
-            assert delta.states == full.states
-            assert delta.successors == full.successors
-            assert delta.components == full.components
-            assert delta.sinks == full.sinks
-            assert delta.exhausted == full.exhausted
+        check_closures_equal_every_player_closures(compiled.game, compiled.initial, semantics)
+
+
+def counting_entries(game):
+    """Shadow ``game.deviation_utilities`` on the instance; return the list
+    of (profile, player, strategies or None) calls it records."""
+    calls = []
+    evaluate = game.deviation_utilities
+
+    def counting(profile, player, strategies=None):
+        calls.append((profile, player, None if strategies is None else tuple(strategies)))
+        return evaluate(profile, player, strategies)
+
+    game.deviation_utilities = counting
+    return calls
+
+
+def entries_of(game, mover, old, new) -> Counter:
+    return Counter((p, tuple(s)) for p, s in game.affected_rows(mover, old, new))
 
 
 @pytest.mark.parametrize("kind", sorted(COMPILERS))
 def test_a_closure_state_evaluates_the_rows_of_one_move_into_it(gadgets, kind):
     game = gadgets["walker", kind].game
-    rows = Counter()
-    evaluate = game.deviation_utilities
-
-    def counting(profile, player):
-        rows[profile] += 1
-        return evaluate(profile, player)
-
-    game.deviation_utilities = counting  # shadows the method on this instance only
+    calls = counting_entries(game)
     try:
         closure = forward_closure(StateGraph(game), gadgets["walker", kind].initial)
     finally:
         del game.deviation_utilities
+    evaluated = defaultdict(Counter)
+    for profile, player, strategies in calls:
+        evaluated[profile][player, strategies] += 1
     states = closure.states
-    moves_into = [set() for _ in states]  # |affected| of each arc into each state
+    moves_into = [[] for _ in states]  # (entries, mover) of each arc into each state
     for k, targets in enumerate(closure.successors):
         u = states[k]
         for j in targets:
             v = states[j]
             (p,) = [i for i in range(game.num_players) if u[i] != v[i]]
-            moves_into[j].add(len(game.affected_players(p, u[p], v[p])))
-    assert rows[states[0]] == game.num_players
-    for v, sizes in zip(states[1:], moves_into[1:]):
-        assert rows[v] in sizes, v
-    assert sum(rows.values()) < len(states) * game.num_players / 2
+            moves_into[j].append((entries_of(game, p, u[p], v[p]), p))
+    assert evaluated[states[0]] == Counter((p, None) for p in range(game.num_players))
+    for v, options in zip(states[1:], moves_into[1:]):
+        assert any(evaluated[v] == entries and all(p != mover for p, _ in evaluated[v])
+                   for entries, mover in options), v
+    # a closure state prices a small share of the (player, strategy) entries
+    priced = sum(len(s) for _, p, s in calls if s is not None)
+    assert priced < (len(states) - 1) * sum(game.strategy_counts) / 4
 
 
 def policies(rng, num_players):
@@ -177,32 +306,25 @@ def test_walks_equal_every_player_walks_on_random_tables():
 def test_a_walk_step_evaluates_the_rows_of_the_move_into_it(gadgets, kind):
     compiled = gadgets["walker", kind]
     game = compiled.game
-    calls = []
-    evaluate = game.deviation_utilities
-
-    def counting(profile, player):
-        calls.append((profile, player))
-        return evaluate(profile, player)
-
-    game.deviation_utilities = counting  # shadows the method on this instance only
+    calls = counting_entries(game)
     try:
         walk = simulate_walk(StateGraph(game), compiled.initial, max_steps=30, closure_cap=1)
     finally:
         del game.deviation_utilities
     # consecutive states differ, so the calls split into one run per step
-    steps: list[list[int]] = []
+    steps: list[Counter] = []
     last = None
-    for profile, player in calls:
+    for profile, player, strategies in calls:
         if profile != last:
-            steps.append([])
+            steps.append(Counter())
             last = profile
-        steps[-1].append(player)
+        steps[-1][player, strategies] += 1
     states = walk.states
     assert len(walk.moves) == 30 and len(steps) > 30
-    assert sorted(steps[0]) == list(range(game.num_players))
+    assert steps[0] == Counter((p, None) for p in range(game.num_players))
     for k, (player, strategy) in enumerate(walk.moves[:-1], start=1):
-        old = states[k - 1][player]
-        assert sorted(steps[k]) == sorted(game.affected_players(player, old, strategy)), k
+        assert steps[k] == entries_of(game, player, states[k - 1][player], strategy), k
+        assert all(p != player for p, _ in steps[k]), k
 
 
 def test_a_walk_keeps_only_the_origin_it_moves_to():
@@ -218,3 +340,12 @@ def test_a_walk_keeps_only_the_origin_it_moves_to():
         current, player = choose.choice(StateGraph(game).successors(current))
         moves.append((player, current[player]))
     assert walk.moves == moves
+
+
+def test_a_closure_drops_each_origin_once_read(gadgets):
+    compiled = gadgets["walker", "tm2anon"]
+    graph = StateGraph(compiled.game)
+    closure = forward_closure(graph, compiled.initial)
+    assert closure.exhausted and len(closure) == 2850
+    assert graph._origins == {}
+    assert graph._expanded == set(closure.states)

@@ -196,7 +196,10 @@ def test_list_profiles_are_evaluated_afresh():
     (["e"], [[[0]], [[0]], [[], [0]]], [{1: 0, 2: 0, 3: 0, 4: 0, 6: 0}],
      {"weights": [1, 2, 4]},
      "resource e: no delay for reachable load(s) [5, 7]"),
-], ids=["non-first-strategy", "player-specific-count", "weighted-subset-sum"])
+    (["e", "f", "g"], [[[0], [1]], [[0], [1], [2]]], [{1: 0, 2: 0}, {1: 0}, {1: 0, 2: 0}], {},
+     "resource f: no delay for reachable load(s) [2]"),
+], ids=["non-first-strategy", "player-specific-count", "weighted-subset-sum",
+        "weights-seen-before"])
 def test_delay_coverage_messages(resources, strategies, delays, options, message):
     with pytest.raises(ConfigurationError) as info:
         CongestionGame(resources, strategies, delays, **options)

@@ -122,6 +122,31 @@ def test_missing_delay_entry_diagnostic_names_resource():
         parse_game_file(json.dumps(doc))
 
 
+def _three_resource_doc(delays) -> str:
+    return json.dumps({"class": "congestion", "resources": ["a", "b", "c"], "mode": "shared",
+                       "weights": [1, 1], "strategies": [[[0], [1]], [[1], [2]]],
+                       "delays": delays})
+
+
+def test_equal_delay_tables_are_parsed_once():
+    game = parse_game_file(_three_resource_doc([[[1, 0]], [[1, 0], [2, 1]], [[1, 0]]]))
+    assert game.delays == ({1: 0}, {1: 0, 2: 1}, {1: 0})
+    assert game.delays[0] is game.delays[2]
+    text = serialize_game(game)
+    assert serialize_game(parse_game_file(text)) == text
+
+
+@pytest.mark.parametrize("delays, path", [
+    ([[[1, 0]], [[1, 0.5]], [[1, 0.5]]], "$.delays[1][0][1]"),
+    ([[[1, 0]], [[1, 0]], [[1]]], "$.delays[2][0]"),
+    ([[[1, 0]], [[1, 0], [2, 1]], {}], "$.delays[2]"),
+], ids=["first-of-two-bad-copies", "after-good-copies", "not-an-array"])
+def test_a_bad_delay_table_is_named_where_it_first_occurs(delays, path):
+    with pytest.raises(FormatError) as info:
+        parse_game_file(_three_resource_doc(delays))
+    assert info.value.path == path
+
+
 def test_tm_round_trip(flipper):
     text = serialize_tm(flipper)
     again = parse_tm_file(text)
