@@ -9,6 +9,7 @@ disallowed one 0. Counts include the evaluating player's own choice.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,11 +18,11 @@ from ..profiles import Profile, ProfileCodec
 from .base import SuccinctGame
 
 _OPS = {
-    "==": lambda a, b: a == b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
 }
 
 
@@ -111,7 +112,10 @@ class And:
         object.__setattr__(self, "parts", tuple(parts))
 
     def eval(self, hist) -> bool:
-        return all(p.eval(hist) for p in self.parts)
+        for p in self.parts:
+            if not p.eval(hist):
+                return False
+        return True
 
     def strategy_refs(self):
         return tuple(r for p in self.parts for r in p.strategy_refs())

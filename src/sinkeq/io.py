@@ -138,8 +138,17 @@ def game_from_json(doc: dict) -> SuccinctGame:
     raise FormatError(f"unknown game class {tag!r}", "$.class")
 
 
+def _write(doc: dict) -> str:
+    """A document as one line of compact JSON with sorted keys.
+
+    ``indent`` would route every document through the pure-Python encoder;
+    without it ``json.dumps`` uses its C encoder. The readers take any layout.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def serialize_game(game: SuccinctGame) -> str:
-    return json.dumps(game_to_json(game), sort_keys=True, indent=1) + "\n"
+    return _write(game_to_json(game))
 
 
 def game_to_json(game: SuccinctGame) -> dict:
@@ -384,7 +393,7 @@ def _valid_utility_from_json(doc: dict) -> ValidUtilityInstance:
 
 
 def serialize_tm(spec: TMSpec) -> str:
-    return json.dumps(_tm_to_json(spec), sort_keys=True, indent=1) + "\n"
+    return _write(_tm_to_json(spec))
 
 
 def _tm_to_json(spec: TMSpec) -> dict:
@@ -432,18 +441,14 @@ def _tm_from_json(doc: dict, path: str) -> TMSpec:
 
 
 def serialize_sidecar(compiled: CompiledReduction) -> str:
-    doc = {
-        "players": dict(sorted(compiled.symbols.players.items())),
-        "strategies": {
-            role: dict(sorted(table.items()))
-            for role, table in sorted(compiled.symbols.strategies.items())
-        },
+    return _write({
+        "players": compiled.symbols.players,
+        "strategies": compiled.symbols.strategies,
         "initial": list(compiled.initial),
         "penalty": compiled.penalty,
         "market_base": compiled.market_base,
         "machine": _tm_to_json(compiled.machine) if compiled.machine else None,
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    })
 
 
 def _int_values(value, path: str, bound: int) -> dict:

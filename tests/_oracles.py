@@ -148,3 +148,23 @@ def direct_tm_rejects(machine, x, t, halt_is_accept=False, max_steps=1_000_000):
         if not 0 <= head < t:
             return False
     raise RuntimeError("oracle did not resolve")
+
+
+def anonymous_predicate_holds(doc, hist):
+    """Whether an anonymous-game predicate, given as its JSON form, holds on
+    the occupancy histogram ``hist``; reads the document, not the AST."""
+    if "and" in doc:
+        return all(anonymous_predicate_holds(part, hist) for part in doc["and"])
+    gap = _anonymous_expr_value(doc["lhs"], hist) - _anonymous_expr_value(doc["rhs"], hist)
+    return {"==": gap == 0, "<": gap < 0, ">": gap > 0, "<=": gap <= 0, ">=": gap >= 0}[doc["cmp"]]
+
+
+def _anonymous_expr_value(doc, hist):
+    if "const" in doc:
+        return doc["const"]
+    if "count" in doc:
+        return hist[doc["count"]]
+    if "add" in doc:
+        return sum(_anonymous_expr_value(operand, hist) for operand in doc["add"])
+    lhs, rhs = doc["sub"]
+    return _anonymous_expr_value(lhs, hist) - _anonymous_expr_value(rhs, hist)

@@ -5,17 +5,21 @@ from hypothesis import given, settings, strategies as st
 
 from sinkeq.errors import ConfigurationError
 from sinkeq.games.anonymous import (
+    Add,
     And,
     AnonymousGame,
     AnonymousPlayer,
     Cmp,
     Const,
     Count,
+    Sub,
     count_eq,
     count_ge,
     expr_from_json,
     predicate_from_json,
 )
+
+from _oracles import anonymous_predicate_holds
 
 
 def two_strategy_game():
@@ -73,6 +77,28 @@ def test_predicate_json_round_trip():
     assert back.to_json() == doc
     expr = expr_from_json({"sub": [{"count": 1}, {"const": 3}]})
     assert expr.eval([0, 5, 0]) == 2
+
+
+_STRATEGIES = 4
+
+_EXPRESSIONS = st.recursive(
+    st.one_of(st.builds(Const, st.integers(-2, 4)),
+              st.builds(Count, st.integers(0, _STRATEGIES - 1))),
+    lambda inner: st.one_of(st.builds(Add, inner, inner), st.builds(Sub, inner, inner)),
+    max_leaves=6,
+)
+
+_PREDICATES = st.recursive(
+    st.builds(Cmp, st.sampled_from(["==", "<", ">", "<=", ">="]), _EXPRESSIONS, _EXPRESSIONS),
+    lambda inner: st.lists(inner, max_size=3).map(lambda parts: And(*parts)),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PREDICATES, st.lists(st.integers(0, 3), min_size=_STRATEGIES, max_size=_STRATEGIES))
+def test_predicate_eval_agrees_with_its_json_read_independently(pred, hist):
+    assert pred.eval(hist) == anonymous_predicate_holds(pred.to_json(), hist)
 
 
 def test_deviation_utilities_match_pointwise():

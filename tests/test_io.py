@@ -544,3 +544,92 @@ def test_a_truncated_document_is_named_in_its_error(tmp_path, flipper):
         assert err.getvalue().startswith(f"error: {broken}: $: not valid JSON")
         messages.append(err.getvalue())
     assert messages[0] != messages[1]
+
+
+# One game of every class and congestion mode.
+_GAMES = {
+    "table": prisoners_dilemma(),
+    "congestion-unweighted": CongestionGame(
+        ["e", "f"], [[[0], [1]], [[0, 1], []]], [{1: 0, 2: 3}, {1: 1, 2: 2}]),
+    "congestion-weighted": CongestionGame(
+        ["e", "f"], [[[0], [1]], [[0, 1], []]],
+        [{1: 0, 2: 3, 3: 5}, {1: 1, 2: 2, 3: 4}], weights=[1, 2]),
+    "congestion-player-specific": CongestionGame(
+        ["e"], [[[0]], [[0]]], [[{1: 1, 2: 5}, {1: 2, 2: 9}]], mode="player_specific"),
+    "anonymous": AnonymousGame(["a", "b"], [
+        AnonymousPlayer("p0", frozenset({0, 1}), ((0, count_ge(0, 2)),)),
+        AnonymousPlayer("p1", frozenset({0}), ()),
+    ]),
+    "market": compile_sat_market(CnfFormula(1, ((1, 1, 1), (-1, -1, -1)))).game,
+    "valid-utility": coverage_instance(
+        [("a", "b"), ("b",)],
+        [(frozenset(), frozenset({"a"})), (frozenset(), frozenset({"b"}))]),
+}
+
+
+def _old_layout(text: str) -> str:
+    """A document as it was written before the compact writer."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+
+
+def _documents(flipper):
+    """(text, parse, serialize) of every kind of document: games, a sidecar, a machine."""
+    docs = {name: (serialize_game(game), parse_game_file, serialize_game)
+            for name, game in _GAMES.items()}
+    compiled = compile_tm_weighted(flipper)
+    docs["sidecar"] = (serialize_sidecar(compiled),
+                       lambda text: parse_sidecar(text, compiled.game), serialize_sidecar)
+    docs["machine"] = (serialize_tm(flipper), parse_tm_file, serialize_tm)
+    return docs
+
+
+_DOCUMENT_KINDS = [*_GAMES, "sidecar", "machine"]
+
+
+def _sorted_object(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+@pytest.mark.parametrize("kind", _DOCUMENT_KINDS)
+def test_a_document_is_one_compact_line_with_sorted_keys(flipper, kind):
+    text, parse, serialize = _documents(flipper)[kind]
+    assert text.endswith("\n") and text.count("\n") == 1
+    doc = json.loads(text, object_pairs_hook=_sorted_object)
+    assert json.dumps(doc, separators=(",", ":")) + "\n" == text
+    assert serialize(parse(text)) == text
+
+
+@pytest.mark.parametrize("kind", _DOCUMENT_KINDS)
+def test_an_old_layout_document_loads_as_before(flipper, kind):
+    text, parse, serialize = _documents(flipper)[kind]
+    old = _old_layout(text)
+    assert old != text
+    if kind in ("sidecar", "machine"):
+        assert parse(old) == parse(text)
+    else:
+        assert game_to_json(parse(old)) == game_to_json(parse(text))
+    assert serialize(parse(old)) == text
+
+
+@pytest.mark.parametrize("kind", ["tm2wcg", "tm2anon"])
+def test_in_sink_answers_alike_on_old_layout_gadgets(tmp_path, flipper, kind):
+    tm_path = tmp_path / "flipper.tm.json"
+    tm_path.write_text(serialize_tm(flipper))
+    answers = []
+    for layout in ("new", "old"):
+        (tmp_path / layout).mkdir()
+        game_path = tmp_path / layout / "gadget.json"
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(["compile", kind, str(tm_path), "-o", str(game_path)], out=out, err=err) == 0
+        if layout == "old":
+            for path in (game_path, tmp_path / layout / "gadget.symbols.json"):
+                path.write_text(_old_layout(path.read_text()))
+        out = io.StringIO()
+        argv = ["--format", "json", "in-sink", str(game_path), "--profile", "@initial"]
+        assert run_cli(argv, out=out, err=err) == 0
+        answer = json.loads(out.getvalue())
+        del answer["stats"]["wall_ms"]
+        answers.append(answer)
+    assert answers[0] == answers[1]
