@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--semantics",
-        choices=["improvement", "best-response"],
+        choices=[semantics.value for semantics in EdgeSemantics],
         default="improvement",
     )
     parser.add_argument("--cap", type=_positive_int, default=None,
@@ -129,11 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_profile", default=None,
                    help="restrict to the forward closure of this profile")
     return parser
-
-
-def _semantics(args) -> EdgeSemantics:
-    return (EdgeSemantics.BEST_RESPONSE if args.semantics == "best-response"
-            else EdgeSemantics.IMPROVEMENT)
 
 
 def _sidecar_path(game_path: str) -> Path:
@@ -203,7 +198,7 @@ def run_cli(argv, out=sys.stdout, err=sys.stderr) -> int:
 def _dispatch(args) -> AnalysisReport:
     if args.command in ("sinks", "has-non-singleton"):
         game = _load_game(args.game)
-        closure = state_space(StateGraph(game, _semantics(args)), args.cap)
+        closure = state_space(StateGraph(game, EdgeSemantics(args.semantics)), args.cap)
         found = sink_equilibria(closure)
         extra = {"sink_sizes": [len(s.states) for s in found]}
         if args.command == "has-non-singleton":
@@ -217,7 +212,7 @@ def _dispatch(args) -> AnalysisReport:
         )
     if args.command == "in-sink":
         game = _load_game(args.game)
-        closure = forward_closure(StateGraph(game, _semantics(args)),
+        closure = forward_closure(StateGraph(game, EdgeSemantics(args.semantics)),
                                   _resolve_profile(args.profile, game, args.game), args.cap,
                                   stop_at_foreign_sink=True)
         answer = closure.start_in_sink
@@ -236,7 +231,7 @@ def _dispatch(args) -> AnalysisReport:
                               extra={"equilibrium": list(game.codec.decode(code))})
     if args.command == "simulate":
         game = _load_game(args.game)
-        graph = StateGraph(game, _semantics(args))
+        graph = StateGraph(game, EdgeSemantics(args.semantics))
         if args.profile:
             start = _resolve_profile(args.profile, game, args.game)
         else:
@@ -300,7 +295,7 @@ def _dispatch(args) -> AnalysisReport:
         )
     if args.command == "export-dot":
         game = _load_game(args.game)
-        graph = StateGraph(game, _semantics(args))
+        graph = StateGraph(game, EdgeSemantics(args.semantics))
         if args.from_profile:
             closure = forward_closure(graph, _resolve_profile(args.from_profile, game, args.game),
                                       args.cap)

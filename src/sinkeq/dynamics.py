@@ -48,6 +48,15 @@ def _default_cap(default: int) -> int:
 Move = tuple[int, int, int]  # (player, strategy, new utility)
 
 
+class Moves(list):
+    """A profile's moves, with the rows (deviation utilities per player) and
+    the aggregate (None where the game has no step) they were found from."""
+    __slots__ = ("rows", "aggregate")
+
+
+Origin = tuple[Moves, int, int]  # (generator's moves, mover, mover's old strategy)
+
+
 def _improvements(current: int, devs: Sequence[int], labels: Iterable) -> list:
     here = devs[current]
     return [x for x, u in zip(labels, devs) if u > here]
@@ -95,39 +104,32 @@ class StateGraph:
         # (player, place weight, strategy count): one digit of a profile code
         self._digits = tuple(zip(range(len(self.codec.place_weights)),
                                  self.codec.place_weights, self.codec.strategy_counts))
-        # profile -> (its generator's expansion, mover, the mover's old
-        # strategy), recorded by ``successors`` for each profile it generates
-        # that the graph has not expanded, and dropped when read
-        self._origins: dict[Profile, tuple[tuple, int, int]] = {}
-        self._expanded: set[Profile] = set()
-        # (moves, rows, aggregate) of the profile ``improving_moves`` last expanded
-        self._expansion: tuple | None = None
 
-    def improving_moves(self, profile: Profile) -> list[Move]:
-        """Qualifying moves in canonical order (ascending player, strategy).
+    def improving_moves(self, profile: Profile, origin: Origin | None = None) -> Moves:
+        """Qualifying moves in canonical order (ascending player, strategy),
+        with the rows and aggregate they were found from.
 
-        A profile that ``successors`` generated starts from its generator's
-        rows and moves. A row never depends on its own player's strategy, so
-        the mover's row is copied and only its moves are recomputed. Every
-        other player of ``SuccinctGame.affected_rows`` re-prices only the
+        With the ``origin`` of a move into ``profile`` (the generator's moves,
+        the mover, its old strategy), the generator's rows and moves are the
+        start. A row never depends on its own player's strategy, so the
+        mover's row is copied and only its moves are recomputed. Every other
+        player of ``SuccinctGame.affected_rows`` re-prices only the
         strategies whose value reads an entry the move changes, and keeps the
         rest of its row; every player whose row is unchanged keeps its moves.
         Where the game steps its aggregate, the generator's is stepped by the
-        move. Any other profile evaluates every row.
+        move. Without an origin every row is evaluated.
         """
         game = self.game
         deviations, targets = game.deviation_utilities, self._targets
-        origin = self._origins.pop(profile, None)
-        self._expanded.add(profile)
         if origin is None:
             rows = [deviations(profile, player) for player in range(game.num_players)]
             aggregate = game._profile_aggregate(profile) if game._step else None
-            players, moves = range(game.num_players), []
+            players, moves = range(game.num_players), Moves()
         else:
-            (before, rows, aggregate), mover, old = origin
-            if game._step:
-                aggregate = game._stepped_aggregate(profile, aggregate, mover, old)
-            rows = rows.copy()
+            before, mover, old = origin
+            aggregate = (game._stepped_aggregate(profile, before.aggregate, mover, old)
+                         if game._step else None)
+            rows = before.rows.copy()
             players = {mover}
             for player, strategies in game.affected_rows(mover, old, profile[mover]):
                 row = rows[player]
@@ -145,28 +147,19 @@ class StateGraph:
                     for s, u in zip(strategies, fresh):
                         row[s] = u
                 players.add(player)
-            moves = [m for m in before if m[0] not in players]
+            moves = Moves(m for m in before if m[0] not in players)
         for player in players:
             row = rows[player]
             for s in targets(profile[player], row, range(len(row))):
                 moves.append((player, s, row[s]))
         moves.sort()  # copied and recomputed moves interleave by player
-        self._expansion = (moves, rows, aggregate)
+        moves.rows, moves.aggregate = rows, aggregate
         return moves
 
     def successors(self, profile: Profile) -> list[tuple[Profile, int]]:
-        """(next profile, moving player) pairs, canonical order. Each next
-        profile the graph has not expanded gets its origin recorded for
-        ``improving_moves``."""
-        moves = self.improving_moves(profile)
-        expansion, expanded, origins = self._expansion, self._expanded, self._origins
-        out = []
-        for p, s, _ in moves:
-            child = profile[:p] + (s,) + profile[p + 1:]
-            if child not in expanded:
-                origins[child] = (expansion, p, profile[p])
-            out.append((child, p))
-        return out
+        """(next profile, mover) pairs in canonical order, every row evaluated."""
+        return [(profile[:p] + (s,) + profile[p + 1:], p)
+                for p, s, _ in self.improving_moves(profile)]
 
     @cached_property
     def _code_reader(self):
@@ -382,8 +375,22 @@ def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None,
     """
     if cap is None:
         cap = _default_cap(10**7)
-    return _tarjan([tuple(start)], lambda v: [w for w, _ in graph.successors(v)], cap,
-                   stop_at_foreign_sink)
+    # the pass owns its origins: one per generated, unexpanded profile, popped on expansion
+    origins: dict[Profile, Origin] = {}
+    expanded: set[Profile] = set()
+
+    def successors(profile: Profile) -> list[Profile]:
+        moves = graph.improving_moves(profile, origins.pop(profile, None))
+        expanded.add(profile)
+        out = []
+        for p, s, _ in moves:
+            child = profile[:p] + (s,) + profile[p + 1:]
+            if child not in expanded:
+                origins[child] = (moves, p, profile[p])
+            out.append(child)
+        return out
+
+    return _tarjan([tuple(start)], successors, cap, stop_at_foreign_sink)
 
 
 def state_space(graph: StateGraph, cap: int | None = None) -> Closure:
@@ -566,34 +573,32 @@ def simulate_walk(
     classified by an `in_a_sink` check, inconclusive when it hits the cap.
     """
     start = graph.game.validate_profile(start)
+    if isinstance(policy, PriorityList) and not set(policy.order) <= set(range(len(start))):
+        raise ValueError(f"priority list {list(policy.order)} names a player outside the game")
     rng = random.Random(policy.seed) if isinstance(policy, RandomImprover) else None
     states = [start]
     moves: list[tuple[int, int]] = []
-    current = start
+    current, origin = start, None
     for _ in range(max_steps):
-        # (next profile, mover) in canonical move order; with what was
-        # expanded forgotten, each next profile, even one walked before, gets
-        # an origin, so the step into it re-prices only what the move affects
-        graph._expanded.clear()
-        options = graph.successors(current)
+        # in canonical order; each step starts from the move into it
+        options = graph.improving_moves(current, origin)
         if not options:
             return WalkResult(states, moves, WalkOutcome.REACHED_SINK_STATE)
         if isinstance(policy, FirstImprover):
-            current, player = options[0]
+            player, strategy, _ = options[0]
         elif isinstance(policy, RandomImprover):
-            current, player = rng.choice(options)
+            player, strategy, _ = rng.choice(options)
         elif isinstance(policy, PriorityList):
             # the first listed mover's lowest strategy: min keeps the first minimum
             order = policy.order
-            current, player = min(
-                options, key=lambda m: order.index(m[1]) if m[1] in order else len(order)
-            )
+            player, strategy, _ = min(
+                options, key=lambda m: order.index(m[0]) if m[0] in order else len(order))
         else:
             raise TypeError(f"unknown policy {policy!r}")
-        # only the next step reads an origin: keep just the one moved to
-        graph._origins = {current: graph._origins[current]}
+        origin = (options, player, current[player])
+        current = current[:player] + (strategy,) + current[player + 1:]
         states.append(current)
-        moves.append((player, current[player]))
+        moves.append((player, strategy))
     try:
         in_sink = in_a_sink(graph.game, current, graph.semantics, closure_cap) is Answer.YES
     except CapExceededError:

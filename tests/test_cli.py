@@ -518,6 +518,13 @@ def test_simulate_takes_zero_steps_and_a_sparse_order(mp_path):
     assert code == 0 and json.loads(out)["trace"] == [{"player": 1, "strategy": 1}]
 
 
+@pytest.mark.parametrize("order, listed", [("7,9", "[7, 9]"), ("1,2", "[1, 2]")])
+def test_simulate_refuses_a_priority_list_naming_a_player_outside_the_game(
+        mp_path, order, listed):
+    err = _one_error_line(["simulate", mp_path, "--policy", "priority", "--order", order])
+    assert err == f"error: priority list {listed} names a player outside the game\n"
+
+
 def test_env_cap_replaces_every_default(mp_path, tmp_path, monkeypatch):
     inst = coverage_instance(
         [("a", "b"), ("b",)],

@@ -1,9 +1,10 @@
 """A closure state re-prices only the entries its move can change.
 
-``StateGraph.successors`` records where each profile it generates came
-from: the generator's rows, moves and aggregate. ``improving_moves`` on
-such a profile copies the mover's row (a row never depends on its own
-player's strategy), re-prices, for every other player of
+A forward closure or a walk hands ``StateGraph.improving_moves`` the origin
+of each profile it generated: the generator's moves, which carry their rows
+and aggregate, the mover and its old strategy. ``improving_moves`` on such
+a profile copies the mover's row (a row never depends on its own player's
+strategy), re-prices, for every other player of
 ``SuccinctGame.affected_rows``, only the strategies whose value reads an
 entry the move changes, and steps the generator's aggregate by the move
 where the game has a step. Here the facts this rests on are checked on
@@ -14,8 +15,9 @@ rows and aggregate of every closure state are compared with a fresh
 evaluation, and closures and walks are compared, under both semantics,
 with those over the same game behind the every-player default. Each
 closure state and each walk step is checked to have evaluated exactly the
-entries of one move into it, never the mover's row; origins are dropped
-once read.
+entries of one move into it, never the mover's row. The origins belong to
+the pass: the graph gains no attribute from one, and a reused graph prices
+like a fresh one.
 """
 
 import random
@@ -40,6 +42,7 @@ from sinkeq.dynamics import (
     forward_closure,
     simulate_walk,
 )
+from sinkeq.errors import CapExceededError
 from sinkeq.games import SuccinctGame, TableGame
 
 from test_pure_search import sparse_anonymous, sparse_congestion, sparse_market
@@ -155,9 +158,9 @@ class FreshRows(StateGraph):
     """A graph that checks, at every state it expands, its rows and stepped
     aggregate against an evaluation from scratch."""
 
-    def improving_moves(self, profile):
-        moves = super().improving_moves(profile)
-        _, rows, aggregate = self._expansion
+    def improving_moves(self, profile, origin=None):
+        moves = super().improving_moves(profile, origin)
+        rows, aggregate = moves.rows, moves.aggregate
         game = self.game
         game._slot = None  # rebuild the aggregate from the profile
         assert [list(row) for row in rows] == [
@@ -331,9 +334,10 @@ def test_a_walk_keeps_only_the_origin_it_moves_to():
     rng = random.Random(1)
     game = TableGame((3,) * 8, [[rng.randint(0, 9) for _ in range(3 ** 8)] for _ in range(8)])
     graph = StateGraph(game)
+    before = dict(vars(graph))
     walk = simulate_walk(graph, (0,) * 8, RandomImprover(1), max_steps=1000)
     assert len(walk.moves) == 1000 and walk.outcome is WalkOutcome.STILL_MOVING
-    assert len(graph._origins) <= 1
+    assert vars(graph) == before
     # the same walk on a fresh graph each step, where no origin is ever read
     choose, current, moves = random.Random(1), (0,) * 8, []
     for _ in range(1000):
@@ -345,7 +349,34 @@ def test_a_walk_keeps_only_the_origin_it_moves_to():
 def test_a_closure_drops_each_origin_once_read(gadgets):
     compiled = gadgets["walker", "tm2anon"]
     graph = StateGraph(compiled.game)
+    before = dict(vars(graph))
     closure = forward_closure(graph, compiled.initial)
     assert closure.exhausted and len(closure) == 2850
-    assert graph._origins == {}
-    assert graph._expanded == set(closure.states)
+    assert vars(graph) == before
+
+
+@pytest.mark.parametrize("kind, priced", [("tm2anon", 8714), ("tm2wcg", 2118)])
+def test_a_reused_graph_prices_like_a_fresh_one(gadgets, kind, priced):
+    compiled = gadgets["walker", kind]
+    start = compiled.initial
+    calls = counting_entries(compiled.game)
+
+    def closure_calls(graph):
+        calls.clear()
+        forward_closure(graph, start)
+        return len(calls)
+
+    try:
+        assert closure_calls(StateGraph(compiled.game)) == priced
+        graph = StateGraph(compiled.game)
+        forward_closure(graph, start)
+        assert closure_calls(graph) == priced
+        graph = StateGraph(compiled.game)
+        simulate_walk(graph, start, max_steps=50, closure_cap=1)
+        assert closure_calls(graph) == priced
+        graph = StateGraph(compiled.game)
+        with pytest.raises(CapExceededError):
+            forward_closure(graph, start, cap=100)
+        assert closure_calls(graph) == priced
+    finally:
+        del compiled.game.deviation_utilities

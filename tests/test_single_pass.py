@@ -1,9 +1,9 @@
 """The traversal expands every state once, and the CLI's stats come from it.
 
-Forward closures call ``StateGraph.successors`` or ``improving_moves`` once
-for every state they explore, counted per profile while a question runs,
-and so do ``export-dot --from`` and ``closures_isomorphic``, which read the
-successor lists the pass records. The full-space walk
+Forward closures call ``StateGraph.improving_moves`` once for every state
+they explore, counted per profile while a question runs, and so do
+``export-dot --from`` and ``closures_isomorphic``, which read the successor
+lists the pass records. The full-space walk
 (``StateGraph.code_adjacency``) expands no single state: it reads each
 player's row once per line of profiles that differ only in that player's
 strategy, counted through ``TableGame._row``. Recorded successor lists are
@@ -56,15 +56,15 @@ from _oracles import bitset_bottom_sccs
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """``successors`` calls (forward closures), by profile."""
+    """``improving_moves`` calls (forward closures), by profile."""
     calls = Counter()
-    successors = StateGraph.successors
+    improving_moves = StateGraph.improving_moves
 
-    def counting(self, profile):
+    def counting(self, profile, origin=None):
         calls[profile] += 1
-        return successors(self, profile)
+        return improving_moves(self, profile, origin)
 
-    monkeypatch.setattr(StateGraph, "successors", counting)
+    monkeypatch.setattr(StateGraph, "improving_moves", counting)
     return calls
 
 
@@ -74,9 +74,9 @@ def moves(monkeypatch):
     calls = Counter()
     improving_moves = StateGraph.improving_moves
 
-    def counting(self, profile):
+    def counting(self, profile, origin=None):
         calls[id(self.game), profile] += 1
-        return improving_moves(self, profile)
+        return improving_moves(self, profile, origin)
 
     monkeypatch.setattr(StateGraph, "improving_moves", counting)
     return calls
