@@ -199,16 +199,14 @@ def _dispatch(args) -> AnalysisReport:
     if args.command in ("sinks", "has-non-singleton"):
         game = _load_game(args.game)
         closure = state_space(StateGraph(game, EdgeSemantics(args.semantics)), args.cap)
-        found = sink_equilibria(closure)
-        extra = {"sink_sizes": [len(s.states) for s in found]}
+        sizes = list(map(len, sink_equilibria(closure)))
         if args.command == "has-non-singleton":
-            answer = "true" if any(not s.singleton for s in found) else "false"
-            return AnalysisReport(args.command, answer, states_explored=len(closure),
-                                  extra=extra)
-        extra["singletons"] = sum(1 for s in found if s.singleton)
+            return AnalysisReport(args.command, "true" if max(sizes) > 1 else "false",
+                                  states_explored=len(closure), extra={"sink_sizes": sizes})
         return AnalysisReport(
-            "sinks", f"{len(found)} sink equilibria", states_explored=len(closure),
-            edges=closure.edges, scc_count=len(closure.components), extra=extra,
+            "sinks", f"{len(sizes)} sink equilibria", states_explored=len(closure),
+            edges=closure.edges, scc_count=len(closure.components),
+            extra={"sink_sizes": sizes, "singletons": sizes.count(1)},
         )
     if args.command == "in-sink":
         game = _load_game(args.game)

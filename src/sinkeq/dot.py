@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .dynamics import Closure
 from .profiles import ProfileCodec
 
@@ -9,22 +11,23 @@ from .profiles import ProfileCodec
 def export_dot(closure: Closure, codec: ProfileCodec) -> str:
     """Render a closure's states and its recorded edges.
 
-    Vertices are labeled by profile index, edges by the moving player, the
-    one coordinate in which the two ends differ. Sink members get a double
-    circle.
+    Vertices are labeled by profile code (a forward closure's profiles are
+    encoded once), edges by the mover: the player with the largest place
+    weight not above the difference of the two codes. Sink members get a
+    double circle.
     """
     states = closure.states
-    pids = closure.codes or [codec.encode(v) for v in states]
+    codes = states if isinstance(states[0], int) else list(map(codec.encode, states))
     in_sink = {v for comp in closure.sinks for v in comp}
-    order = sorted(range(len(states)), key=pids.__getitem__)
+    order = sorted(range(len(states)), key=codes.__getitem__)
     lines = ["digraph state_graph {"]
     for k in order:
         shape = ' shape=doublecircle' if states[k] in in_sink else ""
-        lines.append(f'  n{pids[k]} [label="{pids[k]}"{shape}];')
+        lines.append(f'  n{codes[k]} [label="{codes[k]}"{shape}];')
     for k in order:
-        source = states[k]
+        source = codes[k]
         for j in closure.successors[k]:
-            mover = next(p for p, (a, b) in enumerate(zip(source, states[j])) if a != b)
-            lines.append(f'  n{pids[k]} -> n{pids[j]} [label="{mover}"];')
+            mover = bisect_right(codec.place_weights, abs(codes[j] - source)) - 1
+            lines.append(f'  n{source} -> n{codes[j]} [label="{mover}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -230,26 +230,25 @@ class SinkEquilibrium:
 class Closure:
     """One Tarjan pass over everything reachable from some roots.
 
-    ``states`` are in discovery order, the first root first, and ``index``
-    maps each to its position. ``successors[k]`` lists the positions of state
-    k's successors in the order the successor function gave them (for a
-    ``StateGraph``, canonical move order). ``components`` are in completion
-    order, members in discovery order; ``sinks`` are the components no edge
-    leaves. A pass is never cut: at its cap it raises ``CapExceededError``.
-    It is either whole (``exhausted``) or stopped at the first component
-    without the first root. A stopped pass has whole ``states`` and
-    ``index``, recorded edges that stay inside ``states``, and exactly one
-    component, a sink of the whole graph. ``codes`` lists each state's
-    profile code when the pass walked codes (``state_space``).
+    A state is a profile (``forward_closure``) or a profile code
+    (``state_space``). ``states`` are in discovery order, the first root
+    first, and ``index`` maps each to its position. ``successors[k]`` lists
+    the positions of state k's successors in the order the successor
+    function gave them (for a ``StateGraph``, canonical move order).
+    ``components`` are in completion order, members in discovery order;
+    ``sinks`` are the components no edge leaves. A pass is never cut: at its
+    cap it raises ``CapExceededError``. It is either whole (``exhausted``) or
+    stopped at the first component without the first root. A stopped pass
+    has whole ``states`` and ``index``, recorded edges that stay inside
+    ``states``, and exactly one component, a sink of the whole graph.
     """
 
-    states: list[Profile]
+    states: list
     exhausted: bool
-    components: list[list[Profile]]
-    sinks: list[list[Profile]]
+    components: list[list]
+    sinks: list[list]
     successors: list[list[int]]
-    index: dict[Profile, int]
-    codes: list[int] | None = None
+    index: dict
 
     def __len__(self) -> int:
         return len(self.states)
@@ -394,11 +393,10 @@ def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None,
 
 
 def state_space(graph: StateGraph, cap: int | None = None) -> Closure:
-    """The whole profile space, rooted at every profile in code order.
+    """The whole profile space, rooted at every profile code in order.
 
-    The pass walks profile codes over ``StateGraph.code_adjacency``; its
-    states are decoded once at the end, in discovery order, and keep their
-    codes in ``Closure.codes``.
+    The pass walks profile codes over ``StateGraph.code_adjacency``, and
+    its states, components and sinks are those codes.
     """
     if cap is None:
         cap = _default_cap(2**26)
@@ -412,16 +410,7 @@ def state_space(graph: StateGraph, cap: int | None = None) -> Closure:
         out, adjacency[code] = adjacency[code], None
         return out
 
-    coded = _tarjan(range(size), successors)
-    codes, position = coded.states, coded.index
-    states = list(map(graph.codec.all_profiles().__getitem__, codes))
-
-    def decoded(component: list[int]) -> list[Profile]:
-        return [states[position[k]] for k in component]
-
-    return Closure(states, True, list(map(decoded, coded.components)),
-                   list(map(decoded, coded.sinks)), coded.successors,
-                   {p: k for k, p in enumerate(states)}, codes)
+    return _tarjan(range(size), successors)
 
 
 def _restricted(vertices: Sequence, successors: Callable[[object], Iterable]) -> Closure:
@@ -443,11 +432,9 @@ def bottom_sccs(vertices: Sequence, successors: Callable) -> list[list]:
     return _restricted(vertices, successors).sinks
 
 
-def sink_equilibria(closure: Closure) -> list[SinkEquilibrium]:
-    """A full-space closure's sinks, ordered by the lowest profile code in each."""
-    codes, index = closure.codes, closure.index
-    bottoms = sorted(closure.sinks, key=lambda comp: min(codes[index[v]] for v in comp))
-    return [SinkEquilibrium(frozenset(comp)) for comp in bottoms]
+def sink_equilibria(closure: Closure) -> list[list[int]]:
+    """A full-space closure's sinks (profile codes), by the lowest code in each."""
+    return sorted(closure.sinks, key=min)
 
 
 def sinks(
@@ -456,7 +443,9 @@ def sinks(
     cap: int | None = None,
 ) -> list[SinkEquilibrium]:
     """All sink equilibria of the full state graph; at least one always exists."""
-    return sink_equilibria(state_space(StateGraph(game, semantics), cap))
+    closure = state_space(StateGraph(game, semantics), cap)
+    return [SinkEquilibrium(frozenset(map(game.codec.decode, sink)))
+            for sink in sink_equilibria(closure)]
 
 
 def in_a_sink(
@@ -524,7 +513,8 @@ def has_non_singleton_sink(
     semantics: EdgeSemantics = EdgeSemantics.IMPROVEMENT,
     cap: int | None = None,
 ) -> bool:
-    return any(not s.singleton for s in sinks(game, semantics, cap))
+    """Whether some sink of the full state graph has two or more profiles."""
+    return any(len(sink) > 1 for sink in state_space(StateGraph(game, semantics), cap).sinks)
 
 
 @dataclass(frozen=True)

@@ -180,14 +180,16 @@ def _pairs_to_table(pairs, path) -> dict[int, int]:
             raise FormatError("expected a [load, delay] pair", f"{path}[{k}]")
         if type(pair[0]) is not int or type(pair[1]) is not int:
             _ints(pair, f"{path}[{k}]")
+        if pair[0] in table:
+            raise FormatError(f"load {pair[0]} is given twice", f"{path}[{k}]")
         table[pair[0]] = pair[1]
     return table
 
 
 def _delay_tables(value, path) -> list[dict[int, int]]:
     """An array of delay tables, each an array of [load, delay] pairs. When
-    every pair is two integers, equal tables are parsed once and share one
-    dict; otherwise each table is parsed alone, naming the first bad pair."""
+    every pair is two integers and no load repeats, equal tables share one
+    dict, parsed once; otherwise each is parsed alone, naming its bad pair."""
     tables = _as_list(value, path)
     pairs = list(chain.from_iterable(tables)) if set(map(type, tables)) <= _ONLY_LIST else ()
     if (pairs and set(map(type, pairs)) <= _ONLY_LIST and set(map(len, pairs)) == {2}
@@ -197,7 +199,8 @@ def _delay_tables(value, path) -> list[dict[int, int]]:
         parsed: dict[tuple, dict[int, int]] = dict.fromkeys(keys)
         for key in parsed:
             parsed[key] = dict(zip(key[::2], key[1::2]))
-        return list(map(parsed.__getitem__, keys))
+        if all(2 * len(table) == len(key) for key, table in parsed.items()):  # no load repeats
+            return list(map(parsed.__getitem__, keys))
     return [_pairs_to_table(t, f"{path}[{k}]") for k, t in enumerate(tables)]
 
 
@@ -425,6 +428,8 @@ def _tm_from_json(doc: dict, path: str) -> TMSpec:
         at = f"{path}.delta[{k}]"
         rule = _as_dict(rule, at)
         key = (_field(rule, "state", at, _int), _field(rule, "read", at, _str))
+        if key in delta:
+            raise FormatError(f"a second rule for state {key[0]} reading {key[1]!r}", at)
         delta[key] = (_field(rule, "next", at, _int), _field(rule, "write", at, _str),
                       _field(rule, "move", at, _str))
     try:

@@ -89,6 +89,28 @@ def test_sinks_over_a_table_with_a_one_strategy_player(tmp_path, semantics, want
             stats["scc_count"]] == want
 
 
+# the full-space DOT of TABLE: every state but 1, 7 and 10 lies in a sink
+TABLE_DOT_STATES = "".join(
+    f'  n{k} [label="{k}"{"" if k in (1, 7, 10) else " shape=doublecircle"}];\n'
+    for k in range(12))
+# (source, target, mover); best response drops 1 -> 0 and 7 -> 8. The
+# one-strategy player 2 shares place weight 6 with player 3, who moves.
+TABLE_DOT_EDGES = [(0, 2, 0), (0, 6, 3), (1, 0, 0), (1, 2, 0), (1, 4, 1), (1, 7, 3),
+                   (2, 8, 3), (3, 0, 1), (5, 2, 1), (6, 9, 1), (7, 6, 0), (7, 8, 0),
+                   (8, 6, 0), (8, 11, 1), (9, 11, 0), (9, 3, 3), (10, 11, 0),
+                   (10, 7, 1), (10, 4, 3), (11, 5, 3)]
+
+
+@pytest.mark.parametrize("semantics,dropped", [("improvement", []),
+                                               ("best-response", [(1, 0, 0), (7, 8, 0)])])
+def test_full_space_dot_of_a_table_with_a_one_strategy_player(tmp_path, semantics, dropped):
+    (tmp_path / "t.json").write_text(json.dumps(TABLE))
+    doc = json_answer(tmp_path, "--semantics", semantics, "export-dot", "t.json")
+    edges = "".join(f'  n{a} -> n{b} [label="{p}"];\n'
+                    for a, b, p in TABLE_DOT_EDGES if (a, b, p) not in dropped)
+    assert doc["answer"] == "digraph state_graph {\n" + TABLE_DOT_STATES + edges + "}\n"
+
+
 @pytest.mark.parametrize("command", ["in-sink", "verify-round"])
 def test_a_sidecar_with_its_initial_profile_cut_short_is_one_error_line(tmp_path, command):
     (tmp_path / "m.tm.json").write_text(MACHINE)

@@ -2,13 +2,14 @@
 
 ``state_space`` runs Tarjan over the codes 0 … num_profiles−1, with each
 code's successors from ``StateGraph.code_adjacency`` (rows read once per
-line, moves found by the layer rule), and decodes its states once at the
-end. Here it is compared, field by field, with a naive pass over tuple
-profiles in code order, expanded through ``StateGraph.successors`` (the
-per-row rule), on hypothesis-random table, congestion, anonymous, market
-and valid-utility games under both semantics: tables with payoffs in
-{0, 1}, whose ties make best response differ from improvement, a player
-with one strategy, and games with a single profile among them.
+line, moves found by the layer rule), and returns that Closure over codes.
+Here it is compared, field by field, with a naive pass over tuple profiles
+in code order, expanded through ``StateGraph.successors`` (the per-row
+rule), its profiles mapped through ``ProfileCodec.encode``. The games are
+hypothesis-random table, congestion, anonymous, market and valid-utility
+games under both semantics: tables with payoffs in {0, 1}, whose ties make
+best response differ from improvement, a player with one strategy, and
+games with a single profile among them.
 """
 
 import math
@@ -64,14 +65,14 @@ def test_code_walk_matches_the_tuple_walk(kind, seed):
     for semantics in EdgeSemantics:
         graph = StateGraph(game, semantics)
         walked, naive = state_space(graph), tuple_walk(graph)
+        encode = game.codec.encode
         assert walked.exhausted and naive.exhausted
-        assert walked.states == naive.states
-        assert walked.index == naive.index
+        assert walked.states == list(map(encode, naive.states))
+        assert walked.index == {encode(v): k for v, k in naive.index.items()}
         assert walked.successors == naive.successors
-        assert walked.components == naive.components
-        assert walked.sinks == naive.sinks
+        assert walked.components == [list(map(encode, c)) for c in naive.components]
+        assert walked.sinks == [list(map(encode, c)) for c in naive.sinks]
         assert walked.edges == naive.edges
-        assert walked.codes == [game.codec.encode(v) for v in walked.states]
 
 
 def test_the_pass_releases_each_successor_list_once_read(monkeypatch):

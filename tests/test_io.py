@@ -140,7 +140,8 @@ def test_equal_delay_tables_are_parsed_once():
     ([[[1, 0]], [[1, 0.5]], [[1, 0.5]]], "$.delays[1][0][1]"),
     ([[[1, 0]], [[1, 0]], [[1]]], "$.delays[2][0]"),
     ([[[1, 0]], [[1, 0], [2, 1]], {}], "$.delays[2]"),
-], ids=["first-of-two-bad-copies", "after-good-copies", "not-an-array"])
+    ([[[1, 0]], [[1, 5], [2, 9], [1, 7]], [[1, 0]]], "$.delays[1][2]"),
+], ids=["first-of-two-bad-copies", "after-good-copies", "not-an-array", "repeated-load"])
 def test_a_bad_delay_table_is_named_where_it_first_occurs(delays, path):
     with pytest.raises(FormatError) as info:
         parse_game_file(_three_resource_doc(delays))
@@ -479,6 +480,21 @@ def test_machine_names_must_be_strings(tmp_path, flipper, rule, extra, path, mes
     assert err.getvalue() == f"error: {tm_path}: {path}: {message}\n"
 
 
+def test_a_machine_with_two_rules_for_one_state_and_symbol_is_refused(tmp_path, flipper):
+    doc = json.loads(serialize_tm(flipper))
+    doc["delta"].insert(2, doc["delta"][0] | {"next": 1, "write": "0"})
+    text = json.dumps(doc)
+    with pytest.raises(FormatError, match="a second rule for state 0") as info:
+        parse_tm_file(text)
+    assert info.value.path == "$.delta[2]"
+    tm_path = tmp_path / "bad.tm.json"
+    tm_path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["compile", "tm2wcg", str(tm_path), "-o", str(tmp_path / "g.json")]
+    assert run_cli(argv, out=out, err=err) == 1
+    assert err.getvalue().startswith(f"error: {tm_path}: $.delta[2]: a second rule for state 0")
+
+
 def _sidecar_cases():
     def truncated(text):
         return text[:12]
@@ -500,6 +516,12 @@ def _sidecar_cases():
             return json.dumps(doc)
         return mutate
 
+    def repeated_rule(text):
+        doc = json.loads(text)
+        delta = doc["machine"]["delta"]
+        delta.insert(1, dict(delta[0]))
+        return json.dumps(doc)
+
     return [
         (truncated, "$: not valid JSON"),
         (field("penalty", "10000"), "$.penalty: expected an integer"),
@@ -507,6 +529,7 @@ def _sidecar_cases():
         (field("machine", 5), "$.machine: expected an object"),
         (machine_rule("next", "x"), "$.machine.delta[0].next: expected an integer"),
         (machine_rule("read", 0), "$.machine.delta[0].read: expected a string"),
+        (repeated_rule, "$.machine.delta[1]: a second rule for state 0"),
         (symbol("players", "cell_0", 92), "$.players.cell_0: 92 is out of range [0, 92)"),
         (symbol("strategies", "cell_0", {"b": 3}),
          "$.strategies.cell_0.b: 3 is out of range [0, 3)"),
@@ -515,7 +538,8 @@ def _sidecar_cases():
 
 @pytest.mark.parametrize("mutate, message", _sidecar_cases(), ids=[
     "truncated", "penalty-string", "market-base-float", "machine-not-object",
-    "machine-next-string", "machine-read-int", "player-index", "strategy-index"])
+    "machine-next-string", "machine-read-int", "machine-repeated-rule", "player-index",
+    "strategy-index"])
 def test_malformed_sidecars_name_a_path(tmp_path, flipper, mutate, message):
     compiled = compile_tm_weighted(flipper)
     game_path = tmp_path / "gadget.json"

@@ -38,6 +38,7 @@ from sinkeq.dynamics import (
     WalkOutcome,
     bottom_sccs,
     forward_closure,
+    has_non_singleton_sink,
     has_singleton_sink,
     in_a_sink,
     sccs,
@@ -183,18 +184,31 @@ def test_table_questions_expand_each_profile_once(table_4_6, tmp_path, expansion
     assert len(expansions) == doc["stats"]["states_explored"]
 
 
-def test_full_space_questions_encode_no_profile(table_4_6, monkeypatch):
-    encoded = []
-    encode = ProfileCodec.encode
+def test_full_space_questions_encode_no_profile(table_4_6, tmp_path, monkeypatch):
+    calls = Counter()
 
-    def counting(self, profile):
-        encoded.append(profile)
-        return encode(self, profile)
+    def counted(name):
+        method = getattr(ProfileCodec, name)
 
-    monkeypatch.setattr(ProfileCodec, "encode", counting)
+        def counting(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(ProfileCodec, name, counting)
+
+    for name in ("encode", "decode", "all_profiles"):
+        counted(name)
     assert sinks(table_4_6) and has_singleton_sink(table_4_6)
     assert export_dot(state_space(StateGraph(table_4_6)), table_4_6.codec)
-    assert encoded == []
+    assert calls["encode"] == 0
+    # the CLI and has_non_singleton_sink read sink sizes from the codes: nothing is decoded
+    calls.clear()
+    game_path = tmp_path / "t.json"
+    game_path.write_text(serialize_game(table_4_6))
+    assert cli_json(["sinks", str(game_path)])["extra"]["sink_sizes"]
+    assert cli_json(["has-non-singleton", str(game_path)])["answer"] in ("true", "false")
+    has_non_singleton_sink(table_4_6)
+    assert calls == {}
 
 
 def test_cli_stats_match_an_independent_count(tmp_path):
@@ -321,9 +335,15 @@ def test_recorded_successors_match_a_fresh_expansion(gadget):
         game = TableGame.random(rng)
         for semantics in EdgeSemantics:
             graph = StateGraph(game, semantics)
-            start = game.codec.decode(rng.randrange(game.codec.num_profiles))
-            for closure in (state_space(graph), forward_closure(graph, start)):
-                assert closure.successors == fresh_successors(closure, graph)
+            codec = game.codec
+            start = codec.decode(rng.randrange(codec.num_profiles))
+            closure = forward_closure(graph, start)
+            assert closure.successors == fresh_successors(closure, graph)
+            # the full-space closure's states are profile codes
+            closure = state_space(graph)
+            assert closure.successors == [
+                [closure.index[codec.encode(w)] for w, _ in graph.successors(codec.decode(v))]
+                for v in closure.states]
     graph = StateGraph(gadget.game)
     closure = forward_closure(graph, gadget.initial)
     assert closure.successors == fresh_successors(closure, graph)
