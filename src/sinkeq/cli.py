@@ -35,6 +35,7 @@ from .dynamics import (
     StateGraph,
     WalkOutcome,
     _default_cap,
+    backward_reach,
     forward_closure,
     pure_ne_search,
     simulate_walk,
@@ -196,17 +197,23 @@ def run_cli(argv, out=sys.stdout, err=sys.stderr) -> int:
 
 
 def _dispatch(args) -> AnalysisReport:
-    if args.command in ("sinks", "has-non-singleton"):
+    if args.command == "sinks":
         game = _load_game(args.game)
         closure = state_space(StateGraph(game, EdgeSemantics(args.semantics)), args.cap)
         sizes = list(map(len, sink_equilibria(closure)))
-        if args.command == "has-non-singleton":
-            return AnalysisReport(args.command, "true" if max(sizes) > 1 else "false",
-                                  states_explored=len(closure), extra={"sink_sizes": sizes})
         return AnalysisReport(
             "sinks", f"{len(sizes)} sink equilibria", states_explored=len(closure),
             edges=closure.edges, scc_count=len(closure.components),
             extra={"sink_sizes": sizes, "singletons": sizes.count(1)},
+        )
+    if args.command == "has-non-singleton":
+        game = _load_game(args.game)
+        equilibria, stuck = backward_reach(
+            StateGraph(game, EdgeSemantics(args.semantics)), args.cap)
+        return AnalysisReport(
+            "has-non-singleton", "true" if stuck else "false",
+            states_explored=game.codec.num_profiles,
+            extra={"equilibria": equilibria.bit_count(), "stuck_states": stuck.bit_count()},
         )
     if args.command == "in-sink":
         game = _load_game(args.game)

@@ -9,6 +9,8 @@ from ..errors import ConfigurationError
 from ..profiles import Profile, ProfileCodec
 from .base import SuccinctGame
 
+_EXACT_INT = frozenset({int})
+
 
 class TableGame(SuccinctGame):
     """A game given by one flat utility table per player.
@@ -26,7 +28,9 @@ class TableGame(SuccinctGame):
             )
         frozen = []
         for player, table in enumerate(tables):
-            t = tuple(map(int, table))
+            t = tuple(table)
+            if not set(map(type, t)) <= _EXACT_INT:  # a parsed document holds exact ints
+                t = tuple(map(int, t))
             if len(t) != self.codec.num_profiles:
                 raise ConfigurationError(
                     f"player {player}: table has {len(t)} entries, "

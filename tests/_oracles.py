@@ -68,6 +68,43 @@ def brute_force_pure_nes(game):
             if is_pure_ne_pointwise(game, profile)}
 
 
+def successors_pointwise(game, profile, best_response=False):
+    """The profiles one qualifying move leads to, every utility evaluated
+    pointwise through ``game.utility``: each strict improvement, or under
+    best response each improving strategy of maximum utility."""
+    profile = tuple(profile)
+    out = []
+    for p, count in enumerate(game.strategy_counts):
+        moved = [profile[:p] + (s,) + profile[p + 1:] for s in range(count)]
+        values = [game.utility(m, p) for m in moved]
+        here, best = values[profile[p]], max(values)
+        out.extend(m for m, u in zip(moved, values)
+                   if u > here and (u == best or not best_response))
+    return out
+
+
+def states_reaching_no_equilibrium(game, best_response=False):
+    """Every profile from which no sequence of qualifying moves reaches a
+    pure Nash equilibrium (a profile without a qualifying move), found by a
+    breadth-first search backwards from the equilibria."""
+    profiles = list(itertools.product(*map(range, game.strategy_counts)))
+    predecessors = {v: [] for v in profiles}
+    reached = []
+    for v in profiles:
+        successors = successors_pointwise(game, v, best_response)
+        for w in successors:
+            predecessors[w].append(v)
+        if not successors:
+            reached.append(v)
+    seen = set(reached)
+    for w in reached:  # grows while it is read
+        for v in predecessors[w]:
+            if v not in seen:
+                seen.add(v)
+                reached.append(v)
+    return set(profiles) - seen
+
+
 def bitset_bottom_sccs(num_vertices, successor_indices):
     """Bottom SCCs via boolean transitive closure over integer bitsets.
 

@@ -89,6 +89,21 @@ def test_sinks_over_a_table_with_a_one_strategy_player(tmp_path, semantics, want
             stats["scc_count"]] == want
 
 
+@pytest.mark.parametrize("semantics", ["improvement", "best-response"])
+def test_has_non_singleton_counts_equilibria_and_stuck_states(tmp_path, semantics):
+    # TABLE: code 4 is the one equilibrium; the 8-state sink and state 7 cannot reach it
+    (tmp_path / "t.json").write_text(json.dumps(TABLE))
+    doc = json_answer(tmp_path, "--semantics", semantics, "has-non-singleton", "t.json")
+    assert [doc["answer"], doc["stats"]["states_explored"], doc["extra"]] == [
+        "true", 12, {"equilibria": 1, "stuck_states": 9}]
+    # a prisoner's dilemma: every profile reaches mutual defection
+    pd = {"class": "table", "strategy_counts": [2, 2],
+          "tables": [[2, 3, 0, 1], [2, 0, 3, 1]]}
+    (tmp_path / "pd.json").write_text(json.dumps(pd))
+    doc = json_answer(tmp_path, "--semantics", semantics, "has-non-singleton", "pd.json")
+    assert [doc["answer"], doc["extra"]] == ["false", {"equilibria": 1, "stuck_states": 0}]
+
+
 # the full-space DOT of TABLE: every state but 1, 7 and 10 lies in a sink
 TABLE_DOT_STATES = "".join(
     f'  n{k} [label="{k}"{"" if k in (1, 7, 10) else " shape=doublecircle"}];\n'

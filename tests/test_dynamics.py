@@ -24,7 +24,7 @@ from sinkeq.dynamics import (
     sinks,
     state_space,
 )
-from sinkeq.errors import CapExceededError, UnsupportedGameError
+from sinkeq.errors import CapExceededError, ConfigurationError, UnsupportedGameError
 from sinkeq.games import CongestionGame, TableGame, matching_pennies, prisoners_dilemma
 
 from _oracles import alpha_ne_pointwise, bitset_bottom_sccs, is_pure_ne_pointwise
@@ -405,3 +405,15 @@ def test_best_response_ties_become_parallel_edges():
     graph = StateGraph(game, EdgeSemantics.BEST_RESPONSE)
     moves = graph.improving_moves((0, 0))
     assert moves == [(0, 1, 5), (0, 2, 5)]
+
+
+def test_table_entries_that_are_not_exact_ints_go_through_int():
+    assert TableGame((2,), [[5, 7]]).tables == ((5, 7),)
+    game = TableGame((2,), [(True, 2.0)])
+    assert game.tables == ((1, 2),) and set(map(type, game.tables[0])) == {int}
+    with pytest.raises(ValueError):
+        TableGame((2,), [[1, "x"]])
+    with pytest.raises(TypeError):
+        TableGame((2,), [[1, None]])
+    with pytest.raises(ConfigurationError, match="table has 1 entries, profile space has 2"):
+        TableGame((2,), [[1]])

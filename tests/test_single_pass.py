@@ -6,7 +6,9 @@ they explore, counted per profile while a question runs, and so do
 lists the pass records. The full-space walk
 (``StateGraph.code_adjacency``) expands no single state: it reads each
 player's row once per line of profiles that differ only in that player's
-strategy, counted through ``TableGame._row``. Recorded successor lists are
+strategy, counted through ``TableGame._row``; so do CLI
+``has-non-singleton`` and ``has_non_singleton_sink``, which build no
+successor list and run no Tarjan pass. Recorded successor lists are
 checked against a fresh expansion. The CLI's ``edges`` and ``scc_count``
 are checked against a plain successor sum and the bitset oracle, and so are
 the components and sinks the one pass finds on random digraphs. In-sink
@@ -21,6 +23,7 @@ from collections import Counter, deque
 
 import pytest
 
+from sinkeq import dynamics
 from sinkeq.cli import run_cli
 from sinkeq.compilers import (
     CompiledReduction,
@@ -201,7 +204,8 @@ def test_full_space_questions_encode_no_profile(table_4_6, tmp_path, monkeypatch
     assert sinks(table_4_6) and has_singleton_sink(table_4_6)
     assert export_dot(state_space(StateGraph(table_4_6)), table_4_6.codec)
     assert calls["encode"] == 0
-    # the CLI and has_non_singleton_sink read sink sizes from the codes: nothing is decoded
+    # the CLI's sinks reads sink sizes from the codes, has-non-singleton counts bits:
+    # nothing is decoded
     calls.clear()
     game_path = tmp_path / "t.json"
     game_path.write_text(serialize_game(table_4_6))
@@ -209,6 +213,33 @@ def test_full_space_questions_encode_no_profile(table_4_6, tmp_path, monkeypatch
     assert cli_json(["has-non-singleton", str(game_path)])["answer"] in ("true", "false")
     has_non_singleton_sink(table_4_6)
     assert calls == {}
+
+
+@pytest.mark.parametrize("semantics", EdgeSemantics, ids=lambda s: s.value)
+def test_has_non_singleton_reads_each_row_once_and_builds_no_graph(
+        table_4_6, tmp_path, rows, monkeypatch, semantics):
+    def refused(*args):
+        raise AssertionError("has-non-singleton built successor lists or ran Tarjan")
+
+    monkeypatch.setattr(StateGraph, "code_adjacency", refused)
+    monkeypatch.setattr(dynamics, "_tarjan", refused)
+    game_path = tmp_path / "t.json"
+    game_path.write_text(serialize_game(table_4_6))
+    doc = cli_json(["--semantics", semantics.value, "has-non-singleton", str(game_path)])
+    check_one_row_per_line(rows, table_4_6)
+    assert doc["stats"]["states_explored"] == 4 ** 6
+    assert sorted(doc["extra"]) == ["equilibria", "stuck_states"]
+    rows.clear()
+    assert has_non_singleton_sink(table_4_6, semantics) == (doc["answer"] == "true")
+    check_one_row_per_line(rows, table_4_6)
+    # a cap below the profile space refuses the pass before it reads a row
+    rows.clear()
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["--cap", "4095", "--format", "json", "has-non-singleton", str(game_path)]
+    assert run_cli(argv, out=out, err=err) == 2 and err.getvalue() == ""
+    doc = json.loads(out.getvalue())
+    assert doc["answer"] == "inconclusive" and not rows
+    assert doc["reason"] == "profile space has 4096 states, above the cap of 4095"
 
 
 def test_cli_stats_match_an_independent_count(tmp_path):
