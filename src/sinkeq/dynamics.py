@@ -14,7 +14,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, compress
 from operator import and_, eq, gt, lt
 from typing import Callable, Iterable, Iterator, Sequence
@@ -57,19 +56,19 @@ class Moves(list):
 Origin = tuple[Moves, int, int]  # (generator's moves, mover, mover's old strategy)
 
 
-def _improvements(current: int, devs: Sequence[int], labels: Iterable) -> list:
+def _improvements(current: int, devs: Sequence[int]) -> list:
     here = devs[current]
-    return [x for x, u in zip(labels, devs) if u > here]
+    return [s for s, u in enumerate(devs) if u > here]
 
 
 def _improvement_layers(layers: Sequence[Sequence[int]]) -> Callable:
     return lambda a, b: map(gt, layers[b], layers[a])
 
 
-def _best_responses(current: int, devs: Sequence[int], labels: Iterable) -> list:
+def _best_responses(current: int, devs: Sequence[int]) -> list:
     best = max(devs)
     if best > devs[current]:
-        return [x for x, u in zip(labels, devs) if u == best]
+        return [s for s, u in enumerate(devs) if u == best]
     return []
 
 
@@ -82,13 +81,12 @@ def _best_response_layers(layers: Sequence[Sequence[int]]) -> Callable:
 
 # The one place the edge semantics is decided, as a per-row rule and a
 # layer rule side by side. The per-row rule takes a player's current
-# strategy, deviation utilities and one label per strategy, and returns the
-# labels of the strategies it may move to, ascending: every strict
-# improvement, or the maximizers when they improve on the current one. The
-# layer rule takes a player's rows on many lines transposed into layers
-# (layer s: the utility of strategy s on each line, at least two layers)
-# and returns ``mask(a, b)``: for each line, whether a player on strategy a
-# may move to b != a under the same rule.
+# strategy and deviation utilities, and returns the strategies it may move
+# to, ascending: every strict improvement, or the maximizers when they
+# improve on the current one. The layer rule takes a player's rows on many
+# lines transposed into layers (layer s: the utility of strategy s on each
+# line, at least two layers) and returns ``mask(a, b)``: for each line,
+# whether a player on strategy a may move to b != a under the same rule.
 _TARGETS = {EdgeSemantics.IMPROVEMENT: (_improvements, _improvement_layers),
             EdgeSemantics.BEST_RESPONSE: (_best_responses, _best_response_layers)}
 
@@ -101,9 +99,6 @@ class StateGraph:
         self.semantics = semantics
         self.codec = game.codec
         self._targets, self._layer_rule = _TARGETS[semantics]
-        # (player, place weight, strategy count): one digit of a profile code
-        self._digits = tuple(zip(range(len(self.codec.place_weights)),
-                                 self.codec.place_weights, self.codec.strategy_counts))
 
     def improving_moves(self, profile: Profile, origin: Origin | None = None) -> Moves:
         """Qualifying moves in canonical order (ascending player, strategy),
@@ -133,37 +128,22 @@ class StateGraph:
             players = {mover}
             for player, strategies in game.affected_rows(mover, old, profile[mover]):
                 row = rows[player]
+                fresh = deviations(profile, player, strategies)
                 # a row whose re-priced entries kept their values keeps its moves
-                if strategies is None:
-                    fresh = deviations(profile, player)
-                    if fresh == row:
-                        continue
-                    rows[player] = fresh
-                else:
-                    fresh = deviations(profile, player, strategies)
-                    if fresh == [row[s] for s in strategies]:
-                        continue
-                    row = rows[player] = list(row)
-                    for s, u in zip(strategies, fresh):
-                        row[s] = u
+                if fresh == [row[s] for s in strategies]:
+                    continue
+                row = rows[player] = list(row)
+                for s, u in zip(strategies, fresh):
+                    row[s] = u
                 players.add(player)
             moves = Moves(m for m in before if m[0] not in players)
         for player in players:
             row = rows[player]
-            for s in targets(profile[player], row, range(len(row))):
+            for s in targets(profile[player], row):
                 moves.append((player, s, row[s]))
         moves.sort()  # copied and recomputed moves interleave by player
         moves.rows, moves.aggregate = rows, aggregate
         return moves
-
-    def successors(self, profile: Profile) -> list[tuple[Profile, int]]:
-        """(next profile, mover) pairs in canonical order, every row evaluated."""
-        return [(profile[:p] + (s,) + profile[p + 1:], p)
-                for p, s, _ in self.improving_moves(profile)]
-
-    @cached_property
-    def _code_reader(self):
-        return self.game.code_reader()
 
     def layer_masks(self) -> Iterator[tuple[int, int, Callable]]:
         """Every move over the whole profile space, one player at a time:
@@ -180,9 +160,10 @@ class StateGraph:
         leads from the line's code whose digit p is a to the one whose
         digit p is b.
         """
-        key, read = self._code_reader
+        key, read = self.game.code_reader()
         size = self.codec.num_profiles
-        for player, weight, choices in self._digits:
+        for player, (weight, choices) in enumerate(zip(self.codec.place_weights,
+                                                       self.codec.strategy_counts)):
             if choices > 1:
                 rows = [read(key(base), player)
                         for top in range(0, size, weight * choices)
@@ -211,20 +192,6 @@ class StateGraph:
                                                        mask(a, b)):
                             adjacency[source].append(target)
         return adjacency
-
-    def code_can_move(self, code: int, digits: Iterable | None = None) -> bool:
-        """Whether some player among ``digits`` (each a ``(player, place
-        weight, strategy count)``; every player by default) can move at the
-        profile numbered ``code``, stopping at the first who can: under
-        either semantics a player moves exactly when some strategy improves
-        on the current one."""
-        key, read = self._code_reader
-        at = key(code)
-        for player, weight, choices in self._digits if digits is None else digits:
-            devs = read(at, player)
-            if max(devs) > devs[code // weight % choices]:
-                return True
-        return False
 
 
 @dataclass(frozen=True)
@@ -552,11 +519,12 @@ def pure_ne_search(game: SuccinctGame, cap: int | None = None) -> tuple[int | No
     """
     if cap is None:
         cap = _default_cap(2**26)
-    graph = StateGraph(game)
-    due: list[list[tuple[int, int, int]]] = [[] for _ in game.strategy_counts]
-    for digit, near in zip(graph._digits, game.interacting_players()):
-        due[max(near)].append(digit)
     n, weights, counts = game.num_players, game.codec.place_weights, game.codec.strategy_counts
+    # due[q]: (player, place weight, strategy count) of each player checked once q is placed
+    due: list[list[tuple[int, int, int]]] = [[] for _ in counts]
+    for p, near in enumerate(game.interacting_players()):
+        due[max(near)].append((p, weights[p], counts[p]))
+    key, read = game.code_reader()
     tried = [0] * n  # strategies of each placed player tried so far
     player = code = nodes = 0
     while 0 <= player < n:
@@ -572,7 +540,14 @@ def pure_ne_search(game: SuccinctGame, cap: int | None = None) -> tuple[int | No
         tried[player] = s + 1
         if s:
             code += weights[player]
-        if not (due[player] and graph.code_can_move(code, due[player])):
+        # the branch ends at the first due player some strategy improves on
+        checks = due[player]
+        at = key(code) if checks else None
+        for p, weight, choices in checks:
+            devs = read(at, p)
+            if max(devs) > devs[code // weight % choices]:
+                break
+        else:
             player += 1
     return (code if player == n else None), nodes
 

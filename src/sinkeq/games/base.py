@@ -7,7 +7,24 @@ from itertools import compress
 from operator import not_
 from typing import Callable, Collection, Sequence
 
+from ..errors import ConfigurationError
 from ..profiles import Profile, ProfileCodec, validate_profile
+
+_EXACT_INT = frozenset({int})
+
+
+def exact_ints(values: Sequence, name: Callable[[int], str]) -> tuple[int, ...]:
+    """``values`` as a tuple of ints. A value that ``int`` would change, such
+    as 1.5, raises ``ConfigurationError`` naming ``name(k)``, k its position;
+    a tuple of exact ints is kept as it is."""
+    values = tuple(values)
+    if set(map(type, values)) <= _EXACT_INT:  # a parsed document holds exact ints
+        return values
+    whole = tuple(map(int, values))
+    for k, (n, value) in enumerate(zip(whole, values)):
+        if n != value:
+            raise ConfigurationError(f"{name(k)} is {value!r}, not an integer")
+    return whole
 
 
 def _players_by_entry(per_player) -> dict[int, list[int]]:
@@ -44,8 +61,8 @@ class SuccinctGame:
     on strategy s, and ``reads[p][s]`` the frozenset of entries that the
     value of p's strategy s reads. Everything else derives from it:
     ``_entry_readers`` (each entry to the players whose rows read it), and
-    from that the locality sets: ``affected_players`` and ``affected_rows``
-    for the closure delta, ``interacting_players`` for the has-pure search.
+    from that the locality sets: ``affected_rows`` for the closure delta,
+    ``interacting_players`` for the has-pure search.
     The default, None, means that every row reads the whole profile.
     """
 
@@ -102,36 +119,24 @@ class SuccinctGame:
                 near[i].update(writers.get(x, ()))
         return near
 
-    def _changed(self, player: int, old: int, new: int) -> frozenset:
-        """The entries ``player``'s move from ``old`` to ``new`` changes:
-        those in exactly one of its two strategies."""
-        strats = self._footprint[0][player]
-        return strats[old] ^ strats[new]
-
-    def affected_players(self, player: int, old: int, new: int) -> Collection[int]:
-        """The players whose ``deviation_utilities`` row can change when
-        ``player`` moves from strategy ``old`` to ``new``, the mover
-        included: the readers of the entries the move changes."""
-        if self._footprint is None:
-            return range(self.num_players)
-        readers = self._entry_readers()
-        return {player}.union(*(readers.get(x, ()) for x in self._changed(player, old, new)))
-
-    def affected_rows(self, player: int, old: int, new: int) -> list[tuple[int, list[int] | None]]:
+    def affected_rows(self, player: int, old: int, new: int) -> list[tuple[int, Sequence[int]]]:
         """The rows ``player``'s move from ``old`` to ``new`` can change, as
-        (player, strategies) pairs: every affected player but the mover,
-        whose row the move leaves as it was, with the strategies whose
-        value reads an entry the move changes, ascending; without a
-        footprint, every other player with None, all of its strategies.
-        Each player's strategies are found by testing each one's entries
-        against the changed ones, which costs nothing before the first move
-        (an index from entry to strategies costs its game's incidences)."""
+        (player, strategies) pairs: each other player whose row reads an
+        entry the move changes (one in exactly one of its two strategies),
+        with the strategies whose value reads such an entry, ascending;
+        without a footprint, every other player with all of its strategies.
+        The mover's row is never listed: the move leaves it as it was. Each
+        player's strategies are found by testing each one's entries against
+        the changed ones, which costs nothing before the first move (an
+        index from entry to strategies costs its game's incidences)."""
         if self._footprint is None:
-            return [(p, None) for p in range(self.num_players) if p != player]
-        changed = self._changed(player, old, new)
-        reads = self._footprint[1]
+            return [(p, range(count)) for p, count in enumerate(self.strategy_counts)
+                    if p != player]
+        touches, reads = self._footprint
+        changed = touches[player][old] ^ touches[player][new]
+        readers = self._entry_readers()
         out = []
-        for p in self.affected_players(player, old, new):
+        for p in set().union(*(readers.get(x, ()) for x in changed)):
             if p != player:
                 meets = map(not_, map(changed.isdisjoint, reads[p]))
                 out.append((p, list(compress(range(len(reads[p])), meets))))

@@ -6,7 +6,7 @@ from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError, UnsupportedGameError
 from ..profiles import Profile, ProfileCodec
-from .base import SuccinctGame
+from .base import SuccinctGame, exact_ints
 
 SHARED = "shared"
 PLAYER_SPECIFIC = "player_specific"
@@ -52,7 +52,8 @@ class CongestionGame(SuccinctGame):
                 raise ConfigurationError(f"player {player} has no strategies")
             per_player = []
             for s_idx, strat in enumerate(strat_list):
-                fs = frozenset(map(int, strat))
+                fs = frozenset(exact_ints(
+                    strat, lambda k: f"player {player} strategy {s_idx}: resource index"))
                 for e in fs:
                     if not 0 <= e < n_res:
                         raise ConfigurationError(
@@ -68,7 +69,7 @@ class CongestionGame(SuccinctGame):
         n = len(self.strategies)
         if weights is None:
             weights = [1] * n
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = exact_ints(weights, lambda i: f"player {i}: weight")
         if len(self.weights) != n or any(w <= 0 for w in self.weights):
             raise ConfigurationError("weights must be positive, one per player")
         if mode == PLAYER_SPECIFIC and any(w != 1 for w in self.weights):
@@ -119,13 +120,12 @@ class CongestionGame(SuccinctGame):
 
     @staticmethod
     def _freeze_table(table: Mapping, label: str) -> dict[int, int]:
-        out = {}
-        for load, delay in table.items():
-            load = int(load)
+        loads = exact_ints(table, lambda k: f"{label}: a load")
+        for load in loads:
             if load <= 0:
                 raise ConfigurationError(f"{label}: load {load} not positive")
-            out[load] = int(delay)
-        return out
+        delays = exact_ints(table.values(), lambda k: f"{label}: the delay at load {loads[k]}")
+        return dict(zip(loads, delays))
 
     def potential_users(self) -> list[list[int]]:
         """Per resource, the players with some strategy using it, ascending."""

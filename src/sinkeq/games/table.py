@@ -7,9 +7,7 @@ from typing import Sequence
 
 from ..errors import ConfigurationError
 from ..profiles import Profile, ProfileCodec
-from .base import SuccinctGame
-
-_EXACT_INT = frozenset({int})
+from .base import SuccinctGame, exact_ints
 
 
 class TableGame(SuccinctGame):
@@ -20,7 +18,10 @@ class TableGame(SuccinctGame):
     """
 
     def __init__(self, strategy_counts: Sequence[int], tables: Sequence[Sequence[int]]):
-        self.strategy_counts = tuple(int(c) for c in strategy_counts)
+        self.strategy_counts = exact_ints(strategy_counts, lambda p: f"player {p}: strategy count")
+        for player, count in enumerate(self.strategy_counts):
+            if count < 1:
+                raise ConfigurationError(f"player {player} has no strategies")
         self.codec = ProfileCodec(self.strategy_counts)
         if len(tables) != len(self.strategy_counts):
             raise ConfigurationError(
@@ -28,9 +29,7 @@ class TableGame(SuccinctGame):
             )
         frozen = []
         for player, table in enumerate(tables):
-            t = tuple(table)
-            if not set(map(type, t)) <= _EXACT_INT:  # a parsed document holds exact ints
-                t = tuple(map(int, t))
+            t = exact_ints(table, lambda k: f"player {player}: table entry {k}")
             if len(t) != self.codec.num_profiles:
                 raise ConfigurationError(
                     f"player {player}: table has {len(t)} entries, "

@@ -22,6 +22,8 @@ def validate_profile(strategy_counts: Sequence[int], profile: Sequence[int]) -> 
             f"profile has {len(prof)} entries, game has {len(strategy_counts)} players"
         )
     for player, (choice, count) in enumerate(zip(prof, strategy_counts)):
+        if not isinstance(choice, int):
+            raise ValueError(f"player {player}: strategy index {choice!r} is not an integer")
         if not 0 <= choice < count:
             raise ValueError(
                 f"player {player}: strategy index {choice} out of range [0, {count})"

@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately written from the definitions, without reusing
-the library's evaluation or graph code paths.
+the library's graph code paths; only ``successors_by_rows`` reads the
+library's evaluation hook, and it is checked against ``successors_pointwise``.
 """
 
 from __future__ import annotations
@@ -69,16 +70,31 @@ def brute_force_pure_nes(game):
 
 
 def successors_pointwise(game, profile, best_response=False):
-    """The profiles one qualifying move leads to, every utility evaluated
-    pointwise through ``game.utility``: each strict improvement, or under
-    best response each improving strategy of maximum utility."""
+    """(next profile, mover) for each qualifying move, movers ascending and
+    each mover's strategies ascending, every utility evaluated pointwise
+    through ``game.utility``: each strict improvement, or under best
+    response each improving strategy of maximum utility."""
     profile = tuple(profile)
     out = []
     for p, count in enumerate(game.strategy_counts):
         moved = [profile[:p] + (s,) + profile[p + 1:] for s in range(count)]
         values = [game.utility(m, p) for m in moved]
         here, best = values[profile[p]], max(values)
-        out.extend(m for m, u in zip(moved, values)
+        out.extend((m, p) for m, u in zip(moved, values)
+                   if u > here and (u == best or not best_response))
+    return out
+
+
+def successors_by_rows(game, profile, best_response=False):
+    """``successors_pointwise`` with each player's utilities read as one whole
+    ``game.deviation_utilities`` row, fast enough for compiled gadgets; the
+    improvement and best-response rules are applied here, not by the library."""
+    profile = tuple(profile)
+    out = []
+    for p in range(len(profile)):
+        row = list(game.deviation_utilities(profile, p))
+        here, best = row[profile[p]], max(row)
+        out.extend((profile[:p] + (s,) + profile[p + 1:], p) for s, u in enumerate(row)
                    if u > here and (u == best or not best_response))
     return out
 
@@ -92,7 +108,7 @@ def states_reaching_no_equilibrium(game, best_response=False):
     reached = []
     for v in profiles:
         successors = successors_pointwise(game, v, best_response)
-        for w in successors:
+        for w, _ in successors:
             predecessors[w].append(v)
         if not successors:
             reached.append(v)

@@ -54,6 +54,8 @@ from _oracles import (
     brute_force_satisfiable,
     direct_tm_rejects,
     is_pure_ne_pointwise,
+    successors_by_rows,
+    successors_pointwise,
 )
 
 
@@ -122,12 +124,11 @@ def test_criterion_2_oracle_equivalence():
         rng = random.Random(12_345)
         for _ in range(100):
             game = TableGame.random(rng, max_profiles=64)
-            graph = StateGraph(game)
             codec = game.codec
 
             def successor_indices(k):
                 return [
-                    codec.encode(w) for w, _ in graph.successors(codec.decode(k))
+                    codec.encode(w) for w, _ in successors_pointwise(game, codec.decode(k))
                 ]
 
             _, bottoms = bitset_bottom_sccs(codec.num_profiles, successor_indices)
@@ -197,7 +198,7 @@ def test_criterion_4_sat_market_reproduction():
         profile = [0] * compiled.game.num_players
         graph = StateGraph(compiled.game)
         closure = forward_closure(graph, tuple(profile))
-        succ = lambda v: [w for w, _ in graph.successors(v)]
+        succ = lambda v: [w for w, _ in successors_by_rows(compiled.game, v)]
         bottoms = [
             comp for comp in sccs(closure.states, succ)
             if all(w in set(comp) for v in comp for w in succ(v))
@@ -205,7 +206,7 @@ def test_criterion_4_sat_market_reproduction():
         assert len(bottoms) == 1 and len(bottoms[0]) == 4
         movers = {
             compiled.symbols.role_of(player)
-            for state in bottoms[0] for _, player in graph.successors(state)
+            for state in bottoms[0] for _, player in successors_by_rows(compiled.game, state)
         }
         assert movers == {"C2", "K2"}
 
@@ -300,7 +301,7 @@ def test_criterion_5_weighted_reproduction(desk_looper, desk_walker, desk_halter
         assert starts
         reverse = {p: [] for p in closure.states}
         for p in closure.states:
-            for q, _ in graph.successors(p):
+            for q, _ in successors_by_rows(compiled.game, p):
                 reverse[q].append(p)
         reached = set(starts)
         frontier = list(starts)
@@ -360,22 +361,20 @@ def test_criterion_7_anonymous_reproduction(desk_looper, desk_walker):
             def utility(self, profile, player):
                 return game.utility(profile, player)
 
-            def deviation_utilities(self, profile, player):
+            def deviation_utilities(self, profile, player, strategies=None):
                 devs = game.deviation_utilities(profile, player)
                 if player == c1:
-                    return [
-                        d if s == profile[player] else -1
-                        for s, d in enumerate(devs)
-                    ]
-                return devs
+                    devs = [d if s == profile[player] else -1 for s, d in enumerate(devs)]
+                return devs if strategies is None else [devs[s] for s in strategies]
 
         for pin in sorted(compiled.symbols.strategies["control1"].values()):
-            frozen_graph = StateGraph(Frozen(pin))
+            frozen = Frozen(pin)
+            frozen_graph = StateGraph(frozen)
             for seed in seeds:
                 start = seed[:c1] + (pin,) + seed[c1 + 1:]
                 closure = forward_closure(frozen_graph, start, cap=200_000)
                 assert closure.exhausted
-                succ = lambda v: [w for w, _ in frozen_graph.successors(v)]
+                succ = lambda v: [w for w, _ in successors_by_rows(frozen, v)]
                 for comp in sccs(closure.states, succ):
                     assert len(comp) == 1 and comp[0] not in succ(comp[0])
 

@@ -61,7 +61,7 @@ def test_backward_reach_matches_the_oracles(kind, semantics, seed):
     assert members(stuck, profiles) == states_reaching_no_equilibrium(game, best_response)
     number = {v: k for k, v in enumerate(profiles)}
     _, bottoms = bitset_bottom_sccs(len(profiles), lambda k: [
-        number[w] for w in successors_pointwise(game, profiles[k], best_response)])
+        number[w] for w, _ in successors_pointwise(game, profiles[k], best_response)])
     assert (stuck != 0) == any(len(bottom) > 1 for bottom in bottoms)
     assert has_non_singleton_sink(game, semantics) == (stuck != 0)
 

@@ -4,12 +4,15 @@
 code's successors from ``StateGraph.code_adjacency`` (rows read once per
 line, moves found by the layer rule), and returns that Closure over codes.
 Here it is compared, field by field, with a naive pass over tuple profiles
-in code order, expanded through ``StateGraph.successors`` (the per-row
-rule), its profiles mapped through ``ProfileCodec.encode``. The games are
-hypothesis-random table, congestion, anonymous, market and valid-utility
-games under both semantics: tables with payoffs in {0, 1}, whose ties make
-best response differ from improvement, a player with one strategy, and
-games with a single profile among them.
+in code order, expanded through ``_oracles.successors_pointwise`` (the
+definition, on ``game.utility``), its profiles mapped through
+``ProfileCodec.encode``. The games are hypothesis-random table, congestion,
+anonymous, market and valid-utility games under both semantics: tables
+with payoffs in {0, 1}, whose ties make best response differ from
+improvement, a player with one strategy, and games with a single profile
+among them. On the same games the row oracle
+(``_oracles.successors_by_rows``), the reference of the compiled-gadget
+tests, is checked against the pointwise one.
 """
 
 import math
@@ -21,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from sinkeq.dynamics import EdgeSemantics, StateGraph, _tarjan, state_space
 from sinkeq.games import TableGame
 
+from _oracles import successors_by_rows, successors_pointwise
 from test_eval_once import random_anonymous, random_congestion, random_market
 from test_valid_utility_dynamics import random_coverage
 
@@ -50,11 +54,13 @@ RANDOM_GAMES = {
 }
 
 
-def tuple_walk(graph):
+def tuple_walk(game, semantics):
     """Every profile in code order as a root, expanded as tuples."""
-    codec = graph.codec
+    codec = game.codec
     profiles = [codec.decode(k) for k in range(codec.num_profiles)]
-    return _tarjan(profiles, lambda v: [w for w, _ in graph.successors(v)])
+    best_response = semantics is EdgeSemantics.BEST_RESPONSE
+    return _tarjan(profiles,
+                   lambda v: [w for w, _ in successors_pointwise(game, v, best_response)])
 
 
 @pytest.mark.parametrize("kind", sorted(RANDOM_GAMES))
@@ -63,8 +69,7 @@ def tuple_walk(graph):
 def test_code_walk_matches_the_tuple_walk(kind, seed):
     game = RANDOM_GAMES[kind](random.Random(seed))
     for semantics in EdgeSemantics:
-        graph = StateGraph(game, semantics)
-        walked, naive = state_space(graph), tuple_walk(graph)
+        walked, naive = state_space(StateGraph(game, semantics)), tuple_walk(game, semantics)
         encode = game.codec.encode
         assert walked.exhausted and naive.exhausted
         assert walked.states == list(map(encode, naive.states))
@@ -73,6 +78,17 @@ def test_code_walk_matches_the_tuple_walk(kind, seed):
         assert walked.components == [list(map(encode, c)) for c in naive.components]
         assert walked.sinks == [list(map(encode, c)) for c in naive.sinks]
         assert walked.edges == naive.edges
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_GAMES))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_the_row_oracle_matches_the_pointwise_oracle(kind, seed):
+    game = RANDOM_GAMES[kind](random.Random(seed))
+    for best_response in (False, True):
+        for profile in game.codec.all_profiles():
+            assert (successors_by_rows(game, profile, best_response)
+                    == successors_pointwise(game, profile, best_response))
 
 
 def test_the_pass_releases_each_successor_list_once_read(monkeypatch):

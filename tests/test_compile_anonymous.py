@@ -15,6 +15,8 @@ from sinkeq.games import SuccinctGame
 from sinkeq.games.anonymous import Count
 from sinkeq.turing import SYMBOLS, TapeConfig, initial_config, tm_step
 
+from _oracles import successors_by_rows
+
 
 def test_player_roster(flipper):
     compiled = compile_tm_anonymous(flipper)
@@ -169,13 +171,11 @@ def test_frozen_control1_dynamics_are_acyclic(flipper):
         def utility(self, profile, player):
             return self.base.utility(profile, player)
 
-        def deviation_utilities(self, profile, player):
+        def deviation_utilities(self, profile, player, strategies=None):
             devs = self.base.deviation_utilities(profile, player)
             if player == c1:
-                return [
-                    d if s == profile[player] else -1 for s, d in enumerate(devs)
-                ]
-            return devs
+                devs = [d if s == profile[player] else -1 for s, d in enumerate(devs)]
+            return devs if strategies is None else [devs[s] for s in strategies]
 
     for pin in c1_strategies:
         frozen = Frozen(game, pin)
@@ -184,7 +184,7 @@ def test_frozen_control1_dynamics_are_acyclic(flipper):
             graph = StateGraph(frozen)
             closure = forward_closure(graph, start, cap=200_000)
             assert closure.exhausted
-            succ = lambda v: [w for w, _ in graph.successors(v)]
+            succ = lambda v: [w for w, _ in successors_by_rows(frozen, v)]
             for comp in sccs(closure.states, succ):
                 assert len(comp) == 1
                 assert comp[0] not in succ(comp[0])

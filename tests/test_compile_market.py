@@ -22,7 +22,7 @@ from sinkeq.dynamics import (
 )
 from sinkeq.errors import ConfigurationError
 
-from _oracles import brute_force_satisfiable
+from _oracles import brute_force_satisfiable, successors_by_rows
 
 
 # ---------- machine-to-market ----------
@@ -75,7 +75,7 @@ def test_market_halting_answers_match_weighted(halter3):
     for compiled in (weighted, market):
         graph = StateGraph(compiled.game)
         closure = forward_closure(graph, compiled.initial)
-        succ = lambda v: [w for w, _ in graph.successors(v)]
+        succ = lambda v: [w for w, _ in successors_by_rows(compiled.game, v)]
         bottoms = [
             comp for comp in sccs(closure.states, succ)
             if all(w in set(comp) for v in comp for w in succ(v))
@@ -163,8 +163,7 @@ def test_unclaimed_clause_cycles_in_a_non_singleton_sink():
     profile = x_assignment_profile(compiled, formula, {1: True})
     verdict_closure = forward_closure(StateGraph(compiled.game), profile)
     assert verdict_closure.exhausted
-    graph = StateGraph(compiled.game)
-    succ = lambda v: [w for w, _ in graph.successors(v)]
+    succ = lambda v: [w for w, _ in successors_by_rows(compiled.game, v)]
     bottoms = [
         comp for comp in sccs(verdict_closure.states, succ)
         if all(w in set(comp) for v in comp for w in succ(v))
@@ -175,6 +174,6 @@ def test_unclaimed_clause_cycles_in_a_non_singleton_sink():
     c2 = compiled.symbols.player("C2")
     k2 = compiled.symbols.player("K2")
     moving = {
-        player for state in cycle for nxt, player in graph.successors(state)
+        player for state in cycle for nxt, player in successors_by_rows(compiled.game, state)
     }
     assert moving == {c2, k2}

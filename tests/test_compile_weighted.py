@@ -21,7 +21,7 @@ from sinkeq.compilers import (
 )
 from sinkeq.turing import SYMBOLS, TapeConfig, initial_config, run_bounded, tm_step
 
-from _oracles import is_pure_ne_pointwise
+from _oracles import is_pure_ne_pointwise, successors_by_rows
 
 
 def expected_player_count(spec):
@@ -133,7 +133,7 @@ def test_halting_machine_initial_not_in_sink_and_halt_is_ne(halter):
     assert settled in closure.index
     assert is_pure_ne_pointwise(compiled.game, settled)
     # every sink of the halting closure is that kind of settled halt profile
-    succ = lambda v: [w for w, _ in graph.successors(v)]
+    succ = lambda v: [w for w, _ in successors_by_rows(compiled.game, v)]
     for comp in sccs(closure.states, succ):
         members = set(comp)
         if all(w in members for v in comp for w in succ(v)):
@@ -177,7 +177,7 @@ def test_every_closure_state_reaches_a_round_start(flipper):
     assert starts
     reverse = {p: [] for p in closure.states}
     for p in closure.states:
-        for q, _ in graph.successors(p):
+        for q, _ in successors_by_rows(compiled.game, p):
             reverse[q].append(p)
     reached = set(starts)
     frontier = list(starts)

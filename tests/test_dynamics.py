@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +19,7 @@ from sinkeq.dynamics import (
     has_singleton_sink,
     in_a_sink,
     is_alpha_ne,
+    pure_ne_search,
     rosenthal_potential,
     sccs,
     simulate_walk,
@@ -27,11 +29,13 @@ from sinkeq.dynamics import (
 from sinkeq.errors import CapExceededError, ConfigurationError, UnsupportedGameError
 from sinkeq.games import CongestionGame, TableGame, matching_pennies, prisoners_dilemma
 
-from _oracles import alpha_ne_pointwise, bitset_bottom_sccs, is_pure_ne_pointwise
-
-
-def successor_fn(graph):
-    return lambda v: [w for w, _ in graph.successors(v)]
+from _oracles import (
+    alpha_ne_pointwise,
+    bitset_bottom_sccs,
+    brute_force_pure_nes,
+    is_pure_ne_pointwise,
+    successors_pointwise,
+)
 
 
 def test_improving_moves_empty_at_pure_ne():
@@ -81,20 +85,25 @@ def test_has_pure_stops_at_the_first_improving_player(monkeypatch):
     rng = random.Random(5)
     for _ in range(60):
         game = TableGame.random(rng)
-        graph = StateGraph(game)
-        stable = []
-        for profile in game.codec.all_profiles():
-            movers = [p for p, _, _ in graph.improving_moves(profile)]
-            code = game.codec.encode(profile)
-            for semantics in EdgeSemantics:
-                evaluated.clear()
-                assert StateGraph(game, semantics).code_can_move(code) == bool(movers)
-                # players after the first one who can improve are never evaluated
-                assert sum(evaluated.values()) == (movers[0] + 1 if movers
-                                                   else game.num_players)
-            assert is_pure_ne_pointwise(game, profile) == (not movers)
-            stable.append(not movers)
-        assert has_singleton_sink(game) == any(stable)
+        n = game.num_players
+        # a table row reads every player, so the search checks only full
+        # profiles, the last player fastest, up to the first equilibrium
+        expected, visited, found = Counter(), [], None
+        for profile in itertools.product(*map(range, game.strategy_counts)):
+            visited.append(profile)
+            movers = [p for _, p in successors_pointwise(game, profile)]
+            # players after the first one who can improve are never read
+            expected.update(range(movers[0] + 1 if movers else n))
+            if not movers:
+                found = profile
+                break
+        evaluated.clear()
+        code, nodes = pure_ne_search(game)
+        assert evaluated == expected
+        # one node per strategy placed: one per prefix of a checked profile
+        assert nodes == len({v[:k] for v in visited for k in range(1, n + 1)})
+        assert code == (None if found is None else game.codec.encode(found))
+        assert has_singleton_sink(game) == (found is not None) == bool(brute_force_pure_nes(game))
 
 
 def test_single_strategy_game_is_pure_ne():
@@ -194,12 +203,11 @@ def test_sinks_match_bitset_oracle_on_random_games():
     rng = random.Random(99)
     for _ in range(40):
         game = TableGame.random(rng)
-        graph = StateGraph(game)
         codec = game.codec
 
         def successor_indices(k):
             return [
-                codec.encode(w) for w, _ in graph.successors(codec.decode(k))
+                codec.encode(w) for w, _ in successors_pointwise(game, codec.decode(k))
             ]
 
         _, bottoms = bitset_bottom_sccs(codec.num_profiles, successor_indices)
@@ -417,3 +425,27 @@ def test_table_entries_that_are_not_exact_ints_go_through_int():
         TableGame((2,), [[1, None]])
     with pytest.raises(ConfigurationError, match="table has 1 entries, profile space has 2"):
         TableGame((2,), [[1]])
+
+
+def test_constructors_refuse_numbers_with_a_fractional_part():
+    with pytest.raises(ConfigurationError, match=r"^player 0: table entry 1 is 1\.5, not an"):
+        TableGame([2, 2], [[0, 1.5, 2, 3], [Fraction(1, 2), 0, 0, 0]])
+    with pytest.raises(ConfigurationError, match=r"^player 1: table entry 0 is Fraction\(1, 2\)"):
+        TableGame([2, 2], [[0, 1, 2, 3], [Fraction(1, 2), 0, 0, 0]])
+    with pytest.raises(ConfigurationError, match=r"^player 1: strategy count is 2\.9, not an"):
+        TableGame([2, 2.9], [[0] * 4, [0] * 4])
+    with pytest.raises(ConfigurationError, match="^player 0 has no strategies$"):
+        TableGame([0], [[]])
+    assert TableGame([2.0, Fraction(2)], [[0] * 4, [0] * 4]).strategy_counts == (2, 2)
+    with pytest.raises(ConfigurationError, match=r"^resource r: the delay at load 1 is 1\.9"):
+        CongestionGame(["r"], [[[0]]], [{1: 1.9}])
+    with pytest.raises(ConfigurationError, match=r"^resource r: a load is 1\.5, not an"):
+        CongestionGame(["r"], [[[0]]], [{1.5: 1}])
+    with pytest.raises(ConfigurationError, match=r"^player 0: weight is 1\.7, not an"):
+        CongestionGame(["r"], [[[0]]], [{1: 1, 2: 2}], weights=[1.7])
+    with pytest.raises(ConfigurationError, match=r"^player 0 strategy 0: resource index is 0\.5"):
+        CongestionGame(["r"], [[[0.5]]], [{1: 1}])
+    game = CongestionGame(["r"], [[[0]], [[0]]], [{1: 1.0, 2: Fraction(4, 2)}],
+                          weights=[1.0, True])
+    assert game.delays == ({1: 1, 2: 2},) and game.weights == (1, 1)
+    assert {type(x) for x in (*game.delays[0].values(), *game.weights)} == {int}

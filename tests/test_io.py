@@ -230,7 +230,8 @@ def _short_social_table() -> str:
     ('{"class": "table", "strategy_counts": null, "tables": [[1, 2]]}',
      "$.strategy_counts"),
     (_short_social_table(), "$.social"),
-], ids=["tables", "strategy_counts", "social"])
+    ('{"class": "table", "strategy_counts": [0], "tables": [[]]}', "$.table"),
+], ids=["tables", "strategy_counts", "social", "no-strategies"])
 def test_malformed_documents_name_a_path(tmp_path, text, path):
     with pytest.raises(FormatError) as info:
         parse_game_file(text)

@@ -44,6 +44,8 @@ def test_validate_profile_bounds():
         validate_profile((2, 2), (0, 2))
     with pytest.raises(ValueError):
         validate_profile((2, 2), (0,))
+    with pytest.raises(ValueError, match=r"^player 0: strategy index 1\.0 is not an integer$"):
+        validate_profile((2, 2), (1.0, 0))
 
 
 def test_profiles_are_value_keyed():

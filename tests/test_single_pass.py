@@ -9,9 +9,10 @@ player's row once per line of profiles that differ only in that player's
 strategy, counted through ``TableGame._row``; so do CLI
 ``has-non-singleton`` and ``has_non_singleton_sink``, which build no
 successor list and run no Tarjan pass. Recorded successor lists are
-checked against a fresh expansion. The CLI's ``edges`` and ``scc_count``
-are checked against a plain successor sum and the bitset oracle, and so are
-the components and sinks the one pass finds on random digraphs. In-sink
+checked against the row oracle's (``_oracles.successors_by_rows``). The
+CLI's ``edges`` and ``scc_count`` are checked against a plain successor sum
+and the bitset oracle, and so are the components and sinks the one pass
+finds on random digraphs. In-sink
 stops at the first sink without its start: that answer is checked against
 the whole closure's, and that sink against the oracle.
 """
@@ -55,7 +56,12 @@ from sinkeq.games import TableGame
 from sinkeq.io import serialize_game, serialize_sidecar
 from sinkeq.profiles import ProfileCodec
 
-from _oracles import bitset_bottom_sccs
+from _oracles import bitset_bottom_sccs, successors_by_rows
+
+
+def oracle_successors(graph, profile):
+    """(next profile, mover) pairs by the row oracle, under ``graph``'s semantics."""
+    return successors_by_rows(graph.game, profile, graph.semantics is EdgeSemantics.BEST_RESPONSE)
 
 
 @pytest.fixture
@@ -133,7 +139,7 @@ def cli_json(argv):
 def reachable(graph, start):
     seen, todo = {start}, deque([start])
     while todo:
-        for w, _ in graph.successors(todo.popleft()):
+        for w, _ in oracle_successors(graph, todo.popleft()):
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
@@ -250,14 +256,14 @@ def test_cli_stats_match_an_independent_count(tmp_path):
         graph, codec = StateGraph(game), game.codec
         components, bottoms = bitset_bottom_sccs(
             codec.num_profiles,
-            lambda v: [codec.encode(w) for w, _ in graph.successors(codec.decode(v))],
+            lambda v: [codec.encode(w) for w, _ in oracle_successors(graph, codec.decode(v))],
         )
         game_path = tmp_path / f"g{k}.json"
         game_path.write_text(serialize_game(game))
         doc = cli_json(["sinks", str(game_path)])
         assert doc["stats"]["scc_count"] == len(components)
         assert doc["stats"]["edges"] == sum(
-            len(graph.successors(p)) for p in codec.all_profiles()
+            len(oracle_successors(graph, p)) for p in codec.all_profiles()
         )
         # a random start, and one inside a sink so that every game has a YES
         for start in (rng.randrange(codec.num_profiles), min(bottoms[0])):
@@ -271,7 +277,7 @@ def test_cli_stats_match_an_independent_count(tmp_path):
                 assert doc["stats"]["scc_count"] == sum(
                     1 for c in components if set(c) <= closure)
                 assert doc["stats"]["edges"] == sum(
-                    len(graph.successors(codec.decode(v))) for v in closure
+                    len(oracle_successors(graph, codec.decode(v))) for v in closure
                 )
             else:
                 # a NO reports what was explored until the first foreign sink completed
@@ -357,7 +363,7 @@ def test_closures_isomorphic_takes_the_default_cap_of_a_forward_closure(gadget, 
 
 
 def fresh_successors(closure, graph):
-    return [[closure.index.get(w) for w, _ in graph.successors(v)] for v in closure.states]
+    return [[closure.index.get(w) for w, _ in oracle_successors(graph, v)] for v in closure.states]
 
 
 def test_recorded_successors_match_a_fresh_expansion(gadget):
@@ -373,7 +379,7 @@ def test_recorded_successors_match_a_fresh_expansion(gadget):
             # the full-space closure's states are profile codes
             closure = state_space(graph)
             assert closure.successors == [
-                [closure.index[codec.encode(w)] for w, _ in graph.successors(codec.decode(v))]
+                [closure.index[codec.encode(w)] for w, _ in oracle_successors(graph, codec.decode(v))]
                 for v in closure.states]
     graph = StateGraph(gadget.game)
     closure = forward_closure(graph, gadget.initial)
@@ -399,7 +405,7 @@ def oracle_bottoms(graph, root):
     order = list(reachable(graph, root))
     number = {p: k for k, p in enumerate(order)}
     _, bottoms = bitset_bottom_sccs(
-        len(order), lambda v: [number[w] for w, _ in graph.successors(order[v])])
+        len(order), lambda v: [number[w] for w, _ in oracle_successors(graph, order[v])])
     return [{order[v] for v in bottom} for bottom in bottoms]
 
 

@@ -12,7 +12,6 @@ from sinkeq.cli import run_cli
 from sinkeq.dynamics import (
     Answer,
     EdgeSemantics,
-    StateGraph,
     has_singleton_sink,
     in_a_sink,
     sinks,
@@ -20,7 +19,7 @@ from sinkeq.dynamics import (
 from sinkeq.games import coverage_instance
 from sinkeq.io import serialize_game
 
-from _oracles import bitset_bottom_sccs
+from _oracles import bitset_bottom_sccs, successors_pointwise
 
 UNIVERSE = "abcde"
 
@@ -38,11 +37,12 @@ def random_coverage(rng):
 
 
 def oracle_sinks(game, semantics):
-    graph = StateGraph(game, semantics)
     codec = game.codec
+    best_response = semantics is EdgeSemantics.BEST_RESPONSE
 
     def successor_indices(k):
-        return [codec.encode(w) for w, _ in graph.successors(codec.decode(k))]
+        return [codec.encode(w)
+                for w, _ in successors_pointwise(game, codec.decode(k), best_response)]
 
     _, bottoms = bitset_bottom_sccs(codec.num_profiles, successor_indices)
     return {frozenset(codec.decode(k) for k in comp) for comp in bottoms}
