@@ -8,7 +8,6 @@ exactly a singleton sink.
 
 from sinkeq.dot import export_dot
 from sinkeq.dynamics import (
-    Answer,
     FirstImprover,
     RandomImprover,
     StateGraph,
@@ -24,16 +23,16 @@ from sinkeq.games import matching_pennies, prisoners_dilemma
 pd = prisoners_dilemma()
 print("Prisoner's dilemma (0 = cooperate, 1 = defect)")
 for sink in sinks(pd):
-    print("  sink:", sorted(sink.states), "singleton:", sink.singleton)
+    print("  sink:", sorted(sink), "singleton:", len(sink) == 1)
 print("  has a pure equilibrium:", has_singleton_sink(pd))
 print("  has a non-singleton sink:", has_non_singleton_sink(pd))
-print("  (0,0) in a sink:", in_a_sink(pd, (0, 0)) is Answer.YES)
-print("  (1,1) in a sink:", in_a_sink(pd, (1, 1)) is Answer.YES)
+print("  (0,0) in a sink:", in_a_sink(pd, (0, 0)))
+print("  (1,1) in a sink:", in_a_sink(pd, (1, 1)))
 
 mp = matching_pennies()
 print("\nMatching pennies: no pure equilibrium, one 4-state sink")
 for sink in sinks(mp):
-    print("  sink:", sorted(sink.states))
+    print("  sink:", sorted(sink))
 print("  has a pure equilibrium:", has_singleton_sink(mp))
 
 print("\nA deterministic walk from (0,0):")

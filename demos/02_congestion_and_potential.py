@@ -13,8 +13,6 @@ from fractions import Fraction
 from sinkeq.dynamics import (
     StateGraph,
     has_non_singleton_sink,
-    is_alpha_ne,
-    rosenthal_potential,
     sinks,
 )
 from sinkeq.games import CongestionGame
@@ -28,7 +26,7 @@ game = CongestionGame(
 )
 for profile in game.codec.all_profiles():
     costs = [game.cost(profile, p) for p in range(2)]
-    phi = rosenthal_potential(game, profile)
+    phi = game.rosenthal_potential(profile)
     print(f"  profile {profile}: costs {costs}, potential {phi}")
 
 print("\nEvery improvement edge lowers the potential by the mover's saving:")
@@ -38,18 +36,18 @@ for profile in game.codec.all_profiles():
         moved = profile[:player] + (strategy,) + profile[player + 1:]
         saving = game.cost(profile, player) + new_u
         print(f"  {profile} -> {moved} (player {player}):",
-              f"potential {rosenthal_potential(game, profile)} ->",
-              f"{rosenthal_potential(game, moved)}, saving {saving}")
+              f"potential {game.rosenthal_potential(profile)} ->",
+              f"{game.rosenthal_potential(moved)}, saving {saving}")
 
 print("\nSinks are all singletons:", [
-    (sorted(s.states), s.singleton) for s in sinks(game)
+    (sorted(s), len(s) == 1) for s in sinks(game)
 ])
 print("non-singleton sink exists:", has_non_singleton_sink(game))
 
 print("\nApproximate equilibria use the exact rational inequality:")
 ne = (1, 1)
 for alpha in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)):
-    print(f"  alpha = {alpha}: is_alpha_ne({ne}) = {is_alpha_ne(game, ne, alpha)}")
+    print(f"  alpha = {alpha}: is_alpha_ne({ne}) = {game.is_alpha_ne(ne, alpha)}")
 
 print("\nA random 3-player instance, checked edge by edge:")
 rng = random.Random(0)
@@ -62,9 +60,9 @@ big = CongestionGame(
 descents = 0
 graph = StateGraph(big)
 for profile in big.codec.all_profiles():
-    phi = rosenthal_potential(big, profile)
+    phi = big.rosenthal_potential(profile)
     for player, strategy, _ in graph.improving_moves(profile):
         moved = profile[:player] + (strategy,) + profile[player + 1:]
-        assert rosenthal_potential(big, moved) < phi
+        assert big.rosenthal_potential(moved) < phi
         descents += 1
 print(f"  checked {descents} improvement edges, all strictly descending")

@@ -44,7 +44,7 @@ print("  configuration after the round:", report.end_config)
 closure = forward_closure(StateGraph(compiled.game), compiled.initial)
 print(f"\nReachable closure: {len(closure)} profiles (loops every 2 steps)")
 print("Initial profile in a sink equilibrium:",
-      in_a_sink(compiled.game, compiled.initial).value)
+      in_a_sink(compiled.game, compiled.initial))
 
 halter = TMSpec(
     num_states=2, q0=0, q_halt=1, t_prime=2,
@@ -57,7 +57,7 @@ halter = TMSpec(
 halting = compile_tm_weighted(halter)
 print("\nA halting machine instead:", run_bounded(halter))
 print("Initial profile in a sink equilibrium:",
-      in_a_sink(halting.game, halting.initial).value)
+      in_a_sink(halting.game, halting.initial))
 halted_config = tm_step(halter, initial_config(halter))
 final = verify_round_weighted(halting, round_start_profile(halting, halted_config))
 print("From the halted configuration the transition player deviates to",

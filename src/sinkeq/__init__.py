@@ -1,20 +1,16 @@
 """Sink equilibria, best-response dynamics, and game-gadget compilers."""
 
 from .dynamics import (
-    Answer,
     EdgeSemantics,
     FirstImprover,
     PriorityList,
     RandomImprover,
-    SinkEquilibrium,
     StateGraph,
     WalkOutcome,
     forward_closure,
     has_non_singleton_sink,
     has_singleton_sink,
     in_a_sink,
-    is_alpha_ne,
-    rosenthal_potential,
     sccs,
     simulate_walk,
     sinks,

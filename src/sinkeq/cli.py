@@ -27,14 +27,12 @@ from .compilers import (
 )
 from .dot import export_dot
 from .dynamics import (
-    Answer,
     EdgeSemantics,
     FirstImprover,
     PriorityList,
     RandomImprover,
     StateGraph,
     WalkOutcome,
-    _default_cap,
     backward_reach,
     forward_closure,
     pure_ne_search,
@@ -148,10 +146,6 @@ def _parse(path, parse, *args):
         raise FormatError(str(exc), str(path)) from None
 
 
-def _load_game(path: str):
-    return _parse(path, gameio.parse_game_file)
-
-
 def _load_compiled(path: str, game):
     """The compiled reduction of the already parsed game at ``path``."""
     sidecar = _sidecar_path(path)
@@ -197,9 +191,12 @@ def run_cli(argv, out=sys.stdout, err=sys.stderr) -> int:
 
 
 def _dispatch(args) -> AnalysisReport:
+    if args.command == "compile":
+        return _compile(args)
+    game = _parse(args.game, gameio.parse_game_file)
+    graph = StateGraph(game, EdgeSemantics(args.semantics))
     if args.command == "sinks":
-        game = _load_game(args.game)
-        closure = state_space(StateGraph(game, EdgeSemantics(args.semantics)), args.cap)
+        closure = state_space(graph, args.cap)
         sizes = list(map(len, sink_equilibria(closure)))
         return AnalysisReport(
             "sinks", f"{len(sizes)} sink equilibria", states_explored=len(closure),
@@ -207,36 +204,29 @@ def _dispatch(args) -> AnalysisReport:
             extra={"sink_sizes": sizes, "singletons": sizes.count(1)},
         )
     if args.command == "has-non-singleton":
-        game = _load_game(args.game)
-        equilibria, stuck = backward_reach(
-            StateGraph(game, EdgeSemantics(args.semantics)), args.cap)
+        equilibria, stuck = backward_reach(graph, args.cap)
         return AnalysisReport(
             "has-non-singleton", "true" if stuck else "false",
             states_explored=game.codec.num_profiles,
             extra={"equilibria": equilibria.bit_count(), "stuck_states": stuck.bit_count()},
         )
     if args.command == "in-sink":
-        game = _load_game(args.game)
-        closure = forward_closure(StateGraph(game, EdgeSemantics(args.semantics)),
-                                  _resolve_profile(args.profile, game, args.game), args.cap,
-                                  stop_at_foreign_sink=True)
-        answer = closure.start_in_sink
-        # on NO the pass stopped at the first sink it completed, the one without the start
-        extra = {"sink_size": len(closure.sinks[0])} if answer is Answer.NO else {}
+        closure = forward_closure(graph, _resolve_profile(args.profile, game, args.game),
+                                  args.cap, stop_at_foreign_sink=True)
+        in_sink = closure.start_in_sink
+        # on false the pass stopped at the first sink it completed, the one without the start
+        extra = {} if in_sink else {"sink_size": len(closure.sinks[0])}
         return AnalysisReport(
-            "in-sink", answer.value, states_explored=len(closure),
+            "in-sink", "true" if in_sink else "false", states_explored=len(closure),
             edges=closure.edges, scc_count=len(closure.components), extra=extra,
         )
     if args.command == "has-pure":
-        game = _load_game(args.game)
         code, nodes = pure_ne_search(game, args.cap)
         if code is None:
             return AnalysisReport("has-pure", "false", states_explored=nodes)
         return AnalysisReport("has-pure", "true", states_explored=nodes,
                               extra={"equilibrium": list(game.codec.decode(code))})
     if args.command == "simulate":
-        game = _load_game(args.game)
-        graph = StateGraph(game, EdgeSemantics(args.semantics))
         if args.profile:
             start = _resolve_profile(args.profile, game, args.game)
         else:
@@ -259,10 +249,7 @@ def _dispatch(args) -> AnalysisReport:
             ],
             extra={"final": list(walk.final)},
         )
-    if args.command == "compile":
-        return _compile(args)
     if args.command == "verify-round":
-        game = _load_game(args.game)
         compiled = _load_compiled(args.game, game)
         if compiled.machine is None:
             raise SinkeqError(f"{_sidecar_path(args.game)} names no machine to replay")
@@ -281,7 +268,6 @@ def _dispatch(args) -> AnalysisReport:
             ],
         )
     if args.command == "check-valid-utility":
-        game = _load_game(args.game)
         if not isinstance(game, ValidUtilityInstance):
             raise SinkeqError("check-valid-utility needs a valid_utility document")
         result = check_valid_utility(game, args.cap)
@@ -299,13 +285,11 @@ def _dispatch(args) -> AnalysisReport:
             },
         )
     if args.command == "export-dot":
-        game = _load_game(args.game)
-        graph = StateGraph(game, EdgeSemantics(args.semantics))
         if args.from_profile:
             closure = forward_closure(graph, _resolve_profile(args.from_profile, game, args.game),
                                       args.cap)
         else:
-            closure = state_space(graph, args.cap or _default_cap(4096))
+            closure = state_space(graph, args.cap or 4096)
         return AnalysisReport(question="export-dot", answer=export_dot(closure, graph.codec))
     raise SinkeqError(f"unhandled command {args.command}")
 

@@ -8,40 +8,22 @@ qualify, which keeps every best-response edge an improvement edge.
 
 from __future__ import annotations
 
-import os
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import chain, compress
 from operator import and_, eq, gt, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, SinkeqError, UnsupportedGameError
+from .errors import CapExceededError
 from .games.base import SuccinctGame
-from .games.congestion import CongestionGame
 from .profiles import Profile
 
 
 class EdgeSemantics(Enum):
     IMPROVEMENT = "improvement"
     BEST_RESPONSE = "best-response"
-
-
-class Answer(Enum):
-    YES = "true"
-    NO = "false"
-
-
-def _default_cap(default: int) -> int:
-    """``SINKEQ_DEFAULT_CAP`` when it is set, else ``default``."""
-    raw = os.environ.get("SINKEQ_DEFAULT_CAP")
-    if not raw:
-        return default
-    if not raw.isdecimal() or int(raw) < 1:
-        raise SinkeqError(f"SINKEQ_DEFAULT_CAP must be a positive integer, not {raw!r}")
-    return int(raw)
 
 
 Move = tuple[int, int, int]  # (player, strategy, new utility)
@@ -194,15 +176,6 @@ class StateGraph:
         return adjacency
 
 
-@dataclass(frozen=True)
-class SinkEquilibrium:
-    states: frozenset[Profile]
-
-    @property
-    def singleton(self) -> bool:
-        return len(self.states) == 1
-
-
 @dataclass
 class Closure:
     """One Tarjan pass over everything reachable from some roots.
@@ -236,29 +209,11 @@ class Closure:
         return sum(map(len, self.successors))
 
     @property
-    def start_in_sink(self) -> Answer:
+    def start_in_sink(self) -> bool:
         """Whether a forward closure's start lies in a sink: exactly when
         everything it reaches reaches it back, i.e. the whole closure is one
-        SCC. A stopped closure holds a sink without the start: NO."""
-        return Answer.YES if self.exhausted and len(self.components) == 1 else Answer.NO
-
-
-def is_alpha_ne(game: SuccinctGame, profile: Profile, alpha) -> bool:
-    """Every deviation's cost stays at least (1 - alpha) of the current cost."""
-    if not isinstance(game, CongestionGame):
-        raise UnsupportedGameError("alpha-Nash equilibria are defined on congestion games")
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    threshold = 1 - alpha
-    for player in range(game.num_players):
-        costs = [-u for u in game.deviation_utilities(profile, player)]
-        here = profile[player]
-        # the current strategy is no deviation, even where its cost is negative
-        bound = threshold * costs[here]
-        if any(c < bound for s, c in enumerate(costs) if s != here):
-            return False
-    return True
+        SCC. A stopped closure holds a sink without the start: False."""
+        return self.exhausted and len(self.components) == 1
 
 
 _DONE = -1  # low-link of a state whose component has completed
@@ -350,7 +305,7 @@ def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None,
     ``cap`` states (default 10^7) the pass raises ``CapExceededError``.
     """
     if cap is None:
-        cap = _default_cap(10**7)
+        cap = 10**7
     # the pass owns its origins: one per generated, unexpanded profile, popped on expansion
     origins: dict[Profile, Origin] = {}
     expanded: set[Profile] = set()
@@ -389,7 +344,7 @@ def state_space(graph: StateGraph, cap: int | None = None) -> Closure:
 def _space_size(graph: StateGraph, cap: int | None) -> int:
     """The number of profiles, refused above ``cap`` (default 2^26)."""
     if cap is None:
-        cap = _default_cap(2**26)
+        cap = 2**26
     size = graph.codec.num_profiles
     if size > cap:
         raise CapExceededError(f"profile space has {size} states, above the cap of {cap}")
@@ -482,11 +437,11 @@ def sinks(
     game: SuccinctGame,
     semantics: EdgeSemantics = EdgeSemantics.IMPROVEMENT,
     cap: int | None = None,
-) -> list[SinkEquilibrium]:
-    """All sink equilibria of the full state graph; at least one always exists."""
+) -> list[frozenset[Profile]]:
+    """All sink equilibria of the full state graph, each a set of profiles,
+    by their lowest code; at least one always exists."""
     closure = state_space(StateGraph(game, semantics), cap)
-    return [SinkEquilibrium(frozenset(map(game.codec.decode, sink)))
-            for sink in sink_equilibria(closure)]
+    return [frozenset(map(game.codec.decode, sink)) for sink in sink_equilibria(closure)]
 
 
 def in_a_sink(
@@ -494,8 +449,8 @@ def in_a_sink(
     profile: Profile,
     semantics: EdgeSemantics = EdgeSemantics.IMPROVEMENT,
     cap: int | None = None,
-) -> Answer:
-    """Whether the profile lies in a sink equilibrium. A NO needs only the
+) -> bool:
+    """Whether the profile lies in a sink equilibrium. A False needs only the
     states explored until the first sink without the profile completes; a
     pass that reaches ``cap`` states first raises ``CapExceededError``."""
     profile = game.validate_profile(profile)
@@ -518,7 +473,7 @@ def pure_ne_search(game: SuccinctGame, cap: int | None = None) -> tuple[int | No
     with ``CapExceededError``.
     """
     if cap is None:
-        cap = _default_cap(2**26)
+        cap = 2**26
     n, weights, counts = game.num_players, game.codec.place_weights, game.codec.strategy_counts
     # due[q]: (player, place weight, strategy count) of each player checked once q is placed
     due: list[list[tuple[int, int, int]]] = [[] for _ in counts]
@@ -640,25 +595,9 @@ def simulate_walk(
         states.append(current)
         moves.append((player, strategy))
     try:
-        in_sink = in_a_sink(graph.game, current, graph.semantics, closure_cap) is Answer.YES
+        in_sink = in_a_sink(graph.game, current, graph.semantics, closure_cap)
     except CapExceededError:
         return WalkResult(states, moves, WalkOutcome.INCONCLUSIVE)
     return WalkResult(states, moves, (WalkOutcome.REACHED_SINK_STATE if in_sink
                                       else WalkOutcome.STILL_MOVING))
 
-
-def rosenthal_potential(game: CongestionGame, profile: Profile) -> int:
-    """Sum over resources of the delay prefix up to the profile's congestion.
-
-    Along any improvement edge the potential drops by exactly the mover's
-    cost decrease, so improvement dynamics cannot cycle.
-    """
-    if not isinstance(game, CongestionGame):
-        raise UnsupportedGameError("the potential is defined for congestion games")
-    game.require_unweighted_shared("rosenthal_potential")
-    loads = game.loads(profile)
-    total = 0
-    for e, load in enumerate(loads):
-        for j in range(1, load + 1):
-            total += game.delays[e][j]
-    return total

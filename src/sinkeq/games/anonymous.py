@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from ..errors import ConfigurationError
 from ..profiles import Profile, ProfileCodec
-from .base import SuccinctGame
+from .base import SuccinctGame, are_exact_ints, exact_ints
 
 _OPS = {
     "==": operator.eq,
@@ -199,6 +200,16 @@ class AnonymousPlayer:
     rules: tuple  # of (strategy index, predicate)
 
 
+def _exact_player(p: AnonymousPlayer) -> AnonymousPlayer:
+    """``p`` with an int for each allowed strategy and rule strategy, through
+    ``exact_ints``."""
+    n = len(p.allowed)
+    whole = exact_ints((*p.allowed, *[strat for strat, _ in p.rules]), lambda e: (
+        f"player {p.name}: " + ("allowed strategy" if e < n else f"the strategy of rule {e - n}")))
+    return AnonymousPlayer(p.name, frozenset(whole[:n]),
+                           tuple(zip(whole[n:], (pred for _, pred in p.rules))))
+
+
 class AnonymousGame(SuccinctGame):
     """Common strategy set, per-player allowed sets, and {0,1,2} utilities."""
 
@@ -208,6 +219,12 @@ class AnonymousGame(SuccinctGame):
             raise ConfigurationError("duplicate strategy names")
         k = len(self.strategy_names)
         self.players = tuple(players)
+        # a parsed document holds ints: the players are rebuilt only when a strategy is not one
+        if not are_exact_ints(chain(
+                chain.from_iterable(map(operator.attrgetter("allowed"), self.players)),
+                map(operator.itemgetter(0),
+                    chain.from_iterable(map(operator.attrgetter("rules"), self.players))))):
+            self.players = tuple(map(_exact_player, self.players))
         # the value of each player's strategy s reads the counts its rules refer to
         reads = []
         for p in self.players:
@@ -226,6 +243,10 @@ class AnonymousGame(SuccinctGame):
                     )
                 refs = pred.strategy_refs()
                 for ref in refs:
+                    # a predicate is evaluated as given, so a count it reads must be an int
+                    if type(ref) is not int:
+                        raise ConfigurationError(
+                            f"player {p.name}: count reference {ref!r} is not an int")
                     if not 0 <= ref < k:
                         raise ConfigurationError(
                             f"player {p.name}: predicate references undeclared "

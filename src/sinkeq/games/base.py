@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import compress
 from operator import not_
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from ..errors import ConfigurationError
 from ..profiles import Profile, ProfileCodec, validate_profile
@@ -13,12 +13,17 @@ from ..profiles import Profile, ProfileCodec, validate_profile
 _EXACT_INT = frozenset({int})
 
 
+def are_exact_ints(values: Iterable) -> bool:
+    """Whether every value is an int itself, as in a parsed document."""
+    return set(map(type, values)) <= _EXACT_INT
+
+
 def exact_ints(values: Sequence, name: Callable[[int], str]) -> tuple[int, ...]:
     """``values`` as a tuple of ints. A value that ``int`` would change, such
     as 1.5, raises ``ConfigurationError`` naming ``name(k)``, k its position;
     a tuple of exact ints is kept as it is."""
     values = tuple(values)
-    if set(map(type, values)) <= _EXACT_INT:  # a parsed document holds exact ints
+    if are_exact_ints(values):
         return values
     whole = tuple(map(int, values))
     for k, (n, value) in enumerate(zip(whole, values)):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError, UnsupportedGameError
@@ -214,3 +215,31 @@ class CongestionGame(SuccinctGame):
             raise UnsupportedGameError(
                 f"{operation} is defined only for unweighted shared-delay games"
             )
+
+    def rosenthal_potential(self, profile: Profile) -> int:
+        """Sum over resources of the delay prefix up to the profile's congestion.
+
+        Along any improvement edge the potential drops by exactly the mover's
+        cost decrease, so improvement dynamics cannot cycle.
+        """
+        self.require_unweighted_shared("rosenthal_potential")
+        total = 0
+        for e, load in enumerate(self.loads(profile)):
+            for j in range(1, load + 1):
+                total += self.delays[e][j]
+        return total
+
+    def is_alpha_ne(self, profile: Profile, alpha) -> bool:
+        """Every deviation's cost stays at least (1 - alpha) of the current cost."""
+        alpha = Fraction(alpha)
+        if not 0 < alpha < 1:
+            raise ValueError("alpha must lie strictly between 0 and 1")
+        threshold = 1 - alpha
+        for player in range(self.num_players):
+            costs = [-u for u in self.deviation_utilities(profile, player)]
+            here = profile[player]
+            # the current strategy is no deviation, even where its cost is negative
+            bound = threshold * costs[here]
+            if any(c < bound for s, c in enumerate(costs) if s != here):
+                return False
+        return True

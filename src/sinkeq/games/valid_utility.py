@@ -94,9 +94,7 @@ def check_valid_utility(instance: ValidUtilityInstance,
     than silently passing.
     """
     if cap is None:
-        from ..dynamics import _default_cap  # dynamics imports the games package
-
-        cap = _default_cap(200_000)
+        cap = 200_000
     report = ValidUtilityReport()
 
     lattice_size = 1

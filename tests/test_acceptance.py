@@ -23,14 +23,12 @@ from sinkeq.compilers import (
     verify_round_weighted,
 )
 from sinkeq.dynamics import (
-    Answer,
     RandomImprover,
     StateGraph,
     forward_closure,
     has_non_singleton_sink,
     has_singleton_sink,
     in_a_sink,
-    rosenthal_potential,
     sccs,
     simulate_walk,
     sinks,
@@ -105,15 +103,15 @@ def test_criterion_1_potential_suite():
             game = random_congestion_game(rng)
             graph = StateGraph(game)
             for profile in game.codec.all_profiles():
-                phi = rosenthal_potential(game, profile)
+                phi = game.rosenthal_potential(profile)
                 for player, strategy, new_u in graph.improving_moves(profile):
                     moved = profile[:player] + (strategy,) + profile[player + 1:]
                     drop = game.cost(profile, player) - (-new_u)
                     assert drop > 0
-                    assert phi - rosenthal_potential(game, moved) == drop
+                    assert phi - game.rosenthal_potential(moved) == drop
                     edges_checked += 1
             found = sinks(game)
-            assert all(s.singleton for s in found)
+            assert all(len(s) == 1 for s in found)
             assert not has_non_singleton_sink(game)
         assert edges_checked > 0
 
@@ -136,11 +134,9 @@ def test_criterion_2_oracle_equivalence():
                 frozenset(codec.decode(k) for k in comp) for comp in bottoms
             }
             found = sinks(game)
-            assert {s.states for s in found} == expected
+            assert set(found) == expected
             pure = {p for p in codec.all_profiles() if is_pure_ne_pointwise(game, p)}
-            assert {
-                next(iter(s.states)) for s in found if s.singleton
-            } == pure
+            assert {next(iter(s)) for s in found if len(s) == 1} == pure
 
 
 def test_criterion_3_absorption():
@@ -157,7 +153,7 @@ def test_criterion_3_absorption():
             }
             sink_states = set()
             for s in sinks(game):
-                sink_states |= s.states
+                sink_states |= s
             bound = 10 * codec.num_profiles
             for seed in range(100):
                 walk_rng = random.Random(seed)
@@ -270,14 +266,14 @@ def test_criterion_5_weighted_reproduction(desk_looper, desk_walker, desk_halter
         graph = StateGraph(compiled.game)
         closure = forward_closure(graph, compiled.initial)
         assert closure.exhausted and len(closure) < 10**5
-        assert in_a_sink(compiled.game, compiled.initial) is Answer.YES
+        assert in_a_sink(compiled.game, compiled.initial) is True
         for profile in closure.states:
             for player in range(compiled.game.num_players):
                 assert compiled.game.cost(profile, player) < compiled.penalty
         # (c) halting: not in a sink; the settled halt profile is a pure NE
         halting = compile_tm_weighted(desk_halter)
         assert run_bounded(desk_halter).halted is True
-        assert in_a_sink(halting.game, halting.initial) is Answer.NO
+        assert in_a_sink(halting.game, halting.initial) is False
         config = initial_config(desk_halter)
         config = tm_step(desk_halter, config)
         settled = list(round_start_profile(halting, config))

@@ -12,7 +12,6 @@ from sinkeq.compilers import (
     verify_round_weighted,
 )
 from sinkeq.dynamics import (
-    Answer,
     StateGraph,
     forward_closure,
     has_singleton_sink,
@@ -69,8 +68,8 @@ def test_market_closure_isomorphic_to_weighted_looper(flipper, walker):
 def test_market_halting_answers_match_weighted(halter3):
     weighted = compile_tm_weighted(halter3)
     market = compile_tm_market(halter3)
-    assert in_a_sink(weighted.game, weighted.initial) is Answer.NO
-    assert in_a_sink(market.game, market.initial) is Answer.NO
+    assert in_a_sink(weighted.game, weighted.initial) is False
+    assert in_a_sink(market.game, market.initial) is False
     # both funnel into singleton halt sinks
     for compiled in (weighted, market):
         graph = StateGraph(compiled.game)

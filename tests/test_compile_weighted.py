@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from sinkeq.dynamics import (
-    Answer,
     EdgeSemantics,
     StateGraph,
     forward_closure,
@@ -112,13 +111,13 @@ def test_round_first_move_is_the_read_deviation(flipper):
 def test_looping_machine_initial_profile_in_a_sink(flipper):
     compiled = compile_tm_weighted(flipper)
     assert run_bounded(flipper).halted is False
-    assert in_a_sink(compiled.game, compiled.initial) is Answer.YES
+    assert in_a_sink(compiled.game, compiled.initial) is True
 
 
 def test_halting_machine_initial_not_in_sink_and_halt_is_ne(halter):
     compiled = compile_tm_weighted(halter)
     assert run_bounded(halter).halted is True
-    assert in_a_sink(compiled.game, compiled.initial) is Answer.NO
+    assert in_a_sink(compiled.game, compiled.initial) is False
     graph = StateGraph(compiled.game)
     closure = forward_closure(graph, compiled.initial)
     # the settled halt profile: round-start shape with the transition on Halt

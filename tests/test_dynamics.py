@@ -7,7 +7,6 @@ import pytest
 
 from sinkeq.dot import export_dot
 from sinkeq.dynamics import (
-    Answer,
     EdgeSemantics,
     FirstImprover,
     PriorityList,
@@ -18,16 +17,25 @@ from sinkeq.dynamics import (
     has_non_singleton_sink,
     has_singleton_sink,
     in_a_sink,
-    is_alpha_ne,
     pure_ne_search,
-    rosenthal_potential,
     sccs,
     simulate_walk,
     sinks,
     state_space,
 )
+from sinkeq.cnf import CnfFormula
+from sinkeq.compilers import compile_sat_market
 from sinkeq.errors import CapExceededError, ConfigurationError, UnsupportedGameError
-from sinkeq.games import CongestionGame, TableGame, matching_pennies, prisoners_dilemma
+from sinkeq.games import (
+    AnonymousGame,
+    CongestionGame,
+    TableGame,
+    TwoSidedMarketGame,
+    matching_pennies,
+    prisoners_dilemma,
+)
+from sinkeq.games.anonymous import AnonymousPlayer, count_eq
+from sinkeq.games.market import ActiveAgent, PassiveAgent
 
 from _oracles import (
     alpha_ne_pointwise,
@@ -119,10 +127,10 @@ def test_alpha_ne_boundary_and_strictness():
         [{1: 99}, {1: 100}],
     )
     profile = (0,)
-    assert is_alpha_ne(game, profile, Fraction(5, 100))
-    assert not is_alpha_ne(game, profile, Fraction(1, 1000))
+    assert game.is_alpha_ne(profile, Fraction(5, 100))
+    assert not game.is_alpha_ne(profile, Fraction(1, 1000))
     # boundary: (1 - alpha) * 100 == 99 exactly at alpha = 1/100
-    assert is_alpha_ne(game, profile, Fraction(1, 100))
+    assert game.is_alpha_ne(profile, Fraction(1, 100))
 
 
 def test_alpha_ne_matches_the_pointwise_definition():
@@ -143,15 +151,10 @@ def test_alpha_ne_matches_the_pointwise_definition():
         game = CongestionGame([f"r{e}" for e in range(n_res)], strategies, delays, weights)
         for profile in game.codec.all_profiles():
             for alpha in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
-                assert is_alpha_ne(game, profile, alpha) == alpha_ne_pointwise(
+                assert game.is_alpha_ne(profile, alpha) == alpha_ne_pointwise(
                     game, profile, alpha)
                 cases += 1
     assert cases > 1000
-
-
-def test_alpha_ne_on_utility_game_unsupported():
-    with pytest.raises(UnsupportedGameError):
-        is_alpha_ne(prisoners_dilemma(), (1, 1), Fraction(1, 2))
 
 
 def test_alpha_ne_true_at_pure_ne():
@@ -161,7 +164,7 @@ def test_alpha_ne_true_at_pure_ne():
     )
     for profile in game.codec.all_profiles():
         if is_pure_ne_pointwise(game, profile):
-            assert is_alpha_ne(game, profile, Fraction(1, 2))
+            assert game.is_alpha_ne(profile, Fraction(1, 2))
 
 
 def test_forward_closure_of_pure_ne_is_singleton():
@@ -214,19 +217,19 @@ def test_sinks_match_bitset_oracle_on_random_games():
         expected = {
             frozenset(codec.decode(k) for k in comp) for comp in bottoms
         }
-        got = {s.states for s in sinks(game)}
+        got = set(sinks(game))
         assert got == expected
         # singleton sinks are exactly the pure equilibria
         pure = {
             p for p in codec.all_profiles() if is_pure_ne_pointwise(game, p)
         }
-        assert {next(iter(s.states)) for s in sinks(game) if s.singleton} == pure
+        assert {next(iter(s)) for s in sinks(game) if len(s) == 1} == pure
 
 
 def test_sinks_exist_and_cap_is_loud():
     mp = matching_pennies()
     found = sinks(mp)
-    assert len(found) == 1 and len(found[0].states) == 4
+    assert len(found) == 1 and len(found[0]) == 4
     with pytest.raises(CapExceededError):
         sinks(mp, cap=2)
 
@@ -234,18 +237,17 @@ def test_sinks_exist_and_cap_is_loud():
 def test_pd_has_unique_singleton_sink():
     pd = prisoners_dilemma()
     found = sinks(pd)
-    assert [s.singleton for s in found] == [True]
-    assert found[0].states == {(1, 1)}
+    assert found == [{(1, 1)}]
     assert has_singleton_sink(pd)
     assert not has_non_singleton_sink(pd)
 
 
 def test_in_a_sink_answers():
     pd = prisoners_dilemma()
-    assert in_a_sink(pd, (1, 1)) is Answer.YES
-    assert in_a_sink(pd, (0, 0)) is Answer.NO
+    assert in_a_sink(pd, (1, 1)) is True
+    assert in_a_sink(pd, (0, 0)) is False
     mp = matching_pennies()
-    assert in_a_sink(mp, (0, 0)) is Answer.YES
+    assert in_a_sink(mp, (0, 0)) is True
     with pytest.raises(CapExceededError, match="cap of 2 states") as info:
         in_a_sink(mp, (0, 0), cap=2)
     assert info.value.explored == 2
@@ -257,10 +259,9 @@ def test_in_a_sink_members_belong_to_some_sink():
         game = TableGame.random(rng)
         sink_states = set()
         for s in sinks(game):
-            sink_states |= s.states
+            sink_states |= s
         for profile in game.codec.all_profiles():
-            verdict = in_a_sink(game, profile)
-            assert (verdict is Answer.YES) == (profile in sink_states)
+            assert in_a_sink(game, profile) == (profile in sink_states)
 
 
 def test_walk_from_pure_ne_has_no_steps():
@@ -330,9 +331,9 @@ def test_rosenthal_potential_values():
     game = CongestionGame(
         ["e"], [[[0], []], [[0], []]], [{1: 1, 2: 5}],
     )
-    assert rosenthal_potential(game, (1, 1)) == 0
-    assert rosenthal_potential(game, (0, 0)) == 6  # d(1) + d(2)
-    assert rosenthal_potential(game, (0, 1)) == 1
+    assert game.rosenthal_potential((1, 1)) == 0
+    assert game.rosenthal_potential((0, 0)) == 6  # d(1) + d(2)
+    assert game.rosenthal_potential((0, 1)) == 1
 
 
 def test_rosenthal_rejects_weighted():
@@ -340,7 +341,7 @@ def test_rosenthal_rejects_weighted():
         ["e"], [[[0]], [[0]]], [{1: 0, 2: 0, 3: 0}], weights=[1, 2],
     )
     with pytest.raises(UnsupportedGameError):
-        rosenthal_potential(game, (0, 0))
+        game.rosenthal_potential((0, 0))
 
 
 def random_unweighted_congestion(rng):
@@ -365,13 +366,13 @@ def test_potential_descends_along_every_improvement_edge():
         game = random_unweighted_congestion(rng)
         graph = StateGraph(game)
         for profile in game.codec.all_profiles():
-            phi = rosenthal_potential(game, profile)
+            phi = game.rosenthal_potential(profile)
             cost_here = {p: game.cost(profile, p) for p in range(game.num_players)}
             for player, strategy, new_u in graph.improving_moves(profile):
                 moved = profile[:player] + (strategy,) + profile[player + 1:]
                 drop = cost_here[player] - (-new_u)
                 assert drop > 0
-                assert phi - rosenthal_potential(game, moved) == drop
+                assert phi - game.rosenthal_potential(moved) == drop
 
 
 def test_dot_export_golden():
@@ -398,10 +399,7 @@ def test_pure_ne_is_singleton_sink_under_both_semantics():
         game = TableGame.random(rng)
         pure = {p for p in game.codec.all_profiles() if is_pure_ne_pointwise(game, p)}
         for semantics in (EdgeSemantics.IMPROVEMENT, EdgeSemantics.BEST_RESPONSE):
-            singletons = {
-                next(iter(s.states))
-                for s in sinks(game, semantics) if s.singleton
-            }
+            singletons = {next(iter(s)) for s in sinks(game, semantics) if len(s) == 1}
             assert pure <= singletons
             if semantics is EdgeSemantics.IMPROVEMENT:
                 assert singletons == pure
@@ -449,3 +447,48 @@ def test_constructors_refuse_numbers_with_a_fractional_part():
                           weights=[1.0, True])
     assert game.delays == ({1: 1, 2: 2},) and game.weights == (1, 1)
     assert {type(x) for x in (*game.delays[0].values(), *game.weights)} == {int}
+    # anonymous: allowed sets and rule strategies go through int; a count
+    # reference is read as given, so it must be an int already
+    with pytest.raises(ConfigurationError, match=r"^player p: allowed strategy is 1\.5, not an"):
+        AnonymousGame(["a", "b"], [AnonymousPlayer("p", frozenset({0, 1.5}), ())])
+    with pytest.raises(ConfigurationError,
+                       match=r"^player p: the strategy of rule 0 is Fraction\(1, 2\), not an"):
+        AnonymousGame(["a", "b"], [AnonymousPlayer("p", frozenset({0, 1}),
+                                                   ((Fraction(1, 2), count_eq(1, 1)),))])
+    for ref in (0.5, 1.0):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^player p: count reference {ref} is not an int$"):
+            AnonymousGame(["a", "b"], [AnonymousPlayer("p", frozenset({0, 1}),
+                                                       ((1, count_eq(ref, 1)),))])
+    anonymous = AnonymousGame(["a", "b"], [AnonymousPlayer(
+        "p", frozenset({0, 1.0}), ((Fraction(2, 2), count_eq(1, 1)),))])
+    (player,) = anonymous.players
+    assert player.allowed == {0, 1} and player.rules[0][0] == 1
+    assert {type(x) for x in (*player.allowed, player.rules[0][0])} == {int}
+    assert anonymous.deviation_utilities((0,), 0) == [1, 2]
+    # markets: passive values, preferences and strategy indices go through int
+    demand = [ActiveAgent("x", (frozenset(), frozenset({0})))]
+    with pytest.raises(ConfigurationError, match=r"^passive agent y: value is 1\.5, not an"):
+        TwoSidedMarketGame([PassiveAgent("y", 1.5, (0,))], demand)
+    with pytest.raises(ConfigurationError,
+                       match=r"^passive agent y: preference entry 0 is 0\.5, not an"):
+        TwoSidedMarketGame([PassiveAgent("y", 1, (0.5,))], demand)
+    with pytest.raises(ConfigurationError, match=r"^agent x: passive index is 0\.5, not an"):
+        TwoSidedMarketGame([PassiveAgent("y", 1, (0,))],
+                           [ActiveAgent("x", (frozenset(), frozenset({0.5})))])
+    market = TwoSidedMarketGame([PassiveAgent("y", 2.0, (Fraction(0),))],
+                                [ActiveAgent("x", (frozenset(), frozenset({0.0})))])
+    assert market.passive == (PassiveAgent("y", 2, (0,)),)
+    assert market.active == (ActiveAgent("x", (frozenset(), frozenset({0}))),)
+    utilities = market.deviation_utilities((0,), 0)
+    assert utilities == [0, 2] and {type(u) for u in utilities} == {int}
+
+
+def test_the_three_questions_answer_plain_bools():
+    # the sat2market gadget of an unsatisfiable formula: no pure equilibrium
+    gadget = compile_sat_market(CnfFormula(1, ((1, 1, 1), (-1, -1, -1))))
+    for game, start in ((prisoners_dilemma(), (0, 0)), (matching_pennies(), (0, 0)),
+                        (gadget.game, gadget.initial)):
+        answers = [in_a_sink(game, start), has_singleton_sink(game),
+                   has_non_singleton_sink(game)]
+        assert all(type(answer) is bool for answer in answers), answers

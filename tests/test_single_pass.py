@@ -26,6 +26,7 @@ import pytest
 
 from sinkeq import dynamics
 from sinkeq.cli import run_cli
+from sinkeq.compilers import common as compilers_common
 from sinkeq.compilers import (
     CompiledReduction,
     SymbolTable,
@@ -36,7 +37,6 @@ from sinkeq.compilers import (
     compile_tm_weighted,
 )
 from sinkeq.dynamics import (
-    Answer,
     EdgeSemantics,
     StateGraph,
     WalkOutcome,
@@ -149,7 +149,7 @@ def reachable(graph, start):
 def test_in_a_sink_expands_each_gadget_state_once(gadget, expansions):
     graph = StateGraph(gadget.game)
     # the walker loops only after a prefix, so its start is not in a sink
-    assert in_a_sink(gadget.game, gadget.initial) is Answer.NO
+    assert in_a_sink(gadget.game, gadget.initial) is False
     expanded = dict(expansions)
     assert set(expanded.values()) == {1}
     stopped = forward_closure(graph, gadget.initial, stop_at_foreign_sink=True)
@@ -158,7 +158,7 @@ def test_in_a_sink_expands_each_gadget_state_once(gadget, expansions):
     # a start inside that sink answers YES over its whole closure
     looping = stopped.sinks[0][0]
     expansions.clear()
-    assert in_a_sink(gadget.game, looping) is Answer.YES
+    assert in_a_sink(gadget.game, looping) is True
     assert set(expansions.values()) == {1}
     assert set(expansions) == reachable(graph, looping)
 
@@ -177,10 +177,10 @@ def test_table_questions_expand_each_profile_once(table_4_6, tmp_path, expansion
     found = sinks(table_4_6)
     assert found and not expansions
     check_one_row_per_line(rows, table_4_6)
-    start = next(iter(found[0].states))
-    assert in_a_sink(table_4_6, start) is Answer.YES
+    start = next(iter(found[0]))
+    assert in_a_sink(table_4_6, start) is True
     assert set(expansions.values()) == {1}
-    assert len(expansions) == len(found[0].states)
+    assert len(expansions) == len(found[0])
     game_path = tmp_path / "t.json"
     game_path.write_text(serialize_game(table_4_6))
     rows.clear()
@@ -356,10 +356,15 @@ def test_closures_isomorphic_is_inconclusive_on_a_cut_closure(gadget):
 
 
 def test_closures_isomorphic_takes_the_default_cap_of_a_forward_closure(gadget, monkeypatch):
-    monkeypatch.setenv("SINKEQ_DEFAULT_CAP", "4")
-    with pytest.raises(CapExceededError, match="cap of 4 states") as info:
-        closures_isomorphic(gadget, gadget)
-    assert info.value.explored == 4
+    caps = []
+
+    def spy(graph, start, cap=None, stop_at_foreign_sink=False):
+        caps.append(cap)
+        return forward_closure(graph, start, cap, stop_at_foreign_sink)
+
+    monkeypatch.setattr(compilers_common, "forward_closure", spy)
+    assert closures_isomorphic(gadget, gadget)
+    assert caps == [None, None]
 
 
 def fresh_successors(closure, graph):
@@ -412,7 +417,7 @@ def oracle_bottoms(graph, root):
 def check_early_answer(graph, start, expansions):
     """The stopped in-sink answer against the whole closure's; returns it."""
     whole = forward_closure(graph, start)
-    expected = Answer.YES if len(whole.components) == 1 else Answer.NO
+    expected = len(whole.components) == 1
     expansions.clear()
     assert in_a_sink(graph.game, start, graph.semantics) is expected
     assert set(expansions.values()) == {1}
@@ -421,7 +426,7 @@ def check_early_answer(graph, start, expansions):
     assert stopped.start_in_sink is expected
     # the same DFS, cut where the answer became known
     assert stopped.states == whole.states[:len(stopped)]
-    if expected is Answer.YES:
+    if expected:
         assert stopped.exhausted and len(stopped) == len(whole)
     else:
         sink = stopped.sinks[0]
@@ -440,7 +445,7 @@ def test_early_answer_matches_the_whole_closure_on_random_tables(expansions):
             for _ in range(3):
                 start = game.codec.decode(rng.randrange(game.codec.num_profiles))
                 answers[check_early_answer(graph, start, expansions)] += 1
-    assert answers[Answer.YES] and answers[Answer.NO]
+    assert answers[True] and answers[False]
 
 
 @pytest.mark.parametrize("semantics", EdgeSemantics, ids=lambda s: s.value)
@@ -461,7 +466,7 @@ def anonymous_gadget(walker):
 
 def test_anonymous_walker_stops_at_its_first_sink(anonymous_gadget, expansions):
     game, initial = anonymous_gadget.game, anonymous_gadget.initial
-    assert in_a_sink(game, initial) is Answer.NO
+    assert in_a_sink(game, initial) is False
     assert set(expansions.values()) == {1}
     assert len(expansions) == 606
     stopped = forward_closure(StateGraph(game), initial, stop_at_foreign_sink=True)
@@ -475,8 +480,8 @@ def test_a_cap_past_the_first_sink_answers_no(anonymous_gadget, tmp_path):
     with pytest.raises(CapExceededError, match="cap of 605 states") as info:
         in_a_sink(game, initial, cap=605)
     assert info.value.explored == 605
-    assert in_a_sink(game, initial, cap=606) is Answer.NO
-    assert in_a_sink(game, initial, cap=1000) is Answer.NO
+    assert in_a_sink(game, initial, cap=606) is False
+    assert in_a_sink(game, initial, cap=1000) is False
     walk = simulate_walk(StateGraph(game), initial, max_steps=0, closure_cap=1000)
     assert walk.outcome is WalkOutcome.STILL_MOVING
     game_path = tmp_path / "walker.json"
