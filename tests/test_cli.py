@@ -521,3 +521,21 @@ def test_env_cap_replaces_every_default(mp_path, tmp_path):
         code, out, err = run(["--format", "json", "--cap", "2", *argv])
         assert code == 2 and err == ""
         assert json.loads(out)["reason"] == reason
+
+
+@pytest.mark.parametrize("argv", [
+    ["in-sink", "--profile", "0,0"],
+    ["export-dot"],
+    ["sinks"],
+    ["has-pure"],
+    ["has-non-singleton"],
+    ["simulate", "--max-steps", "1"],
+], ids=lambda argv: argv[0])
+def test_each_command_reads_the_game_document_once(mp_path, argv, monkeypatch):
+    import sinkeq.io as gameio
+    parsed = []
+    parse = gameio.parse_game_file
+    monkeypatch.setattr(gameio, "parse_game_file",
+                        lambda data, *args: parsed.append(data) or parse(data, *args))
+    code, _, _ = run([argv[0], mp_path, *argv[1:]])
+    assert code == 0 and len(parsed) == 1

@@ -104,18 +104,22 @@ def test_has_non_singleton_counts_equilibria_and_stuck_states(tmp_path, semantic
     assert [doc["answer"], doc["extra"]] == ["false", {"equilibria": 1, "stuck_states": 0}]
 
 
+MATCHING_PENNIES = {"class": "table", "strategy_counts": [2, 2],
+                    "tables": [[1, 0, 0, 1], [0, 1, 1, 0]]}
 
-def test_has_pure_pins_the_search_order(tmp_path):
-    # TABLE: the search visits 17 nodes and stops at its first equilibrium
-    (tmp_path / "t.json").write_text(json.dumps(TABLE))
-    doc = json_answer(tmp_path, "has-pure", "t.json")
-    assert [doc["answer"], doc["extra"]["equilibrium"], doc["stats"]["states_explored"]] == [
-        "true", [1, 1, 0, 0], 17]
-    # matching pennies: every branch is pruned after 6 nodes, and a NO names no profile
-    mp = {"class": "table", "strategy_counts": [2, 2], "tables": [[1, 0, 0, 1], [0, 1, 1, 0]]}
-    (tmp_path / "mp.json").write_text(json.dumps(mp))
-    doc = json_answer(tmp_path, "has-pure", "mp.json")
-    assert [doc["answer"], "extra" in doc, doc["stats"]["states_explored"]] == ["false", False, 6]
+
+# TABLE: the search visits 17 nodes and stops at its first equilibrium;
+# matching pennies: every branch is pruned after 6 nodes, and a NO names no profile
+@pytest.mark.parametrize("doc_in,answer,equilibrium,nodes", [
+    (TABLE, "true", [1, 1, 0, 0], 17),
+    (MATCHING_PENNIES, "false", None, 6),
+], ids=["table", "matching-pennies"])
+def test_has_pure_pins_the_search_order(tmp_path, doc_in, answer, equilibrium, nodes):
+    (tmp_path / "g.json").write_text(json.dumps(doc_in))
+    doc = json_answer(tmp_path, "has-pure", "g.json")
+    found = doc["extra"]["equilibrium"] if "extra" in doc else None
+    assert [doc["answer"], found, doc["stats"]["states_explored"]] == [answer, equilibrium, nodes]
+
 
 # the full-space DOT of TABLE: every state but 1, 7 and 10 lies in a sink
 TABLE_DOT_STATES = "".join(

@@ -484,11 +484,18 @@ def test_constructors_refuse_numbers_with_a_fractional_part():
     assert utilities == [0, 2] and {type(u) for u in utilities} == {int}
 
 
-def test_the_three_questions_answer_plain_bools():
+def _game_and_start(name):
+    if name == "prisoners-dilemma":
+        return prisoners_dilemma(), (0, 0)
+    if name == "matching-pennies":
+        return matching_pennies(), (0, 0)
     # the sat2market gadget of an unsatisfiable formula: no pure equilibrium
     gadget = compile_sat_market(CnfFormula(1, ((1, 1, 1), (-1, -1, -1))))
-    for game, start in ((prisoners_dilemma(), (0, 0)), (matching_pennies(), (0, 0)),
-                        (gadget.game, gadget.initial)):
-        answers = [in_a_sink(game, start), has_singleton_sink(game),
-                   has_non_singleton_sink(game)]
-        assert all(type(answer) is bool for answer in answers), answers
+    return gadget.game, gadget.initial
+
+
+@pytest.mark.parametrize("name", ["prisoners-dilemma", "matching-pennies", "sat2market-gadget"])
+def test_the_three_questions_answer_plain_bools(name):
+    game, start = _game_and_start(name)
+    answers = [in_a_sink(game, start), has_singleton_sink(game), has_non_singleton_sink(game)]
+    assert all(type(answer) is bool for answer in answers), answers
