@@ -30,9 +30,8 @@ Move = tuple[int, int, int]  # (player, strategy, new utility)
 
 
 class Moves(list):
-    """A profile's moves, with the rows (deviation utilities per player) and
-    the aggregate (None where the game has no step) they were found from."""
-    __slots__ = ("rows", "aggregate")
+    """A profile's moves, with the per-player rows they were found from."""
+    __slots__ = ("rows",)
 
 
 Origin = tuple[Moves, int, int]  # (generator's moves, mover, mover's old strategy)
@@ -84,28 +83,24 @@ class StateGraph:
 
     def improving_moves(self, profile: Profile, origin: Origin | None = None) -> Moves:
         """Qualifying moves in canonical order (ascending player, strategy),
-        with the rows and aggregate they were found from.
+        with the rows they were found from.
 
         With the ``origin`` of a move into ``profile`` (the generator's moves,
         the mover, its old strategy), the generator's rows and moves are the
         start. A row never depends on its own player's strategy, so the
         mover's row is copied and only its moves are recomputed. Every other
-        player of ``SuccinctGame.affected_rows`` re-prices only the
-        strategies whose value reads an entry the move changes, and keeps the
-        rest of its row; every player whose row is unchanged keeps its moves.
-        Where the game steps its aggregate, the generator's is stepped by the
-        move. Without an origin every row is evaluated.
+        player of ``SuccinctGame.affected_rows`` re-prices, on ``profile``'s
+        own aggregate, only the strategies whose value reads an entry the
+        move changes, and keeps the rest of its row; every player whose row
+        is unchanged keeps its moves. Without an origin every row is evaluated.
         """
         game = self.game
         deviations, targets = game.deviation_utilities, self._targets
         if origin is None:
             rows = [deviations(profile, player) for player in range(game.num_players)]
-            aggregate = game._profile_aggregate(profile) if game._step else None
             players, moves = range(game.num_players), Moves()
         else:
             before, mover, old = origin
-            aggregate = (game._stepped_aggregate(profile, before.aggregate, mover, old)
-                         if game._step else None)
             rows = before.rows.copy()
             players = {mover}
             for player, strategies in game.affected_rows(mover, old, profile[mover]):
@@ -124,7 +119,7 @@ class StateGraph:
             for s in targets(profile[player], row):
                 moves.append((player, s, row[s]))
         moves.sort()  # copied and recomputed moves interleave by player
-        moves.rows, moves.aggregate = rows, aggregate
+        moves.rows = rows
         return moves
 
     def layer_masks(self) -> Iterator[tuple[int, int, Callable]]:

@@ -31,6 +31,10 @@ _OPS = {
 class Const:
     value: int
 
+    def __post_init__(self):
+        if type(self.value) is not int:
+            raise ConfigurationError(f"constant {self.value!r} is not an integer")
+
     def eval(self, hist) -> int:
         return self.value
 
@@ -284,13 +288,6 @@ class AnonymousGame(SuccinctGame):
     def utility(self, profile: Profile, player: int) -> int:
         return self._utility_from_hist(player, profile[player],
                                        self._profile_aggregate(profile))
-
-    def _step(self, hist: list[int], player: int, old: int, new: int) -> list[int]:
-        """The histogram after ``player`` moves from ``old`` to ``new``."""
-        hist = hist.copy()
-        hist[old] -= 1
-        hist[new] += 1
-        return hist
 
     def deviation_utilities(self, profile: Profile, player: int, strategies=None):
         """A disallowed strategy reads 0, so only the allowed ones (of

@@ -51,11 +51,7 @@ class SuccinctGame:
     keep the aggregate of the last profile it evaluated (loads, histogram,
     winners) in a one-entry ``(profile, aggregate)`` slot, matched by
     equality and replaced as one tuple, so that the deviations of every
-    player of one profile share it. A class whose aggregate can follow one
-    move sets ``_step(aggregate, player, old, new)``, which returns the
-    aggregate after ``player`` moves from ``old`` to ``new`` as a new
-    object; the default, None, means that every profile's aggregate is
-    built from the profile.
+    player of one profile share it; it is built from that profile alone.
 
     A player's ``deviation_utilities`` row never depends on that player's
     own strategy, so a move leaves the mover's row as it was.
@@ -75,7 +71,6 @@ class SuccinctGame:
     codec: ProfileCodec
     _slot: tuple | None = None  # (profile, aggregate) of the last profile evaluated
     _footprint: tuple | None = None  # (touches, reads); None: rows read everything
-    _step: Callable | None = None  # (aggregate, player, old, new) -> aggregate; None: rebuild
     _readers: dict | None = None  # see _entry_readers
 
     @property
@@ -165,14 +160,6 @@ class SuccinctGame:
             return slot[1]
         aggregate = self._aggregate(profile)
         self._slot = (tuple(profile), aggregate)
-        return aggregate
-
-    def _stepped_aggregate(self, profile: Profile, aggregate, player: int, old: int):
-        """``profile``'s aggregate, stepped by ``_step`` from ``aggregate``,
-        the aggregate of the profile ``player`` left from strategy ``old``,
-        and put in the slot for ``profile``'s rows to share."""
-        aggregate = self._step(aggregate, player, old, profile[player])
-        self._slot = (profile, aggregate)
         return aggregate
 
     def validate_profile(self, profile: Sequence[int]) -> Profile:

@@ -177,18 +177,6 @@ class CongestionGame(SuccinctGame):
     def utility(self, profile: Profile, player: int) -> int:
         return -self.cost(profile, player)
 
-    def _step(self, loads: list[int], player: int, old: int, new: int) -> list[int]:
-        """The load vector after ``player`` moves from ``old`` to ``new``: its
-        weight leaves the resources only ``old`` uses and joins those only
-        ``new`` uses."""
-        strats, weight = self.strategies[player], self.weights[player]
-        loads = loads.copy()
-        for e in strats[old] - strats[new]:
-            loads[e] -= weight
-        for e in strats[new] - strats[old]:
-            loads[e] += weight
-        return loads
-
     def deviation_utilities(self, profile: Profile, player: int, strategies=None):
         """Negated cost of every strategy of ``player`` (or of each of
         ``strategies``), the others held fixed, read off the one load vector

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from sinkeq.games.anonymous import (
     expr_from_json,
     predicate_from_json,
 )
+from sinkeq.io import parse_game_file, serialize_game
 
 from _oracles import anonymous_predicate_holds
 
@@ -77,6 +79,24 @@ def test_predicate_json_round_trip():
     assert back.to_json() == doc
     expr = expr_from_json({"sub": [{"count": 1}, {"const": 3}]})
     assert expr.eval([0, 5, 0]) == 2
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, None, "1"])
+def test_a_constant_that_is_not_an_int_is_refused(value):
+    with pytest.raises(ConfigurationError, match="constant .* is not an integer"):
+        Const(value)
+
+
+def test_a_game_with_constants_round_trips_through_its_document():
+    rule = Cmp(">=", Add(Count(0), Const(-1)), Sub(Const(2), Count(1)))
+    players = [AnonymousPlayer("p", frozenset({0, 1}), ((0, rule), (1, count_eq(0, 0))))] * 3
+    game = AnonymousGame(["a", "b"], players)
+    text = serialize_game(game)
+    back = parse_game_file(text)
+    assert serialize_game(back) == text
+    for profile in product(range(2), repeat=3):
+        for p in range(3):
+            assert back.deviation_utilities(profile, p) == game.deviation_utilities(profile, p)
 
 
 _STRATEGIES = 4

@@ -1,23 +1,22 @@
 """A closure state re-prices only the entries its move can change.
 
 A forward closure or a walk hands ``StateGraph.improving_moves`` the origin
-of each profile it generated: the generator's moves, which carry their rows
-and aggregate, the mover and its old strategy. ``improving_moves`` on such
-a profile copies the mover's row (a row never depends on its own player's
-strategy), re-prices, for every other player of
-``SuccinctGame.affected_rows``, only the strategies whose value reads an
-entry the move changes, and steps the generator's aggregate by the move
-where the game has a step. Here the facts this rests on are checked on
-hypothesis-random games of every class: a player's own move leaves its row,
-a strategy subset reads the full row's entries, an entry the move does not
-reach keeps its value, and a stepped aggregate equals the rebuilt one. The
-rows and aggregate of every closure state are compared with a fresh
-evaluation, and closures and walks are compared, under both semantics,
-with those over the same game behind the every-player default. Each
-closure state and each walk step is checked to have evaluated exactly the
-entries of one move into it, never the mover's row. The origins belong to
-the pass: the graph gains no attribute from one, and a reused graph prices
-like a fresh one.
+of each profile it generated: the generator's moves, which carry their rows,
+the mover and its old strategy. ``improving_moves`` on such a profile copies
+the mover's row (a row never depends on its own player's strategy) and
+re-prices, for every other player of ``SuccinctGame.affected_rows``, only
+the strategies whose value reads an entry the move changes; those entries
+read the aggregate the game builds from the profile itself. Here the facts
+this rests on are checked on hypothesis-random games of every class: a
+player's own move leaves its row, a strategy subset reads the full row's
+entries, and an entry the move does not reach keeps its value. The rows of
+every closure state are compared with a fresh evaluation, also where an
+unrelated profile was evaluated between generating a state and expanding
+it, and closures and walks are compared, under both semantics, with those
+over the same game behind the every-player default. Each closure state and
+each walk step is checked to have evaluated exactly the entries of one move
+into it, never the mover's row. The origins belong to the pass: the graph
+gains no attribute from one, and a reused graph prices like a fresh one.
 """
 
 import random
@@ -62,8 +61,6 @@ CLASSES = dict(GAMES, **{
     "table": lambda rng: TableGame.random(rng, max_players=4, max_profiles=96),
     "valid-utility": random_coverage,
 })
-STEPPED = ("congestion-shared", "congestion-weighted", "congestion-player-specific",
-           "anonymous")
 
 
 def random_move(rng, game):
@@ -136,37 +133,38 @@ def test_an_entry_the_move_does_not_reach_keeps_its_value(kind, seed):
                 assert row_before[s] == row_after[s], (player, s, mover)
 
 
-@pytest.mark.parametrize("kind", sorted(CLASSES))
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6))
-def test_a_stepped_aggregate_equals_the_rebuilt_one(kind, seed):
-    rng = random.Random(seed)
-    game = CLASSES[kind](rng)
-    if kind not in STEPPED:
-        assert game._step is None
-        return
-    for _ in range(8):
-        before, mover, new, after = random_move(rng, game)
-        aggregate = game._aggregate(before)
-        stepped = game._step(aggregate, mover, before[mover], new)
-        assert stepped == game._aggregate(after)
-        assert aggregate == game._aggregate(before)  # the step made a new one
+def fresh_rows(game, profile):
+    """Every player's row at ``profile``, its aggregate built anew."""
+    game._slot = None
+    return [list(game.deviation_utilities(profile, p)) for p in range(game.num_players)]
 
 
 class FreshRows(StateGraph):
-    """A graph that checks, at every state it expands, its rows and stepped
-    aggregate against an evaluation from scratch."""
+    """A graph that checks, at every state it expands, its rows against an
+    evaluation from scratch."""
 
     def improving_moves(self, profile, origin=None):
         moves = super().improving_moves(profile, origin)
-        rows, aggregate = moves.rows, moves.aggregate
-        game = self.game
-        game._slot = None  # rebuild the aggregate from the profile
-        assert [list(row) for row in rows] == [
-            list(game.deviation_utilities(profile, p)) for p in range(game.num_players)]
-        if game._step is not None:
-            assert aggregate == game._aggregate(profile)
+        assert [list(row) for row in moves.rows] == fresh_rows(self.game, profile)
         return moves
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_a_delta_expansion_after_an_unrelated_evaluation_reads_its_own_profile(kind, seed):
+    rng = random.Random(seed)
+    game = CLASSES[kind](rng)
+    graph = StateGraph(game)
+    for _ in range(8):
+        before, mover, new, after = random_move(rng, game)
+        generator = graph.improving_moves(before)
+        # the slot now holds a random profile, as a rule not the one expanded next
+        other = tuple(rng.randrange(c) for c in game.strategy_counts)
+        game.deviation_utilities(other, rng.randrange(game.num_players))
+        moves = graph.improving_moves(after, (generator, mover, before[mover]))
+        assert [list(row) for row in moves.rows] == fresh_rows(game, after)
+        assert list(moves) == list(graph.improving_moves(after))
 
 
 class EveryPlayer(SuccinctGame):
