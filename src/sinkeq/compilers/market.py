@@ -103,8 +103,6 @@ def compile_tm_market(spec: TMSpec, penalty: int = 10_000) -> CompiledReduction:
         raise ConfigurationError(
             "penalty too small to keep the Done strategy blocked at round start"
         )
-    if n - k * penalty + 20 <= 0:
-        raise ConfigurationError("market base N too small for the Read value")
 
     transition = structure.transition_index
     clock = structure.clock_index

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from ..errors import ConfigurationError
 from ..profiles import Profile, ProfileCodec
-from .base import SuccinctGame, are_exact_ints, exact_ints
+from .base import SuccinctGame, exact_ints
 
 _OPS = {
     "==": operator.eq,
@@ -204,16 +204,6 @@ class AnonymousPlayer:
     rules: tuple  # of (strategy index, predicate)
 
 
-def _exact_player(p: AnonymousPlayer) -> AnonymousPlayer:
-    """``p`` with an int for each allowed strategy and rule strategy, through
-    ``exact_ints``."""
-    n = len(p.allowed)
-    whole = exact_ints((*p.allowed, *[strat for strat, _ in p.rules]), lambda e: (
-        f"player {p.name}: " + ("allowed strategy" if e < n else f"the strategy of rule {e - n}")))
-    return AnonymousPlayer(p.name, frozenset(whole[:n]),
-                           tuple(zip(whole[n:], (pred for _, pred in p.rules))))
-
-
 class AnonymousGame(SuccinctGame):
     """Common strategy set, per-player allowed sets, and {0,1,2} utilities."""
 
@@ -223,12 +213,16 @@ class AnonymousGame(SuccinctGame):
             raise ConfigurationError("duplicate strategy names")
         k = len(self.strategy_names)
         self.players = tuple(players)
-        # a parsed document holds ints: the players are rebuilt only when a strategy is not one
-        if not are_exact_ints(chain(
+        # one pass over every strategy; the players are walked only to name a non-int
+        if not set(map(type, chain(
                 chain.from_iterable(map(operator.attrgetter("allowed"), self.players)),
                 map(operator.itemgetter(0),
-                    chain.from_iterable(map(operator.attrgetter("rules"), self.players))))):
-            self.players = tuple(map(_exact_player, self.players))
+                    chain.from_iterable(map(operator.attrgetter("rules"),
+                                            self.players)))))) <= {int}:
+            for p in self.players:
+                exact_ints(p.allowed, lambda _: f"player {p.name}: allowed strategy")
+                exact_ints([strat for strat, _ in p.rules],
+                           lambda r: f"player {p.name}: the strategy of rule {r}")
         # the value of each player's strategy s reads the counts its rules refer to
         reads = []
         for p in self.players:
@@ -247,7 +241,6 @@ class AnonymousGame(SuccinctGame):
                     )
                 refs = pred.strategy_refs()
                 for ref in refs:
-                    # a predicate is evaluated as given, so a count it reads must be an int
                     if type(ref) is not int:
                         raise ConfigurationError(
                             f"player {p.name}: count reference {ref!r} is not an int")

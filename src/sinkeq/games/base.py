@@ -10,26 +10,15 @@ from typing import Callable, Collection, Iterable, Sequence
 from ..errors import ConfigurationError
 from ..profiles import Profile, ProfileCodec, validate_profile
 
-_EXACT_INT = frozenset({int})
-
-
-def are_exact_ints(values: Iterable) -> bool:
-    """Whether every value is an int itself, as in a parsed document."""
-    return set(map(type, values)) <= _EXACT_INT
-
-
-def exact_ints(values: Sequence, name: Callable[[int], str]) -> tuple[int, ...]:
-    """``values`` as a tuple of ints. A value that ``int`` would change, such
-    as 1.5, raises ``ConfigurationError`` naming ``name(k)``, k its position;
-    a tuple of exact ints is kept as it is."""
+def exact_ints(values: Iterable, name: Callable[[int], str]) -> tuple[int, ...]:
+    """``values`` as a tuple, each an ``int`` itself. Any other value, such
+    as 1.5, 2.0 or True, raises ``ConfigurationError`` naming ``name(k)``,
+    k its position."""
     values = tuple(values)
-    if are_exact_ints(values):
-        return values
-    whole = tuple(map(int, values))
-    for k, (n, value) in enumerate(zip(whole, values)):
-        if n != value:
-            raise ConfigurationError(f"{name(k)} is {value!r}, not an integer")
-    return whole
+    if not set(map(type, values)) <= {int}:
+        k, value = next((k, v) for k, v in enumerate(values) if type(v) is not int)
+        raise ConfigurationError(f"{name(k)} is {value!r}, not an integer")
+    return values
 
 
 def _players_by_entry(per_player) -> dict[int, list[int]]:

@@ -8,13 +8,13 @@ summed value of the passive agents it wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 from typing import Sequence
 
 from ..errors import ConfigurationError
 from ..profiles import Profile, ProfileCodec
-from .base import SuccinctGame, are_exact_ints, exact_ints
+from .base import SuccinctGame, exact_ints
 
 
 @dataclass(frozen=True)
@@ -30,34 +30,23 @@ class ActiveAgent:
     strategies: tuple[frozenset[int], ...]  # each a set of passive indices
 
 
-def _exact_passive(agent: PassiveAgent) -> PassiveAgent:
-    """``agent`` with an int value and preference, through ``exact_ints``."""
-    whole = exact_ints((agent.value, *agent.preference), lambda k: (
-        f"passive agent {agent.name}: " + (f"preference entry {k - 1}" if k else "value")))
-    return PassiveAgent(agent.name, whole[0], whole[1:])
-
-
-def _exact_active(agent: ActiveAgent) -> ActiveAgent:
-    """``agent`` with int passive indices, through ``exact_ints``."""
-    indices = iter(exact_ints(tuple(chain.from_iterable(agent.strategies)),
-                              lambda k: f"agent {agent.name}: passive index"))
-    return ActiveAgent(agent.name, tuple(frozenset(islice(indices, len(strat)))
-                                         for strat in agent.strategies))
-
-
 class TwoSidedMarketGame(SuccinctGame):
     """Preference orders must strictly rank every potential demander."""
 
     def __init__(self, passive: Sequence[PassiveAgent], active: Sequence[ActiveAgent]):
         self.passive, self.active = tuple(passive), tuple(active)
-        # a parsed document holds ints: the agents are rebuilt only when a number is not one
-        if not are_exact_ints(chain(
+        # one pass over every number; the agents are walked only to name a non-int
+        if not set(map(type, chain(
                 map(attrgetter("value"), self.passive),
                 chain.from_iterable(map(attrgetter("preference"), self.passive)),
                 chain.from_iterable(chain.from_iterable(map(attrgetter("strategies"),
-                                                            self.active))))):
-            self.passive = tuple(map(_exact_passive, self.passive))
-            self.active = tuple(map(_exact_active, self.active))
+                                                            self.active)))))) <= {int}:
+            for p in self.passive:
+                exact_ints((p.value,), lambda _: f"passive agent {p.name}: value")
+                exact_ints(p.preference, lambda k: f"passive agent {p.name}: preference entry {k}")
+            for a in self.active:
+                exact_ints(chain.from_iterable(a.strategies),
+                           lambda k: f"agent {a.name}: passive index")
         n_passive = len(self.passive)
         for agent in self.active:
             if not agent.strategies:

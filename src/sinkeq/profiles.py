@@ -22,7 +22,7 @@ def validate_profile(strategy_counts: Sequence[int], profile: Sequence[int]) -> 
             f"profile has {len(prof)} entries, game has {len(strategy_counts)} players"
         )
     for player, (choice, count) in enumerate(zip(prof, strategy_counts)):
-        if not isinstance(choice, int):
+        if type(choice) is not int:
             raise ValueError(f"player {player}: strategy index {choice!r} is not an integer")
         if not 0 <= choice < count:
             raise ValueError(
@@ -35,9 +35,10 @@ class ProfileCodec:
     """Bijection between profiles and integers in [0, num_profiles)."""
 
     def __init__(self, strategy_counts: Sequence[int]):
-        counts = tuple(int(c) for c in strategy_counts)
-        if any(c <= 0 for c in counts):
-            raise ValueError("every player needs at least one strategy")
+        counts = tuple(strategy_counts)
+        for player, c in enumerate(counts):
+            if type(c) is not int or c <= 0:
+                raise ValueError(f"player {player}: strategy count {c!r} is not a positive int")
         self.strategy_counts = counts
         size = 1
         weights = []

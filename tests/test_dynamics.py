@@ -24,7 +24,13 @@ from sinkeq.dynamics import (
     state_space,
 )
 from sinkeq.cnf import CnfFormula
-from sinkeq.compilers import compile_sat_market
+from sinkeq.compilers import (
+    compile_sat_market,
+    compile_tm_anonymous,
+    compile_tm_market,
+    compile_tm_player_specific,
+    compile_tm_weighted,
+)
 from sinkeq.errors import CapExceededError, ConfigurationError, UnsupportedGameError
 from sinkeq.games import (
     AnonymousGame,
@@ -413,19 +419,21 @@ def test_best_response_ties_become_parallel_edges():
     assert moves == [(0, 1, 5), (0, 2, 5)]
 
 
-def test_table_entries_that_are_not_exact_ints_go_through_int():
+def test_table_entries_that_are_not_exact_ints_are_refused():
     assert TableGame((2,), [[5, 7]]).tables == ((5, 7),)
-    game = TableGame((2,), [(True, 2.0)])
-    assert game.tables == ((1, 2),) and set(map(type, game.tables[0])) == {int}
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match=r"^player 0: table entry 0 is True, not an"):
+        TableGame((2,), [(True, 2)])
+    with pytest.raises(ConfigurationError, match=r"^player 0: table entry 1 is 2\.0, not an"):
+        TableGame((2,), [(1, 2.0)])
+    with pytest.raises(ConfigurationError, match=r"^player 0: table entry 1 is 'x', not an"):
         TableGame((2,), [[1, "x"]])
-    with pytest.raises(TypeError):
+    with pytest.raises(ConfigurationError, match=r"^player 0: table entry 1 is None, not an"):
         TableGame((2,), [[1, None]])
     with pytest.raises(ConfigurationError, match="table has 1 entries, profile space has 2"):
         TableGame((2,), [[1]])
 
 
-def test_constructors_refuse_numbers_with_a_fractional_part():
+def test_constructors_refuse_every_number_that_is_not_an_int():
     with pytest.raises(ConfigurationError, match=r"^player 0: table entry 1 is 1\.5, not an"):
         TableGame([2, 2], [[0, 1.5, 2, 3], [Fraction(1, 2), 0, 0, 0]])
     with pytest.raises(ConfigurationError, match=r"^player 1: table entry 0 is Fraction\(1, 2\)"):
@@ -434,7 +442,11 @@ def test_constructors_refuse_numbers_with_a_fractional_part():
         TableGame([2, 2.9], [[0] * 4, [0] * 4])
     with pytest.raises(ConfigurationError, match="^player 0 has no strategies$"):
         TableGame([0], [[]])
-    assert TableGame([2.0, Fraction(2)], [[0] * 4, [0] * 4]).strategy_counts == (2, 2)
+    with pytest.raises(ConfigurationError, match=r"^player 0: strategy count is 2\.0, not an"):
+        TableGame([2.0, Fraction(2)], [[0] * 4, [0] * 4])
+    with pytest.raises(ConfigurationError,
+                       match=r"^player 1: strategy count is Fraction\(2, 1\), not an"):
+        TableGame([2, Fraction(2)], [[0] * 4, [0] * 4])
     with pytest.raises(ConfigurationError, match=r"^resource r: the delay at load 1 is 1\.9"):
         CongestionGame(["r"], [[[0]]], [{1: 1.9}])
     with pytest.raises(ConfigurationError, match=r"^resource r: a load is 1\.5, not an"):
@@ -443,12 +455,14 @@ def test_constructors_refuse_numbers_with_a_fractional_part():
         CongestionGame(["r"], [[[0]]], [{1: 1, 2: 2}], weights=[1.7])
     with pytest.raises(ConfigurationError, match=r"^player 0 strategy 0: resource index is 0\.5"):
         CongestionGame(["r"], [[[0.5]]], [{1: 1}])
-    game = CongestionGame(["r"], [[[0]], [[0]]], [{1: 1.0, 2: Fraction(4, 2)}],
-                          weights=[1.0, True])
-    assert game.delays == ({1: 1, 2: 2},) and game.weights == (1, 1)
-    assert {type(x) for x in (*game.delays[0].values(), *game.weights)} == {int}
-    # anonymous: allowed sets and rule strategies go through int; a count
-    # reference is read as given, so it must be an int already
+    with pytest.raises(ConfigurationError, match=r"^player 0: weight is 1\.0, not an"):
+        CongestionGame(["r"], [[[0]], [[0]]], [{1: 1, 2: 2}], weights=[1.0, 1])
+    with pytest.raises(ConfigurationError, match=r"^player 1: weight is True, not an"):
+        CongestionGame(["r"], [[[0]], [[0]]], [{1: 1, 2: 2}], weights=[1, True])
+    with pytest.raises(ConfigurationError,
+                       match=r"^resource r: the delay at load 2 is Fraction\(2, 1\), not an"):
+        CongestionGame(["r"], [[[0]], [[0]]], [{1: 1, 2: Fraction(4, 2)}])
+    # anonymous: allowed sets, rule strategies and count references must be ints
     with pytest.raises(ConfigurationError, match=r"^player p: allowed strategy is 1\.5, not an"):
         AnonymousGame(["a", "b"], [AnonymousPlayer("p", frozenset({0, 1.5}), ())])
     with pytest.raises(ConfigurationError,
@@ -460,13 +474,16 @@ def test_constructors_refuse_numbers_with_a_fractional_part():
                            match=rf"^player p: count reference {ref} is not an int$"):
             AnonymousGame(["a", "b"], [AnonymousPlayer("p", frozenset({0, 1}),
                                                        ((1, count_eq(ref, 1)),))])
+    with pytest.raises(ConfigurationError, match=r"^player p: allowed strategy is 1\.0, not an"):
+        AnonymousGame(["a", "b"], [AnonymousPlayer("p", frozenset({0, 1.0}), ())])
+    with pytest.raises(ConfigurationError,
+                       match=r"^player p: the strategy of rule 0 is Fraction\(1, 1\), not an"):
+        AnonymousGame(["a", "b"], [AnonymousPlayer("p", frozenset({0, 1}),
+                                                   ((Fraction(2, 2), count_eq(1, 1)),))])
     anonymous = AnonymousGame(["a", "b"], [AnonymousPlayer(
-        "p", frozenset({0, 1.0}), ((Fraction(2, 2), count_eq(1, 1)),))])
-    (player,) = anonymous.players
-    assert player.allowed == {0, 1} and player.rules[0][0] == 1
-    assert {type(x) for x in (*player.allowed, player.rules[0][0])} == {int}
+        "p", frozenset({0, 1}), ((1, count_eq(1, 1)),))])
     assert anonymous.deviation_utilities((0,), 0) == [1, 2]
-    # markets: passive values, preferences and strategy indices go through int
+    # markets: passive values, preferences and strategy indices must be ints
     demand = [ActiveAgent("x", (frozenset(), frozenset({0})))]
     with pytest.raises(ConfigurationError, match=r"^passive agent y: value is 1\.5, not an"):
         TwoSidedMarketGame([PassiveAgent("y", 1.5, (0,))], demand)
@@ -476,10 +493,17 @@ def test_constructors_refuse_numbers_with_a_fractional_part():
     with pytest.raises(ConfigurationError, match=r"^agent x: passive index is 0\.5, not an"):
         TwoSidedMarketGame([PassiveAgent("y", 1, (0,))],
                            [ActiveAgent("x", (frozenset(), frozenset({0.5})))])
-    market = TwoSidedMarketGame([PassiveAgent("y", 2.0, (Fraction(0),))],
-                                [ActiveAgent("x", (frozenset(), frozenset({0.0})))])
-    assert market.passive == (PassiveAgent("y", 2, (0,)),)
-    assert market.active == (ActiveAgent("x", (frozenset(), frozenset({0}))),)
+    with pytest.raises(ConfigurationError, match=r"^passive agent y: value is 2\.0, not an"):
+        TwoSidedMarketGame([PassiveAgent("y", 2.0, (0,))], demand)
+    with pytest.raises(ConfigurationError,
+                       match=r"^passive agent y: preference entry 0 is Fraction\(0, 1\), not an"):
+        TwoSidedMarketGame([PassiveAgent("y", 2, (Fraction(0),))], demand)
+    with pytest.raises(ConfigurationError, match=r"^agent x: passive index is 0\.0, not an"):
+        TwoSidedMarketGame([PassiveAgent("y", 2, (0,))],
+                           [ActiveAgent("x", (frozenset(), frozenset({0.0})))])
+    with pytest.raises(ConfigurationError, match=r"^passive agent y: value is True, not an"):
+        TwoSidedMarketGame([PassiveAgent("y", True, (0,))], demand)
+    market = TwoSidedMarketGame([PassiveAgent("y", 2, (0,))], demand)
     utilities = market.deviation_utilities((0,), 0)
     assert utilities == [0, 2] and {type(u) for u in utilities} == {int}
 
@@ -499,3 +523,23 @@ def test_the_three_questions_answer_plain_bools(name):
     game, start = _game_and_start(name)
     answers = [in_a_sink(game, start), has_singleton_sink(game), has_non_singleton_sink(game)]
     assert all(type(answer) is bool for answer in answers), answers
+
+
+_MACHINE_BACKENDS = {"tm2wcg": compile_tm_weighted, "tm2psg": compile_tm_player_specific,
+                     "tm2market": compile_tm_market, "tm2anon": compile_tm_anonymous}
+# here best response drops some of improvement's moves, so the whole closures differ
+_DIFFERENT_CLOSURES = {("tm2wcg", "halter"), ("tm2wcg", "halter3"), ("tm2psg", "halter"),
+                       ("tm2psg", "halter3"), ("tm2market", "halter3")}
+
+
+@pytest.mark.parametrize("machine", ["flipper", "walker", "halter", "halter3"])
+@pytest.mark.parametrize("backend", list(_MACHINE_BACKENDS))
+def test_in_sink_at_the_initial_profile_agrees_across_semantics(request, backend, machine):
+    compiled = _MACHINE_BACKENDS[backend](request.getfixturevalue(machine))
+    game, start = compiled.game, compiled.initial
+    assert (in_a_sink(game, start, EdgeSemantics.IMPROVEMENT)
+            == in_a_sink(game, start, EdgeSemantics.BEST_RESPONSE))
+    if (backend, machine) not in _DIFFERENT_CLOSURES:
+        improvement, best = (forward_closure(StateGraph(game, s), start) for s in EdgeSemantics)
+        assert improvement.states == best.states
+        assert improvement.successors == best.successors

@@ -46,6 +46,16 @@ def test_validate_profile_bounds():
         validate_profile((2, 2), (0,))
     with pytest.raises(ValueError, match=r"^player 0: strategy index 1\.0 is not an integer$"):
         validate_profile((2, 2), (1.0, 0))
+    with pytest.raises(ValueError, match=r"^player 0: strategy index True is not an integer$"):
+        validate_profile((2, 2), (True, 0))
+
+
+@pytest.mark.parametrize("counts", [(2.9, 3), (2.0,), (True,)])
+def test_codec_refuses_a_strategy_count_that_is_not_an_int(counts):
+    with pytest.raises(ValueError, match=rf"^player 0: strategy count {counts[0]!r} is not a"):
+        ProfileCodec(counts)
+    with pytest.raises(ValueError, match=r"^player 1: strategy count 0 is not a positive int$"):
+        ProfileCodec((2, 0))
 
 
 def test_profiles_are_value_keyed():
