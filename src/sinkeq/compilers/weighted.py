@@ -67,12 +67,16 @@ def compile_tm_player_specific(spec: TMSpec, penalty: int = 10_000) -> CompiledR
     weighted = compiled.game
     weights = weighted.weights
     delays = []
+    # equal tables are one object, so the game checks and copies each once
+    empty: dict[int, int] = {}
+    tables: dict[tuple, dict[int, int]] = {}  # the delays at counts 1, 2 -> their table
     for table, users in zip(weighted.delays, weighted.potential_users()):
-        per_player = [{} for _ in weights]
+        per_player = [empty] * len(weights)
         for i in users:
-            per_player[i] = {1: table[weights[i]]}
+            own = (table[weights[i]],)
             if len(users) == 2:
-                per_player[i][2] = table[sum(weights[j] for j in users)]
+                own += (table[sum(weights[j] for j in users)],)
+            per_player[i] = tables.setdefault(own, dict(enumerate(own, start=1)))
         delays.append(per_player)
     compiled.game = CongestionGame(
         resources=weighted.resources,

@@ -38,8 +38,8 @@ class Const:
     def eval(self, hist) -> int:
         return self.value
 
-    def strategy_refs(self):
-        return ()
+    def add_refs(self, refs: list):
+        pass
 
     def to_json(self):
         return {"const": self.value}
@@ -52,8 +52,8 @@ class Count:
     def eval(self, hist) -> int:
         return hist[self.strategy]
 
-    def strategy_refs(self):
-        return (self.strategy,)
+    def add_refs(self, refs: list):
+        refs.append(self.strategy)
 
     def to_json(self):
         return {"count": self.strategy}
@@ -67,8 +67,9 @@ class Add:
     def eval(self, hist) -> int:
         return self.lhs.eval(hist) + self.rhs.eval(hist)
 
-    def strategy_refs(self):
-        return (*self.lhs.strategy_refs(), *self.rhs.strategy_refs())
+    def add_refs(self, refs: list):
+        self.lhs.add_refs(refs)
+        self.rhs.add_refs(refs)
 
     def to_json(self):
         return {"add": [self.lhs.to_json(), self.rhs.to_json()]}
@@ -82,8 +83,9 @@ class Sub:
     def eval(self, hist) -> int:
         return self.lhs.eval(hist) - self.rhs.eval(hist)
 
-    def strategy_refs(self):
-        return (*self.lhs.strategy_refs(), *self.rhs.strategy_refs())
+    def add_refs(self, refs: list):
+        self.lhs.add_refs(refs)
+        self.rhs.add_refs(refs)
 
     def to_json(self):
         return {"sub": [self.lhs.to_json(), self.rhs.to_json()]}
@@ -102,8 +104,9 @@ class Cmp:
     def eval(self, hist) -> bool:
         return _OPS[self.op](self.lhs.eval(hist), self.rhs.eval(hist))
 
-    def strategy_refs(self):
-        return (*self.lhs.strategy_refs(), *self.rhs.strategy_refs())
+    def add_refs(self, refs: list):
+        self.lhs.add_refs(refs)
+        self.rhs.add_refs(refs)
 
     def to_json(self):
         return {"cmp": self.op, "lhs": self.lhs.to_json(), "rhs": self.rhs.to_json()}
@@ -122,8 +125,9 @@ class And:
                 return False
         return True
 
-    def strategy_refs(self):
-        return tuple(r for p in self.parts for r in p.strategy_refs())
+    def add_refs(self, refs: list):
+        for p in self.parts:
+            p.add_refs(refs)
 
     def to_json(self):
         return {"and": [p.to_json() for p in self.parts]}
@@ -239,7 +243,8 @@ class AnonymousGame(SuccinctGame):
                     raise ConfigurationError(
                         f"player {p.name}: rule on disallowed strategy {strat}"
                     )
-                refs = pred.strategy_refs()
+                refs = []
+                pred.add_refs(refs)
                 for ref in refs:
                     if type(ref) is not int:
                         raise ConfigurationError(

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import compress
+from itertools import compress, starmap
 from operator import not_
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -24,10 +23,13 @@ def exact_ints(values: Iterable, name: Callable[[int], str]) -> tuple[int, ...]:
 def _players_by_entry(per_player) -> dict[int, list[int]]:
     """Each entry of some ``per_player[p][s]``, to the players p that name
     it, ascending."""
-    players: defaultdict[int, list[int]] = defaultdict(list)
-    for p, strats in enumerate(per_player):
-        for x in frozenset().union(*strats):
-            players[x].append(p)
+    players: dict[int, list[int]] = {}
+    for p, entries in enumerate(starmap(frozenset().union, per_player)):
+        for x in entries:
+            if x in players:
+                players[x].append(p)
+            else:
+                players[x] = [p]
     return players
 
 

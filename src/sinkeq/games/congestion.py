@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, compress, islice, repeat
+from operator import gt, ne
 from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError, UnsupportedGameError
@@ -39,7 +41,7 @@ class CongestionGame(SuccinctGame):
         weights: Sequence[int] | None = None,
         mode: str = SHARED,
     ):
-        self.resources = tuple(str(r) for r in resources)
+        self.resources = tuple(map(str, resources))
         if len(set(self.resources)) != len(self.resources):
             raise ConfigurationError("duplicate resource names")
         if mode not in (SHARED, PLAYER_SPECIFIC):
@@ -47,24 +49,19 @@ class CongestionGame(SuccinctGame):
         self.mode = mode
         n_res = len(self.resources)
 
-        frozen = []
-        for player, strat_list in enumerate(strategies):
-            if not strat_list:
-                raise ConfigurationError(f"player {player} has no strategies")
-            per_player = []
-            for s_idx, strat in enumerate(strat_list):
-                fs = frozenset(exact_ints(
-                    strat, lambda k: f"player {player} strategy {s_idx}: resource index"))
-                for e in fs:
-                    if not 0 <= e < n_res:
-                        raise ConfigurationError(
-                            f"player {player} strategy {s_idx} references "
-                            f"undeclared resource {e}"
-                        )
-                per_player.append(fs)
-            frozen.append(tuple(per_player))
-        self.strategies = tuple(frozen)
-        self.strategy_counts = tuple(len(s) for s in self.strategies)
+        # one pass over every resource index, and a range test over the
+        # resources some strategy uses; the players are walked only to name
+        # the first faulty strategy
+        indices = chain.from_iterable(chain.from_iterable(strategies))
+        if not (all(strategies) and set(map(type, indices)) <= {int}):
+            self._name_bad_strategy(strategies, n_res)
+        self.strategies = tuple(tuple(map(frozenset, per)) for per in strategies)
+        # a strategy's cost reads exactly the loads it adds to
+        self._footprint = (self.strategies, self.strategies)
+        used = self._entry_readers()
+        if not (min(used, default=0) >= 0 and max(used, default=-1) < n_res):
+            self._name_bad_strategy(strategies, n_res)
+        self.strategy_counts = tuple(map(len, self.strategies))
         self.codec = ProfileCodec(self.strategy_counts)
 
         n = len(self.strategies)
@@ -76,10 +73,8 @@ class CongestionGame(SuccinctGame):
         if mode == PLAYER_SPECIFIC and any(w != 1 for w in self.weights):
             raise ConfigurationError("player-specific games use unit weights")
 
-        self.delays = self._freeze_delays(delays, n, n_res)
-        # a strategy's cost reads exactly the loads it adds to
-        self._footprint = (self.strategies, self.strategies)
-        self._check_delay_coverage()
+        self.delays, runs = self._freeze_delays(delays, n, n_res)
+        self._check_delay_coverage(runs)
         # _tables[i][e]: the delay table player i reads for resource e
         if mode == SHARED:
             self._tables = (self.delays,) * n
@@ -89,55 +84,99 @@ class CongestionGame(SuccinctGame):
                 for i, strats in enumerate(self.strategies)
             )
 
+    @staticmethod
+    def _name_bad_strategy(strategies, n_res):
+        """Raise the error of the first faulty strategy, player by player."""
+        for player, strat_list in enumerate(strategies):
+            if not strat_list:
+                raise ConfigurationError(f"player {player} has no strategies")
+            for s_idx, strat in enumerate(strat_list):
+                for e in frozenset(exact_ints(
+                        strat, lambda k: f"player {player} strategy {s_idx}: resource index")):
+                    if not 0 <= e < n_res:
+                        raise ConfigurationError(
+                            f"player {player} strategy {s_idx} references "
+                            f"undeclared resource {e}"
+                        )
+
     def _freeze_delays(self, delays, n_players, n_res):
+        """The tables frozen, and for each table given (resource by
+        resource; player-specific, then player by player) the largest K
+        such that it holds every load 1..K. Each table object, however many
+        resources it is given for, is checked, copied and measured once; the
+        resources are walked only to name a fault."""
         if len(delays) != n_res:
             raise ConfigurationError(
                 f"{len(delays)} delay tables for {n_res} resources"
             )
-        frozen = []
-        once: dict[int, dict[int, int]] = {}  # id of a table given -> the table frozen
+        shared = self.mode == SHARED
+        if not (shared or set(map(len, delays)) <= {n_players}):
+            self._name_bad_table(delays, n_players)
+        given = delays if shared else list(chain.from_iterable(delays))
+        ids = list(map(id, given))
+        distinct = dict(zip(ids, given))
+        loads = list(chain.from_iterable(distinct.values()))
+        if not (set(map(type, loads)) <= {int} and min(loads, default=1) > 0
+                and set(map(type, chain.from_iterable(
+                    t.values() for t in distinct.values()))) <= {int}):
+            self._name_bad_table(delays, n_players)
+        frozen, runs = {}, {}
+        for key, table in distinct.items():
+            frozen[key] = dict(table)
+            k = 0
+            while k + 1 in table:
+                k += 1
+            runs[key] = k
+        tables = map(frozen.__getitem__, ids)
+        if not shared:
+            tables = [tuple(islice(tables, n_players)) for _ in delays]
+        return tuple(tables), list(map(runs.__getitem__, ids))
 
-        def freeze(table, label):
-            # the same table object, given for many resources, is frozen once
-            out = once.get(id(table))
-            if out is None:
-                out = once[id(table)] = self._freeze_table(table, label())
-            return out
-
-        if self.mode == SHARED:
-            for e, table in enumerate(delays):
-                frozen.append(freeze(table, lambda: f"resource {self.resources[e]}"))
-        else:
-            for e, per_player in enumerate(delays):
-                if len(per_player) != n_players:
-                    raise ConfigurationError(
-                        f"resource {self.resources[e]}: expected one table per player"
-                    )
-                frozen.append(tuple(
-                    freeze(t, lambda: f"resource {self.resources[e]} player {i}")
-                    for i, t in enumerate(per_player)
-                ))
-        return tuple(frozen)
+    def _name_bad_table(self, delays, n_players):
+        """Raise the error of the first faulty table, resource by resource."""
+        for e, given in enumerate(delays):
+            name = self.resources[e]
+            if self.mode == SHARED:
+                self._check_table(given, f"resource {name}")
+                continue
+            if len(given) != n_players:
+                raise ConfigurationError(f"resource {name}: expected one table per player")
+            for i, table in enumerate(given):
+                self._check_table(table, f"resource {name} player {i}")
 
     @staticmethod
-    def _freeze_table(table: Mapping, label: str) -> dict[int, int]:
+    def _check_table(table: Mapping, label: str):
         loads = exact_ints(table, lambda k: f"{label}: a load")
         for load in loads:
             if load <= 0:
                 raise ConfigurationError(f"{label}: load {load} not positive")
-        delays = exact_ints(table.values(), lambda k: f"{label}: the delay at load {loads[k]}")
-        return dict(zip(loads, delays))
+        exact_ints(table.values(), lambda k: f"{label}: the delay at load {loads[k]}")
 
     def potential_users(self) -> list[list[int]]:
         """Per resource, the players with some strategy using it, ascending."""
         readers = self._entry_readers()
         return [list(readers.get(e, ())) for e in range(len(self.resources))]
 
-    def _check_delay_coverage(self):
-        sums: dict[tuple[int, ...], set[int]] = {}  # sorted weights -> their subset sums
+    def _check_delay_coverage(self, runs: list[int]):
+        """Every load (or, player-specific, user count) a resource can reach
+        has a delay. A table whose run of loads 1..K (``runs``, from
+        ``_freeze_delays``) reaches its users' total weight (or count)
+        covers them all; only the other resources need their subset sums."""
         readers = self._entry_readers()
-        for e in range(len(self.resources)):
-            potential = readers.get(e, ())
+        if self.mode == SHARED:
+            # the users' total weight: their count, plus w - 1 for each heavier one
+            need = dict(zip(readers, map(len, readers.values())))
+            for p in compress(range(len(self.weights)), map(ne, self.weights, repeat(1))):
+                for e in frozenset().union(*self.strategies[p]):
+                    need[e] += self.weights[p] - 1
+            short = compress(need, map(gt, need.values(), map(runs.__getitem__, need)))
+        else:
+            n = len(self.strategies)
+            short = [e for e, users in readers.items()
+                     if any(runs[e * n + i] < len(users) for i in users)]
+        sums: dict[tuple[int, ...], set[int]] = {}  # sorted weights -> their subset sums
+        for e in sorted(short):
+            potential = readers[e]
             if self.mode == SHARED:
                 weights = tuple(sorted(map(self.weights.__getitem__, potential)))
                 reachable = sums.get(weights)

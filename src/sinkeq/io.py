@@ -10,7 +10,7 @@ name belongs is a ``FormatError`` naming its path.
 from __future__ import annotations
 
 import json
-from itertools import chain, product
+from itertools import chain, islice, product
 from typing import Any
 
 from .compilers.common import CompiledReduction, SymbolTable
@@ -27,6 +27,7 @@ from .games import (
     ValidUtilityInstance,
     predicate_from_json,
 )
+from .games.base import exact_ints
 from .games.valid_utility import _powerset
 from .turing import TMSpec
 
@@ -169,10 +170,6 @@ def game_to_json(game: SuccinctGame) -> dict:
     raise FormatError(f"cannot serialize {type(game).__name__}")
 
 
-def _delay_pairs(table: dict) -> list[list[int]]:
-    return [[load, table[load]] for load in sorted(table)]
-
-
 def _pairs_to_table(pairs, path) -> dict[int, int]:
     table = {}
     for k, pair in enumerate(_as_list(pairs, path)):
@@ -186,37 +183,56 @@ def _pairs_to_table(pairs, path) -> dict[int, int]:
     return table
 
 
-def _delay_tables(value, path) -> list[dict[int, int]]:
-    """An array of delay tables, each an array of [load, delay] pairs. When
-    every pair is two integers and no load repeats, equal tables share one
-    dict, parsed once; otherwise each is parsed alone, naming its bad pair."""
-    tables = _as_list(value, path)
-    pairs = list(chain.from_iterable(tables)) if set(map(type, tables)) <= _ONLY_LIST else ()
-    if (pairs and set(map(type, pairs)) <= _ONLY_LIST and set(map(len, pairs)) == {2}
+def _shared_tables(tables: list) -> list[dict[int, int]] | None:
+    """Delay tables given as arrays of [load, delay] pairs, equal tables as
+    one dict, parsed once; None unless every table is an array of pairs of
+    two integers in which no load repeats."""
+    if not set(map(type, tables)) <= _ONLY_LIST:
+        return None
+    pairs = list(chain.from_iterable(tables))
+    # every number is checked before equal tables merge: 1, 1.0 and True are equal keys
+    if not (set(map(type, pairs)) <= _ONLY_LIST and set(map(len, pairs)) <= {2}
             and set(map(type, chain.from_iterable(pairs))) <= _ONLY_INT):
-        # each table's loads and delays, interleaved, is its key
-        keys = list(map(tuple, map(chain.from_iterable, tables)))
-        parsed: dict[tuple, dict[int, int]] = dict.fromkeys(keys)
-        for key in parsed:
-            parsed[key] = dict(zip(key[::2], key[1::2]))
-        if all(2 * len(table) == len(key) for key, table in parsed.items()):  # no load repeats
-            return list(map(parsed.__getitem__, keys))
-    return [_pairs_to_table(t, f"{path}[{k}]") for k, t in enumerate(tables)]
+        return None
+    # each table's loads and delays, interleaved, is its key
+    keys = list(map(tuple, map(chain.from_iterable, tables)))
+    parsed: dict[tuple, dict[int, int]] = dict.fromkeys(keys)
+    for key in parsed:
+        table = parsed[key] = dict(zip(key[::2], key[1::2]))
+        if 2 * len(table) != len(key):  # a load repeats
+            return None
+    return list(map(parsed.__getitem__, keys))
+
+
+def _delay_tables(value, path) -> list[dict[int, int]]:
+    """An array of delay tables, each an array of [load, delay] pairs; a bad
+    table is named by its first bad pair."""
+    tables = _as_list(value, path)
+    shared = _shared_tables(tables)
+    if shared is None:
+        return [_pairs_to_table(t, f"{path}[{k}]") for k, t in enumerate(tables)]
+    return shared
 
 
 def _congestion_to_json(game: CongestionGame) -> dict:
+    pairs: dict[int, list] = {}  # id of a table -> its pairs, built once
+
+    def delay_pairs(table):
+        out = pairs.get(id(table))
+        if out is None:
+            out = pairs[id(table)] = [[load, table[load]] for load in sorted(table)]
+        return out
+
     if game.mode == "shared":
-        delays = [_delay_pairs(t) for t in game.delays]
+        delays = list(map(delay_pairs, game.delays))
     else:
-        delays = [[_delay_pairs(t) for t in per] for per in game.delays]
+        delays = [list(map(delay_pairs, per)) for per in game.delays]
     return {
         "class": "congestion",
         "resources": list(game.resources),
         "mode": game.mode,
         "weights": list(game.weights),
-        "strategies": [
-            [sorted(s) for s in per_player] for per_player in game.strategies
-        ],
+        "strategies": [list(map(sorted, per_player)) for per_player in game.strategies],
         "delays": delays,
     }
 
@@ -227,15 +243,29 @@ def _congestion_from_json(doc: dict) -> CongestionGame:
     if mode == "shared":
         delays = _delay_tables(raw, "$.delays")
     else:
-        delays = [_delay_tables(per, f"$.delays[{e}]")
-                  for e, per in enumerate(_as_list(raw, "$.delays"))]
+        # one parse of every table in the document; per resource to name a bad one
+        per_resource = _as_list(raw, "$.delays")
+        shared = (_shared_tables(list(chain.from_iterable(per_resource)))
+                  if set(map(type, per_resource)) <= _ONLY_LIST else None)
+        if shared is None:
+            delays = [_delay_tables(per, f"$.delays[{e}]")
+                      for e, per in enumerate(per_resource)]
+        else:
+            tables = iter(shared)
+            delays = [list(islice(tables, len(per))) for per in per_resource]
     strategies = _as_list(_need(doc, "strategies", "$"), "$.strategies")
     weights = doc.get("weights")
+    resources = _field(doc, "resources", "$", _strs)
+    # one pass over every strategy; the players are walked only to name a bad row
+    rows = (list(chain.from_iterable(strategies))
+            if set(map(type, strategies)) <= _ONLY_LIST else None)
+    if not (rows is not None and set(map(type, rows)) <= _ONLY_LIST
+            and set(map(type, chain.from_iterable(rows))) <= _ONLY_INT):
+        for i, per in enumerate(strategies):
+            _int_rows(per, f"$.strategies[{i}]")
     return CongestionGame(
-        resources=_field(doc, "resources", "$", _strs),
-        strategies=[
-            _int_rows(per, f"$.strategies[{i}]") for i, per in enumerate(strategies)
-        ],
+        resources=resources,
+        strategies=strategies,
         delays=delays,
         weights=None if weights is None else _ints(weights, "$.weights"),
         mode=mode,
@@ -323,7 +353,13 @@ def _valid_utility_to_json(inst: ValidUtilityInstance) -> dict:
     for profile in inst.codec.all_profiles():
         sets = inst.set_profile(profile)
         utilities.append([inst.utility_fn(sets, i) for i in range(inst.num_players)])
-    social = [inst.social_fn(p) for p in product(*map(_powerset, inst.ground_sets))]
+    subsets = list(product(*map(_powerset, inst.ground_sets)))
+    social = list(map(inst.social_fn, subsets))
+    # an oracle may return any number; a document holds integers only
+    n = inst.num_players
+    exact_ints(chain.from_iterable(utilities), lambda k: (
+        f"profile {inst.codec.decode(k // n)}: the utility of player {k % n}"))
+    exact_ints(social, lambda k: f"the social value at {[sorted(s) for s in subsets[k]]}")
     return {
         "class": "valid_utility",
         "ground_sets": [list(g) for g in inst.ground_sets],

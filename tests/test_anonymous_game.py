@@ -60,6 +60,27 @@ def test_rule_referencing_unknown_strategy_rejected():
         )
 
 
+@pytest.mark.parametrize("pred", [
+    Cmp("<", Const(0), Count(3)),
+    Cmp("==", Add(Const(1), Count(3)), Const(1)),
+    Cmp("==", Sub(Count(0), Count(3)), Const(1)),
+    And(count_ge(0, 1), Cmp(">=", Const(1), Count(3))),
+], ids=["cmp-rhs", "add-rhs", "sub-rhs", "and-second-part"])
+def test_every_count_reference_of_a_rule_is_checked(pred):
+    with pytest.raises(ConfigurationError) as info:
+        AnonymousGame(["a", "b"], [AnonymousPlayer("p", frozenset({0}), ((0, pred),))])
+    assert str(info.value) == "player p: predicate references undeclared strategy 3"
+
+
+def test_a_rule_reads_every_count_it_references():
+    pred = And(count_ge(0, 1), Cmp("<", Const(0), Sub(Const(2), Count(2))))
+    game = AnonymousGame(["a", "b", "c"], [
+        AnonymousPlayer("p", frozenset({0, 1}), ((1, pred),)),
+        AnonymousPlayer("q", frozenset({0}), ((0, Cmp("<", Const(0), Count(1))),)),
+    ])
+    assert game._entry_readers() == {0: [0], 1: [1], 2: [0]}
+
+
 def test_rule_on_disallowed_strategy_rejected():
     with pytest.raises(ConfigurationError, match="disallowed"):
         AnonymousGame(

@@ -79,8 +79,86 @@ def test_missing_weighted_subset_sum_rejected():
 
 
 def test_undeclared_resource_rejected():
-    with pytest.raises(ConfigurationError, match="undeclared"):
+    with pytest.raises(ConfigurationError) as info:
         shared_game(["e"], [[[1]]], [{1: 0}])
+    assert str(info.value) == "player 0 strategy 0 references undeclared resource 1"
+
+
+PS = {"mode": PLAYER_SPECIFIC}
+
+
+@pytest.mark.parametrize("resources, strategies, delays, options, message", [
+    (["e"], [[[-1]]], [{1: 0}], {},
+     "player 0 strategy 0 references undeclared resource -1"),
+    (["e", "f"], [[[0, 1]], [[1], [2]]], [{1: 0, 2: 0}, {1: 0, 2: 0}], {},
+     "player 1 strategy 1 references undeclared resource 2"),
+    (["e"], [[[0]], []], [{1: 0, 2: 0}], {}, "player 1 has no strategies"),
+    (["e", "e"], [[[0]]], [{1: 0}, {1: 0}], {}, "duplicate resource names"),
+    (["e"], [[[0]]], [{1: 0}, {1: 0}], {}, "2 delay tables for 1 resources"),
+    (["e"], [[[0]], [[0]]], [[{1: 0, 2: 0}]], PS,
+     "resource e: expected one table per player"),
+    (["e"], [[[0]]], [{0: 0, 1: 0}], {}, "resource e: load 0 not positive"),
+    (["e"], [[[0]]], [{1: 0.5}], {}, "resource e: the delay at load 1 is 0.5, not an integer"),
+    (["e"], [[[0]]], [{1.5: 0}], {}, "resource e: a load is 1.5, not an integer"),
+    (["e"], [[[0]], [[0]]], [[{1: 0, 2: 0}, {1: 0, 2: True}]], PS,
+     "resource e player 1: the delay at load 2 is True, not an integer"),
+    (["e"], [[[0]]], [{1: 0}], {"mode": "both"}, "unknown delay mode 'both'"),
+    (["e"], [[[0]], [[0]]], [{1: 0, 2: 0, 3: 0}], {"weights": [1, 0]},
+     "weights must be positive, one per player"),
+    (["e"], [[[0]], [[0]]], [{1: 0, 2: 0, 3: 0}], {"weights": [1, 2.0]},
+     "player 1: weight is 2.0, not an integer"),
+], ids=["index-minus-one", "index-n-res", "empty-player", "duplicate-names",
+        "table-count", "tables-per-player", "load-zero", "fractional-delay",
+        "fractional-load", "player-specific-bool-delay", "unknown-mode", "zero-weight",
+        "float-weight"])
+def test_refusal_messages(resources, strategies, delays, options, message):
+    with pytest.raises(ConfigurationError) as info:
+        CongestionGame(resources, strategies, delays, **options)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("strategies, message", [
+    # two out-of-range indices: the first (player, strategy) is named
+    ([[[0], [5]], [[7]]], "player 0 strategy 1 references undeclared resource 5"),
+    # two non-int indices
+    ([[[0], [1.5]], [[2.5]]], "player 0 strategy 1: resource index is 1.5, not an integer"),
+    # a range fault before a type fault, and the reverse
+    ([[[0], [5]], [[0.5]]], "player 0 strategy 1 references undeclared resource 5"),
+    ([[[0], [True]], [[9]]], "player 0 strategy 1: resource index is True, not an integer"),
+    # within one strategy the type check comes first
+    ([[[9, 0.5]]], "player 0 strategy 0: resource index is 0.5, not an integer"),
+    # an empty player before a bad index, and after one
+    ([[[0]], [], [[9]]], "player 1 has no strategies"),
+    ([[[0]], [[9]], []], "player 1 strategy 0 references undeclared resource 9"),
+], ids=["range-range", "type-type", "range-type", "type-range", "one-strategy",
+        "empty-range", "range-empty"])
+def test_the_first_faulty_strategy_is_named(strategies, message):
+    with pytest.raises(ConfigurationError) as info:
+        shared_game(["e"], strategies, [{1: 0, 2: 0, 3: 0}])
+    assert str(info.value) == message
+
+
+BAD = {1: 0.5}  # one faulty table object, given for more than one resource
+
+
+@pytest.mark.parametrize("delays, options, message", [
+    ([{1: 0}, BAD, {1: 0.25}, BAD], {},
+     "resource f: the delay at load 1 is 0.5, not an integer"),
+    ([{1: 0}, {1: 0.25}, BAD, BAD], {},
+     "resource f: the delay at load 1 is 0.25, not an integer"),
+    # resource e's table fault comes before resource f's table count
+    ([[{1: 0}, BAD], [{1: 0}], [BAD, BAD], [{1: 0}]], PS,
+     "resource e player 1: the delay at load 1 is 0.5, not an integer"),
+    ([[{1: 0}], [{1: 0}, BAD], [BAD, BAD], [{1: 0}]], PS,
+     "resource e: expected one table per player"),
+    ([[{1: 0}, {1: 0}], [{1: 0}, {-1: 0}], [BAD, BAD], [BAD, BAD]], PS,
+     "resource f player 1: load -1 not positive"),
+], ids=["shared-repeated-table", "shared-second-resource", "table-before-count",
+        "count-before-table", "player-specific-second-resource"])
+def test_the_first_faulty_table_is_named(delays, options, message):
+    with pytest.raises(ConfigurationError) as info:
+        CongestionGame(["e", "f", "g", "h"], [[[0, 1]], [[]]], delays, **options)
+    assert str(info.value) == message
 
 
 def test_player_specific_mode_uses_counts():

@@ -198,12 +198,47 @@ def test_list_profiles_are_evaluated_afresh():
      "resource e: no delay for reachable load(s) [5, 7]"),
     (["e", "f", "g"], [[[0], [1]], [[0], [1], [2]]], [{1: 0, 2: 0}, {1: 0}, {1: 0, 2: 0}], {},
      "resource f: no delay for reachable load(s) [2]"),
+    # a hole that a subset sum reaches, and the first load past a full prefix
+    (["e"], [[[0]], [[0]]], [{1: 0, 3: 0, 4: 0}], {"weights": [1, 2]},
+     "resource e: no delay for reachable load(s) [2]"),
+    (["e"], [[[0]], [[0]]], [{1: 0, 2: 0, 7: 0}], {"weights": [1, 2]},
+     "resource e: no delay for reachable load(s) [3]"),
+    # resources are checked in ascending order, not in the order players read them
+    (["e", "f"], [[[1]], [[0]]], [{2: 0}, {2: 0}], {},
+     "resource e: no delay for reachable load(s) [1]"),
+    (["e"], [[[0]], [[0]], [[0]]],
+     [[{1: 0, 2: 0, 3: 0}, {1: 0, 3: 0}, {1: 0, 2: 0, 3: 0}]], {"mode": "player_specific"},
+     "resource e: player 1 has no delay for reachable count(s) [2]"),
+    (["e"], [[[0]], [[0]]], [[{1: 0, 2: 0}, {1: 0}]], {"mode": "player_specific"},
+     "resource e: player 1 has no delay for reachable count(s) [2]"),
 ], ids=["non-first-strategy", "player-specific-count", "weighted-subset-sum",
-        "weights-seen-before"])
+        "weights-seen-before", "reachable-hole", "past-the-prefix", "ascending-resources",
+        "player-specific-hole", "player-specific-past-the-prefix"])
 def test_delay_coverage_messages(resources, strategies, delays, options, message):
     with pytest.raises(ConfigurationError) as info:
         CongestionGame(resources, strategies, delays, **options)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("strategies, delays, options", [
+    # weights 1 and 3 reach loads 1, 3 and 4 only: the hole at 2 is never read
+    ([[[0]], [[0]]], [{1: 0, 3: 0, 4: 0}], {"weights": [1, 3]}),
+    # a table holding every load up to the users' total weight, and more
+    ([[[0]], [[0]]], [{1: 0, 2: 0, 3: 0}], {"weights": [1, 2]}),
+    ([[[0]], [[0], []]], [{1: 0, 2: 0, 5: 0}], {}),
+    # a resource nobody can use needs no table entries
+    ([[[0]], [[0]]], [{1: 0, 2: 0}, {}], {}),
+    # player-specific: each user's table covers the user count; a non-user's is empty
+    ([[[0]], [[0]], [[1]]], [[{1: 0, 2: 0}, {1: 0, 2: 0, 9: 0}, {}], [{}, {}, {1: 0}]],
+     {"mode": "player_specific"}),
+], ids=["unreachable-hole", "full-prefix", "longer-table", "unused-resource",
+        "player-specific"])
+def test_delay_coverage_accepts_every_read_load(strategies, delays, options):
+    game = CongestionGame([f"e{k}" for k in range(len(delays))], strategies, delays,
+                          **options)
+    for profile in game.codec.all_profiles():
+        for player in range(game.num_players):
+            game.deviation_utilities(profile, player)
 
 
 # --- one parse per command ----------------------------------------------------

@@ -12,11 +12,12 @@ from sinkeq.cli import run_cli
 from sinkeq.cnf import CnfFormula, parse_dimacs
 from sinkeq.compilers import compile_sat_market, compile_tm_weighted
 from sinkeq.dynamics import has_singleton_sink
-from sinkeq.errors import FormatError, SinkeqError, SymbolError
+from sinkeq.errors import ConfigurationError, FormatError, SinkeqError, SymbolError
 from sinkeq.games import (
     AnonymousGame,
     AnonymousPlayer,
     CongestionGame,
+    ValidUtilityInstance,
     count_ge,
     coverage_instance,
     prisoners_dilemma,
@@ -96,6 +97,20 @@ def test_valid_utility_round_trip():
     for profile in inst.codec.all_profiles():
         for player in range(2):
             assert again.utility(profile, player) == inst.utility(profile, player)
+
+
+@pytest.mark.parametrize("utility, social, message", [
+    (lambda sets, player: 0.5 * len(sets[player]), lambda sets: 0.5 * len(sets[0]),
+     "profile (0,): the utility of player 0 is 0.0, not an integer"),
+    (lambda sets, player: len(sets[player]), lambda sets: 1.5 if sets[0] else 0,
+     "the social value at [['a']] is 1.5, not an integer"),
+], ids=["utility", "social"])
+def test_the_valid_utility_writer_refuses_an_oracle_value_that_is_not_an_int(
+        utility, social, message):
+    inst = ValidUtilityInstance([("a",)], [(frozenset(), frozenset({"a"}))], utility, social)
+    with pytest.raises(ConfigurationError) as info:
+        serialize_game(inst)
+    assert str(info.value) == message
 
 
 def test_unknown_class_rejected():
@@ -341,6 +356,18 @@ def test_hostile_documents_exit_1_with_one_line(tmp_path, text, command):
     assert run_cli([command, str(game_path)], out=out, err=err) == 1
     message = err.getvalue()
     assert message.startswith(f"error: {game_path}: $") and message.count("\n") == 1
+
+
+@pytest.mark.parametrize("strategies, path", [
+    ([[[0]], [[1.5]]], "$.strategies[1][0][0]"),
+    ([[[0]], [5]], "$.strategies[1][0]"),
+    ([[[0]], 5], "$.strategies[1]"),
+    ([[[0], [0.5]], [[True]]], "$.strategies[0][1][0]"),
+], ids=["index-float", "strategy-not-array", "player-not-array", "first-of-two"])
+def test_a_bad_congestion_strategy_is_named_by_its_path(strategies, path):
+    with pytest.raises(FormatError) as info:
+        parse_game_file(_congestion_doc(strategies=strategies))
+    assert info.value.path == path
 
 
 def test_shallow_nested_predicate_still_evaluates():
