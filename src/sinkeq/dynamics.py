@@ -88,11 +88,10 @@ class StateGraph:
         With the ``origin`` of a move into ``profile`` (the generator's moves,
         the mover, its old strategy), the generator's rows and moves are the
         start. A row never depends on its own player's strategy, so the
-        mover's row is copied and only its moves are recomputed. Every other
-        player of ``SuccinctGame.affected_rows`` re-prices, on ``profile``'s
-        own aggregate, only the strategies whose value reads an entry the
-        move changes, and keeps the rest of its row; every player whose row
-        is unchanged keeps its moves. Without an origin every row is evaluated.
+        mover's row is copied and only its moves are recomputed. The game's
+        ``reprice_rows`` steps the other rows to ``profile`` and names the
+        players whose rows changed; every other player keeps its moves.
+        Without an origin every row is evaluated.
         """
         game = self.game
         deviations, targets = game.deviation_utilities, self._targets
@@ -102,17 +101,7 @@ class StateGraph:
         else:
             before, mover, old = origin
             rows = before.rows.copy()
-            players = {mover}
-            for player, strategies in game.affected_rows(mover, old, profile[mover]):
-                row = rows[player]
-                fresh = deviations(profile, player, strategies)
-                # a row whose re-priced entries kept their values keeps its moves
-                if fresh == [row[s] for s in strategies]:
-                    continue
-                row = rows[player] = list(row)
-                for s, u in zip(strategies, fresh):
-                    row[s] = u
-                players.add(player)
+            players = {mover, *game.reprice_rows(profile, rows, mover, old)}
             moves = Moves(m for m in before if m[0] not in players)
         for player in players:
             row = rows[player]

@@ -47,13 +47,20 @@ class SuccinctGame:
     A player's ``deviation_utilities`` row never depends on that player's
     own strategy, so a move leaves the mover's row as it was.
 
+    A class has two evaluation hooks: ``deviation_utilities``, a player's
+    whole row at a profile, and ``reprice_rows``, which steps the rows of
+    a move's generator to the profile the move leads to. The default
+    ``reprice_rows`` re-evaluates what the move can change through
+    ``deviation_utilities``; a class that can price the change itself
+    overrides it.
+
     A class states its locality once, as its footprint ``(touches,
     reads)``: ``touches[p][s]`` is the frozenset of aggregate entries
     (resource loads, passive agents, strategy counts) that player p adds to
     on strategy s, and ``reads[p][s]`` the frozenset of entries that the
     value of p's strategy s reads. Everything else derives from it:
     ``_entry_readers`` (each entry to the players whose rows read it), and
-    from that the locality sets: ``affected_rows`` for the closure delta,
+    from that the locality sets: ``affected_rows`` for re-pricing,
     ``interacting_players`` for the has-pure search.
     The default, None, means that every row reads the whole profile.
     """
@@ -76,9 +83,10 @@ class SuccinctGame:
         """Utility of each strategy of ``player``, the others held fixed;
         with ``strategies``, of just those, in that order.
 
-        The one evaluation hook of the dynamics engine; this default moves
-        the player pointwise, and classes with a per-profile aggregate
-        override it.
+        The full-row evaluation hook of the dynamics engine (the default
+        ``reprice_rows`` passes ``strategies``); this default moves the
+        player pointwise, and classes with a per-profile aggregate override
+        it.
         """
         before, after = profile[:player], profile[player + 1:]
         if strategies is None:
@@ -111,18 +119,15 @@ class SuccinctGame:
         return near
 
     def affected_rows(self, player: int, old: int, new: int) -> list[tuple[int, Sequence[int]]]:
-        """The rows ``player``'s move from ``old`` to ``new`` can change, as
-        (player, strategies) pairs: each other player whose row reads an
-        entry the move changes (one in exactly one of its two strategies),
-        with the strategies whose value reads such an entry, ascending;
-        without a footprint, every other player with all of its strategies.
-        The mover's row is never listed: the move leaves it as it was. Each
-        player's strategies are found by testing each one's entries against
-        the changed ones, which costs nothing before the first move (an
-        index from entry to strategies costs its game's incidences)."""
-        if self._footprint is None:
-            return [(p, range(count)) for p, count in enumerate(self.strategy_counts)
-                    if p != player]
+        """The rows ``player``'s move from ``old`` to ``new`` can change, in
+        a game with a footprint, as (player, strategies) pairs: each other
+        player whose row reads an entry the move changes (one in exactly one
+        of its two strategies), with the strategies whose value reads such
+        an entry, ascending. The mover's row is never listed: the move
+        leaves it as it was. Each player's strategies are found by testing
+        each one's entries against the changed ones, which costs nothing
+        before the first move (an index from entry to strategies costs its
+        game's incidences)."""
         touches, reads = self._footprint
         changed = touches[player][old] ^ touches[player][new]
         readers = self._entry_readers()
@@ -132,6 +137,37 @@ class SuccinctGame:
                 meets = map(not_, map(changed.isdisjoint, reads[p]))
                 out.append((p, list(compress(range(len(reads[p])), meets))))
         return out
+
+    def reprice_rows(self, profile: Profile, rows: list, mover: int, old: int) -> list[int]:
+        """Step ``rows``, every player's row at the profile ``mover`` left
+        from strategy ``old``, to ``profile``, and return the players whose
+        rows changed. A changed row is replaced by a new one, so the rows it
+        was copied from stay as they were; the mover's row is never touched.
+
+        Each player of ``affected_rows`` re-prices the strategies listed
+        there, on ``profile``'s own aggregate, and keeps the rest of its
+        row; a row whose re-priced entries kept their values is kept
+        whole. Without a footprint every other row is evaluated afresh and
+        kept when it equals the old one."""
+        changed = []
+        if self._footprint is None:
+            for player in range(self.num_players):
+                if player != mover:
+                    fresh = self.deviation_utilities(profile, player)
+                    if fresh != rows[player]:
+                        rows[player] = fresh
+                        changed.append(player)
+            return changed
+        for player, strategies in self.affected_rows(mover, old, profile[mover]):
+            row = rows[player]
+            fresh = self.deviation_utilities(profile, player, strategies)
+            if fresh == [row[s] for s in strategies]:
+                continue
+            row = rows[player] = list(row)
+            for s, u in zip(strategies, fresh):
+                row[s] = u
+            changed.append(player)
+        return changed
 
     def code_reader(self) -> tuple[Callable, Callable]:
         """How a walk over profile codes reads deviation utilities: ``(key,

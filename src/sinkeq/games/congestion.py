@@ -233,6 +233,52 @@ class CongestionGame(SuccinctGame):
             out.append(total)
         return out
 
+    def reprice_rows(self, profile: Profile, rows: list, mover: int, old: int) -> list[int]:
+        """Step ``rows`` by the loads the move changed, with no load vector.
+
+        The move changes the load of each resource in exactly one of the
+        mover's two strategies, by the mover's weight. Each such resource's
+        load at ``profile`` is summed over its potential users; at the
+        generator it is that load less the mover's weight where the mover
+        arrived, more where it left. Each strategy of ``affected_rows``
+        then gains, for each such resource it uses, the delay at the
+        generator's load less the delay at ``profile``'s, both with the
+        player's own weight added where the resource is not in its current
+        strategy, as ``deviation_utilities`` prices them.
+        """
+        strategies, weights = self.strategies, self.weights
+        new = profile[mover]
+        arrived = strategies[mover][new]
+        moved = arrived ^ strategies[mover][old]
+        readers = self._entry_readers()
+        step = weights[mover]
+        loads = {}  # each changed resource: (load at profile, load at the generator)
+        for e in moved:
+            load = 0
+            for u in readers[e]:
+                if e in strategies[u][profile[u]]:
+                    load += weights[u]
+            loads[e] = (load, load - step if e in arrived else load + step)
+        changed = []
+        for player, listed in self.affected_rows(mover, old, new):
+            strats, table = strategies[player], self._tables[player]
+            current, add = strats[profile[player]], weights[player]
+            stepped = None
+            for s in listed:
+                gain = 0
+                for e in strats[s] & moved:
+                    here, there = loads[e]
+                    if e not in current:
+                        here += add
+                        there += add
+                    gain += table[e][there] - table[e][here]
+                if gain:
+                    if stepped is None:
+                        stepped = rows[player] = list(rows[player])
+                        changed.append(player)
+                    stepped[s] += gain
+        return changed
+
     @property
     def unweighted_shared(self) -> bool:
         return self.mode == SHARED and all(w == 1 for w in self.weights)

@@ -4,23 +4,28 @@ A forward closure or a walk hands ``StateGraph.improving_moves`` the origin
 of each profile it generated: the generator's moves, which carry their rows,
 the mover and its old strategy. ``improving_moves`` on such a profile copies
 the mover's row (a row never depends on its own player's strategy) and
-re-prices, for every other player of ``SuccinctGame.affected_rows``, only
-the strategies whose value reads an entry the move changes; those entries
-read the aggregate the game builds from the profile itself. Here the facts
-this rests on are checked on hypothesis-random games of every class: a
-player's own move leaves its row, a strategy subset reads the full row's
-entries, and an entry the move does not reach keeps its value. The rows of
-every closure state are compared with a fresh evaluation, also where an
-unrelated profile was evaluated between generating a state and expanding
-it, and closures and walks are compared, under both semantics, with those
-over the same game behind the every-player default. Each closure state and
-each walk step is checked to have evaluated exactly the entries of one move
-into it, never the mover's row. The origins belong to the pass: the graph
-gains no attribute from one, and a reused graph prices like a fresh one.
+hands the rest to the game's ``reprice_rows``. In a game with a footprint
+that steps, for every other player of ``SuccinctGame.affected_rows``, only
+the strategies whose value reads an entry the move changes: a congestion
+game by the delays at the loads the move changed, a market or anonymous
+game on the aggregate it builds from the profile itself; without one it
+evaluates every other row afresh. Here the facts this rests on are checked
+on hypothesis-random games of every class: a player's own move leaves its
+row, a strategy subset reads the full row's entries, an entry the move does
+not reach keeps its value, and the rows ``reprice_rows`` steps equal a
+fresh evaluation. The rows of every closure state are compared with a
+fresh evaluation, also where an unrelated profile was evaluated between
+generating a state and expanding it, and closures and walks are compared,
+under both semantics, with those over the same game behind the every-player
+default. Each closure state and each walk step is checked to have stepped
+exactly the entries of one move into it, never the mover's row. The
+origins belong to the pass: the graph gains no attribute from one, and a
+reused graph prices like a fresh one.
 """
 
 import random
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +144,24 @@ def fresh_rows(game, profile):
     return [list(game.deviation_utilities(profile, p)) for p in range(game.num_players)]
 
 
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_stepped_rows_equal_fresh_rows(kind, seed):
+    rng = random.Random(seed)
+    game = CLASSES[kind](rng)
+    for _ in range(8):
+        before, mover, new, after = random_move(rng, game)
+        old = StateGraph(game).improving_moves(before).rows
+        kept = [list(row) for row in old]
+        rows = old.copy()
+        changed = game.reprice_rows(after, rows, mover, before[mover])
+        fresh = fresh_rows(game, after)
+        assert [list(row) for row in rows] == fresh, (mover, new)
+        assert [list(row) for row in old] == kept  # the rows stepped from stay as they were
+        assert sorted(changed) == [p for p in range(game.num_players) if fresh[p] != kept[p]]
+
+
 class FreshRows(StateGraph):
     """A graph that checks, at every state it expands, its rows against an
     evaluation from scratch."""
@@ -225,18 +248,41 @@ def test_delta_closures_equal_every_player_closures(gadgets, machine, kind):
         check_closures_equal_every_player_closures(compiled.game, compiled.initial, semantics)
 
 
+@contextmanager
 def counting_entries(game):
-    """Shadow ``game.deviation_utilities`` on the instance; return the list
-    of (profile, player, strategies or None) calls it records."""
+    """Shadow the game's evaluation hooks on the instance, and yield the
+    list of (profile, player, strategies or None) entries they price: each
+    whole row ``deviation_utilities`` evaluates outside ``reprice_rows``,
+    as None, and each row ``reprice_rows`` steps to a profile, with the
+    strategies ``affected_rows`` lists for it there."""
     calls = []
-    evaluate = game.deviation_utilities
+    stepping = []  # the profile reprice_rows is stepping to, while it runs
+    evaluate, reprice, affected = game.deviation_utilities, game.reprice_rows, game.affected_rows
 
     def counting(profile, player, strategies=None):
-        calls.append((profile, player, None if strategies is None else tuple(strategies)))
+        if not stepping:
+            calls.append((profile, player, None if strategies is None else tuple(strategies)))
         return evaluate(profile, player, strategies)
 
-    game.deviation_utilities = counting
-    return calls
+    def stepping_rows(profile, rows, mover, old):
+        stepping.append(profile)
+        try:
+            return reprice(profile, rows, mover, old)
+        finally:
+            stepping.pop()
+
+    def listing(player, old, new):
+        listed = affected(player, old, new)
+        if stepping:
+            calls.extend((stepping[-1], p, tuple(s)) for p, s in listed)
+        return listed
+
+    game.deviation_utilities, game.reprice_rows, game.affected_rows = (
+        counting, stepping_rows, listing)
+    try:
+        yield calls
+    finally:
+        del game.deviation_utilities, game.reprice_rows, game.affected_rows
 
 
 def entries_of(game, mover, old, new) -> Counter:
@@ -246,11 +292,8 @@ def entries_of(game, mover, old, new) -> Counter:
 @pytest.mark.parametrize("kind", sorted(COMPILERS))
 def test_a_closure_state_evaluates_the_rows_of_one_move_into_it(gadgets, kind):
     game = gadgets["walker", kind].game
-    calls = counting_entries(game)
-    try:
+    with counting_entries(game) as calls:
         closure = forward_closure(StateGraph(game), gadgets["walker", kind].initial)
-    finally:
-        del game.deviation_utilities
     evaluated = defaultdict(Counter)
     for profile, player, strategies in calls:
         evaluated[profile][player, strategies] += 1
@@ -306,11 +349,8 @@ def test_walks_equal_every_player_walks_on_random_tables():
 def test_a_walk_step_evaluates_the_rows_of_the_move_into_it(gadgets, kind):
     compiled = gadgets["walker", kind]
     game = compiled.game
-    calls = counting_entries(game)
-    try:
+    with counting_entries(game) as calls:
         walk = simulate_walk(StateGraph(game), compiled.initial, max_steps=30, closure_cap=1)
-    finally:
-        del game.deviation_utilities
     # consecutive states differ, so the calls split into one run per step
     steps: list[Counter] = []
     last = None
@@ -356,14 +396,13 @@ def test_a_closure_drops_each_origin_once_read(gadgets):
 def test_a_reused_graph_prices_like_a_fresh_one(gadgets, kind, priced):
     compiled = gadgets["walker", kind]
     start = compiled.initial
-    calls = counting_entries(compiled.game)
+    with counting_entries(compiled.game) as calls:
 
-    def closure_calls(graph):
-        calls.clear()
-        forward_closure(graph, start)
-        return len(calls)
+        def closure_calls(graph):
+            calls.clear()
+            forward_closure(graph, start)
+            return len(calls)
 
-    try:
         assert closure_calls(StateGraph(compiled.game)) == priced
         graph = StateGraph(compiled.game)
         forward_closure(graph, start)
@@ -375,5 +414,3 @@ def test_a_reused_graph_prices_like_a_fresh_one(gadgets, kind, priced):
         with pytest.raises(CapExceededError):
             forward_closure(graph, start, cap=100)
         assert closure_calls(graph) == priced
-    finally:
-        del compiled.game.deviation_utilities
