@@ -51,8 +51,10 @@ class SuccinctGame:
     whole row at a profile, and ``reprice_rows``, which steps the rows of
     a move's generator to the profile the move leads to. The default
     ``reprice_rows`` re-evaluates what the move can change through
-    ``deviation_utilities``; a class that can price the change itself
-    overrides it.
+    ``deviation_utilities``, and a class with a footprint that keeps it
+    takes there an optional third argument, ``strategies``: the row of just
+    those strategies, in that order. A class that can price the change
+    itself overrides ``reprice_rows``.
 
     A class states its locality once, as its footprint ``(touches,
     reads)``: ``touches[p][s]`` is the frozenset of aggregate entries
@@ -78,20 +80,16 @@ class SuccinctGame:
     def utility(self, profile: Profile, player: int) -> int:
         raise NotImplementedError
 
-    def deviation_utilities(self, profile: Profile, player: int,
-                            strategies: Sequence[int] | None = None) -> Sequence[int]:
-        """Utility of each strategy of ``player``, the others held fixed;
-        with ``strategies``, of just those, in that order.
+    def deviation_utilities(self, profile: Profile, player: int) -> Sequence[int]:
+        """Utility of each strategy of ``player``, the others held fixed.
 
-        The full-row evaluation hook of the dynamics engine (the default
-        ``reprice_rows`` passes ``strategies``); this default moves the
-        player pointwise, and classes with a per-profile aggregate override
-        it.
+        The full-row evaluation hook of the dynamics engine; this default
+        moves the player pointwise, and classes with a per-profile aggregate
+        override it.
         """
         before, after = profile[:player], profile[player + 1:]
-        if strategies is None:
-            strategies = range(self.strategy_counts[player])
-        return [self.utility(before + (s,) + after, player) for s in strategies]
+        return [self.utility(before + (s,) + after, player)
+                for s in range(self.strategy_counts[player])]
 
     def _entry_readers(self) -> dict[int, list[int]]:
         """Each entry some row reads, to the players whose rows read it,

@@ -216,17 +216,15 @@ class CongestionGame(SuccinctGame):
     def utility(self, profile: Profile, player: int) -> int:
         return -self.cost(profile, player)
 
-    def deviation_utilities(self, profile: Profile, player: int, strategies=None):
-        """Negated cost of every strategy of ``player`` (or of each of
-        ``strategies``), the others held fixed, read off the one load vector
-        shared by every player."""
+    def deviation_utilities(self, profile: Profile, player: int):
+        """Negated cost of every strategy of ``player``, the others held
+        fixed, read off the one load vector shared by every player."""
         loads = self._profile_aggregate(profile)
         current = self.strategies[player][profile[player]]
         add = self.weights[player]
         table = self._tables[player]
-        strats = self.strategies[player]
         out = []
-        for strat in strats if strategies is None else map(strats.__getitem__, strategies):
+        for strat in self.strategies[player]:
             total = 0
             for e in strat:
                 total -= table[e][loads[e] if e in current else loads[e] + add]

@@ -52,9 +52,8 @@ class TableGame(SuccinctGame):
         base = code - code // weight % count * weight
         return table[base:base + count * weight:weight]
 
-    def deviation_utilities(self, profile: Profile, player: int, strategies=None):
-        row = self._row(self._profile_aggregate(profile), player)
-        return row if strategies is None else [row[s] for s in strategies]
+    def deviation_utilities(self, profile: Profile, player: int):
+        return self._row(self._profile_aggregate(profile), player)
 
     def code_reader(self):
         # a code is its own key: rows are read without decoding
