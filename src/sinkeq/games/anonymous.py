@@ -287,20 +287,19 @@ class AnonymousGame(SuccinctGame):
         return self._utility_from_hist(player, profile[player],
                                        self._profile_aggregate(profile))
 
-    def deviation_utilities(self, profile: Profile, player: int, strategies=None):
-        """A disallowed strategy reads 0, so only the allowed ones (of
-        ``strategies``, when given) are evaluated, each on the histogram
-        without the player plus that strategy."""
+    def deviation_utilities(self, profile: Profile, player: int):
+        """A disallowed strategy reads 0, so only the allowed ones are
+        evaluated, each on the histogram without the player plus that
+        strategy."""
         hist = list(self._profile_aggregate(profile))
         hist[profile[player]] -= 1
-        by_strategy = self._rules_by_strategy[player]
         out = [0] * len(self.strategy_names)
-        for choice in by_strategy if strategies is None else by_strategy.keys() & strategies:
+        for choice, rules in self._rules_by_strategy[player].items():
             hist[choice] += 1
             out[choice] = 1
-            for pred in by_strategy[choice]:
+            for pred in rules:
                 if pred.eval(hist):
                     out[choice] = 2
                     break
             hist[choice] -= 1
-        return out if strategies is None else [out[s] for s in strategies]
+        return out

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import compress, starmap
-from operator import not_
+from itertools import starmap
 from typing import Callable, Collection, Iterable, Sequence
 
 from ..errors import ConfigurationError
@@ -50,11 +49,9 @@ class SuccinctGame:
     A class has two evaluation hooks: ``deviation_utilities``, a player's
     whole row at a profile, and ``reprice_rows``, which steps the rows of
     a move's generator to the profile the move leads to. The default
-    ``reprice_rows`` re-evaluates what the move can change through
-    ``deviation_utilities``, and a class with a footprint that keeps it
-    takes there an optional third argument, ``strategies``: the row of just
-    those strategies, in that order. A class that can price the change
-    itself overrides ``reprice_rows``.
+    ``reprice_rows`` re-evaluates the whole row of each player the move
+    can affect through ``deviation_utilities``; a class that can price
+    the change itself overrides it.
 
     A class states its locality once, as its footprint ``(touches,
     reads)``: ``touches[p][s]`` is the frozenset of aggregate entries
@@ -62,7 +59,7 @@ class SuccinctGame:
     on strategy s, and ``reads[p][s]`` the frozenset of entries that the
     value of p's strategy s reads. Everything else derives from it:
     ``_entry_readers`` (each entry to the players whose rows read it), and
-    from that the locality sets: ``affected_rows`` for re-pricing,
+    from that the locality sets: ``affected_players`` for re-pricing,
     ``interacting_players`` for the has-pure search.
     The default, None, means that every row reads the whole profile.
     """
@@ -116,25 +113,19 @@ class SuccinctGame:
                 near[i].update(writers.get(x, ()))
         return near
 
-    def affected_rows(self, player: int, old: int, new: int) -> list[tuple[int, Sequence[int]]]:
-        """The rows ``player``'s move from ``old`` to ``new`` can change, in
-        a game with a footprint, as (player, strategies) pairs: each other
-        player whose row reads an entry the move changes (one in exactly one
-        of its two strategies), with the strategies whose value reads such
-        an entry, ascending. The mover's row is never listed: the move
-        leaves it as it was. Each player's strategies are found by testing
-        each one's entries against the changed ones, which costs nothing
-        before the first move (an index from entry to strategies costs its
-        game's incidences)."""
-        touches, reads = self._footprint
-        changed = touches[player][old] ^ touches[player][new]
+    def affected_players(self, player: int, old: int, new: int) -> Collection[int]:
+        """The other players whose rows ``player``'s move from ``old`` to
+        ``new`` can change: the readers of the entries in exactly one of
+        its two strategies, or every other player in a game without a
+        footprint. The mover is never listed: the move leaves its row as
+        it was."""
+        if self._footprint is None:
+            return [p for p in range(self.num_players) if p != player]
+        touches = self._footprint[0][player]
         readers = self._entry_readers()
-        out = []
-        for p in set().union(*(readers.get(x, ()) for x in changed)):
-            if p != player:
-                meets = map(not_, map(changed.isdisjoint, reads[p]))
-                out.append((p, list(compress(range(len(reads[p])), meets))))
-        return out
+        affected = set().union(*(readers.get(x, ()) for x in touches[old] ^ touches[new]))
+        affected.discard(player)
+        return affected
 
     def reprice_rows(self, profile: Profile, rows: list, mover: int, old: int) -> list[int]:
         """Step ``rows``, every player's row at the profile ``mover`` left
@@ -142,29 +133,15 @@ class SuccinctGame:
         rows changed. A changed row is replaced by a new one, so the rows it
         was copied from stay as they were; the mover's row is never touched.
 
-        Each player of ``affected_rows`` re-prices the strategies listed
-        there, on ``profile``'s own aggregate, and keeps the rest of its
-        row; a row whose re-priced entries kept their values is kept
-        whole. Without a footprint every other row is evaluated afresh and
-        kept when it equals the old one."""
+        Each player of ``affected_players`` is evaluated afresh, whole, on
+        ``profile``'s own aggregate; its row is kept when it equals the old
+        one."""
         changed = []
-        if self._footprint is None:
-            for player in range(self.num_players):
-                if player != mover:
-                    fresh = self.deviation_utilities(profile, player)
-                    if fresh != rows[player]:
-                        rows[player] = fresh
-                        changed.append(player)
-            return changed
-        for player, strategies in self.affected_rows(mover, old, profile[mover]):
-            row = rows[player]
-            fresh = self.deviation_utilities(profile, player, strategies)
-            if fresh == [row[s] for s in strategies]:
-                continue
-            row = rows[player] = list(row)
-            for s, u in zip(strategies, fresh):
-                row[s] = u
-            changed.append(player)
+        for player in self.affected_players(mover, old, profile[mover]):
+            fresh = self.deviation_utilities(profile, player)
+            if fresh != rows[player]:
+                rows[player] = fresh
+                changed.append(player)
         return changed
 
     def code_reader(self) -> tuple[Callable, Callable]:

@@ -238,11 +238,12 @@ class CongestionGame(SuccinctGame):
         mover's two strategies, by the mover's weight. Each such resource's
         load at ``profile`` is summed over its potential users; at the
         generator it is that load less the mover's weight where the mover
-        arrived, more where it left. Each strategy of ``affected_rows``
-        then gains, for each such resource it uses, the delay at the
-        generator's load less the delay at ``profile``'s, both with the
-        player's own weight added where the resource is not in its current
-        strategy, as ``deviation_utilities`` prices them.
+        arrived, more where it left. Each strategy of a player of
+        ``affected_players`` that uses such resources then gains, over
+        them, the delay at the generator's load less the delay at
+        ``profile``'s, both with the player's own weight added where the
+        resource is not in its current strategy, as ``deviation_utilities``
+        prices them.
         """
         strategies, weights = self.strategies, self.weights
         new = profile[mover]
@@ -258,13 +259,15 @@ class CongestionGame(SuccinctGame):
                     load += weights[u]
             loads[e] = (load, load - step if e in arrived else load + step)
         changed = []
-        for player, listed in self.affected_rows(mover, old, new):
+        for player in self.affected_players(mover, old, new):
             strats, table = strategies[player], self._tables[player]
             current, add = strats[profile[player]], weights[player]
             stepped = None
-            for s in listed:
+            for s, strat in enumerate(strats):
+                if moved.isdisjoint(strat):
+                    continue
                 gain = 0
-                for e in strats[s] & moved:
+                for e in strat & moved:
                     here, there = loads[e]
                     if e not in current:
                         here += add

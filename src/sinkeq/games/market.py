@@ -106,13 +106,12 @@ class TwoSidedMarketGame(SuccinctGame):
             if winners[y] == player
         )
 
-    def deviation_utilities(self, profile: Profile, player: int, strategies=None):
+    def deviation_utilities(self, profile: Profile, player: int):
         # The incumbent against ``player`` on each passive agent is the best
         # other demander: the top one, or the runner-up where ``player`` is top.
         first, second = self._profile_aggregate(profile)
-        strats = self.active[player].strategies
         out = []
-        for strat in strats if strategies is None else map(strats.__getitem__, strategies):
+        for strat in self.active[player].strategies:
             total = 0
             for y in strat:
                 incumbent = second[y] if first[y] == player else first[y]

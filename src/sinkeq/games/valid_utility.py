@@ -30,6 +30,10 @@ class ValidUtilityInstance(SuccinctGame):
         social_fn: Callable[[SetProfile], int],
     ):
         self.ground_sets = tuple(tuple(g) for g in ground_sets)
+        if len(feasible) != len(self.ground_sets):
+            raise ConfigurationError(
+                f"{len(feasible)} feasible families for {len(self.ground_sets)} ground sets"
+            )
         fams = []
         for i, family in enumerate(feasible):
             fam = tuple(frozenset(s) for s in family)

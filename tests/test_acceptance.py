@@ -357,11 +357,11 @@ def test_criterion_7_anonymous_reproduction(desk_looper, desk_walker):
             def utility(self, profile, player):
                 return game.utility(profile, player)
 
-            def deviation_utilities(self, profile, player, strategies=None):
+            def deviation_utilities(self, profile, player):
                 devs = game.deviation_utilities(profile, player)
                 if player == c1:
                     devs = [d if s == profile[player] else -1 for s, d in enumerate(devs)]
-                return devs if strategies is None else [devs[s] for s in strategies]
+                return devs
 
         for pin in sorted(compiled.symbols.strategies["control1"].values()):
             frozen = Frozen(pin)

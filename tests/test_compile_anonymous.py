@@ -171,11 +171,11 @@ def test_frozen_control1_dynamics_are_acyclic(flipper):
         def utility(self, profile, player):
             return self.base.utility(profile, player)
 
-        def deviation_utilities(self, profile, player, strategies=None):
+        def deviation_utilities(self, profile, player):
             devs = self.base.deviation_utilities(profile, player)
             if player == c1:
                 devs = [d if s == profile[player] else -1 for s, d in enumerate(devs)]
-            return devs if strategies is None else [devs[s] for s in strategies]
+            return devs
 
     for pin in c1_strategies:
         frozen = Frozen(game, pin)

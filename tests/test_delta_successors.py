@@ -1,27 +1,26 @@
-"""A closure state re-prices only the entries its move can change.
+"""A closure state re-prices only the rows its move can change.
 
 A forward closure or a walk hands ``StateGraph.improving_moves`` the origin
 of each profile it generated: the generator's moves, which carry their rows,
 the mover and its old strategy. ``improving_moves`` on such a profile copies
 the mover's row (a row never depends on its own player's strategy) and
-hands the rest to the game's ``reprice_rows``. In a game with a footprint
-that steps, for every other player of ``SuccinctGame.affected_rows``, only
-the strategies whose value reads an entry the move changes: a congestion
-game by the delays at the loads the move changed, a market or anonymous
-game on the aggregate it builds from the profile itself; without one it
-evaluates every other row afresh. Here the facts this rests on are checked
-on hypothesis-random games of every class: a player's own move leaves its
-row, a strategy subset reads the full row's entries (in the market and
-anonymous games, which the default hook re-prices by subsets), an entry the
-move does not reach keeps its value, and the rows ``reprice_rows`` steps equal a
-fresh evaluation. The rows of every closure state are compared with a
-fresh evaluation, also where an unrelated profile was evaluated between
-generating a state and expanding it, and closures and walks are compared,
-under both semantics, with those over the same game behind the every-player
-default. Each closure state and each walk step is checked to have stepped
-exactly the entries of one move into it, never the mover's row. The
-origins belong to the pass: the graph gains no attribute from one, and a
-reused graph prices like a fresh one.
+hands the rest to the game's ``reprice_rows``. The default hook evaluates
+the whole row of every player of ``SuccinctGame.affected_players``: in a
+game with a footprint the readers of the entries the move changes, without
+one every other player. A congestion game steps, for each such player, the
+strategies that use a resource the move changed, by the delays at the loads
+it changed. Here the facts this rests on are checked on hypothesis-random
+games of every class: a player's own move leaves its row, a player the move
+does not affect keeps its row, an entry the move does not reach keeps its
+value, and the rows ``reprice_rows`` steps equal a fresh evaluation. The
+rows of every closure state are compared with a fresh evaluation, also
+where an unrelated profile was evaluated between generating a state and
+expanding it, and closures and walks are compared, under both semantics,
+with those over the same game behind the every-player default. Each closure
+state and each walk step is checked to have priced exactly the rows (or, in
+a congestion game, the strategies) of one move into it, never the mover's
+row. The origins belong to the pass: the graph gains no attribute from one,
+and a reused graph prices like a fresh one.
 """
 
 import random
@@ -89,34 +88,25 @@ def test_a_players_own_move_leaves_its_row(kind, seed):
                 == list(game.deviation_utilities(after, mover)))
 
 
-# the classes whose rows the default ``reprice_rows`` re-prices by strategy subsets
-SUBSET_CLASSES = ["anonymous", "market"]
+def reached_strategies(game, player, mover, old, new) -> list[int]:
+    """The strategies of ``player`` whose value reads an entry that
+    ``mover``'s move from ``old`` to ``new`` changes, read off the game's
+    footprint."""
+    touches, reads = game._footprint
+    changed = touches[mover][old] ^ touches[mover][new]
+    return [s for s, entries in enumerate(reads[player]) if not changed.isdisjoint(entries)]
 
 
-@pytest.mark.parametrize("kind", SUBSET_CLASSES)
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6))
-def test_a_strategy_subset_reads_the_full_rows_entries(kind, seed):
-    rng = random.Random(seed)
-    game = CLASSES[kind](rng)
-    for _ in range(8):
-        profile = tuple(rng.randrange(c) for c in game.strategy_counts)
-        player = rng.randrange(game.num_players)
-        full = game.deviation_utilities(profile, player)
-        count = game.strategy_counts[player]
-        subset = rng.sample(range(count), rng.randint(0, count))
-        assert game.deviation_utilities(profile, player, subset) == [full[s] for s in subset]
-
-
-@pytest.mark.parametrize("kind", sorted(GAMES))
+@pytest.mark.parametrize("kind", sorted(CLASSES))
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_a_player_the_move_does_not_affect_keeps_its_row(kind, seed):
     rng = random.Random(seed)
-    game = GAMES[kind](rng)
+    game = CLASSES[kind](rng)
     for _ in range(8):
         before, mover, new, after = random_move(rng, game)
-        affected = {p for p, _ in game.affected_rows(mover, before[mover], new)}
+        affected = game.affected_players(mover, before[mover], new)
+        assert mover not in affected
         for player in range(game.num_players):
             if player not in affected:
                 assert (list(game.deviation_utilities(before, player))
@@ -131,15 +121,15 @@ def test_an_entry_the_move_does_not_reach_keeps_its_value(kind, seed):
     game = GAMES[kind](rng)
     for _ in range(8):
         before, mover, new, after = random_move(rng, game)
-        listed = dict(game.affected_rows(mover, before[mover], new))
-        assert mover not in listed
-        for player in range(game.num_players):
-            if player == mover:
-                continue
+        reached = {player: reached_strategies(game, player, mover, before[mover], new)
+                   for player in range(game.num_players) if player != mover}
+        # the affected players are exactly those with a strategy the move reaches
+        assert (set(game.affected_players(mover, before[mover], new))
+                == {player for player, listed in reached.items() if listed})
+        for player, listed in reached.items():
             row_before = game.deviation_utilities(before, player)
             row_after = game.deviation_utilities(after, player)
-            assert listed.get(player, []) == sorted(listed.get(player, []))
-            for s in set(range(game.strategy_counts[player])) - set(listed.get(player, [])):
+            for s in set(range(game.strategy_counts[player])) - set(listed):
                 assert row_before[s] == row_after[s], (player, s, mover)
 
 
@@ -253,21 +243,28 @@ def test_delta_closures_equal_every_player_closures(gadgets, machine, kind):
         check_closures_equal_every_player_closures(compiled.game, compiled.initial, semantics)
 
 
+def steps_by_strategy(game) -> bool:
+    """Whether the game's class prices a move strategy by strategy, through
+    its own ``reprice_rows``, rather than row by row."""
+    return type(game).reprice_rows is not SuccinctGame.reprice_rows
+
+
 @contextmanager
 def counting_entries(game):
     """Shadow the game's evaluation hooks on the instance, and yield the
     list of (profile, player, strategies or None) entries they price: each
     ``deviation_utilities`` call, with None for a whole row, and, in a class
-    that overrides ``reprice_rows``, each row that hook steps to a profile,
-    with the strategies ``affected_rows`` lists for it there."""
+    that steps strategy by strategy, each row that hook steps to a profile,
+    with the strategies the move reaches there."""
     calls = []
     stepping = []  # the profile reprice_rows is stepping to, while it runs
-    evaluate, reprice, affected = game.deviation_utilities, game.reprice_rows, game.affected_rows
-    overridden = type(game).reprice_rows is not SuccinctGame.reprice_rows
+    evaluate, reprice, affected = (game.deviation_utilities, game.reprice_rows,
+                                   game.affected_players)
+    by_strategy = steps_by_strategy(game)
 
-    def counting(profile, player, *subset):  # subset: () or (strategies,)
-        calls.append((profile, player, tuple(subset[0]) if subset else None))
-        return evaluate(profile, player, *subset)
+    def counting(profile, player):
+        calls.append((profile, player, None))
+        return evaluate(profile, player)
 
     def stepping_rows(profile, rows, mover, old):
         stepping.append(profile)
@@ -278,20 +275,26 @@ def counting_entries(game):
 
     def listing(player, old, new):
         listed = affected(player, old, new)
-        if stepping and overridden:
-            calls.extend((stepping[-1], p, tuple(s)) for p, s in listed)
+        if stepping and by_strategy:
+            calls.extend((stepping[-1], p, tuple(reached_strategies(game, p, player, old, new)))
+                         for p in listed)
         return listed
 
-    game.deviation_utilities, game.reprice_rows, game.affected_rows = (
+    game.deviation_utilities, game.reprice_rows, game.affected_players = (
         counting, stepping_rows, listing)
     try:
         yield calls
     finally:
-        del game.deviation_utilities, game.reprice_rows, game.affected_rows
+        del game.deviation_utilities, game.reprice_rows, game.affected_players
 
 
 def entries_of(game, mover, old, new) -> Counter:
-    return Counter((p, tuple(s)) for p, s in game.affected_rows(mover, old, new))
+    """The entries one move prices: the affected players' whole rows, or,
+    where the class steps by strategy, the strategies the move reaches."""
+    if steps_by_strategy(game):
+        return Counter((p, tuple(reached_strategies(game, p, mover, old, new)))
+                       for p in game.affected_players(mover, old, new))
+    return Counter((p, None) for p in game.affected_players(mover, old, new))
 
 
 @pytest.mark.parametrize("kind", sorted(COMPILERS))
@@ -314,9 +317,9 @@ def test_a_closure_state_evaluates_the_rows_of_one_move_into_it(gadgets, kind):
     for v, options in zip(states[1:], moves_into[1:]):
         assert any(evaluated[v] == entries and all(p != mover for p, _ in evaluated[v])
                    for entries, mover in options), v
-    # a closure state prices a small share of the (player, strategy) entries
-    priced = sum(len(s) for _, p, s in calls if s is not None)
-    assert priced < (len(states) - 1) * sum(game.strategy_counts) / 4
+    # after the start, a closure state prices a small share of the rows
+    priced = sum(profile != states[0] for profile, _, _ in calls)
+    assert priced < (len(states) - 1) * game.num_players / 5
 
 
 def policies(rng, num_players):

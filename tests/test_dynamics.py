@@ -527,6 +527,26 @@ def test_the_three_questions_answer_plain_bools(name):
 
 _MACHINE_BACKENDS = {"tm2wcg": compile_tm_weighted, "tm2psg": compile_tm_player_specific,
                      "tm2market": compile_tm_market, "tm2anon": compile_tm_anonymous}
+# in-sink @initial under (improvement, best response): (answer, states, edges)
+# of the pass that stops at the first sink without the start
+_IN_SINK_PINS = {
+    ("flipper", "tm2wcg"): ((True, 40, 56), (True, 40, 56)),
+    ("flipper", "tm2psg"): ((True, 40, 56), (True, 40, 56)),
+    ("flipper", "tm2anon"): ((False, 117, 141), (False, 117, 141)),
+    ("flipper", "tm2market"): ((True, 40, 56), (True, 40, 56)),
+    ("walker", "tm2wcg"): ((False, 103, 147), (False, 103, 147)),
+    ("walker", "tm2psg"): ((False, 103, 147), (False, 103, 147)),
+    ("walker", "tm2anon"): ((False, 606, 770), (False, 606, 770)),
+    ("walker", "tm2market"): ((False, 103, 147), (False, 103, 147)),
+    ("halter", "tm2wcg"): ((False, 14, 13), (False, 9, 8)),
+    ("halter", "tm2psg"): ((False, 14, 13), (False, 9, 8)),
+    ("halter", "tm2anon"): ((False, 25, 24), (False, 25, 24)),
+    ("halter", "tm2market"): ((False, 17, 16), (False, 17, 16)),
+    ("halter3", "tm2wcg"): ((False, 28, 27), (False, 23, 22)),
+    ("halter3", "tm2psg"): ((False, 28, 27), (False, 23, 22)),
+    ("halter3", "tm2anon"): ((False, 49, 48), (False, 49, 48)),
+    ("halter3", "tm2market"): ((False, 28, 27), (False, 23, 22)),
+}
 # here best response drops some of improvement's moves, so the whole closures differ
 _DIFFERENT_CLOSURES = {("tm2wcg", "halter"), ("tm2wcg", "halter3"), ("tm2psg", "halter"),
                        ("tm2psg", "halter3"), ("tm2market", "halter3")}
@@ -537,6 +557,10 @@ _DIFFERENT_CLOSURES = {("tm2wcg", "halter"), ("tm2wcg", "halter3"), ("tm2psg", "
 def test_in_sink_at_the_initial_profile_agrees_across_semantics(request, backend, machine):
     compiled = _MACHINE_BACKENDS[backend](request.getfixturevalue(machine))
     game, start = compiled.game, compiled.initial
+    stopped = [forward_closure(StateGraph(game, semantics), start, stop_at_foreign_sink=True)
+               for semantics in (EdgeSemantics.IMPROVEMENT, EdgeSemantics.BEST_RESPONSE)]
+    assert (tuple((closure.start_in_sink, len(closure), closure.edges) for closure in stopped)
+            == _IN_SINK_PINS[machine, backend])
     assert (in_a_sink(game, start, EdgeSemantics.IMPROVEMENT)
             == in_a_sink(game, start, EdgeSemantics.BEST_RESPONSE))
     if (backend, machine) not in _DIFFERENT_CLOSURES:

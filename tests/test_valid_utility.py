@@ -1,6 +1,6 @@
 import pytest
 
-from sinkeq.errors import CapExceededError
+from sinkeq.errors import CapExceededError, ConfigurationError
 from sinkeq.games.valid_utility import (
     ValidUtilityInstance,
     check_valid_utility,
@@ -99,3 +99,13 @@ def test_empty_action_required():
         ValidUtilityInstance(
             [("v",)], [(frozenset({"v"}),)], lambda s, p: 0, lambda s: 0
         )
+
+
+@pytest.mark.parametrize("families", [1, 3])
+def test_one_feasible_family_per_ground_set(families):
+    # one more family than ground sets, or one fewer, is refused by name
+    ground = [("a",), ("b",)]
+    feasible = [(frozenset(),)] * families
+    with pytest.raises(ConfigurationError,
+                       match=f"{families} feasible families for 2 ground sets"):
+        ValidUtilityInstance(ground, feasible, lambda s, p: 0, lambda s: 0)
