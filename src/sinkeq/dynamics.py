@@ -111,46 +111,39 @@ class StateGraph:
         moves.rows = rows
         return moves
 
-    def layer_masks(self) -> Iterator[tuple[int, int, Callable]]:
+    def layer_masks(self) -> Iterator[tuple[int, int, int, Callable]]:
         """Every move over the whole profile space, one player at a time:
-        ``(place weight, strategy count, mask)`` for each player with two or
-        more strategies, players ascending.
+        ``(player, place weight, strategy count, mask)`` for each player with
+        two or more strategies, players ascending. One-strategy players are
+        skipped, so a caller reads the player from the tuple.
 
-        For player p with place weight w, the codes whose digit p is 0 are
-        the line bases; a line is a base and the codes that differ from it
-        only in p's strategy. Every profile on a line has the same row for
-        p, so the row is read once, at the base, bases ascending. The rows,
-        transposed, are p's layers: layer s holds the utility of strategy s
-        on each line. ``mask(a, b)`` is the layer rule on them: for each
-        line, in base order, whether p on strategy a may move to b, which
-        leads from the line's code whose digit p is a to the one whose
-        digit p is b.
+        For player p, a line is the profiles that differ only in p's
+        strategy; they share p's row. The game's ``code_layers(p)`` gives
+        p's layers, one per strategy s: the utility of s on each line, in
+        line order (``ProfileCodec.line_slices``). ``mask(a, b)`` is the
+        layer rule on them: for each line, whether p on strategy a may move
+        to b, which leads from the line's code whose digit p is a to the one
+        whose digit p is b.
         """
-        key, read = self.game.code_reader()
-        size = self.codec.num_profiles
-        for player, (weight, choices) in enumerate(zip(self.codec.place_weights,
-                                                       self.codec.strategy_counts)):
+        game, codec = self.game, self.codec
+        for player, (weight, choices) in enumerate(zip(codec.place_weights,
+                                                       codec.strategy_counts)):
             if choices > 1:
-                rows = [read(key(base), player)
-                        for top in range(0, size, weight * choices)
-                        for base in range(top, top + weight)]
-                yield weight, choices, self._layer_rule(list(zip(*rows)))
+                yield player, weight, choices, self._layer_rule(game.code_layers(player))
 
     def code_adjacency(self) -> list[list[int]]:
         """Every profile code's successor codes, canonical order, built on
-        ``layer_masks``. Players ascending and targets ascending append each
-        list in canonical order. Every list holds the same int object for a
-        code, so an edge costs one reference.
+        ``layer_masks``: the moves from a to b on p's lines lead from
+        ``codec.layer(codes, p, a)`` to ``codec.layer(codes, p, b)``.
+        Players ascending and targets ascending append each list in
+        canonical order. Every list holds the same int object for a code,
+        so an edge costs one reference.
         """
-        size = self.codec.num_profiles
-        codes = list(range(size))
+        codec = self.codec
+        codes = list(range(codec.num_profiles))
         adjacency: list[list[int]] = [[] for _ in codes]
-        for weight, choices, mask in self.layer_masks():
-            # layer_codes[a]: the codes whose digit p is a, one per line
-            layer_codes = [
-                list(chain.from_iterable(codes[top + a * weight:top + (a + 1) * weight]
-                                         for top in range(0, size, weight * choices)))
-                for a in range(choices)]
+        for player, _, choices, mask in self.layer_masks():
+            layer_codes = [codec.layer(codes, player, a) for a in range(choices)]
             for b in range(choices):
                 for a in range(choices):
                     if a != b:
@@ -364,20 +357,14 @@ def backward_reach(graph: StateGraph, cap: int | None = None) -> tuple[int, int]
     """
     size = _space_size(graph, cap)
     unions: list[tuple[int, int]] = []  # (d·w_p, union)
-    for weight, choices, mask in graph.layer_masks():
-        lines, period = size // choices, weight * choices
+    line_slices = graph.codec.line_slices
+    for player, weight, choices, mask in graph.layer_masks():
         for d in chain(range(1 - choices, 0), range(1, choices)):
             bits = bytearray(size)  # one byte per code, in code order
             for a in range(max(0, -d), min(choices, choices - d)):
-                # line q·w + r holds code q·period + a·w + r
-                moves, offset = bytes(mask(a, a + d)), a * weight
-                if weight * weight <= lines:
-                    for r in range(weight):
-                        bits[offset + r::period] = moves[r::weight]
-                else:
-                    for start in range(0, lines, weight):
-                        at = start * choices + offset
-                        bits[at:at + weight] = moves[start:start + weight]
+                moves = bytes(mask(a, a + d))  # in line order: scatter to the codes
+                for codes, lines in line_slices(player, a):
+                    bits[codes] = moves[lines]
             unions.append((d * weight, int(bits.translate(_BIT_DIGITS)[::-1], 2)))
     everything = (1 << size) - 1
     movers = 0

@@ -46,12 +46,14 @@ class SuccinctGame:
     A player's ``deviation_utilities`` row never depends on that player's
     own strategy, so a move leaves the mover's row as it was.
 
-    A class has two evaluation hooks: ``deviation_utilities``, a player's
-    whole row at a profile, and ``reprice_rows``, which steps the rows of
-    a move's generator to the profile the move leads to. The default
-    ``reprice_rows`` re-evaluates the whole row of each player the move
-    can affect through ``deviation_utilities``; a class that can price
-    the change itself overrides it.
+    A class has three evaluation hooks: ``deviation_utilities``, a
+    player's whole row at a profile; ``reprice_rows``, which steps the rows
+    of a move's generator to the profile the move leads to; and
+    ``code_layers``, a player's rows over the whole profile space as one
+    layer per strategy. The default ``reprice_rows`` re-evaluates the whole
+    row of each player the move can affect through ``deviation_utilities``,
+    and the default ``code_layers`` reads one row per line through
+    ``code_reader``; a class that can do better overrides them.
 
     A class states its locality once, as its footprint ``(touches,
     reads)``: ``touches[p][s]`` is the frozenset of aggregate entries
@@ -150,6 +152,23 @@ class SuccinctGame:
         profile numbered ``code``. Here ``key`` decodes, once per state, and
         ``read`` is ``deviation_utilities``."""
         return self.codec.decode, self.deviation_utilities
+
+    def code_layers(self, player: int) -> list[Sequence[int]]:
+        """``player``'s layers over the whole profile space: layer s holds
+        the utility of strategy s on each of the player's lines, in line
+        order (``ProfileCodec.line_slices``). A line is the profiles that
+        differ only in ``player``'s strategy; they share its row.
+
+        The full-space hook of the dynamics engine. This default reads the
+        row once per line, at its base (digit ``player`` 0), bases
+        ascending, through ``code_reader``, and transposes the rows.
+        """
+        key, read = self.code_reader()
+        weight, choices = self.codec.place_weights[player], self.strategy_counts[player]
+        rows = [read(key(base), player)
+                for top in range(0, self.codec.num_profiles, weight * choices)
+                for base in range(top, top + weight)]
+        return list(zip(*rows))
 
     def _aggregate(self, profile: Profile):
         raise NotImplementedError

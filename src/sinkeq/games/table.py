@@ -59,6 +59,11 @@ class TableGame(SuccinctGame):
         # a code is its own key: rows are read without decoding
         return int, self._row
 
+    def code_layers(self, player: int):
+        # layer s is the table's entries whose digit `player` is s: no row is read
+        table, layer = self.tables[player], self.codec.layer
+        return [layer(table, player, s) for s in range(self.strategy_counts[player])]
+
     @classmethod
     def from_profile_map(cls, strategy_counts, payoffs) -> "TableGame":
         """Build from a {profile_tuple: payoff_vector} mapping."""

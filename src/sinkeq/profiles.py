@@ -65,6 +65,33 @@ class ProfileCodec:
             index //= count
         return tuple(out)
 
+    def line_slices(self, player: int, s: int) -> list[tuple[slice, slice]]:
+        """Where ``player``'s strategy ``s`` sits in code order, as ``(codes,
+        lines)`` slice pairs: ``values[codes]``, for a code-ordered
+        ``values``, are the entries whose digit ``player`` is ``s`` on the
+        lines ``lines`` picks out of ``range(num_profiles // k)``.
+
+        For place weight w and k strategies, line q·w + r holds code q·w·k
+        + s·w + r. That is w strided slices, or one block of w codes per
+        line group, whichever is fewer: strided when w·w ≤ N/k.
+        """
+        weight, count = self.place_weights[player], self.strategy_counts[player]
+        period, lines, offset = weight * count, self.num_profiles // count, s * weight
+        if weight * weight <= lines:
+            return [(slice(offset + r, None, period), slice(r, None, weight))
+                    for r in range(weight)]
+        return [(slice(at, at + weight), slice(line, line + weight))
+                for line, at in zip(range(0, lines, weight),
+                                    range(offset, self.num_profiles, period))]
+
+    def layer(self, values: Sequence, player: int, s: int) -> list:
+        """The entries of the code-ordered ``values`` whose digit ``player``
+        is ``s``, in code order: one per line of ``player``."""
+        out = [None] * (self.num_profiles // self.strategy_counts[player])
+        for codes, lines in self.line_slices(player, s):
+            out[lines] = values[codes]
+        return out
+
     def all_profiles(self) -> list[Profile]:
         """Every profile in code order: entry i is ``decode(i)``."""
         # product varies its last range fastest, so player 0 comes last

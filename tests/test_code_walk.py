@@ -1,8 +1,9 @@
 """The full-space pass walks profile codes and gives the tuple walk's Closure.
 
 ``state_space`` runs Tarjan over the codes 0 … num_profiles−1, with each
-code's successors from ``StateGraph.code_adjacency`` (rows read once per
-line, moves found by the layer rule), and returns that Closure over codes.
+code's successors from ``StateGraph.code_adjacency`` (each player's layers
+from the game's ``code_layers``, moves found by the layer rule), and
+returns that Closure over codes.
 Here it is compared, field by field, with a naive pass over tuple profiles
 in code order, expanded through ``_oracles.successors_pointwise`` (the
 definition, on ``game.utility``), its profiles mapped through
@@ -12,7 +13,9 @@ with payoffs in {0, 1}, whose ties make best response differ from
 improvement, a player with one strategy, and games with a single profile
 among them. On the same games the row oracle
 (``_oracles.successors_by_rows``), the reference of the compiled-gadget
-tests, is checked against the pointwise one.
+tests, is checked against the pointwise one. A table's layers, slices of
+its tables (``ProfileCodec.layer``), are checked against the default hook's
+per-line read on random tables.
 """
 
 import math
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sinkeq.dynamics import EdgeSemantics, StateGraph, _tarjan, state_space
-from sinkeq.games import TableGame
+from sinkeq.games import SuccinctGame, TableGame
 
 from _oracles import successors_by_rows, successors_pointwise
 from test_eval_once import random_anonymous, random_congestion, random_market
@@ -114,3 +117,22 @@ def test_successor_lists_share_one_object_per_code():
         for code in out:
             assert seen.setdefault(code, code) is code
     assert len(seen) > 256  # above the interpreter's cached small ints
+
+
+@settings(max_examples=80, deadline=None)
+@given(counts=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=6),
+       seed=st.integers(min_value=0, max_value=10**6))
+def test_table_layers_are_the_per_line_read(counts, seed):
+    game = random_table(random.Random(seed), counts)
+    codec = game.codec
+    size = codec.num_profiles
+    for p, (weight, count) in enumerate(zip(codec.place_weights, counts)):
+        # the table's slices against the default hook's rows read at each base
+        assert (list(map(list, game.code_layers(p)))
+                == list(map(list, SuccinctGame.code_layers(game, p))))
+        lines = size // count
+        for s in range(count):
+            assert codec.layer(range(size), p, s) == [
+                k for k in range(size) if k // weight % count == s]
+            # the layout with fewer slices: w strided, or one block per line group
+            assert len(codec.line_slices(p, s)) == min(weight, lines // weight)

@@ -4,11 +4,14 @@ Forward closures call ``StateGraph.improving_moves`` once for every state
 they explore, counted per profile while a question runs, and so do
 ``export-dot --from`` and ``closures_isomorphic``, which read the successor
 lists the pass records. The full-space walk
-(``StateGraph.code_adjacency``) expands no single state: it reads each
-player's row once per line of profiles that differ only in that player's
-strategy, counted through ``TableGame._row``; so do CLI
+(``StateGraph.code_adjacency``) expands no single state: it takes each
+player's layers from the game's ``code_layers`` once, and so do CLI
 ``has-non-singleton`` and ``has_non_singleton_sink``, which build no
-successor list and run no Tarjan pass. Recorded successor lists are
+successor list and run no Tarjan pass. A table game's layers are slices of
+its tables, so those passes call ``TableGame._row`` zero times; the default
+hook, counted through ``CongestionGame.deviation_utilities``, reads each
+player's row once per line of profiles that differ only in that player's
+strategy, at the line's base. Recorded successor lists are
 checked against the row oracle's (``_oracles.successors_by_rows``). The
 CLI's ``edges`` and ``scc_count`` are checked against a plain successor sum
 and the bitset oracle, and so are the components and sinks the one pass
@@ -52,7 +55,7 @@ from sinkeq.dynamics import (
 )
 from sinkeq.dot import export_dot
 from sinkeq.errors import CapExceededError
-from sinkeq.games import TableGame
+from sinkeq.games import CongestionGame, TableGame
 from sinkeq.io import serialize_game, serialize_sidecar
 from sinkeq.profiles import ProfileCodec
 
@@ -106,21 +109,66 @@ def rows(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def layers(monkeypatch):
+    """``TableGame.code_layers`` calls, by player."""
+    calls = Counter()
+    code_layers = TableGame.code_layers
+
+    def counting(self, player):
+        calls[player] += 1
+        return code_layers(self, player)
+
+    monkeypatch.setattr(TableGame, "code_layers", counting)
+    return calls
+
+
+def check_layers_read_once(layers, rows, game):
+    """A table's full-space pass read no row: it took the layers of each
+    player with two or more strategies from the player's table, once."""
+    assert not rows
+    assert layers == Counter(p for p, count in enumerate(game.strategy_counts) if count > 1)
+
+
+@pytest.fixture
+def deviations(monkeypatch):
+    """``CongestionGame.deviation_utilities`` calls, keyed by (player, code)."""
+    calls = Counter()
+    deviation_utilities = CongestionGame.deviation_utilities
+
+    def counting(self, profile, player):
+        calls[player, self.codec.encode(profile)] += 1
+        return deviation_utilities(self, profile, player)
+
+    monkeypatch.setattr(CongestionGame, "deviation_utilities", counting)
+    return calls
+
+
 def check_one_row_per_line(rows, game):
-    """The full-space walk read each player's row once per line, at the
-    line's base (the player's digit 0): N / k rows for a player with k
-    strategies."""
+    """The default ``code_layers`` read each row once per line, at the
+    line's base (the player's digit 0): N / k rows for a player with k >= 2
+    strategies, none for a player with one."""
     assert set(rows.values()) == {1}
     codec = game.codec
     for player, (weight, count) in enumerate(zip(codec.place_weights, codec.strategy_counts)):
         read = {code for p, code in rows if p == player}
-        assert len(read) == codec.num_profiles // count
+        assert len(read) == (codec.num_profiles // count if count > 1 else 0)
         assert all(code // weight % count == 0 for code in read)
 
 
 @pytest.fixture(scope="module")
 def gadget(walker):
     return compile_tm_weighted(walker)
+
+
+@pytest.fixture(scope="module")
+def congestion():
+    """A congestion game with strategy counts (3, 1, 2, 2), a one-strategy
+    player among them."""
+    rng = random.Random(12)
+    strategies = [[[0], [1], [2]], [[0, 1]], [[1], [2]], [[0], [2]]]
+    delays = [{load: rng.randint(0, 9) for load in range(1, 5)} for _ in range(3)]
+    return CongestionGame(["e0", "e1", "e2"], strategies, delays)
 
 
 @pytest.fixture(scope="module")
@@ -173,10 +221,11 @@ def test_cli_in_sink_expands_each_gadget_state_once(gadget, tmp_path, expansions
     assert len(expansions) == doc["stats"]["states_explored"]
 
 
-def test_table_questions_expand_each_profile_once(table_4_6, tmp_path, expansions, rows):
+def test_table_questions_expand_each_profile_once(table_4_6, tmp_path, expansions, rows,
+                                                  layers):
     found = sinks(table_4_6)
     assert found and not expansions
-    check_one_row_per_line(rows, table_4_6)
+    check_layers_read_once(layers, rows, table_4_6)
     start = next(iter(found[0]))
     assert in_a_sink(table_4_6, start) is True
     assert set(expansions.values()) == {1}
@@ -184,8 +233,9 @@ def test_table_questions_expand_each_profile_once(table_4_6, tmp_path, expansion
     game_path = tmp_path / "t.json"
     game_path.write_text(serialize_game(table_4_6))
     rows.clear()
+    layers.clear()
     doc = cli_json(["sinks", str(game_path)])
-    check_one_row_per_line(rows, table_4_6)
+    check_layers_read_once(layers, rows, table_4_6)
     assert doc["stats"]["states_explored"] == 4 ** 6
     expansions.clear()
     doc = cli_json(["in-sink", str(game_path), "--profile", "0,0,0,0,0,0"])
@@ -223,7 +273,7 @@ def test_full_space_questions_encode_no_profile(table_4_6, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("semantics", EdgeSemantics, ids=lambda s: s.value)
 def test_has_non_singleton_reads_each_row_once_and_builds_no_graph(
-        table_4_6, tmp_path, rows, monkeypatch, semantics):
+        table_4_6, tmp_path, rows, layers, monkeypatch, semantics):
     def refused(*args):
         raise AssertionError("has-non-singleton built successor lists or ran Tarjan")
 
@@ -232,20 +282,44 @@ def test_has_non_singleton_reads_each_row_once_and_builds_no_graph(
     game_path = tmp_path / "t.json"
     game_path.write_text(serialize_game(table_4_6))
     doc = cli_json(["--semantics", semantics.value, "has-non-singleton", str(game_path)])
-    check_one_row_per_line(rows, table_4_6)
+    check_layers_read_once(layers, rows, table_4_6)
     assert doc["stats"]["states_explored"] == 4 ** 6
     assert sorted(doc["extra"]) == ["equilibria", "stuck_states"]
     rows.clear()
+    layers.clear()
     assert has_non_singleton_sink(table_4_6, semantics) == (doc["answer"] == "true")
-    check_one_row_per_line(rows, table_4_6)
+    check_layers_read_once(layers, rows, table_4_6)
     # a cap below the profile space refuses the pass before it reads a row
     rows.clear()
+    layers.clear()
     out, err = io.StringIO(), io.StringIO()
     argv = ["--cap", "4095", "--format", "json", "has-non-singleton", str(game_path)]
     assert run_cli(argv, out=out, err=err) == 2 and err.getvalue() == ""
     doc = json.loads(out.getvalue())
-    assert doc["answer"] == "inconclusive" and not rows
+    assert doc["answer"] == "inconclusive" and not rows and not layers
     assert doc["reason"] == "profile space has 4096 states, above the cap of 4095"
+
+
+@pytest.mark.parametrize("semantics", EdgeSemantics, ids=lambda s: s.value)
+def test_full_space_passes_read_a_default_row_once_per_line(
+        congestion, tmp_path, deviations, monkeypatch, semantics):
+    monkeypatch.setattr(StateGraph, "improving_moves", None)  # no single state is expanded
+    assert sinks(congestion, semantics)
+    check_one_row_per_line(deviations, congestion)
+    deviations.clear()
+    has_non_singleton_sink(congestion, semantics)
+    check_one_row_per_line(deviations, congestion)
+    game_path = tmp_path / "c.json"
+    game_path.write_text(serialize_game(congestion))
+    for question in ("sinks", "has-non-singleton"):
+        deviations.clear()
+        doc = cli_json(["--semantics", semantics.value, question, str(game_path)])
+        check_one_row_per_line(deviations, congestion)
+        assert doc["stats"]["states_explored"] == 12
+    deviations.clear()
+    dot = cli_json(["--semantics", semantics.value, "export-dot", str(game_path)])["answer"]
+    check_one_row_per_line(deviations, congestion)
+    assert dot.count("[label=") - dot.count("->") == 12
 
 
 def test_cli_stats_match_an_independent_count(tmp_path):
@@ -302,7 +376,7 @@ def test_components_and_sinks_match_bitset_oracle_on_random_digraphs():
         assert {frozenset(c) for c in bottom_sccs(roots, adj.__getitem__)} == set(bottoms)
 
 
-def test_export_dot_expands_each_state_once(gadget, table_4_6, tmp_path, moves, rows):
+def test_export_dot_expands_each_state_once(gadget, table_4_6, tmp_path, moves, rows, layers):
     table_path = tmp_path / "t.json"
     table_path.write_text(serialize_game(table_4_6))
     game_path = tmp_path / "walker.json"
@@ -310,7 +384,7 @@ def test_export_dot_expands_each_state_once(gadget, table_4_6, tmp_path, moves, 
     (tmp_path / "walker.symbols.json").write_text(serialize_sidecar(gadget))
     dot = cli_json(["export-dot", str(table_path)])["answer"]
     assert not moves
-    check_one_row_per_line(rows, table_4_6)
+    check_layers_read_once(layers, rows, table_4_6)
     assert dot.count("[label=") - dot.count("->") == 4 ** 6
     dot = cli_json(["export-dot", str(game_path), "--from", "@initial"])["answer"]
     assert set(moves.values()) == {1}
