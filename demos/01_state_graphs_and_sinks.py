@@ -6,7 +6,7 @@ best-response play falls in, it never leaves. A pure Nash equilibrium is
 exactly a singleton sink.
 """
 
-from sinkeq.dot import export_dot
+from sinkeq.dot import export_space_dot
 from sinkeq.dynamics import (
     FirstImprover,
     RandomImprover,
@@ -16,7 +16,7 @@ from sinkeq.dynamics import (
     has_singleton_sink,
     simulate_walk,
     sinks,
-    state_space,
+    space_sinks,
 )
 from sinkeq.games import matching_pennies, prisoners_dilemma
 
@@ -45,4 +45,4 @@ walk = simulate_walk(StateGraph(mp), (0, 0), RandomImprover(seed=4), max_steps=6
 print("  moves (player, new strategy):", walk.moves)
 
 print("\nDOT export of the matching-pennies state graph:")
-print(export_dot(state_space(StateGraph(mp)), mp.codec))
+print(export_space_dot(*space_sinks(StateGraph(mp)), mp.codec))

@@ -25,7 +25,7 @@ from .compilers import (
     verify_round_anonymous,
     verify_round_weighted,
 )
-from .dot import export_dot
+from .dot import export_dot, export_space_dot
 from .dynamics import (
     EdgeSemantics,
     FirstImprover,
@@ -37,8 +37,7 @@ from .dynamics import (
     forward_closure,
     pure_ne_search,
     simulate_walk,
-    sink_equilibria,
-    state_space,
+    space_sinks,
 )
 from .errors import CapExceededError, FormatError, SinkeqError
 from .games import AnonymousGame
@@ -196,11 +195,11 @@ def _dispatch(args) -> AnalysisReport:
     game = _parse(args.game, gameio.parse_game_file)
     graph = StateGraph(game, EdgeSemantics(args.semantics))
     if args.command == "sinks":
-        closure = state_space(graph, args.cap)
-        sizes = list(map(len, sink_equilibria(closure)))
+        unions, found = space_sinks(graph, args.cap)
+        sizes = list(map(len, found))
         return AnalysisReport(
-            "sinks", f"{len(sizes)} sink equilibria", states_explored=len(closure),
-            edges=closure.edges, scc_count=len(closure.components),
+            "sinks", f"{len(sizes)} sink equilibria", states_explored=game.codec.num_profiles,
+            edges=sum(union.bit_count() for _, union in unions),
             extra={"sink_sizes": sizes, "singletons": sizes.count(1)},
         )
     if args.command == "has-non-singleton":
@@ -286,11 +285,11 @@ def _dispatch(args) -> AnalysisReport:
         )
     if args.command == "export-dot":
         if args.from_profile:
-            closure = forward_closure(graph, _resolve_profile(args.from_profile, game, args.game),
-                                      args.cap)
+            start = _resolve_profile(args.from_profile, game, args.game)
+            dot = export_dot(forward_closure(graph, start, args.cap), game.codec)
         else:
-            closure = state_space(graph, args.cap or 4096)
-        return AnalysisReport(question="export-dot", answer=export_dot(closure, graph.codec))
+            dot = export_space_dot(*space_sinks(graph, args.cap or 4096), game.codec)
+        return AnalysisReport(question="export-dot", answer=dot)
     raise SinkeqError(f"unhandled command {args.command}")
 
 

@@ -1,33 +1,45 @@
-"""DOT export of explored state graphs; output ordering is stable."""
+"""DOT export of state graphs; output ordering is stable."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 
-from .dynamics import Closure
+from .dynamics import Closure, bitset_codes
 from .profiles import ProfileCodec
 
 
-def export_dot(closure: Closure, codec: ProfileCodec) -> str:
-    """Render a closure's states and its recorded edges.
-
-    Vertices are labeled by profile code (a forward closure's profiles are
-    encoded once), edges by the mover: the player with the largest place
-    weight not above the difference of the two codes. Sink members get a
-    double circle.
-    """
-    states = closure.states
-    codes = states if isinstance(states[0], int) else list(map(codec.encode, states))
-    in_sink = {v for comp in closure.sinks for v in comp}
-    order = sorted(range(len(states)), key=codes.__getitem__)
+def _write(vertices: list[tuple[int, list[int]]], in_sink: set[int], codec: ProfileCodec) -> str:
+    """The one writer, of ``(code, successor codes)`` pairs ascending by
+    code. Vertices are labeled by code, and sink members get a double
+    circle. Edges are labeled by the mover: the player with the largest
+    place weight not above the difference of the two codes."""
     lines = ["digraph state_graph {"]
-    for k in order:
-        shape = ' shape=doublecircle' if states[k] in in_sink else ""
-        lines.append(f'  n{codes[k]} [label="{codes[k]}"{shape}];')
-    for k in order:
-        source = codes[k]
-        for j in closure.successors[k]:
-            mover = bisect_right(codec.place_weights, abs(codes[j] - source)) - 1
-            lines.append(f'  n{source} -> n{codes[j]} [label="{mover}"];')
+    for code, _ in vertices:
+        shape = ' shape=doublecircle' if code in in_sink else ""
+        lines.append(f'  n{code} [label="{code}"{shape}];')
+    for source, targets in vertices:
+        for target in targets:
+            mover = bisect_right(codec.place_weights, abs(target - source)) - 1
+            lines.append(f'  n{source} -> n{target} [label="{mover}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def export_dot(closure: Closure, codec: ProfileCodec) -> str:
+    """A forward closure's profiles, its recorded edges and its sinks."""
+    codes = list(map(codec.encode, closure.states))
+    in_sink = {codes[closure.index[v]] for sink in closure.sinks for v in sink}
+    return _write(sorted(zip(codes, ([codes[j] for j in out] for out in closure.successors))),
+                  in_sink, codec)
+
+
+def export_space_dot(unions: list[tuple[int, int]], sinks: list[list[int]],
+                     codec: ProfileCodec) -> str:
+    """The whole state graph from ``dynamics.space_sinks``: each code's
+    edges in the unions' (player, step) order, which is canonical order."""
+    successors: list[list[int]] = [[] for _ in range(codec.num_profiles)]
+    for shift, union in unions:
+        for code in bitset_codes(union):
+            successors[code].append(code + shift)
+    return _write(list(enumerate(successors)), set(chain.from_iterable(sinks)), codec)

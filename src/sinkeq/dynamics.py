@@ -12,9 +12,10 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress
-from operator import and_, eq, gt, lt
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import reduce
+from itertools import chain, compress, count
+from operator import and_, eq, gt, lt, or_
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError
 from .games.base import SuccinctGame
@@ -26,11 +27,9 @@ class EdgeSemantics(Enum):
     BEST_RESPONSE = "best-response"
 
 
-Move = tuple[int, int, int]  # (player, strategy, new utility)
-
-
 class Moves(list):
-    """A profile's moves, with the per-player rows they were found from."""
+    """A profile's moves, each ``(player, strategy, new utility)``, with the
+    per-player rows they were found from."""
     __slots__ = ("rows",)
 
 
@@ -79,7 +78,7 @@ class StateGraph:
         self.game = game
         self.semantics = semantics
         self.codec = game.codec
-        self._targets, self._layer_rule = _TARGETS[semantics]
+        self._targets = _TARGETS[semantics][0]
 
     def improving_moves(self, profile: Profile, origin: Origin | None = None) -> Moves:
         """Qualifying moves in canonical order (ascending player, strategy),
@@ -111,61 +110,21 @@ class StateGraph:
         moves.rows = rows
         return moves
 
-    def layer_masks(self) -> Iterator[tuple[int, int, int, Callable]]:
-        """Every move over the whole profile space, one player at a time:
-        ``(player, place weight, strategy count, mask)`` for each player with
-        two or more strategies, players ascending. One-strategy players are
-        skipped, so a caller reads the player from the tuple.
-
-        For player p, a line is the profiles that differ only in p's
-        strategy; they share p's row. The game's ``code_layers(p)`` gives
-        p's layers, one per strategy s: the utility of s on each line, in
-        line order (``ProfileCodec.line_slices``). ``mask(a, b)`` is the
-        layer rule on them: for each line, whether p on strategy a may move
-        to b, which leads from the line's code whose digit p is a to the one
-        whose digit p is b.
-        """
-        game, codec = self.game, self.codec
-        for player, (weight, choices) in enumerate(zip(codec.place_weights,
-                                                       codec.strategy_counts)):
-            if choices > 1:
-                yield player, weight, choices, self._layer_rule(game.code_layers(player))
-
-    def code_adjacency(self) -> list[list[int]]:
-        """Every profile code's successor codes, canonical order, built on
-        ``layer_masks``: the moves from a to b on p's lines lead from
-        ``codec.layer(codes, p, a)`` to ``codec.layer(codes, p, b)``.
-        Players ascending and targets ascending append each list in
-        canonical order. Every list holds the same int object for a code,
-        so an edge costs one reference.
-        """
-        codec = self.codec
-        codes = list(range(codec.num_profiles))
-        adjacency: list[list[int]] = [[] for _ in codes]
-        for player, _, choices, mask in self.layer_masks():
-            layer_codes = [codec.layer(codes, player, a) for a in range(choices)]
-            for b in range(choices):
-                for a in range(choices):
-                    if a != b:
-                        for source, target in compress(zip(layer_codes[a], layer_codes[b]),
-                                                       mask(a, b)):
-                            adjacency[source].append(target)
-        return adjacency
-
 
 @dataclass
 class Closure:
     """One Tarjan pass over everything reachable from some roots.
 
-    A state is a profile (``forward_closure``) or a profile code
-    (``state_space``). ``states`` are in discovery order, the first root
+    A state is a profile of a forward closure (or a vertex given to
+    ``sccs``); the whole profile space is searched on bitsets instead
+    (``space_sinks``). ``states`` are in discovery order, the first root
     first, and ``index`` maps each to its position. ``successors[k]`` lists
     the positions of state k's successors in the order the successor
     function gave them (for a ``StateGraph``, canonical move order).
     ``components`` are in completion order, members in discovery order;
     ``sinks`` are the components no edge leaves. A pass is never cut: at its
-    cap it raises ``CapExceededError``. It is either whole (``exhausted``) or
-    stopped at the first component without the first root. A stopped pass
+    cap it raises ``CapExceededError``. It is either whole (``exhausted``)
+    or stopped at the first component without the first root. A stopped pass
     has whole ``states`` and ``index``, recorded edges that stay inside
     ``states``, and exactly one component, a sink of the whole graph.
     """
@@ -198,7 +157,8 @@ _DONE = -1  # low-link of a state whose component has completed
 
 def _tarjan(roots: Iterable, successors: Callable[[object], list], cap: int | None = None,
             stop_at_foreign_sink: bool = False) -> Closure:
-    """The one traversal: iterative Tarjan (1972) from each unvisited root.
+    """The one traversal of forward closures: iterative Tarjan (1972) from
+    each unvisited root.
 
     ``successors`` runs exactly once per state, and each edge is recorded as
     it is resolved; a tree edge when its child is discovered. An edge leaves
@@ -301,83 +261,115 @@ def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None,
     return _tarjan([tuple(start)], successors, cap, stop_at_foreign_sink)
 
 
-def state_space(graph: StateGraph, cap: int | None = None) -> Closure:
-    """The whole profile space, rooted at every profile code in order.
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
-    The pass walks profile codes over ``StateGraph.code_adjacency``, and
-    its states, components and sinks are those codes.
+
+def bitset_codes(bits: int) -> list[int]:
+    """The profile codes a bitset holds (bit k is code k), ascending."""
+    return list(compress(count(), bin(bits)[:1:-1].encode().translate(_DIGIT_BITS)))
+
+
+def move_unions(graph: StateGraph, cap: int | None = None) -> list[tuple[int, int]]:
+    """The whole state graph as ``(d·w_p, union)`` pairs, for each player p
+    with two or more strategies and each step d = b − a ≠ 0, both ascending:
+    the union is the bitset of the codes from which p moves from some a to
+    a + d, each to its code plus d·w_p. So a code's moves, read in list
+    order, are in canonical order. Memory: Σ_p 2(k_p − 1) unions of N/8
+    bytes for N profiles; above ``cap`` (default 2^26) profiles the pass
+    raises ``CapExceededError`` before it reads a row. The layer rule turns
+    p's layers (``SuccinctGame.code_layers``) into ``mask(a, b)``: on each
+    line of ``ProfileCodec.line_slices``, whether p may move from a to b.
     """
-    size = _space_size(graph, cap)
-    adjacency = graph.code_adjacency()
-
-    def successors(code: int) -> list[int]:
-        # the pass reads each list once and records its edges anew: release it
-        out, adjacency[code] = adjacency[code], None
-        return out
-
-    return _tarjan(range(size), successors)
-
-
-def _space_size(graph: StateGraph, cap: int | None) -> int:
-    """The number of profiles, refused above ``cap`` (default 2^26)."""
-    if cap is None:
-        cap = 2**26
-    size = graph.codec.num_profiles
+    codec = graph.codec
+    size, cap = codec.num_profiles, 2**26 if cap is None else cap
     if size > cap:
         raise CapExceededError(f"profile space has {size} states, above the cap of {cap}")
-    return size
-
-
-_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def backward_reach(graph: StateGraph, cap: int | None = None) -> tuple[int, int]:
-    """``(equilibria, stuck)``: the pure Nash equilibria and the profiles
-    that reach none, as bitsets over profile codes (bit k is code k).
-
-    A finite state graph has a sink of two or more profiles exactly when
-    some profile reaches no pure equilibrium. Such a profile's forward
-    closure holds a sink without an equilibrium, and a one-profile sink is
-    an equilibrium, since no move keeps the profile. Conversely, a sink of
-    two or more profiles holds no equilibrium and reaches nothing else. So
-    ``stuck != 0`` answers has-non-singleton, under either semantics.
-
-    For each player p and step d = b − a, one union bitset holds the codes
-    from which p moves from some a to a + d, read from
-    ``StateGraph.layer_masks``. Such a code k leads to k + d·w_p, so one
-    backward step is ``reach |= union & (reach >> d·w_p)`` (a left shift
-    for d < 0). The equilibria are the codes no union holds; ``reach``
-    starts there and grows to its fixpoint, and ``stuck`` is the rest.
-
-    Memory: Σ_p 2(k_p − 1) unions of N/8 bytes, for k_p strategies of
-    player p and N profiles. Time: rounds × that many big-int operations,
-    where the rounds are one per step of the largest distance to an
-    equilibrium and one that adds nothing: 13 at most on the seed-1
-    benchmark tables.
-    """
-    size = _space_size(graph, cap)
-    unions: list[tuple[int, int]] = []  # (d·w_p, union)
-    line_slices = graph.codec.line_slices
-    for player, weight, choices, mask in graph.layer_masks():
+    unions: list[tuple[int, int]] = []
+    for player, (weight, choices) in enumerate(zip(codec.place_weights, codec.strategy_counts)):
+        if choices == 1:
+            continue
+        mask = _TARGETS[graph.semantics][1](graph.game.code_layers(player))
         for d in chain(range(1 - choices, 0), range(1, choices)):
             bits = bytearray(size)  # one byte per code, in code order
             for a in range(max(0, -d), min(choices, choices - d)):
                 moves = bytes(mask(a, a + d))  # in line order: scatter to the codes
-                for codes, lines in line_slices(player, a):
+                for codes, lines in codec.line_slices(player, a):
                     bits[codes] = moves[lines]
             unions.append((d * weight, int(bits.translate(_BIT_DIGITS)[::-1], 2)))
-    everything = (1 << size) - 1
-    movers = 0
-    for _, union in unions:
-        movers |= union
-    equilibria = reach = everything ^ movers
+    return unions
+
+
+def _grow(moves: list[tuple[int, int]], reach: int, within: int) -> tuple[int, int]:
+    """``reach`` grown to its fixpoint inside ``within``, which holds it, and
+    the last frontier: the codes the last growing round added, else the
+    start. A round adds, for each ``(shift, union)`` of ``moves``, the codes
+    k of the union with k + shift in the frontier: the unions of
+    ``move_unions`` grow a reach backward, their targets forward."""
+    frontier = reach
     while True:
-        grown = reach
-        for shift, union in unions:
-            grown |= union & (reach >> shift if shift > 0 else reach << -shift)
-        if grown == reach:
-            return equilibria, everything ^ reach
-        reach = grown
+        new = 0
+        for shift, union in moves:
+            new |= union & (frontier >> shift if shift > 0 else frontier << -shift)
+        new &= within & ~reach
+        if not new:
+            return reach, frontier
+        reach |= new
+        frontier = new
+
+
+def _equilibria_and_stuck(unions: list[tuple[int, int]], size: int) -> tuple[int, int]:
+    everything = (1 << size) - 1
+    equilibria = everything ^ reduce(or_, (union for _, union in unions), 0)
+    return equilibria, everything ^ _grow(unions, equilibria, everything)[0]
+
+
+def backward_reach(graph: StateGraph, cap: int | None = None) -> tuple[int, int]:
+    """``(equilibria, stuck)`` over ``move_unions``: the pure Nash
+    equilibria, the codes no union holds, and the profiles that reach none,
+    as bitsets. A sink of two or more profiles holds no equilibrium and
+    reaches nothing else, and a profile that reaches no equilibrium reaches
+    such a sink, so ``stuck != 0`` answers has-non-singleton under either
+    semantics. The reach grows back from the equilibria, one round per step
+    of the largest distance to one: 13 at most on the seed-1 benchmark tables.
+    """
+    return _equilibria_and_stuck(move_unions(graph, cap), graph.codec.num_profiles)
+
+
+def space_sinks(graph: StateGraph, cap: int | None = None
+                ) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    r"""``(unions, sinks)``: the ``move_unions`` and every sink of the whole
+    state graph as its codes ascending, sinks by their lowest code.
+
+    The equilibria are the one-profile sinks; the others lie in R, the stuck
+    codes of ``backward_reach`` not yet settled, which no move leaves. A
+    round takes a pivot v in R, its forward reach F and backward reach B
+    within R; if F ⊆ B, F is a sink. B leaves R either way, and R stays
+    closed (Xie and Beerel, IEEE TCAD 19(10), 2000). The pivot is R's lowest
+    code, or after F ⊄ B, where every sink v reaches lies in F \ B, the
+    lowest code of F's last forward frontier outside B (Gentilini, Piazza
+    and Policriti, SODA 2003), else of F \ B.
+    """
+    unions = move_unions(graph, cap)
+    equilibria, rest = _equilibria_and_stuck(unions, graph.codec.num_profiles)
+    # each move's targets, which lead back to its sources by the shift
+    targets = [(-shift, union << shift if shift > 0 else union >> -shift)
+               for shift, union in unions]
+    found = [[k] for k in bitset_codes(equilibria)]
+    nearer = rest  # the next pivot is its lowest code
+    while rest:
+        pivot = nearer & -nearer
+        forward, frontier = _grow(targets, pivot, rest)
+        backward = _grow(unions, pivot, rest)[0]
+        rest ^= backward
+        beyond = forward & ~backward
+        if beyond:
+            nearer = frontier & ~backward or beyond
+        else:
+            found.append(bitset_codes(forward))
+            nearer = rest
+    found.sort()
+    return unions, found
 
 
 def _restricted(vertices: Sequence, successors: Callable[[object], Iterable]) -> Closure:
@@ -399,20 +391,16 @@ def bottom_sccs(vertices: Sequence, successors: Callable) -> list[list]:
     return _restricted(vertices, successors).sinks
 
 
-def sink_equilibria(closure: Closure) -> list[list[int]]:
-    """A full-space closure's sinks (profile codes), by the lowest code in each."""
-    return sorted(closure.sinks, key=min)
-
-
 def sinks(
     game: SuccinctGame,
     semantics: EdgeSemantics = EdgeSemantics.IMPROVEMENT,
     cap: int | None = None,
 ) -> list[frozenset[Profile]]:
     """All sink equilibria of the full state graph, each a set of profiles,
-    by their lowest code; at least one always exists."""
-    closure = state_space(StateGraph(game, semantics), cap)
-    return [frozenset(map(game.codec.decode, sink)) for sink in sink_equilibria(closure)]
+    by their lowest code (``space_sinks``); at least one always exists."""
+    decode = game.codec.decode
+    return [frozenset(map(decode, codes))
+            for codes in space_sinks(StateGraph(game, semantics), cap)[1]]
 
 
 def in_a_sink(

@@ -168,6 +168,59 @@ def bitset_bottom_sccs(num_vertices, successor_indices):
     return components, bottoms
 
 
+def code_successors(game, best_response=False):
+    """Every profile code's successor codes, in canonical order, from
+    ``successors_pointwise``: entry k lists the moves of ``decode(k)``."""
+    codec = game.codec
+    return [[codec.encode(w) for w, _ in successors_pointwise(game, codec.decode(k), best_response)]
+            for k in range(codec.num_profiles)]
+
+
+def kosaraju_bottom_sccs(successors):
+    """The bottom SCCs of the digraph whose vertex v has the successors
+    ``successors[v]``, as frozensets, by two depth-first passes (Kosaraju):
+    finish order on the graph, then components on the reversed graph in
+    reverse finish order. Linear time, for graphs too large for
+    ``bitset_bottom_sccs``."""
+    n = len(successors)
+    seen, finished = [False] * n, []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            v, targets = stack[-1]
+            for w in targets:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(successors[w])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    predecessors = [[] for _ in range(n)]
+    for v, targets in enumerate(successors):
+        for w in targets:
+            predecessors[w].append(v)
+    component = [None] * n
+    members = []
+    for root in reversed(finished):
+        if component[root] is not None:
+            continue
+        component[root] = len(members)
+        todo, found = [root], [root]
+        while todo:
+            for u in predecessors[todo.pop()]:
+                if component[u] is None:
+                    component[u] = len(members)
+                    todo.append(u)
+                    found.append(u)
+        members.append(found)
+    return [frozenset(m) for c, m in enumerate(members)
+            if all(component[w] == c for v in m for w in successors[v])]
+
+
 def brute_force_satisfiable(formula):
     for bits in itertools.product([False, True], repeat=formula.num_vars):
         if formula.evaluate(dict(zip(range(1, formula.num_vars + 1), bits))):

@@ -1,17 +1,17 @@
-"""The full-space pass walks profile codes and gives the tuple walk's Closure.
+"""The full-space engine's move unions hold exactly the pointwise moves.
 
-``state_space`` runs Tarjan over the codes 0 … num_profiles−1, with each
-code's successors from ``StateGraph.code_adjacency`` (each player's layers
-from the game's ``code_layers``, moves found by the layer rule), and
-returns that Closure over codes.
-Here it is compared, field by field, with a naive pass over tuple profiles
-in code order, expanded through ``_oracles.successors_pointwise`` (the
-definition, on ``game.utility``), its profiles mapped through
-``ProfileCodec.encode``. The games are hypothesis-random table, congestion,
-anonymous, market and valid-utility games under both semantics: tables
-with payoffs in {0, 1}, whose ties make best response differ from
-improvement, a player with one strategy, and games with a single profile
-among them. On the same games the row oracle
+``move_unions`` gives, for each player and step, a bitset of the codes
+from which the player moves by that step (each player's layers from the
+game's ``code_layers``, moves found by the layer rule). Read per code in
+list order, the unions must give every code's successor codes in
+canonical order, equal to ``_oracles.code_successors`` (the definition,
+``successors_pointwise`` on ``game.utility``, in code order), and
+``space_sinks`` must give the bottom SCCs of that oracle graph
+(``_oracles.bitset_bottom_sccs``) by their lowest code. The games are
+hypothesis-random table, congestion, anonymous, market and valid-utility
+games under both semantics: tables with payoffs in {0, 1}, whose ties make
+best response differ from improvement, a player with one strategy, and
+games with a single profile among them. On the same games the row oracle
 (``_oracles.successors_by_rows``), the reference of the compiled-gadget
 tests, is checked against the pointwise one. A table's layers, slices of
 its tables (``ProfileCodec.layer``), are checked against the default hook's
@@ -24,10 +24,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sinkeq.dynamics import EdgeSemantics, StateGraph, _tarjan, state_space
+from sinkeq.dynamics import EdgeSemantics, StateGraph, move_unions, space_sinks
 from sinkeq.games import SuccinctGame, TableGame
 
-from _oracles import successors_by_rows, successors_pointwise
+from _oracles import bitset_bottom_sccs, code_successors, successors_by_rows, successors_pointwise
 from test_eval_once import random_anonymous, random_congestion, random_market
 from test_valid_utility_dynamics import random_coverage
 
@@ -57,30 +57,26 @@ RANDOM_GAMES = {
 }
 
 
-def tuple_walk(game, semantics):
-    """Every profile in code order as a root, expanded as tuples."""
-    codec = game.codec
-    profiles = [codec.decode(k) for k in range(codec.num_profiles)]
-    best_response = semantics is EdgeSemantics.BEST_RESPONSE
-    return _tarjan(profiles,
-                   lambda v: [w for w, _ in successors_pointwise(game, v, best_response)])
+def read_unions(unions, size):
+    """Every code's successor codes, read bit by bit from the unions in
+    list order."""
+    return [[k + shift for shift, union in unions if union >> k & 1] for k in range(size)]
 
 
 @pytest.mark.parametrize("kind", sorted(RANDOM_GAMES))
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
-def test_code_walk_matches_the_tuple_walk(kind, seed):
+def test_move_unions_hold_the_pointwise_moves(kind, seed):
     game = RANDOM_GAMES[kind](random.Random(seed))
+    size = game.codec.num_profiles
     for semantics in EdgeSemantics:
-        walked, naive = state_space(StateGraph(game, semantics)), tuple_walk(game, semantics)
-        encode = game.codec.encode
-        assert walked.exhausted and naive.exhausted
-        assert walked.states == list(map(encode, naive.states))
-        assert walked.index == {encode(v): k for v, k in naive.index.items()}
-        assert walked.successors == naive.successors
-        assert walked.components == [list(map(encode, c)) for c in naive.components]
-        assert walked.sinks == [list(map(encode, c)) for c in naive.sinks]
-        assert walked.edges == naive.edges
+        graph = StateGraph(game, semantics)
+        adjacency = code_successors(game, semantics is EdgeSemantics.BEST_RESPONSE)
+        assert read_unions(move_unions(graph), size) == adjacency
+        _, bottoms = bitset_bottom_sccs(size, adjacency.__getitem__)
+        unions, found = space_sinks(graph)
+        assert found == sorted(map(sorted, bottoms))
+        assert sum(union.bit_count() for _, union in unions) == sum(map(len, adjacency))
 
 
 @pytest.mark.parametrize("kind", sorted(RANDOM_GAMES))
@@ -92,31 +88,6 @@ def test_the_row_oracle_matches_the_pointwise_oracle(kind, seed):
         for profile in game.codec.all_profiles():
             assert (successors_by_rows(game, profile, best_response)
                     == successors_pointwise(game, profile, best_response))
-
-
-def test_the_pass_releases_each_successor_list_once_read(monkeypatch):
-    game = TableGame.random(random.Random(3), max_players=4, max_profiles=96)
-    built = []
-    adjacency = StateGraph.code_adjacency
-
-    def keep(graph):
-        built.append(adjacency(graph))
-        return built[-1]
-
-    monkeypatch.setattr(StateGraph, "code_adjacency", keep)
-    closure = state_space(StateGraph(game))
-    assert closure.edges > 0
-    assert built[0] == [None] * game.codec.num_profiles
-
-
-def test_successor_lists_share_one_object_per_code():
-    rng = random.Random(1)
-    game = TableGame((3,) * 8, [[rng.randint(0, 9) for _ in range(3 ** 8)] for _ in range(8)])
-    seen: dict[int, int] = {}
-    for out in StateGraph(game).code_adjacency():
-        for code in out:
-            assert seen.setdefault(code, code) is code
-    assert len(seen) > 256  # above the interpreter's cached small ints
 
 
 @settings(max_examples=80, deadline=None)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sinkeq.dot import export_dot
+from sinkeq.dot import export_space_dot
 from sinkeq.dynamics import (
     EdgeSemantics,
     FirstImprover,
@@ -21,7 +21,7 @@ from sinkeq.dynamics import (
     sccs,
     simulate_walk,
     sinks,
-    state_space,
+    space_sinks,
 )
 from sinkeq.cnf import CnfFormula
 from sinkeq.compilers import (
@@ -383,8 +383,7 @@ def test_potential_descends_along_every_improvement_edge():
 
 def test_dot_export_golden():
     mp = matching_pennies()
-    closure = state_space(StateGraph(mp))
-    dot = export_dot(closure, mp.codec)
+    dot = export_space_dot(*space_sinks(StateGraph(mp)), mp.codec)
     assert dot == (
         "digraph state_graph {\n"
         '  n0 [label="0" shape=doublecircle];\n'

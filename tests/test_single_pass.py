@@ -3,21 +3,22 @@
 Forward closures call ``StateGraph.improving_moves`` once for every state
 they explore, counted per profile while a question runs, and so do
 ``export-dot --from`` and ``closures_isomorphic``, which read the successor
-lists the pass records. The full-space walk
-(``StateGraph.code_adjacency``) expands no single state: it takes each
-player's layers from the game's ``code_layers`` once, and so do CLI
-``has-non-singleton`` and ``has_non_singleton_sink``, which build no
-successor list and run no Tarjan pass. A table game's layers are slices of
-its tables, so those passes call ``TableGame._row`` zero times; the default
-hook, counted through ``CongestionGame.deviation_utilities``, reads each
-player's row once per line of profiles that differ only in that player's
-strategy, at the line's base. Recorded successor lists are
-checked against the row oracle's (``_oracles.successors_by_rows``). The
-CLI's ``edges`` and ``scc_count`` are checked against a plain successor sum
-and the bitset oracle, and so are the components and sinks the one pass
-finds on random digraphs. In-sink
-stops at the first sink without its start: that answer is checked against
-the whole closure's, and that sink against the oracle.
+lists the pass records. The full-space questions expand no single state
+and run no Tarjan pass: ``sinks``, ``has-non-singleton`` and full-space
+``export-dot`` answer from the bitsets of ``dynamics.move_unions``, which
+takes each player's layers from the game's ``code_layers`` once, and
+has-non-singleton runs no sink search. A table game's layers are slices
+of its tables, so those passes call ``TableGame._row`` zero times; the
+default hook, counted through ``CongestionGame.deviation_utilities``, reads
+each player's row once per line of profiles that differ only in that
+player's strategy, at the line's base. Recorded successor lists, and the
+moves the unions hold, are checked against the row oracle's
+(``_oracles.successors_by_rows``). The CLI's ``edges`` are checked against
+a plain successor sum, its in-sink ``scc_count`` and its sink sizes against
+the bitset oracle, and so are the components and sinks the one pass finds
+on random digraphs. In-sink stops at the first sink without its start:
+that answer is checked against the whole closure's, and that sink against
+the oracle.
 """
 
 import io
@@ -27,7 +28,7 @@ from collections import Counter, deque
 
 import pytest
 
-from sinkeq import dynamics
+from sinkeq import cli, dynamics
 from sinkeq.cli import run_cli
 from sinkeq.compilers import common as compilers_common
 from sinkeq.compilers import (
@@ -48,18 +49,20 @@ from sinkeq.dynamics import (
     has_non_singleton_sink,
     has_singleton_sink,
     in_a_sink,
+    move_unions,
     sccs,
     simulate_walk,
     sinks,
-    state_space,
+    space_sinks,
 )
-from sinkeq.dot import export_dot
+from sinkeq.dot import export_space_dot
 from sinkeq.errors import CapExceededError
 from sinkeq.games import CongestionGame, TableGame
 from sinkeq.io import serialize_game, serialize_sidecar
 from sinkeq.profiles import ProfileCodec
 
 from _oracles import bitset_bottom_sccs, successors_by_rows
+from test_code_walk import read_unions
 
 
 def oracle_successors(graph, profile):
@@ -258,7 +261,7 @@ def test_full_space_questions_encode_no_profile(table_4_6, tmp_path, monkeypatch
     for name in ("encode", "decode", "all_profiles"):
         counted(name)
     assert sinks(table_4_6) and has_singleton_sink(table_4_6)
-    assert export_dot(state_space(StateGraph(table_4_6)), table_4_6.codec)
+    assert export_space_dot(*space_sinks(StateGraph(table_4_6)), table_4_6.codec)
     assert calls["encode"] == 0
     # the CLI's sinks reads sink sizes from the codes, has-non-singleton counts bits:
     # nothing is decoded
@@ -275,9 +278,10 @@ def test_full_space_questions_encode_no_profile(table_4_6, tmp_path, monkeypatch
 def test_has_non_singleton_reads_each_row_once_and_builds_no_graph(
         table_4_6, tmp_path, rows, layers, monkeypatch, semantics):
     def refused(*args):
-        raise AssertionError("has-non-singleton built successor lists or ran Tarjan")
+        raise AssertionError("has-non-singleton searched for sinks or ran Tarjan")
 
-    monkeypatch.setattr(StateGraph, "code_adjacency", refused)
+    for module in (dynamics, cli):
+        monkeypatch.setattr(module, "space_sinks", refused)
     monkeypatch.setattr(dynamics, "_tarjan", refused)
     game_path = tmp_path / "t.json"
     game_path.write_text(serialize_game(table_4_6))
@@ -335,7 +339,8 @@ def test_cli_stats_match_an_independent_count(tmp_path):
         game_path = tmp_path / f"g{k}.json"
         game_path.write_text(serialize_game(game))
         doc = cli_json(["sinks", str(game_path)])
-        assert doc["stats"]["scc_count"] == len(components)
+        assert doc["stats"]["scc_count"] is None
+        assert doc["extra"]["sink_sizes"] == [len(b) for b in sorted(bottoms, key=min)]
         assert doc["stats"]["edges"] == sum(
             len(oracle_successors(graph, p)) for p in codec.all_profiles()
         )
@@ -455,11 +460,10 @@ def test_recorded_successors_match_a_fresh_expansion(gadget):
             start = codec.decode(rng.randrange(codec.num_profiles))
             closure = forward_closure(graph, start)
             assert closure.successors == fresh_successors(closure, graph)
-            # the full-space closure's states are profile codes
-            closure = state_space(graph)
-            assert closure.successors == [
-                [closure.index[codec.encode(w)] for w, _ in oracle_successors(graph, codec.decode(v))]
-                for v in closure.states]
+            # the move unions, read per code in list order, hold every move
+            assert read_unions(move_unions(graph), codec.num_profiles) == [
+                [codec.encode(w) for w, _ in oracle_successors(graph, codec.decode(k))]
+                for k in range(codec.num_profiles)]
     graph = StateGraph(gadget.game)
     closure = forward_closure(graph, gadget.initial)
     assert closure.successors == fresh_successors(closure, graph)
