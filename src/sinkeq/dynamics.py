@@ -53,6 +53,8 @@ def _best_responses(current: int, devs: Sequence[int]) -> list:
 
 
 def _best_response_layers(layers: Sequence[Sequence[int]]) -> Callable:
+    if len(layers) == 2:  # the one other strategy is the best when it improves
+        return _improvement_layers(layers)
     best = list(map(max, *layers))
     tops = [list(map(eq, layer, best)) for layer in layers]
     below = [list(map(lt, layer, best)) for layer in layers]

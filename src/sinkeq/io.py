@@ -5,12 +5,17 @@ sorted index arrays and delay tables as sorted [load, delay] pairs, so
 parse -> serialize -> parse is bit-exact. Every number in a document is a
 JSON integer and every name a JSON string: anything else where a number or a
 name belongs is a ``FormatError`` naming its path.
+
+Numbers and names are checked in bulk, one type pass over many entries at a
+time. A document is walked entry by entry only when a bulk check refuses
+it, to name the first bad entry in document order.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, islice, product
+from operator import itemgetter
 from typing import Any
 
 from .compilers.common import CompiledReduction, SymbolTable
@@ -68,6 +73,7 @@ def _str(value, path: str) -> str:
 
 
 _ONLY_INT, _ONLY_LIST = frozenset({int}), frozenset({list})
+_ONLY_STR, _ONLY_DICT = frozenset({str}), frozenset({dict})
 
 
 def _array_of(check, kind: type, value, path: str) -> list:
@@ -122,10 +128,7 @@ def game_from_json(doc: dict) -> SuccinctGame:
     tag = _need(doc, "class", "$")
     try:
         if tag == "table":
-            return TableGame(
-                _ints(_need(doc, "strategy_counts", "$"), "$.strategy_counts"),
-                _int_rows(_need(doc, "tables", "$"), "$.tables"),
-            )
+            return _table_from_json(doc)
         if tag == "congestion":
             return _congestion_from_json(doc)
         if tag == "anonymous":
@@ -137,6 +140,20 @@ def game_from_json(doc: dict) -> SuccinctGame:
     except ConfigurationError as exc:
         raise FormatError(str(exc), f"$.{tag}") from None
     raise FormatError(f"unknown game class {tag!r}", "$.class")
+
+
+def _table_from_json(doc: dict) -> TableGame:
+    counts = _ints(_need(doc, "strategy_counts", "$"), "$.strategy_counts")
+    tables = _need(doc, "tables", "$")
+    if type(tables) is not list or not set(map(type, tables)) <= _ONLY_LIST:
+        _int_rows(tables, "$.tables")  # raises, naming the first bad entry
+    # the constructor's pass is the one check of every entry; the tables are
+    # walked only to name a bad entry before a fault the constructor found
+    try:
+        return TableGame(counts, tables)
+    except ConfigurationError:
+        _int_rows(tables, "$.tables")
+        raise
 
 
 def _write(doc: dict) -> str:
@@ -327,6 +344,37 @@ def _market_to_json(game: TwoSidedMarketGame) -> dict:
 
 
 def _market_from_json(doc: dict) -> TwoSidedMarketGame:
+    # every name and number in bulk passes; any fault sends the document to
+    # the walk that names it
+    passive, active = doc.get("passive"), doc.get("active")
+    if not (type(passive) is list and type(active) is list
+            and set(map(type, chain(passive, active))) <= _ONLY_DICT):
+        return _market_by_agent(doc)
+    try:
+        names = list(map(itemgetter("name"), chain(passive, active)))
+        values = list(map(itemgetter("value"), passive))
+        preferences = list(map(itemgetter("preference"), passive))
+        strategies = list(map(itemgetter("strategies"), active))
+    except KeyError:
+        return _market_by_agent(doc)
+    # every strategy entry is checked in its list: 0, 0.0 and True are one set key
+    rows = (list(chain.from_iterable(strategies))
+            if set(map(type, strategies)) <= _ONLY_LIST else None)
+    if not (set(map(type, names)) <= _ONLY_STR and set(map(type, values)) <= _ONLY_INT
+            and set(map(type, preferences)) <= _ONLY_LIST
+            and set(map(type, chain.from_iterable(preferences))) <= _ONLY_INT
+            and rows is not None and set(map(type, rows)) <= _ONLY_LIST
+            and set(map(type, chain.from_iterable(rows))) <= _ONLY_INT):
+        return _market_by_agent(doc)
+    n = len(passive)
+    return TwoSidedMarketGame(
+        list(map(PassiveAgent, names[:n], values, map(tuple, preferences))),
+        list(map(ActiveAgent, names[n:], [tuple(map(frozenset, per)) for per in strategies])),
+    )
+
+
+def _market_by_agent(doc: dict) -> TwoSidedMarketGame:
+    """The market walked agent by agent: the first fault in document order is named."""
     passive = []
     for k, raw in enumerate(_as_list(_need(doc, "passive", "$"), "$.passive")):
         path = f"$.passive[{k}]"

@@ -113,14 +113,12 @@ def _pool_corpus(pool: str, workdir: Path) -> list[dict]:
 
 def _leaves(doc, at=()):
     """The path of every scalar and empty container in ``doc``, in document order."""
-    children = (doc.items() if isinstance(doc, dict)
-                else enumerate(doc) if isinstance(doc, list) else ())
-    found = False
-    for key, value in children:
-        found = True
-        yield from _leaves(value, (*at, key))
-    if not found:
+    children = (list(doc.items()) if isinstance(doc, dict)
+                else list(enumerate(doc)) if isinstance(doc, list) else [])
+    if not children:
         yield list(at)
+    for key, value in children:
+        yield from _leaves(value, (*at, key))
 
 
 def _replaced(doc, at: list, value):

@@ -15,7 +15,8 @@ games with a single profile among them. On the same games the row oracle
 (``_oracles.successors_by_rows``), the reference of the compiled-gadget
 tests, is checked against the pointwise one. A table's layers, slices of
 its tables (``ProfileCodec.layer``), are checked against the default hook's
-per-line read on random tables.
+per-line read on random tables. On two-strategy players the best-response
+layer rule is the improvement rule, and both agree with the per-row rules.
 """
 
 import math
@@ -24,7 +25,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sinkeq.dynamics import EdgeSemantics, StateGraph, move_unions, space_sinks
+from sinkeq.dynamics import (
+    EdgeSemantics, StateGraph, _best_response_layers, _best_responses, _improvement_layers,
+    _improvements, move_unions, space_sinks,
+)
 from sinkeq.games import SuccinctGame, TableGame
 
 from _oracles import bitset_bottom_sccs, code_successors, successors_by_rows, successors_pointwise
@@ -107,3 +111,18 @@ def test_table_layers_are_the_per_line_read(counts, seed):
                 k for k in range(size) if k // weight % count == s]
             # the layout with fewer slices: w strided, or one block per line group
             assert len(codec.line_slices(p, s)) == min(weight, lines // weight)
+
+
+@settings(max_examples=80, deadline=None)
+@given(layers=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=12)
+       .flatmap(lambda first: st.tuples(st.just(first), st.lists(
+           st.integers(min_value=0, max_value=2), min_size=len(first), max_size=len(first)))))
+def test_two_strategy_best_response_masks_are_improvement_masks(layers):
+    # with one other strategy, a best-response move is exactly an improving move
+    best, better = _best_response_layers(layers), _improvement_layers(layers)
+    rows = list(zip(*layers))
+    for a, b in ((0, 1), (1, 0)):
+        mask = list(best(a, b))
+        assert mask == list(better(a, b))
+        assert mask == [b in _best_responses(a, row) for row in rows]
+        assert mask == [b in _improvements(a, row) for row in rows]

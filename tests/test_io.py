@@ -1,6 +1,8 @@
 import io
 import json
+import random
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,15 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinkeq import io as gameio
 from sinkeq.cli import run_cli
 from sinkeq.cnf import CnfFormula, parse_dimacs
 from sinkeq.compilers import compile_sat_market, compile_tm_weighted
 from sinkeq.dynamics import has_singleton_sink
 from sinkeq.errors import ConfigurationError, FormatError, SinkeqError, SymbolError
 from sinkeq.games import (
+    ActiveAgent,
     AnonymousGame,
     AnonymousPlayer,
     CongestionGame,
+    PassiveAgent,
+    TableGame,
+    TwoSidedMarketGame,
     ValidUtilityInstance,
     count_ge,
     coverage_instance,
@@ -685,3 +692,58 @@ def test_in_sink_answers_alike_on_old_layout_gadgets(tmp_path, flipper, kind):
         del answer["stats"]["wall_ms"]
         answers.append(answer)
     assert answers[0] == answers[1]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Calls of the loaders' entry-by-entry walks, by name."""
+    calls = Counter()
+    for name in ("_int_rows", "_market_by_agent"):
+        def counting(*args, _real=getattr(gameio, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(gameio, name, counting)
+    return calls
+
+
+VALID = {
+    "table": serialize_game(TableGame.random(random.Random(7), max_players=4)),
+    "market": serialize_game(compile_sat_market(
+        CnfFormula(3, ((1, -2, 3), (-1, 2, 2), (-3, -3, 1)))).game),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALID))
+def test_a_valid_document_is_checked_without_a_walk(walks, kind):
+    assert serialize_game(parse_game_file(VALID[kind])) == VALID[kind]
+    assert not walks
+
+
+@pytest.mark.parametrize("text, path, walked", [
+    ('{"class": "table", "strategy_counts": [2], "tables": [[0, 2.5]]}',
+     "$.tables[0][1]", {"_int_rows": 1}),
+    (json.dumps({"class": "market", "passive": [{"name": "y", "value": 1, "preference": [0]}],
+                 "active": [{"name": "x", "strategies": [[], [0, 0.0]]}]}),
+     "$.active[0].strategies[1][1]", {"_market_by_agent": 1, "_int_rows": 1}),
+], ids=["table", "market"])
+def test_a_hostile_document_is_walked_to_name_its_fault(walks, text, path, walked):
+    with pytest.raises(FormatError) as info:
+        parse_game_file(text)
+    assert info.value.path == path
+    assert walks == walked
+
+
+def test_constructors_refuse_a_number_that_is_not_an_int():
+    with pytest.raises(ConfigurationError, match=r"^player 0: table entry 1 is 1\.0, not an integer$"):
+        TableGame([2], [[0, 1.0]])
+    passive = PassiveAgent("y", 1, (0,))
+    active = ActiveAgent("x", (frozenset(), frozenset({0})))
+    for agents, message in [
+        (([replace(passive, value=2.5)], [active]), r"^passive agent y: value is 2\.5, not an integer$"),
+        (([replace(passive, preference=(True,))], [active]),
+         r"^passive agent y: preference entry 0 is True, not an integer$"),
+        (([passive], [replace(active, strategies=(frozenset({0.5}),))]),
+         r"^agent x: passive index is 0\.5, not an integer$"),
+    ]:
+        with pytest.raises(ConfigurationError, match=message):
+            TwoSidedMarketGame(*agents)
