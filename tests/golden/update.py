@@ -18,10 +18,13 @@ reduced to its file name, the exit code and the parsed ``--format json``
 output without ``stats.wall_ms``. A compile step's entry keeps the argv, the
 exit code and the SHA-256 of the game document and of its sidecar.
 
-Refusals. ``refusals.json`` holds what ``parse_game_file`` makes of hostile
-game documents: a small table and a compiled ``sat2market`` market with
-every leaf (a scalar or an empty container) replaced in turn by each of
-``VALUES``, and named documents that set traps: numbers equal to an
+Refusals. ``refusals.json`` holds what the loaders make of hostile
+documents. Each base document has every leaf (a scalar or an empty
+container) replaced in turn by each of ``VALUES``: a small table, a
+compiled ``sat2market`` market, a shared-mode weighted and a
+player-specific congestion game (``parse_game_file``), a machine
+(``parse_tm_file``) and a sidecar (``parse_sidecar``, against the
+prisoner's dilemma). Named game documents set traps: numbers equal to an
 integer but of another type, and several faults in one document. A result
 is ``"ok"`` or the ``[path, text]`` of the ``FormatError``.
 
@@ -133,13 +136,39 @@ def _replaced(doc, at: list, value):
 def refusal_bases() -> dict[str, dict]:
     from sinkeq.cnf import CnfFormula
     from sinkeq.compilers import compile_sat_market
-    from sinkeq.io import game_to_json
+    from sinkeq.games import CongestionGame
+    from sinkeq.io import game_to_json, serialize_tm
+    from sinkeq.turing import TMSpec
 
+    machine = TMSpec(num_states=2, q0=0, q_halt=1, t_prime=2, delta={
+        (0, "b"): (1, "1", "R"), (0, "0"): (0, "1", "L"), (0, "1"): (1, "b", "S")},
+        state_names=("run", "halt"))
     return {
         "table": {"class": "table", "strategy_counts": [2, 2],
                   "tables": [[2, 3, 0, 1], [2, 0, 3, 1]]},
         "market": game_to_json(compile_sat_market(CnfFormula(1, ((1, 1, 1),))).game),
+        "congestion-weighted": game_to_json(CongestionGame(
+            ["e", "f"], [[[0], [1]], [[0]]], [{1: 1, 2: 2, 3: 4}, {1: 3}], weights=[1, 2])),
+        "congestion-player-specific": game_to_json(CongestionGame(
+            ["e"], [[[0], []], [[0]]], [[{1: 1, 2: 3}, {1: 2, 2: 5}]],
+            mode="player_specific")),
+        "machine": json.loads(serialize_tm(machine)),
+        "sidecar": {"players": {"row": 0, "col": 1},
+                    "strategies": {"row": {"C": 0, "D": 1}, "col": {"C": 0}},
+                    "initial": [1, 0], "penalty": 4, "market_base": None, "machine": None},
     }
+
+
+def _loader(base: str):
+    """The function that reads the text of a ``base`` document."""
+    from sinkeq.games import prisoners_dilemma
+    from sinkeq.io import parse_game_file, parse_sidecar, parse_tm_file
+
+    if base == "machine":
+        return parse_tm_file
+    if base == "sidecar":
+        return lambda text: parse_sidecar(text, prisoners_dilemma())
+    return parse_game_file
 
 
 def _market(strategies, passive=None, name="x") -> dict:
@@ -193,13 +222,13 @@ TRAPS = {
 }
 
 
-def refusal(doc) -> str | list[str]:
-    """``"ok"``, or the path and text of the ``FormatError`` that ``doc`` raises."""
+def refusal(doc, base: str = "game") -> str | list[str]:
+    """``"ok"``, or the path and text of the ``FormatError`` that ``doc``,
+    read as a ``base`` document, raises."""
     from sinkeq.errors import FormatError
-    from sinkeq.io import parse_game_file
 
     try:
-        parse_game_file(json.dumps(doc))
+        _loader(base)(json.dumps(doc))
     except FormatError as exc:
         return [exc.path, str(exc)]
     return "ok"
@@ -210,7 +239,7 @@ def refusal_corpus() -> list[dict]:
     for base, doc in rows[0]["bases"].items():
         for at in _leaves(doc):
             rows.append({"base": base, "at": at,
-                         "results": [refusal(_replaced(doc, at, v)) for v in VALUES]})
+                         "results": [refusal(_replaced(doc, at, v), base) for v in VALUES]})
     for name, doc in TRAPS.items():
         rows.append({"name": name, "document": doc, "result": refusal(doc)})
     return rows
