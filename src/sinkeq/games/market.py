@@ -47,21 +47,24 @@ class TwoSidedMarketGame(SuccinctGame):
             for a in self.active:
                 exact_ints(chain.from_iterable(a.strategies),
                            lambda k: f"agent {a.name}: passive index")
-        n_passive = len(self.passive)
-        for agent in self.active:
-            if not agent.strategies:
-                raise ConfigurationError(f"agent {agent.name}: no strategies")
-            for s_idx, strat in enumerate(agent.strategies):
-                for y in strat:
-                    if not 0 <= y < n_passive:
-                        raise ConfigurationError(
-                            f"agent {agent.name} strategy {s_idx}: passive index "
-                            f"{y} out of range"
-                        )
         # a strategy's value reads exactly the passive agents it demands
-        strategies = tuple(a.strategies for a in self.active)
+        strategies = tuple(map(attrgetter("strategies"), self.active))
         self._footprint = (strategies, strategies)
+        # a range test over the passive agents some strategy demands; the
+        # agents are walked only to name the first fault
         demanders = self._entry_readers()
+        if not (all(strategies) and min(demanders, default=0) >= 0
+                and max(demanders, default=-1) < len(self.passive)):
+            for agent in self.active:
+                if not agent.strategies:
+                    raise ConfigurationError(f"agent {agent.name}: no strategies")
+                for s_idx, strat in enumerate(agent.strategies):
+                    for y in strat:
+                        if not 0 <= y < len(self.passive):
+                            raise ConfigurationError(
+                                f"agent {agent.name} strategy {s_idx}: passive index "
+                                f"{y} out of range"
+                            )
         for y, p in enumerate(self.passive):
             if p.value <= 0:
                 raise ConfigurationError(f"passive agent {p.name}: value not positive")
@@ -77,7 +80,7 @@ class TwoSidedMarketGame(SuccinctGame):
         self._rank = tuple(
             {x: r for r, x in enumerate(p.preference)} for p in self.passive
         )
-        self.strategy_counts = tuple(len(a.strategies) for a in self.active)
+        self.strategy_counts = tuple(map(len, strategies))
         self.codec = ProfileCodec(self.strategy_counts)
 
     def _aggregate(self, profile: Profile):

@@ -6,9 +6,16 @@ parse -> serialize -> parse is bit-exact. Every number in a document is a
 JSON integer and every name a JSON string: anything else where a number or a
 name belongs is a ``FormatError`` naming its path.
 
-Numbers and names are checked in bulk, one type pass over many entries at a
-time. A document is walked entry by entry only when a bulk check refuses
-it, to name the first bad entry in document order.
+Each document's shape is written once, as data: ``int`` or ``str`` (a JSON
+integer or string), ``list`` (an array of anything), ``[shape]`` (an array
+whose entries have that shape), or a tuple of ``(key, shape)`` pairs (an
+object with those keys, checked in that order). Two interpreters read a
+shape. ``_fits`` checks documents in bulk, one C-level type pass per level,
+and hands the loader the column of each key. ``_walk`` runs only when that
+check refuses a document: it goes entry by entry and names the first bad
+entry in document order. Delay tables, predicates, ground-set elements and
+symbol indices keep parsers of their own, and every constructor still
+checks what it is given.
 """
 
 from __future__ import annotations
@@ -36,16 +43,23 @@ from .games.base import exact_ints
 from .games.valid_utility import _powerset
 from .turing import TMSpec
 
+_TABLE = (("strategy_counts", [int]), ("tables", [[int]]))
+_MARKET = (
+    ("passive", [(("name", str), ("value", int), ("preference", [int]))]),
+    ("active", [(("strategies", [[int]]), ("name", str))]),
+)
+# the strategies are named an array before the resources are checked, and
+# their entries after: the order in which a document's faults are named
+_CONGESTION = (("strategies", list), ("resources", [str]), ("strategies", [[[int]]]))
+_RULE = (("state", int), ("read", str), ("next", int), ("write", str), ("move", str))
+_MACHINE = (("delta", [_RULE]), ("states", int), ("q0", int), ("q_halt", int),
+            ("t_prime", int))
+
 
 def _need(doc: dict, key: str, path: str) -> Any:
     if key not in doc:
         raise FormatError(f"missing key {key!r}", path)
     return doc[key]
-
-
-def _field(doc: dict, key: str, path: str, check) -> Any:
-    """``doc[key]`` passed through ``check`` at the path of the entry."""
-    return check(_need(doc, key, path), f"{path}.{key}")
 
 
 def _as_dict(value, path: str) -> dict:
@@ -72,26 +86,59 @@ def _str(value, path: str) -> str:
     return value
 
 
-_ONLY_INT, _ONLY_LIST = frozenset({int}), frozenset({list})
-_ONLY_STR, _ONLY_DICT = frozenset({str}), frozenset({dict})
+_ONLY_INT, _ONLY_LIST, _ONLY_DICT = frozenset({int}), frozenset({list}), frozenset({dict})
+_LEAF_CHECKS = {int: _int, str: _str, list: _as_list}
 
 
-def _array_of(check, kind: type, value, path: str) -> list:
-    """An array whose entries are all of ``kind``, checked in one pass; the
-    error is ``check``'s, naming the first bad entry."""
-    values = _as_list(value, path)
-    if not set(map(type, values)) <= {kind}:
-        k = next(k for k, v in enumerate(values) if type(v) is not kind)
-        check(values[k], f"{path}[{k}]")
-    return values
+def _fits(values: list, shape, columns: dict, scalars: bool = True, at: tuple = ()) -> bool:
+    """Whether every one of ``values`` has ``shape``, checked with one
+    C-level type pass per level. The column of each object key goes into
+    ``columns`` under its path of keys, such as ``("passive", "name")``.
+    With ``scalars`` false an array of integers or strings is checked as an
+    array only, its entries left to a constructor that checks them itself."""
+    if type(shape) is tuple:
+        if not set(map(type, values)) <= _ONLY_DICT:
+            return False
+        for key, entry in shape:
+            path = (*at, key)
+            try:
+                column = columns[path] = list(map(itemgetter(key), values))
+            except KeyError:
+                return False
+            if not _fits(column, entry, columns, scalars, path):
+                return False
+        return True
+    if type(shape) is not list:  # an integer, a string or an array of anything
+        return set(map(type, values)) <= {shape}
+    if not set(map(type, values)) <= _ONLY_LIST:
+        return False
+    entry = shape[0]
+    if isinstance(entry, type):  # the last level, checked without a list of its entries
+        return ((not scalars and entry is not list)
+                or set(map(type, chain.from_iterable(values))) <= {entry})
+    return _fits(list(chain.from_iterable(values)), entry, columns, scalars, at)
 
 
-def _ints(value, path: str) -> list[int]:
-    return _array_of(_int, int, value, path)
+def _walk(value, shape, path: str) -> None:
+    """Raise the ``FormatError`` of the first entry of ``value``, in
+    document order, that does not have ``shape``."""
+    if type(shape) is tuple:
+        _as_dict(value, path)
+        for key, entry in shape:
+            _walk(_need(value, key, path), entry, f"{path}.{key}")
+    elif type(shape) is list:
+        for k, item in enumerate(_as_list(value, path)):
+            _walk(item, shape[0], f"{path}[{k}]")
+    else:
+        _LEAF_CHECKS[shape](value, path)
 
 
-def _strs(value, path: str) -> list[str]:
-    return _array_of(_str, str, value, path)
+def _check(value, shape, path: str, scalars: bool = True):
+    """``value``, which must have ``shape``: checked in bulk, and walked to
+    name its first bad entry only when the bulk check refuses it."""
+    if not _fits([value], shape, {}, scalars):
+        _walk(value, shape, path)
+    return value
 
 
 def _load_json(text: str | bytes) -> dict:
@@ -104,16 +151,6 @@ def _load_json(text: str | bytes) -> dict:
         raise FormatError(f"not valid JSON: {exc}", "$") from None
     except RecursionError:
         raise FormatError("document nested too deeply", "$") from None
-
-
-def _int_rows(value, path: str) -> list[list[int]]:
-    """An array of integer arrays, checked in one pass over its entries."""
-    rows = _as_list(value, path)
-    if not (set(map(type, rows)) <= _ONLY_LIST
-            and set(map(type, chain.from_iterable(rows))) <= _ONLY_INT):
-        for k, row in enumerate(rows):
-            _ints(row, f"{path}[{k}]")
-    return rows
 
 
 def parse_game_file(text: str | bytes) -> SuccinctGame:
@@ -143,16 +180,13 @@ def game_from_json(doc: dict) -> SuccinctGame:
 
 
 def _table_from_json(doc: dict) -> TableGame:
-    counts = _ints(_need(doc, "strategy_counts", "$"), "$.strategy_counts")
-    tables = _need(doc, "tables", "$")
-    if type(tables) is not list or not set(map(type, tables)) <= _ONLY_LIST:
-        _int_rows(tables, "$.tables")  # raises, naming the first bad entry
-    # the constructor's pass is the one check of every entry; the tables are
-    # walked only to name a bad entry before a fault the constructor found
+    # TableGame checks every number itself, in one pass: the bulk check here
+    # takes the arrays only
+    _check(doc, _TABLE, "$", scalars=False)
     try:
-        return TableGame(counts, tables)
+        return TableGame(doc["strategy_counts"], doc["tables"])
     except ConfigurationError:
-        _int_rows(tables, "$.tables")
+        _walk(doc, _TABLE, "$")  # names a bad number before the constructor's fault
         raise
 
 
@@ -193,7 +227,7 @@ def _pairs_to_table(pairs, path) -> dict[int, int]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise FormatError("expected a [load, delay] pair", f"{path}[{k}]")
         if type(pair[0]) is not int or type(pair[1]) is not int:
-            _ints(pair, f"{path}[{k}]")
+            _walk(pair, [int], f"{path}[{k}]")
         if pair[0] in table:
             raise FormatError(f"load {pair[0]} is given twice", f"{path}[{k}]")
         table[pair[0]] = pair[1]
@@ -270,21 +304,13 @@ def _congestion_from_json(doc: dict) -> CongestionGame:
         else:
             tables = iter(shared)
             delays = [list(islice(tables, len(per))) for per in per_resource]
-    strategies = _as_list(_need(doc, "strategies", "$"), "$.strategies")
+    _check(doc, _CONGESTION, "$")
     weights = doc.get("weights")
-    resources = _field(doc, "resources", "$", _strs)
-    # one pass over every strategy; the players are walked only to name a bad row
-    rows = (list(chain.from_iterable(strategies))
-            if set(map(type, strategies)) <= _ONLY_LIST else None)
-    if not (rows is not None and set(map(type, rows)) <= _ONLY_LIST
-            and set(map(type, chain.from_iterable(rows))) <= _ONLY_INT):
-        for i, per in enumerate(strategies):
-            _int_rows(per, f"$.strategies[{i}]")
     return CongestionGame(
-        resources=resources,
-        strategies=strategies,
+        resources=doc["resources"],
+        strategies=doc["strategies"],
         delays=delays,
-        weights=None if weights is None else _ints(weights, "$.weights"),
+        weights=None if weights is None else _check(weights, [int], "$.weights"),
         mode=mode,
     )
 
@@ -323,10 +349,10 @@ def _anonymous_from_json(doc: dict) -> AnonymousGame:
             rules.append((strategy, when))
         players.append(AnonymousPlayer(
             name=_str(raw.get("name", f"player_{k}"), f"{path}.name"),
-            allowed=frozenset(_ints(_need(raw, "allowed", path), f"{path}.allowed")),
+            allowed=frozenset(_check(_need(raw, "allowed", path), [int], f"{path}.allowed")),
             rules=tuple(rules),
         ))
-    return AnonymousGame(_field(doc, "strategies", "$", _strs), players)
+    return AnonymousGame(_check(_need(doc, "strategies", "$"), [str], "$.strategies"), players)
 
 
 def _market_to_json(game: TwoSidedMarketGame) -> dict:
@@ -344,56 +370,15 @@ def _market_to_json(game: TwoSidedMarketGame) -> dict:
 
 
 def _market_from_json(doc: dict) -> TwoSidedMarketGame:
-    # every name and number in bulk passes; any fault sends the document to
-    # the walk that names it
-    passive, active = doc.get("passive"), doc.get("active")
-    if not (type(passive) is list and type(active) is list
-            and set(map(type, chain(passive, active))) <= _ONLY_DICT):
-        return _market_by_agent(doc)
-    try:
-        names = list(map(itemgetter("name"), chain(passive, active)))
-        values = list(map(itemgetter("value"), passive))
-        preferences = list(map(itemgetter("preference"), passive))
-        strategies = list(map(itemgetter("strategies"), active))
-    except KeyError:
-        return _market_by_agent(doc)
-    # every strategy entry is checked in its list: 0, 0.0 and True are one set key
-    rows = (list(chain.from_iterable(strategies))
-            if set(map(type, strategies)) <= _ONLY_LIST else None)
-    if not (set(map(type, names)) <= _ONLY_STR and set(map(type, values)) <= _ONLY_INT
-            and set(map(type, preferences)) <= _ONLY_LIST
-            and set(map(type, chain.from_iterable(preferences))) <= _ONLY_INT
-            and rows is not None and set(map(type, rows)) <= _ONLY_LIST
-            and set(map(type, chain.from_iterable(rows))) <= _ONLY_INT):
-        return _market_by_agent(doc)
-    n = len(passive)
+    columns: dict = {}
+    if not _fits([doc], _MARKET, columns):
+        _walk(doc, _MARKET, "$")
     return TwoSidedMarketGame(
-        list(map(PassiveAgent, names[:n], values, map(tuple, preferences))),
-        list(map(ActiveAgent, names[n:], [tuple(map(frozenset, per)) for per in strategies])),
+        list(map(PassiveAgent, columns["passive", "name"], columns["passive", "value"],
+                 map(tuple, columns["passive", "preference"]))),
+        list(map(ActiveAgent, columns["active", "name"],
+                 [tuple(map(frozenset, per)) for per in columns["active", "strategies"]])),
     )
-
-
-def _market_by_agent(doc: dict) -> TwoSidedMarketGame:
-    """The market walked agent by agent: the first fault in document order is named."""
-    passive = []
-    for k, raw in enumerate(_as_list(_need(doc, "passive", "$"), "$.passive")):
-        path = f"$.passive[{k}]"
-        raw = _as_dict(raw, path)
-        passive.append(PassiveAgent(
-            name=_field(raw, "name", path, _str),
-            value=_int(_need(raw, "value", path), f"{path}.value"),
-            preference=tuple(_ints(_need(raw, "preference", path), f"{path}.preference")),
-        ))
-    active = []
-    for k, raw in enumerate(_as_list(_need(doc, "active", "$"), "$.active")):
-        path = f"$.active[{k}]"
-        raw = _as_dict(raw, path)
-        strategies = _int_rows(_need(raw, "strategies", path), f"{path}.strategies")
-        active.append(ActiveAgent(
-            name=_field(raw, "name", path, _str),
-            strategies=tuple(map(frozenset, strategies)),
-        ))
-    return TwoSidedMarketGame(passive, active)
 
 
 def _valid_utility_to_json(inst: ValidUtilityInstance) -> dict:
@@ -445,11 +430,11 @@ def _valid_utility_from_json(doc: dict) -> ValidUtilityInstance:
             f"{len(feasible)} feasible families for {len(ground_sets)} ground sets",
             "$.feasible",
         )
-    utilities = _int_rows(_need(doc, "utilities", "$"), "$.utilities")
+    utilities = _check(_need(doc, "utilities", "$"), [[int]], "$.utilities")
     for k, row in enumerate(utilities):
         if len(row) != len(ground_sets):
             raise FormatError(f"expected {len(ground_sets)} utilities", f"$.utilities[{k}]")
-    social = _ints(_need(doc, "social", "$"), "$.social")
+    social = _check(_need(doc, "social", "$"), [int], "$.social")
     subsets = list(product(*map(_powerset, ground_sets)))
     if len(social) != len(subsets):
         raise FormatError(
@@ -507,23 +492,24 @@ def parse_tm_file(text: str | bytes) -> TMSpec:
 
 def _tm_from_json(doc: dict, path: str) -> TMSpec:
     """The machine of a machine document, or of a sidecar's ``machine`` entry."""
-    delta = {}
-    for k, rule in enumerate(_as_list(_need(doc, "delta", path), f"{path}.delta")):
-        at = f"{path}.delta[{k}]"
-        rule = _as_dict(rule, at)
-        key = (_field(rule, "state", at, _int), _field(rule, "read", at, _str))
-        if key in delta:
-            raise FormatError(f"a second rule for state {key[0]} reading {key[1]!r}", at)
-        delta[key] = (_field(rule, "next", at, _int), _field(rule, "write", at, _str),
-                      _field(rule, "move", at, _str))
+    columns: dict = {}
+    if not _fits([doc], _MACHINE, columns):
+        _walk(doc, _MACHINE, path)
+    keys = list(zip(columns["delta", "state"], columns["delta", "read"]))
+    delta = dict(zip(keys, zip(columns["delta", "next"], columns["delta", "write"],
+                               columns["delta", "move"])))
+    if len(delta) < len(keys):
+        k = next(k for k, key in enumerate(keys) if keys.index(key) < k)
+        raise FormatError(f"a second rule for state {keys[k][0]} reading {keys[k][1]!r}",
+                          f"{path}.delta[{k}]")
     try:
         return TMSpec(
-            num_states=_field(doc, "states", path, _int),
-            q0=_field(doc, "q0", path, _int),
-            q_halt=_field(doc, "q_halt", path, _int),
-            t_prime=_field(doc, "t_prime", path, _int),
+            num_states=doc["states"],
+            q0=doc["q0"],
+            q_halt=doc["q_halt"],
+            t_prime=doc["t_prime"],
             delta=delta,
-            state_names=tuple(_strs(doc.get("state_names", []), f"{path}.state_names")),
+            state_names=tuple(_check(doc.get("state_names", []), [str], f"{path}.state_names")),
         )
     except ConfigurationError as exc:
         raise FormatError(str(exc), path) from None
@@ -568,7 +554,7 @@ def parse_sidecar(text: str | bytes, game: SuccinctGame) -> CompiledReduction:
         for name, idx in _int_values(table, path, counts[players[role]]).items():
             symbols.add_strategy(role, name, idx)
     try:
-        initial = game.validate_profile(_field(doc, "initial", "$", _ints))
+        initial = game.validate_profile(_check(_need(doc, "initial", "$"), [int], "$.initial"))
     except ValueError as exc:
         raise FormatError(str(exc), "$.initial") from None
     machine = doc.get("machine")
@@ -576,8 +562,7 @@ def parse_sidecar(text: str | bytes, game: SuccinctGame) -> CompiledReduction:
         game=game,
         initial=initial,
         symbols=symbols,
-        machine=None if machine is None else _tm_from_json(
-            _as_dict(machine, "$.machine"), "$.machine"),
+        machine=None if machine is None else _tm_from_json(machine, "$.machine"),
         penalty=_opt_int(doc.get("penalty"), "$.penalty"),
         market_base=_opt_int(doc.get("market_base"), "$.market_base"),
     )

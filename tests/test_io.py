@@ -1,8 +1,8 @@
+import copy
 import io
 import json
 import random
 import tempfile
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,7 +38,9 @@ from sinkeq.io import (
     serialize_sidecar,
     serialize_tm,
 )
-from sinkeq.turing import wrap_machine
+from sinkeq.turing import TMSpec, wrap_machine
+
+from golden.update import VALUES
 
 
 def round_trip(game):
@@ -377,6 +379,17 @@ def test_a_bad_congestion_strategy_is_named_by_its_path(strategies, path):
     assert info.value.path == path
 
 
+@pytest.mark.parametrize("fields, path", [
+    ({"strategies": 5, "resources": [0.5]}, "$.strategies"),
+    ({"strategies": [[[0]], [[1.5]]], "resources": [0.5]}, "$.resources[0]"),
+    ({"strategies": [[[0]], [[1.5]]], "weights": [1, 0.5]}, "$.strategies[1][0][0]"),
+], ids=["strategies-not-array", "resource-before-index", "index-before-weight"])
+def test_congestion_faults_are_named_in_document_order(fields, path):
+    with pytest.raises(FormatError) as info:
+        parse_game_file(_congestion_doc(**fields))
+    assert info.value.path == path
+
+
 def test_shallow_nested_predicate_still_evaluates():
     game = parse_game_file(_nested_and(90))
     assert game.utility((0,), 0) == 2
@@ -696,41 +709,112 @@ def test_in_sink_answers_alike_on_old_layout_gadgets(tmp_path, flipper, kind):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Calls of the loaders' entry-by-entry walks, by name."""
-    calls = Counter()
-    for name in ("_int_rows", "_market_by_agent"):
-        def counting(*args, _real=getattr(gameio, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(gameio, name, counting)
-    return calls
+    """The path of every entry the loaders walk one by one, in walk order."""
+    paths = []
+    real = gameio._walk
+
+    def spy(value, shape, path):
+        paths.append(path)
+        return real(value, shape, path)
+
+    monkeypatch.setattr(gameio, "_walk", spy)
+    return paths
 
 
+_SHIFTER = TMSpec(num_states=3, q0=0, q_halt=2, t_prime=2, delta={
+    (0, "b"): (1, "1", "R"), (0, "0"): (0, "1", "S"), (0, "1"): (1, "0", "R"),
+    (1, "b"): (0, "b", "L"), (1, "0"): (2, "0", "L"), (1, "1"): (0, "1", "L")},
+    state_names=("a", "b", "h"))
+_GAME = (parse_game_file, serialize_game)
+# (text, reader, writer) of one valid document of each kind
 VALID = {
-    "table": serialize_game(TableGame.random(random.Random(7), max_players=4)),
-    "market": serialize_game(compile_sat_market(
-        CnfFormula(3, ((1, -2, 3), (-1, 2, 2), (-3, -3, 1)))).game),
+    "table": (serialize_game(TableGame.random(random.Random(7), max_players=4)), *_GAME),
+    "market": (serialize_game(compile_sat_market(
+        CnfFormula(3, ((1, -2, 3), (-1, 2, 2), (-3, -3, 1)))).game), *_GAME),
+    "congestion": (serialize_game(_GAMES["congestion-weighted"]), *_GAME),
+    "machine": (serialize_tm(_SHIFTER), parse_tm_file, serialize_tm),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(VALID))
 def test_a_valid_document_is_checked_without_a_walk(walks, kind):
-    assert serialize_game(parse_game_file(VALID[kind])) == VALID[kind]
+    text, parse, serialize = VALID[kind]
+    assert serialize(parse(text)) == text
     assert not walks
 
 
-@pytest.mark.parametrize("text, path, walked", [
-    ('{"class": "table", "strategy_counts": [2], "tables": [[0, 2.5]]}',
-     "$.tables[0][1]", {"_int_rows": 1}),
+@pytest.mark.parametrize("text, parse, path", [
+    ('{"class": "table", "strategy_counts": [2], "tables": [[0, 2.5]]}', parse_game_file,
+     "$.tables[0][1]"),
     (json.dumps({"class": "market", "passive": [{"name": "y", "value": 1, "preference": [0]}],
-                 "active": [{"name": "x", "strategies": [[], [0, 0.0]]}]}),
-     "$.active[0].strategies[1][1]", {"_market_by_agent": 1, "_int_rows": 1}),
-], ids=["table", "market"])
-def test_a_hostile_document_is_walked_to_name_its_fault(walks, text, path, walked):
+                 "active": [{"name": "x", "strategies": [[], [0, 0.0]]}]}), parse_game_file,
+     "$.active[0].strategies[1][1]"),
+    (_congestion_doc(strategies=[[[0]], [[1.5]]]), parse_game_file, "$.strategies[1][0][0]"),
+    (json.dumps(json.loads(serialize_tm(_SHIFTER)) | {"q_halt": "2"}), parse_tm_file, "$.q_halt"),
+], ids=["table", "market", "congestion", "machine"])
+def test_a_hostile_document_is_walked_to_name_its_fault(walks, text, parse, path):
     with pytest.raises(FormatError) as info:
-        parse_game_file(text)
+        parse(text)
     assert info.value.path == path
-    assert walks == walked
+    # one walk, from the top of the document to the fault
+    assert walks[0] == "$" and walks[-1] == path and walks.count("$") == 1
+
+
+# every shape the loaders check, with valid values of it
+_SHAPES = [
+    (gameio._TABLE, [json.loads(VALID["table"][0]), game_to_json(prisoners_dilemma())]),
+    (gameio._MARKET, [json.loads(VALID["market"][0]), game_to_json(_GAMES["market"])]),
+    (gameio._CONGESTION, [game_to_json(game) for name, game in _GAMES.items()
+                          if name.startswith("congestion")]),
+    (gameio._MACHINE, [json.loads(serialize_tm(_SHIFTER))]),
+    ([int], [[0, 1, 2], []]),
+    ([str], [["a", "b"], []]),
+    ([[int]], [[[0, 1], [], [2]], []]),
+]
+
+
+def _nodes(doc, at=()):
+    """The path of every value in ``doc``, itself first."""
+    yield at
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in children:
+        yield from _nodes(value, (*at, key))
+
+
+def _walk_raises(value, shape) -> bool:
+    try:
+        gameio._walk(value, shape, "$")
+    except FormatError:
+        return True
+    return False
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_bulk_check_refuses_exactly_what_the_walk_refuses(data):
+    """A valid value of a shape mutated once: a leaf replaced by a refusal
+    corpus value, a key dropped, or an array wrapped in another."""
+    shape, values = data.draw(st.sampled_from(_SHAPES))
+    value = copy.deepcopy(data.draw(st.sampled_from(values)))
+    assert gameio._fits([value], shape, {}) and not _walk_raises(value, shape)
+    at = data.draw(st.sampled_from(list(_nodes(value))))
+    node = value
+    for key in at:
+        node = node[key]
+    if isinstance(node, dict) and node and data.draw(st.booleans()):
+        del node[data.draw(st.sampled_from(sorted(node)))]
+    elif isinstance(node, list) and node and data.draw(st.booleans()):
+        node[:] = [list(node)]
+    elif at:
+        parent = value
+        for key in at[:-1]:
+            parent = parent[key]
+        parent[at[-1]] = copy.deepcopy(data.draw(st.sampled_from(VALUES)))
+    refused = _walk_raises(value, shape)
+    assert gameio._fits([value], shape, {}) == (not refused)
+    # checked as arrays only, a value refused in bulk is refused by the walk
+    assert gameio._fits([value], shape, {}, scalars=False) or refused
 
 
 def test_constructors_refuse_a_number_that_is_not_an_int():

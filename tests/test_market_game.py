@@ -108,3 +108,17 @@ def test_preference_omitting_a_demander_is_rejected():
             ],
         )
     assert str(info.value) == "passive agent y: preference omits demander(s) [2]"
+
+
+@pytest.mark.parametrize("strategies, message", [
+    ((frozenset(), frozenset({1})), "agent x1 strategy 1: passive index 1 out of range"),
+    ((frozenset({-1}),), "agent x1 strategy 0: passive index -1 out of range"),
+    ((), "agent x1: no strategies"),
+], ids=["past-the-last", "negative", "none"])
+def test_a_bad_strategy_is_named_after_the_agents_before_it(strategies, message):
+    # x0 is well formed: the first faulty agent is named
+    y = PassiveAgent("y", 1, (0, 1))
+    with pytest.raises(ConfigurationError) as info:
+        TwoSidedMarketGame([y], [ActiveAgent("x0", (frozenset({0}),)),
+                                 ActiveAgent("x1", strategies)])
+    assert str(info.value) == message
