@@ -9,12 +9,13 @@ qualify, which keeps every best-response edge an improvement edge.
 from __future__ import annotations
 
 import random
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import chain, compress, count
-from operator import and_, eq, gt, lt, or_
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError
@@ -41,10 +42,6 @@ def _improvements(current: int, devs: Sequence[int]) -> list:
     return [s for s, u in enumerate(devs) if u > here]
 
 
-def _improvement_layers(layers: Sequence[Sequence[int]]) -> Callable:
-    return lambda a, b: map(gt, layers[b], layers[a])
-
-
 def _best_responses(current: int, devs: Sequence[int]) -> list:
     best = max(devs)
     if best > devs[current]:
@@ -52,13 +49,103 @@ def _best_responses(current: int, devs: Sequence[int]) -> list:
     return []
 
 
-def _best_response_layers(layers: Sequence[Sequence[int]]) -> Callable:
+def _field_ones(lines: int, step: int) -> int:
+    """A 1 in the lowest bit of each of ``lines`` fields of ``step`` bytes."""
+    return int.from_bytes((b"\1" + bytes(step - 1)) * lines, "little")
+
+
+def _packed(layers: Sequence[Sequence[int]]) -> tuple[list[int], int, int]:
+    """``(fields, step, ones)``: each layer as one int with a field of
+    ``step`` bytes per line, line 0 lowest, and ``_field_ones`` of that
+    layout. Every value carries the same offset, which makes it nonnegative
+    and keeps the top bit of its field clear.
+
+    Values in 0..127 are bytes as they stand: ``bytes`` refuses anything
+    outside 0..255 and ``isascii`` anything above 127, so the range test
+    reads no value in Python. Other values are packed by ``struct``, which
+    refuses a value its field cannot hold, as signed fields of 16, 32 or 64
+    bits, the narrowest that holds them all. Flipping each W-bit field's
+    sign bit turns v into v + 2^(W−1), and subtracting 2^(W−2) per field
+    leaves v + 2^(W−2), which keeps the top bit clear exactly when v lies
+    in ±2^(W−2); the lowest field outside that range shows its top bit.
+    Wider values take the fewest whole bytes that hold their span below
+    the top bit, one value at a time.
+    """
+    lines = len(layers[0])
+    try:
+        raw = [bytes(layer) for layer in layers]
+    except ValueError:  # a value outside 0..255
+        raw = []
+    if raw and all(map(bytes.isascii, raw)):
+        return [int.from_bytes(r, "little") for r in raw], 1, _field_ones(lines, 1)
+    for code, step in (("h", 2), ("i", 4), ("q", 8)):
+        ones = _field_ones(lines, step)
+        signs, offset = ones << 8 * step - 1, ones << 8 * step - 2
+        fields = []
+        for layer in layers:
+            try:
+                signed = struct.pack(f"<{lines}{code}", *layer)
+            except struct.error:  # a value the field cannot hold
+                break
+            x = (int.from_bytes(signed, "little") ^ signs) - offset
+            if x & signs:
+                break
+            fields.append(x)
+        else:
+            return fields, step, ones
+    low = min(map(min, layers))
+    step = (max(map(max, layers)) - low).bit_length() // 8 + 1
+    return ([int.from_bytes(b"".join((v - low).to_bytes(step, "little") for v in layer), "little")
+             for layer in layers], step, _field_ones(lines, step))
+
+
+class _Fields:
+    """A player's layers packed by ``_packed``, and the one comparison of
+    two packed layers: ``greater(x, y)`` sets the lowest bit of each field
+    where x's value exceeds y's. With every field's top bit clear, adding a
+    guard bit there and subtracting y + 1 per field leaves the guard set
+    exactly where x > y, and no borrow crosses into the next field
+    (Lamport, "Multiple byte processing with full-word instructions", CACM
+    18(8), 1975)."""
+
+    def __init__(self, layers: Sequence[Sequence[int]]):
+        self.layers, self.step, self.ones = _packed(layers)
+        self.lines = len(layers[0])
+        self.top = 8 * self.step - 1
+        self.guard = self.ones << self.top
+        self.full = (2 << self.top) - 1  # one whole field
+
+    def greater(self, x: int, y: int) -> int:
+        return ((x | self.guard) - y - self.ones) >> self.top & self.ones
+
+    def bits(self, flags: int) -> bytes:
+        """The lowest bit of each field of ``flags``, as 0/1 bytes in line order."""
+        return flags.to_bytes(self.lines * self.step, "little")[::self.step]
+
+
+def _improvement_layers(layers: Sequence[Sequence[int]]) -> Callable[[int, int], bytes]:
+    """``mask(a, b)``: on each line, whether layer b's value exceeds layer
+    a's, one packed comparison of the two whole layers."""
+    fields = _Fields(layers)
+    packed, greater, bits = fields.layers, fields.greater, fields.bits
+    return lambda a, b: bits(greater(packed[b], packed[a]))
+
+
+def _best_response_layers(layers: Sequence[Sequence[int]]) -> Callable[[int, int], bytes]:
+    """``mask(a, b)``: on each line, whether layer a's value is below the
+    line's maximum and layer b's is not. The maxima come from the packed
+    comparison too: where x exceeds the running maximum, a whole-field mask
+    swaps x's fields in. ``below[s]`` flags the lines where s falls short
+    of the maximum, so a mask is ``below[a]`` without ``below[b]``."""
     if len(layers) == 2:  # the one other strategy is the best when it improves
         return _improvement_layers(layers)
-    best = list(map(max, *layers))
-    tops = [list(map(eq, layer, best)) for layer in layers]
-    below = [list(map(lt, layer, best)) for layer in layers]
-    return lambda a, b: map(and_, tops[b], below[a])
+    fields = _Fields(layers)
+    packed, greater, bits, full = fields.layers, fields.greater, fields.bits, fields.full
+    best = packed[0]  # each line's maximum, one layer at a time
+    for x in packed[1:]:
+        best ^= (best ^ x) & greater(x, best) * full
+    below = [greater(best, x) for x in packed]
+    return lambda a, b: bits(below[a] & ~below[b])
 
 
 # The one place the edge semantics is decided, as a per-row rule and a
@@ -67,8 +154,9 @@ def _best_response_layers(layers: Sequence[Sequence[int]]) -> Callable:
 # to, ascending: every strict improvement, or the maximizers when they
 # improve on the current one. The layer rule takes a player's rows on many
 # lines transposed into layers (layer s: the utility of strategy s on each
-# line, at least two layers) and returns ``mask(a, b)``: for each line,
-# whether a player on strategy a may move to b != a under the same rule.
+# line, at least two layers) and returns ``mask(a, b)``: for each line, a
+# 0/1 byte, whether a player on strategy a may move to b != a under the
+# same rule. Both layer rules compare packed layers (``_Fields``).
 _TARGETS = {EdgeSemantics.IMPROVEMENT: (_improvements, _improvement_layers),
             EdgeSemantics.BEST_RESPONSE: (_best_responses, _best_response_layers)}
 
@@ -279,9 +367,11 @@ def move_unions(graph: StateGraph, cap: int | None = None) -> list[tuple[int, in
     a + d, each to its code plus d·w_p. So a code's moves, read in list
     order, are in canonical order. Memory: Σ_p 2(k_p − 1) unions of N/8
     bytes for N profiles; above ``cap`` (default 2^26) profiles the pass
-    raises ``CapExceededError`` before it reads a row. The layer rule turns
-    p's layers (``SuccinctGame.code_layers``) into ``mask(a, b)``: on each
-    line of ``ProfileCodec.line_slices``, whether p may move from a to b.
+    raises ``CapExceededError`` before it reads a row. The layer rule packs
+    p's layers (``SuccinctGame.code_layers``) once as fields of one int per
+    layer (``_Fields``) and turns them into ``mask(a, b)``: one 0/1 byte per
+    line of ``ProfileCodec.line_slices``, whether p may move from a to b,
+    each mask one packed comparison of whole layers.
     """
     codec = graph.codec
     size, cap = codec.num_profiles, 2**26 if cap is None else cap
@@ -295,7 +385,7 @@ def move_unions(graph: StateGraph, cap: int | None = None) -> list[tuple[int, in
         for d in chain(range(1 - choices, 0), range(1, choices)):
             bits = bytearray(size)  # one byte per code, in code order
             for a in range(max(0, -d), min(choices, choices - d)):
-                moves = bytes(mask(a, a + d))  # in line order: scatter to the codes
+                moves = mask(a, a + d)  # in line order: scatter to the codes
                 for codes, lines in codec.line_slices(player, a):
                     bits[codes] = moves[lines]
             unions.append((d * weight, int(bits.translate(_BIT_DIGITS)[::-1], 2)))
