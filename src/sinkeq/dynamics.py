@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import chain, compress, count
-from operator import or_
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError
@@ -522,14 +522,28 @@ def pure_ne_search(game: SuccinctGame, cap: int | None = None) -> tuple[int | No
     pruned at the first player who can improve. The first full assignment
     is the equilibrium. ``cap`` bounds the nodes; past it the search stops
     with ``CapExceededError``.
+
+    Whether a player can improve depends only on the strategies of the
+    players it interacts with, itself included: its key. Each check's answer
+    is kept under that key for the rest of the call, so a player reads its
+    row once per assignment of its neighbours and keeps at most the product
+    of their strategy counts. A player that interacts with every player
+    placed when it is due (a table's players, a hub) would be keyed by the
+    whole partial profile, which the search never visits twice: it keeps no
+    memo and is checked directly.
     """
     if cap is None:
         cap = 2**26
     n, weights, counts = game.num_players, game.codec.place_weights, game.codec.strategy_counts
-    # due[q]: (player, place weight, strategy count) of each player checked once q is placed
-    due: list[list[tuple[int, int, int]]] = [[] for _ in counts]
+    # due[q]: (player, place weight, strategy count, projection, memo) of each
+    # player checked once q is placed. The projection reads the player's key
+    # from `tried`, which holds one more than each placed player's strategy;
+    # it is None when the player's neighbours are every player placed.
+    due: list[list[tuple]] = [[] for _ in counts]
     for p, near in enumerate(game.interacting_players()):
-        due[max(near)].append((p, weights[p], counts[p]))
+        last = max(near)
+        projection = None if len(near) > last else itemgetter(*near)
+        due[last].append((p, weights[p], counts[p], projection, {}))
     key, read = game.code_reader()
     tried = [0] * n  # strategies of each placed player tried so far
     player = code = nodes = 0
@@ -546,12 +560,24 @@ def pure_ne_search(game: SuccinctGame, cap: int | None = None) -> tuple[int | No
         tried[player] = s + 1
         if s:
             code += weights[player]
-        # the branch ends at the first due player some strategy improves on
-        checks = due[player]
-        at = key(code) if checks else None
-        for p, weight, choices in checks:
+        # the branch ends at the first due player some strategy improves on;
+        # a memo hit reads no row, and the code is decoded at most once
+        at = None
+        for p, weight, choices, projection, memo in due[player]:
+            if projection:
+                k = projection(tried)
+                stable = memo.get(k)
+                if stable is not None:
+                    if stable:
+                        continue
+                    break
+            if at is None:
+                at = key(code)
             devs = read(at, p)
-            if max(devs) > devs[code // weight % choices]:
+            stable = max(devs) <= devs[code // weight % choices]
+            if projection:
+                memo[k] = stable
+            if not stable:
                 break
         else:
             player += 1

@@ -51,16 +51,19 @@ def market_utility_by_winner_sets(game, profile, player):
     return total
 
 
+def is_stable_pointwise(game, profile, p):
+    """Whether player ``p``'s utility does not rise by changing only its own
+    strategy, every utility evaluated pointwise through ``game.utility``."""
+    profile = tuple(profile)
+    here = game.utility(profile, p)
+    return all(game.utility(profile[:p] + (s,) + profile[p + 1:], p) <= here
+               for s in range(game.strategy_counts[p]))
+
+
 def is_pure_ne_pointwise(game, profile):
     """Whether no player's utility rises by changing only its own strategy,
     every utility evaluated pointwise through ``game.utility``."""
-    profile = tuple(profile)
-    for p, count in enumerate(game.strategy_counts):
-        here = game.utility(profile, p)
-        if any(game.utility(profile[:p] + (s,) + profile[p + 1:], p) > here
-               for s in range(count)):
-            return False
-    return True
+    return all(is_stable_pointwise(game, profile, p) for p in range(game.num_players))
 
 
 def brute_force_pure_nes(game):

@@ -7,9 +7,14 @@ hypothesis-random table, congestion (shared, weighted and player-specific),
 anonymous and market games: the small games of the code-walk test, where
 nearly every player interacts with every other, larger sparse ones, where
 many checks fall before the last player, and the markets of random 3-CNF
-formulas, which lack an equilibrium exactly when unsatisfiable.
+formulas, which lack an equilibrium exactly when unsatisfiable. The
+witness is the least equilibrium, since pruning drops only subtrees without
+one. A spy on the row reader checks the memo: a search reads each player's
+row once per assignment of the players it interacts with, and a table's
+search, which keeps no memo, reads one row per check.
 """
 
+import itertools
 import random
 
 import pytest
@@ -23,7 +28,7 @@ from sinkeq.games import CongestionGame, TwoSidedMarketGame
 from sinkeq.games.anonymous import AnonymousGame, AnonymousPlayer, Cmp, Const, Count
 from sinkeq.games.market import ActiveAgent, PassiveAgent
 
-from _oracles import brute_force_pure_nes
+from _oracles import brute_force_pure_nes, is_stable_pointwise
 from test_code_walk import RANDOM_GAMES
 
 
@@ -111,11 +116,62 @@ def test_search_agrees_with_brute_force(kind, seed):
     equilibria = brute_force_pure_nes(game)
     assert (code is not None) == bool(equilibria)
     if code is not None:
-        assert game.codec.decode(code) in equilibria
+        assert game.codec.decode(code) == min(equilibria)
     assert nodes >= 1
 
 
-@pytest.mark.parametrize("kind", ["sparse-anonymous", "sparse-congestion-shared",
+def spy_on_rows(game):
+    """Spy on ``game``'s row reader: return the list to which each row read
+    appends its ``(key(code), player)``."""
+    key, read = game.code_reader()
+    reads = []
+
+    def spy(at, player):
+        reads.append((at, player))
+        return read(at, player)
+
+    game.code_reader = lambda: (key, spy)
+    return reads
+
+
+@pytest.mark.parametrize("kind", ["sat-market", "sparse-congestion-shared",
+                                  "sparse-congestion-player-specific", "sparse-market"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_a_search_reads_a_row_once_per_assignment_of_its_neighbours(kind, seed):
+    game = GAMES[kind](random.Random(seed))
+    reads = spy_on_rows(game)
+    near = [sorted(players) for players in game.interacting_players()]
+    found = pure_ne_search(game)
+    keys = [(p, tuple(profile[q] for q in near[p])) for profile, p in reads]
+    assert len(set(keys)) == len(keys)
+    # the memo lives for one call: a second search reads the same rows again
+    once = list(reads)
+    assert pure_ne_search(game) == found
+    assert reads == once + once
+
+
+@pytest.mark.parametrize("kind", ["table", "table-ties", "table-one-strategy-player"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_a_table_search_reads_one_row_per_check(kind, seed):
+    game = GAMES[kind](random.Random(seed))
+    reads = spy_on_rows(game)
+    pure_ne_search(game)
+    # every player interacts with every other, so each is checked at each
+    # full profile, in search order, until the first that can improve
+    checks = []
+    for profile in itertools.product(*map(range, game.strategy_counts)):
+        for p in range(game.num_players):
+            checks.append((game.codec.encode(profile), p))
+            if not is_stable_pointwise(game, profile, p):
+                break
+        else:
+            break
+    assert reads == checks
+
+
+@pytest.mark.parametrize("kind", ["sat-market", "sparse-anonymous", "sparse-congestion-shared",
                                   "sparse-congestion-player-specific", "sparse-market"])
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
