@@ -35,7 +35,7 @@ from .dynamics import (
     WalkOutcome,
     backward_reach,
     forward_closure,
-    pure_ne_search,
+    pure_equilibrium,
     simulate_walk,
     space_sinks,
 )
@@ -77,9 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default="improvement",
     )
     parser.add_argument("--cap", type=_positive_int, default=None,
-                        help="bound on the profile space (full-space commands), "
-                             "on the search nodes (has-pure) or on the forward "
-                             "closure (in-sink, export-dot --from)")
+                        help="bound on the profile space (full-space commands, "
+                             "has-pure on a table), on the search nodes (has-pure "
+                             "on any other game) or on the forward closure "
+                             "(in-sink, export-dot --from)")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -220,10 +221,10 @@ def _dispatch(args) -> AnalysisReport:
             edges=closure.edges, scc_count=len(closure.components), extra=extra,
         )
     if args.command == "has-pure":
-        code, nodes = pure_ne_search(game, args.cap)
+        code, explored = pure_equilibrium(game, args.cap)
         if code is None:
-            return AnalysisReport("has-pure", "false", states_explored=nodes)
-        return AnalysisReport("has-pure", "true", states_explored=nodes,
+            return AnalysisReport("has-pure", "false", states_explored=explored)
+        return AnalysisReport("has-pure", "true", states_explored=explored,
                               extra={"equilibrium": list(game.codec.decode(code))})
     if args.command == "simulate":
         if args.profile:

@@ -20,7 +20,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError
 from .games.base import SuccinctGame
-from .profiles import Profile
+from .games.table import TableGame
+from .profiles import Profile, ProfileCodec
 
 
 class EdgeSemantics(Enum):
@@ -49,116 +50,125 @@ def _best_responses(current: int, devs: Sequence[int]) -> list:
     return []
 
 
-def _field_ones(lines: int, step: int) -> int:
-    """A 1 in the lowest bit of each of ``lines`` fields of ``step`` bytes."""
-    return int.from_bytes((b"\1" + bytes(step - 1)) * lines, "little")
+def _field_ones(fields: int, step: int) -> int:
+    """A 1 in the lowest bit of each of ``fields`` fields of ``step`` bytes."""
+    return int.from_bytes((b"\1" + bytes(step - 1)) * fields, "little")
 
 
-def _packed(layers: Sequence[Sequence[int]]) -> tuple[list[int], int, int]:
-    """``(fields, step, ones)``: each layer as one int with a field of
-    ``step`` bytes per line, line 0 lowest, and ``_field_ones`` of that
-    layout. Every value carries the same offset, which makes it nonnegative
-    and keeps the top bit of its field clear.
+def _packed(values: Sequence[int]) -> tuple[int, int]:
+    """``(packed, step)``: the values as one int with a field of ``step``
+    bytes per value, value 0 lowest. Every value carries the same offset,
+    which makes it nonnegative and keeps the top bit of its field clear.
 
-    Values in 0..127 are bytes as they stand: ``bytes`` refuses anything
-    outside 0..255 and ``isascii`` anything above 127, so the range test
-    reads no value in Python. Other values are packed by ``struct``, which
-    refuses a value its field cannot hold, as signed fields of 16, 32 or 64
-    bits, the narrowest that holds them all. Flipping each W-bit field's
-    sign bit turns v into v + 2^(W−1), and subtracting 2^(W−2) per field
-    leaves v + 2^(W−2), which keeps the top bit clear exactly when v lies
-    in ±2^(W−2); the lowest field outside that range shows its top bit.
-    Wider values take the fewest whole bytes that hold their span below
-    the top bit, one value at a time.
+    Values in 0..127 are bytes as they stand (``bytes`` refuses anything
+    outside 0..255, ``isascii`` anything above 127). Others are packed by
+    ``struct`` as signed fields of W = 16, 32 or 64 bits, the narrowest
+    whose ±2^(W−2) holds the least and the greatest value. Flipping each
+    field's sign bit and subtracting 2^(W−2) per field leaves v + 2^(W−2),
+    whose top bit is clear. Wider values take the fewest whole bytes that
+    hold their span below the top bit, one value at a time.
     """
-    lines = len(layers[0])
     try:
-        raw = [bytes(layer) for layer in layers]
+        raw = bytes(values)
     except ValueError:  # a value outside 0..255
-        raw = []
-    if raw and all(map(bytes.isascii, raw)):
-        return [int.from_bytes(r, "little") for r in raw], 1, _field_ones(lines, 1)
+        raw = b"\x80"
+    if raw.isascii():
+        return int.from_bytes(raw, "little"), 1
+    size, low, high = len(values), min(values), max(values)
     for code, step in (("h", 2), ("i", 4), ("q", 8)):
-        ones = _field_ones(lines, step)
-        signs, offset = ones << 8 * step - 1, ones << 8 * step - 2
-        fields = []
-        for layer in layers:
-            try:
-                signed = struct.pack(f"<{lines}{code}", *layer)
-            except struct.error:  # a value the field cannot hold
-                break
-            x = (int.from_bytes(signed, "little") ^ signs) - offset
-            if x & signs:
-                break
-            fields.append(x)
-        else:
-            return fields, step, ones
-    low = min(map(min, layers))
-    step = (max(map(max, layers)) - low).bit_length() // 8 + 1
-    return ([int.from_bytes(b"".join((v - low).to_bytes(step, "little") for v in layer), "little")
-             for layer in layers], step, _field_ones(lines, step))
+        if -1 << 8 * step - 2 <= low and high < 1 << 8 * step - 2:
+            signs = _field_ones(size, step) << 8 * step - 1
+            signed = int.from_bytes(struct.pack(f"<{size}{code}", *values), "little")
+            return (signed ^ signs) - (signs >> 1), step
+    step = (high - low).bit_length() // 8 + 1
+    return int.from_bytes(b"".join((v - low).to_bytes(step, "little") for v in values),
+                          "little"), step
+
+
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class _Fields:
-    """A player's layers packed by ``_packed``, and the one comparison of
-    two packed layers: ``greater(x, y)`` sets the lowest bit of each field
-    where x's value exceeds y's. With every field's top bit clear, adding a
-    guard bit there and subtracting y + 1 per field leaves the guard set
-    exactly where x > y, and no borrow crosses into the next field
-    (Lamport, "Multiple byte processing with full-word instructions", CACM
-    18(8), 1975)."""
+    """A player's utilities packed by ``_packed``, a field per profile code,
+    and the one comparison of two packed vectors: ``greater(x, y)`` sets
+    the lowest bit of each field where x's value exceeds y's. With every
+    field's top bit clear, adding a guard bit there and subtracting y + 1
+    per field leaves the guard set exactly where x > y, and no borrow
+    crosses into the next field (Lamport, "Multiple byte processing with
+    full-word instructions", CACM 18(8), 1975)."""
 
-    def __init__(self, layers: Sequence[Sequence[int]]):
-        self.layers, self.step, self.ones = _packed(layers)
-        self.lines = len(layers[0])
-        self.top = 8 * self.step - 1
-        self.guard = self.ones << self.top
-        self.full = (2 << self.top) - 1  # one whole field
+    def __init__(self, values: Sequence[int]):
+        self.size, (self.packed, self.step) = len(values), _packed(values)
+        self.width, self.ones = 8 * self.step, _field_ones(self.size, self.step)
+        self.guard, self.full = self.ones << self.width - 1, (1 << self.width) - 1
 
     def greater(self, x: int, y: int) -> int:
-        return ((x | self.guard) - y - self.ones) >> self.top & self.ones
+        return ((x | self.guard) - y - self.ones) >> self.width - 1 & self.ones
 
-    def bits(self, flags: int) -> bytes:
-        """The lowest bit of each field of ``flags``, as 0/1 bytes in line order."""
-        return flags.to_bytes(self.lines * self.step, "little")[::self.step]
+    def moved(self, shift: int) -> int:
+        """Field c holds the value at code c + ``shift``: 0 below the space."""
+        x = self.packed
+        return x >> shift * self.width if shift > 0 else x << -shift * self.width
+
+    def bits(self, flags: int) -> int:
+        """The lowest bit of each field of ``flags`` as a bitset, bit k for
+        code k: big-endian, the highest code first, as ``int(…, 2)`` reads."""
+        raw = flags.to_bytes(self.size * self.step, "big")[self.step - 1::self.step]
+        return int(raw.translate(_BIT_DIGITS), 2)
 
 
-def _improvement_layers(layers: Sequence[Sequence[int]]) -> Callable[[int, int], bytes]:
-    """``mask(a, b)``: on each line, whether layer b's value exceeds layer
-    a's, one packed comparison of the two whole layers."""
-    fields = _Fields(layers)
-    packed, greater, bits = fields.layers, fields.greater, fields.bits
-    return lambda a, b: bits(greater(packed[b], packed[a]))
+def _digit_range(codec: ProfileCodec, player: int, low: int, high: int, width: int = 1) -> int:
+    """The codes whose digit ``player`` lies in [low, high), as a mask of
+    ``width`` bits per code: one block per period of the digit, doubled
+    into place."""
+    weight, choices = codec.place_weights[player], codec.strategy_counts[player]
+    size, period = codec.num_profiles * width, weight * choices * width
+    mask = ((1 << (high - low) * weight * width) - 1) << low * weight * width
+    while period < size:
+        mask |= mask << period
+        period *= 2
+    return mask & ((1 << size) - 1)
 
 
-def _best_response_layers(layers: Sequence[Sequence[int]]) -> Callable[[int, int], bytes]:
-    """``mask(a, b)``: on each line, whether layer a's value is below the
-    line's maximum and layer b's is not. The maxima come from the packed
-    comparison too: where x exceeds the running maximum, a whole-field mask
-    swaps x's fields in. ``below[s]`` flags the lines where s falls short
-    of the maximum, so a mask is ``below[a]`` without ``below[b]``."""
-    if len(layers) == 2:  # the one other strategy is the best when it improves
-        return _improvement_layers(layers)
-    fields = _Fields(layers)
-    packed, greater, bits, full = fields.layers, fields.greater, fields.bits, fields.full
-    best = packed[0]  # each line's maximum, one layer at a time
-    for x in packed[1:]:
-        best ^= (best ^ x) & greater(x, best) * full
-    below = [greater(best, x) for x in packed]
-    return lambda a, b: bits(below[a] & ~below[b])
+def _step_masks(codec: ProfileCodec, player: int, width: int = 1) -> list[tuple[int, int]]:
+    """``(d, mask)`` for each step d = b − a ≠ 0 of ``player``, ascending:
+    the codes whose digit a keeps a + d in [0, k), ``width`` bits per code."""
+    k = codec.strategy_counts[player]
+    return [(d, _digit_range(codec, player, max(0, -d), min(k, k - d), width))
+            for d in chain(range(1 - k, 0), range(1, k))]
+
+
+def _improvement_unions(fields: _Fields, codec: ProfileCodec, player: int) -> list:
+    """For each step d, the codes c that allow it where the value at
+    c + d·w_p exceeds the value at c: one shift, one packed comparison and
+    one AND with the step's mask."""
+    w, greater = codec.place_weights[player], fields.greater
+    return [(d * w, fields.bits(greater(fields.moved(d * w), fields.packed)) & mask)
+            for d, mask in _step_masks(codec, player)]
+
+
+def _best_response_unions(fields: _Fields, codec: ProfileCodec, player: int) -> list:
+    """For each step d, the codes c below their line's maximum where
+    c + d·w_p is not. The maximum is a running maximum over the values
+    moved by each step, masked to the codes that allow it: where a moved
+    value exceeds it, a whole-field mask swaps the moved value in."""
+    w, best = codec.place_weights[player], fields.packed
+    for d, mask in _step_masks(codec, player, fields.width):
+        moved = fields.moved(d * w) & mask
+        best ^= (best ^ moved) & fields.greater(moved, best) * fields.full
+    below = fields.bits(fields.greater(best, fields.packed))
+    return [(d * w, below & ~(below >> d * w if d > 0 else below << -d * w) & mask)
+            for d, mask in _step_masks(codec, player)]
 
 
 # The one place the edge semantics is decided, as a per-row rule and a
-# layer rule side by side. The per-row rule takes a player's current
-# strategy and deviation utilities, and returns the strategies it may move
-# to, ascending: every strict improvement, or the maximizers when they
-# improve on the current one. The layer rule takes a player's rows on many
-# lines transposed into layers (layer s: the utility of strategy s on each
-# line, at least two layers) and returns ``mask(a, b)``: for each line, a
-# 0/1 byte, whether a player on strategy a may move to b != a under the
-# same rule. Both layer rules compare packed layers (``_Fields``).
-_TARGETS = {EdgeSemantics.IMPROVEMENT: (_improvements, _improvement_layers),
-            EdgeSemantics.BEST_RESPONSE: (_best_responses, _best_response_layers)}
+# whole-space rule side by side. The per-row rule takes a player's current
+# strategy and row, and returns the strategies it may move to, ascending:
+# every strict improvement, or the maximizers when they improve on it. The
+# whole-space rule gives the ``move_unions`` pairs of one player.
+_TARGETS = {EdgeSemantics.IMPROVEMENT: (_improvements, _improvement_unions),
+            EdgeSemantics.BEST_RESPONSE: (_best_responses, _best_response_unions)}
 
 
 class StateGraph:
@@ -351,10 +361,6 @@ def forward_closure(graph: StateGraph, start: Profile, cap: int | None = None,
     return _tarjan([tuple(start)], successors, cap, stop_at_foreign_sink)
 
 
-_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def bitset_codes(bits: int) -> list[int]:
     """The profile codes a bitset holds (bit k is code k), ascending."""
     return list(compress(count(), bin(bits)[:1:-1].encode().translate(_DIGIT_BITS)))
@@ -367,28 +373,20 @@ def move_unions(graph: StateGraph, cap: int | None = None) -> list[tuple[int, in
     a + d, each to its code plus d·w_p. So a code's moves, read in list
     order, are in canonical order. Memory: Σ_p 2(k_p − 1) unions of N/8
     bytes for N profiles; above ``cap`` (default 2^26) profiles the pass
-    raises ``CapExceededError`` before it reads a row. The layer rule packs
-    p's layers (``SuccinctGame.code_layers``) once as fields of one int per
-    layer (``_Fields``) and turns them into ``mask(a, b)``: one 0/1 byte per
-    line of ``ProfileCodec.line_slices``, whether p may move from a to b,
-    each mask one packed comparison of whole layers.
+    raises ``CapExceededError`` before it reads a row. The rule of the
+    semantics packs p's utility at every code (``code_utilities``) once as
+    fields of one int (``_Fields``) and compares it with itself moved by
+    d·w_p codes: packed comparisons over the whole space, no line layout.
     """
     codec = graph.codec
     size, cap = codec.num_profiles, 2**26 if cap is None else cap
     if size > cap:
         raise CapExceededError(f"profile space has {size} states, above the cap of {cap}")
+    rule = _TARGETS[graph.semantics][1]
     unions: list[tuple[int, int]] = []
-    for player, (weight, choices) in enumerate(zip(codec.place_weights, codec.strategy_counts)):
-        if choices == 1:
-            continue
-        mask = _TARGETS[graph.semantics][1](graph.game.code_layers(player))
-        for d in chain(range(1 - choices, 0), range(1, choices)):
-            bits = bytearray(size)  # one byte per code, in code order
-            for a in range(max(0, -d), min(choices, choices - d)):
-                moves = mask(a, a + d)  # in line order: scatter to the codes
-                for codes, lines in codec.line_slices(player, a):
-                    bits[codes] = moves[lines]
-            unions.append((d * weight, int(bits.translate(_BIT_DIGITS)[::-1], 2)))
+    for player, choices in enumerate(codec.strategy_counts):
+        if choices > 1:
+            unions.extend(rule(_Fields(graph.game.code_utilities(player)), codec, player))
     return unions
 
 
@@ -410,9 +408,13 @@ def _grow(moves: list[tuple[int, int]], reach: int, within: int) -> tuple[int, i
         frontier = new
 
 
+def _equilibria(unions: list[tuple[int, int]], size: int) -> int:
+    """The codes no union holds: the pure Nash equilibria."""
+    return ((1 << size) - 1) ^ reduce(or_, (union for _, union in unions), 0)
+
+
 def _equilibria_and_stuck(unions: list[tuple[int, int]], size: int) -> tuple[int, int]:
-    everything = (1 << size) - 1
-    equilibria = everything ^ reduce(or_, (union for _, union in unions), 0)
+    equilibria, everything = _equilibria(unions, size), (1 << size) - 1
     return equilibria, everything ^ _grow(unions, equilibria, everything)[0]
 
 
@@ -584,9 +586,30 @@ def pure_ne_search(game: SuccinctGame, cap: int | None = None) -> tuple[int | No
     return (code if player == n else None), nodes
 
 
+def pure_equilibrium(game: SuccinctGame, cap: int | None = None) -> tuple[int | None, int]:
+    """The lexicographically least pure Nash equilibrium, as a profile code
+    or None, and the states explored; the one place has-pure picks its
+    engine. A ``TableGame`` holds every utility already: its equilibria are
+    the codes no improvement union holds (best response has the same), and
+    the least is picked digit by digit, player 0 first, one AND per
+    (player, strategy) tried. Its states explored are the profiles, which
+    ``cap`` bounds as in ``move_unions``. Other classes run ``pure_ne_search``.
+    """
+    if not isinstance(game, TableGame):
+        return pure_ne_search(game, cap)
+    codec = game.codec
+    codes = _equilibria(move_unions(StateGraph(game), cap), codec.num_profiles)
+    for player, choices in enumerate(codec.strategy_counts):
+        for s in range(choices - 1):
+            if kept := codes & _digit_range(codec, player, s, s + 1):
+                codes = kept
+                break
+    return (codes.bit_length() - 1 if codes else None), codec.num_profiles
+
+
 def has_singleton_sink(game: SuccinctGame, cap: int | None = None) -> bool:
-    """True when some profile is a pure Nash equilibrium."""
-    return pure_ne_search(game, cap)[0] is not None
+    """True when some profile is a pure Nash equilibrium (``pure_equilibrium``)."""
+    return pure_equilibrium(game, cap)[0] is not None
 
 
 def has_non_singleton_sink(

@@ -49,10 +49,10 @@ class SuccinctGame:
     A class has three evaluation hooks: ``deviation_utilities``, a
     player's whole row at a profile; ``reprice_rows``, which steps the rows
     of a move's generator to the profile the move leads to; and
-    ``code_layers``, a player's rows over the whole profile space as one
-    layer per strategy. The default ``reprice_rows`` re-evaluates the whole
-    row of each player the move can affect through ``deviation_utilities``,
-    and the default ``code_layers`` reads one row per line through
+    ``code_utilities``, a player's utility at every profile code, in code
+    order. The default ``reprice_rows`` re-evaluates the whole row of each
+    player the move can affect through ``deviation_utilities``, and the
+    default ``code_utilities`` reads one row per line through
     ``code_reader``; a class that can do better overrides them.
 
     A class states its locality once, as its footprint ``(touches,
@@ -153,22 +153,20 @@ class SuccinctGame:
         ``read`` is ``deviation_utilities``."""
         return self.codec.decode, self.deviation_utilities
 
-    def code_layers(self, player: int) -> list[Sequence[int]]:
-        """``player``'s layers over the whole profile space: layer s holds
-        the utility of strategy s on each of the player's lines, in line
-        order (``ProfileCodec.line_slices``). A line is the profiles that
-        differ only in ``player``'s strategy; they share its row.
-
-        The full-space hook of the dynamics engine. This default reads the
-        row once per line, at its base (digit ``player`` 0), bases
-        ascending, through ``code_reader``, and transposes the rows.
-        """
+    def code_utilities(self, player: int) -> Sequence[int]:
+        """``player``'s utility at every profile code, in code order: the
+        full-space hook of the dynamics engine. This default reads the row
+        once per line (the profiles that differ only in ``player``'s
+        strategy), at its base, digit ``player`` 0, bases ascending, through
+        ``code_reader``, and writes it with one strided slice assignment."""
         key, read = self.code_reader()
-        weight, choices = self.codec.place_weights[player], self.strategy_counts[player]
-        rows = [read(key(base), player)
-                for top in range(0, self.codec.num_profiles, weight * choices)
-                for base in range(top, top + weight)]
-        return list(zip(*rows))
+        weight, size = self.codec.place_weights[player], self.codec.num_profiles
+        period = weight * self.strategy_counts[player]
+        values = [0] * size
+        for top in range(0, size, period):
+            for base in range(top, top + weight):
+                values[base:base + period:weight] = read(key(base), player)
+        return values
 
     def _aggregate(self, profile: Profile):
         raise NotImplementedError

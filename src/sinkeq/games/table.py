@@ -59,10 +59,8 @@ class TableGame(SuccinctGame):
         # a code is its own key: rows are read without decoding
         return int, self._row
 
-    def code_layers(self, player: int):
-        # layer s is the table's entries whose digit `player` is s: no row is read
-        table, layer = self.tables[player], self.codec.layer
-        return [layer(table, player, s) for s in range(self.strategy_counts[player])]
+    def code_utilities(self, player: int):
+        return self.tables[player]  # already in code order: no row is read
 
     @classmethod
     def from_profile_map(cls, strategy_counts, payoffs) -> "TableGame":

@@ -53,9 +53,9 @@ def test_json_format_carries_the_same_facts(pd_path):
     doc = json.loads(out)
     assert doc["question"] == "has-pure"
     assert doc["answer"] == "true"
-    # search nodes: both strategies of player 0, and under each both of
-    # player 1's; the sixth node, (1, 1), is the equilibrium
-    assert doc["stats"]["states_explored"] == 6
+    # a table is answered over the whole space: its four profiles
+    assert doc["stats"]["states_explored"] == 4
+    assert doc["extra"]["equilibrium"] == [1, 1]
 
 
 def test_sinks_and_non_singleton(mp_path, pd_path):
@@ -89,7 +89,7 @@ def test_cli_answers_match_library(pd_path):
 
 def check_has_pure_report(game, path):
     """CLI has-pure names a pure NE on YES, finds none where none exists, and
-    counts the search nodes it visited."""
+    counts the states it explored: a table's profiles, a search's nodes."""
     code, out, _ = run(["--format", "json", "has-pure", str(path)])
     assert code == 0
     doc = json.loads(out)
@@ -128,7 +128,8 @@ def test_has_pure_on_a_game_without_players(tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["answer"] == "true" and doc["extra"]["equilibrium"] == []
-    assert doc["stats"]["states_explored"] == 0
+    # the space holds one profile, the empty one
+    assert doc["stats"]["states_explored"] == 1
 
 
 @pytest.mark.parametrize("machine", ["flipper", "walker", "halter"])
@@ -139,7 +140,8 @@ def test_has_pure_answers_on_the_machine_gadgets(tmp_path, request, machine, kin
     source, game_path = tmp_path / "machine.tm.json", tmp_path / "gadget.json"
     source.write_text(serialize_tm(request.getfixturevalue(machine)))
     assert run(["compile", kind, str(source), "-o", str(game_path)])[0] == 0
-    code, out, _ = run(["--format", "json", "has-pure", str(game_path)])
+    # far above the pinned counts: a search that lost its order fails fast
+    code, out, _ = run(["--format", "json", "--cap", "5000", "has-pure", str(game_path)])
     assert code == 0
     doc = json.loads(out)
     assert doc["answer"] == "true"

@@ -108,17 +108,28 @@ MATCHING_PENNIES = {"class": "table", "strategy_counts": [2, 2],
                     "tables": [[1, 0, 0, 1], [0, 1, 1, 0]]}
 
 
-# TABLE: the search visits 17 nodes and stops at its first equilibrium;
-# matching pennies: every branch is pruned after 6 nodes, and a NO names no profile
-@pytest.mark.parametrize("doc_in,answer,equilibrium,nodes", [
-    (TABLE, "true", [1, 1, 0, 0], 17),
-    (MATCHING_PENNIES, "false", None, 6),
-], ids=["table", "matching-pennies"])
-def test_has_pure_pins_the_search_order(tmp_path, doc_in, answer, equilibrium, nodes):
+# a shared congestion game of three players on three resources, answered
+# by the search: equilibria (0, 0, 1) and (0, 1, 0)
+CONGESTION = {"class": "congestion", "mode": "shared", "resources": ["a", "b", "c"],
+              "strategies": [[[0], [1]], [[1], [2]], [[0], [2]]], "weights": [1, 1, 1],
+              "delays": [[[1, 3], [2, 1], [3, 0]], [[1, 2], [2, 4], [3, 0]],
+                         [[1, 1], [2, 5], [3, 0]]]}
+
+
+# tables are answered over the whole space: states explored are the profiles
+# (TABLE 12, matching pennies 4), and a NO names no profile; the congestion
+# game's search visits 4 nodes and stops at its first equilibrium
+@pytest.mark.parametrize("doc_in,answer,equilibrium,explored", [
+    (TABLE, "true", [1, 1, 0, 0], 12),
+    (MATCHING_PENNIES, "false", None, 4),
+    (CONGESTION, "true", [0, 0, 1], 4),
+], ids=["table", "matching-pennies", "congestion"])
+def test_has_pure_pins_the_search_order(tmp_path, doc_in, answer, equilibrium, explored):
     (tmp_path / "g.json").write_text(json.dumps(doc_in))
     doc = json_answer(tmp_path, "has-pure", "g.json")
     found = doc["extra"]["equilibrium"] if "extra" in doc else None
-    assert [doc["answer"], found, doc["stats"]["states_explored"]] == [answer, equilibrium, nodes]
+    assert [doc["answer"], found, doc["stats"]["states_explored"]] == [
+        answer, equilibrium, explored]
 
 
 # the full-space DOT of TABLE: every state but 1, 7 and 10 lies in a sink

@@ -1,12 +1,12 @@
 """The full-space engine's move unions hold exactly the pointwise moves.
 
 ``move_unions`` gives, for each player and step, a bitset of the codes
-from which the player moves by that step (each player's layers from the
-game's ``code_layers``, moves found by the layer rule). Read per code in
-list order, the unions must give every code's successor codes in
-canonical order, equal to ``_oracles.code_successors`` (the definition,
-``successors_pointwise`` on ``game.utility``, in code order), and
-``space_sinks`` must give the bottom SCCs of that oracle graph
+from which the player moves by that step (each player's utilities at every
+code from the game's ``code_utilities``, moves found by the whole-space
+rule). Read per code in list order, the unions must give every code's
+successor codes in canonical order, equal to ``_oracles.code_successors``
+(the definition, ``successors_pointwise`` on ``game.utility``, in code
+order), and ``space_sinks`` must give the bottom SCCs of that oracle graph
 (``_oracles.bitset_bottom_sccs``) by their lowest code. The games are
 hypothesis-random table, congestion, anonymous, market and valid-utility
 games under both semantics: tables with payoffs in {0, 1}, whose ties make
@@ -15,17 +15,17 @@ with 127-129, too wide for a byte or a 64-bit field, a player with one
 strategy, and games with a single profile among them. On the same games
 the row oracle (``_oracles.successors_by_rows``), the reference of the
 compiled-gadget tests, is checked against the pointwise one. A table's
-layers, slices of its tables (``ProfileCodec.layer``), are checked against
-the default hook's per-line read on random tables.
+utilities, its tables as they stand, are checked against the default
+hook's per-line read and against ``utility`` on random tables.
 
-The layer rules compare whole layers packed as fields of one int
-(``dynamics._Fields``): a byte per line for values in 0..127, a signed
-field of W = 16, 32 or 64 bits for values in ±2^(W-2), and the span's bytes
-otherwise. On 2-5 layers drawn from each packing's boundaries and from
-random ints, each value sits in its own field of the narrowest width under
-one offset, with the field's top bit clear, and both rules agree line by
-line with the per-row rules; on two-strategy players the best-response
-rule is the improvement rule.
+The whole-space rules compare a player's utilities packed as fields of
+one int, one per code (``dynamics._Fields``), with themselves moved by a
+step: a byte per code for values in 0..127, a signed field of W = 16, 32
+or 64 bits for values in ±2^(W-2), and the span's bytes otherwise. On
+random spaces of 1-3 players with values drawn from each packing's
+boundaries and from random ints, each value sits in its own field of the
+narrowest width under one offset, with the field's top bit clear, and both
+rules agree code by code with the per-row rules.
 """
 
 import math
@@ -35,10 +35,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sinkeq.dynamics import (
-    EdgeSemantics, StateGraph, _best_response_layers, _best_responses, _Fields,
-    _improvement_layers, _improvements, move_unions, space_sinks,
+    _TARGETS, EdgeSemantics, StateGraph, _Fields, move_unions, space_sinks,
 )
 from sinkeq.games import SuccinctGame, TableGame
+from sinkeq.profiles import ProfileCodec
 
 from _oracles import bitset_bottom_sccs, code_successors, successors_by_rows, successors_pointwise
 from test_eval_once import random_anonymous, random_congestion, random_market
@@ -113,20 +113,13 @@ def test_the_row_oracle_matches_the_pointwise_oracle(kind, seed):
 @settings(max_examples=80, deadline=None)
 @given(counts=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=6),
        seed=st.integers(min_value=0, max_value=10**6))
-def test_table_layers_are_the_per_line_read(counts, seed):
+def test_table_utilities_are_the_per_line_read(counts, seed):
     game = random_table(random.Random(seed), counts)
-    codec = game.codec
-    size = codec.num_profiles
-    for p, (weight, count) in enumerate(zip(codec.place_weights, counts)):
-        # the table's slices against the default hook's rows read at each base
-        assert (list(map(list, game.code_layers(p)))
-                == list(map(list, SuccinctGame.code_layers(game, p))))
-        lines = size // count
-        for s in range(count):
-            assert codec.layer(range(size), p, s) == [
-                k for k in range(size) if k // weight % count == s]
-            # the layout with fewer slices: w strided, or one block per line group
-            assert len(codec.line_slices(p, s)) == min(weight, lines // weight)
+    profiles = game.codec.all_profiles()
+    for p in range(len(counts)):
+        # the table as it stands against the default hook's rows read at each base
+        assert list(game.code_utilities(p)) == SuccinctGame.code_utilities(game, p)
+        assert list(game.code_utilities(p)) == [game.utility(x, p) for x in profiles]
 
 
 # the edges of each packing: a byte holds 0..127, a signed field of W bits
@@ -156,28 +149,29 @@ def packing_step(layers):
 @pytest.mark.parametrize("values", sorted(LAYER_VALUES))
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_layer_rules_are_the_row_rules(values, data):
-    choices, lines = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 12))
-    line = st.lists(LAYER_VALUES[values], min_size=lines, max_size=lines)
-    layers = data.draw(st.lists(line, min_size=choices, max_size=choices))
+def test_union_rules_are_the_row_rules(values, data):
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    codec = ProfileCodec(counts)
+    size = codec.num_profiles
+    player = data.draw(st.integers(0, len(counts) - 1))
+    utilities = data.draw(st.lists(LAYER_VALUES[values], min_size=size, max_size=size))
     # each value in its own field of the narrowest width, all under one
     # offset, with the top bit of every field clear
-    fields = _Fields(layers)
+    fields = _Fields(utilities)
     width = 8 * fields.step
-    assert fields.step == packing_step(layers)
-    assert all(packed >> lines * width == 0 for packed in fields.layers)
-    unpacked = [[packed >> k * width & (1 << width) - 1 for k in range(lines)]
-                for packed in fields.layers]
-    assert len({u - v for row, layer in zip(unpacked, layers) for u, v in zip(row, layer)}) == 1
-    assert all(u >> width - 1 == 0 for row in unpacked for u in row)
-    better, best = _improvement_layers(layers), _best_response_layers(layers)
-    rows = list(zip(*layers))
-    for a in range(choices):
-        for b in range(choices):
-            if a == b:
-                continue
-            moves = list(better(a, b))
-            assert moves == [b in _improvements(a, row) for row in rows]
-            assert list(best(a, b)) == [b in _best_responses(a, row) for row in rows]
-            if choices == 2:  # with one other strategy, a best response is an improvement
-                assert list(best(a, b)) == moves
+    assert fields.step == packing_step([utilities])
+    assert fields.packed >> size * width == 0
+    unpacked = [fields.packed >> k * width & (1 << width) - 1 for k in range(size)]
+    assert len({u - v for u, v in zip(unpacked, utilities)}) == 1
+    assert all(u >> width - 1 == 0 for u in unpacked)
+    # the row of each code: the player's utilities along its line
+    weight, choices = codec.place_weights[player], counts[player]
+    rows = [[utilities[k + (s - k // weight % choices) * weight] for s in range(choices)]
+            for k in range(size)]
+    for row_rule, space_rule in _TARGETS.values():
+        unions = list(space_rule(fields, codec, player)) if choices > 1 else []
+        assert [shift for shift, _ in unions] == [
+            d * weight for d in range(1 - choices, choices) if d]
+        assert [[k + shift for shift, union in unions if union >> k & 1] for k in range(size)] == [
+            [k + (s - k // weight % choices) * weight for s in row_rule(k // weight % choices, row)]
+            for k, row in enumerate(rows)]

@@ -12,24 +12,34 @@ witness is the least equilibrium, since pruning drops only subtrees without
 one. A spy on the row reader checks the memo: a search reads each player's
 row once per assignment of the players it interacts with, and a table's
 search, which keeps no memo, reads one row per check.
+
+``pure_equilibrium`` answers a table from the move unions instead. Its
+witness must be the search's and the least equilibrium of the brute-force
+scan, on seeded random tables and on a one-strategy player, a game without
+players, a constant table and payoffs beyond ±2^62; through the CLI under
+both semantics too, which share their equilibria.
 """
 
+import io
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sinkeq.cli import run_cli
 from sinkeq.cnf import CnfFormula
 from sinkeq.compilers import compile_sat_market
-from sinkeq.dynamics import pure_ne_search
+from sinkeq.dynamics import EdgeSemantics, pure_equilibrium, pure_ne_search
 from sinkeq.errors import CapExceededError
-from sinkeq.games import CongestionGame, TwoSidedMarketGame
+from sinkeq.games import CongestionGame, TableGame, TwoSidedMarketGame
+from sinkeq.io import serialize_game
 from sinkeq.games.anonymous import AnonymousGame, AnonymousPlayer, Cmp, Const, Count
 from sinkeq.games.market import ActiveAgent, PassiveAgent
 
 from _oracles import brute_force_pure_nes, is_stable_pointwise
-from test_code_walk import RANDOM_GAMES
+from test_code_walk import RANDOM_GAMES, random_table
 
 
 def sparse_congestion(rng, mode, weighted=True):
@@ -208,3 +218,54 @@ def test_the_cap_bounds_search_nodes():
     with pytest.raises(CapExceededError, match=f"cap of {nodes - 1} nodes") as info:
         pure_ne_search(game, cap=nodes - 1)
     assert info.value.explored == nodes - 1
+
+
+TABLES = {
+    "table": RANDOM_GAMES["table"],
+    "table-ties": RANDOM_GAMES["table-ties"],
+    "table-one-strategy-player": RANDOM_GAMES["table-one-strategy-player"],
+    "table-without-players": lambda rng: TableGame((), []),
+    "table-constant": lambda rng: random_table(
+        rng, [rng.randint(1, 4) for _ in range(rng.randint(1, 4))], lambda rng: 7),
+    # beyond ±2^62 no 64-bit field holds the values: the span's bytes do
+    "table-beyond-2^62": lambda rng: random_table(
+        rng, [rng.randint(1, 4) for _ in range(rng.randint(2, 3))],
+        lambda rng: rng.choice((rng.randint(-2**64, 2**64), rng.randint(-1, 1)))),
+}
+
+
+def check_route(game):
+    """The table route's witness against the search's and the oracle's."""
+    code, explored = pure_equilibrium(game)
+    equilibria = brute_force_pure_nes(game)
+    assert code == pure_ne_search(game)[0]
+    assert (None if code is None else game.codec.decode(code)) == min(equilibria, default=None)
+    assert explored == game.codec.num_profiles
+    return code
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_the_table_route_finds_the_search_witness(kind, seed):
+    check_route(TABLES[kind](random.Random(seed)))
+
+
+def test_the_table_route_answers_the_cli_under_both_semantics(tmp_path):
+    rng = random.Random(36)
+    games = [TABLES[kind](rng) for kind in sorted(TABLES) for _ in range(6)]
+    answers = set()
+    for k, game in enumerate(games):
+        code = check_route(game)
+        path = tmp_path / f"t{k}.json"
+        path.write_text(serialize_game(game))
+        for semantics in EdgeSemantics:
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["--semantics", semantics.value, "--format", "json", "has-pure", str(path)]
+            assert run_cli(argv, out=out, err=err) == 0, err.getvalue()
+            doc = json.loads(out.getvalue())
+            assert doc["stats"]["states_explored"] == game.codec.num_profiles
+            witness = doc.get("extra", {}).get("equilibrium")
+            assert witness == (None if code is None else list(game.codec.decode(code)))
+            answers.add(doc["answer"])
+    assert answers == {"true", "false"}

@@ -4,21 +4,21 @@ Forward closures call ``StateGraph.improving_moves`` once for every state
 they explore, counted per profile while a question runs, and so do
 ``export-dot --from`` and ``closures_isomorphic``, which read the successor
 lists the pass records. The full-space questions expand no single state
-and run no Tarjan pass: ``sinks``, ``has-non-singleton`` and full-space
-``export-dot`` answer from the bitsets of ``dynamics.move_unions``, which
-takes each player's layers from the game's ``code_layers`` once, and
-has-non-singleton runs no sink search. A table game's layers are slices
-of its tables, so those passes call ``TableGame._row`` zero times; the
-default hook, counted through ``CongestionGame.deviation_utilities``, reads
-each player's row once per line of profiles that differ only in that
-player's strategy, at the line's base. Recorded successor lists, and the
-moves the unions hold, are checked against the row oracle's
-(``_oracles.successors_by_rows``). The CLI's ``edges`` are checked against
-a plain successor sum, its in-sink ``scc_count`` and its sink sizes against
-the bitset oracle, and so are the components and sinks the one pass finds
-on random digraphs. In-sink stops at the first sink without its start:
-that answer is checked against the whole closure's, and that sink against
-the oracle.
+and run no Tarjan pass: ``sinks``, ``has-non-singleton``, full-space
+``export-dot`` and, on a table, ``has-pure`` answer from the bitsets of
+``dynamics.move_unions``, which takes each player's utilities at every
+code from the game's ``code_utilities`` once, and has-non-singleton runs
+no sink search. A table game's utilities are its tables as they stand, so
+those passes call ``TableGame._row`` zero times; the default hook, counted
+through ``CongestionGame.deviation_utilities``, reads each player's row
+once per line of profiles that differ only in that player's strategy, at
+the line's base. Recorded successor lists, and the moves the unions hold,
+are checked against the row oracle's (``_oracles.successors_by_rows``).
+The CLI's ``edges`` are checked against a plain successor sum, its in-sink
+``scc_count`` and its sink sizes against the bitset oracle, and so are the
+components and sinks the one pass finds on random digraphs. In-sink stops
+at the first sink without its start: that answer is checked against the
+whole closure's, and that sink against the oracle.
 """
 
 import io
@@ -50,6 +50,7 @@ from sinkeq.dynamics import (
     has_singleton_sink,
     in_a_sink,
     move_unions,
+    pure_ne_search,
     sccs,
     simulate_walk,
     sinks,
@@ -113,24 +114,24 @@ def rows(monkeypatch):
 
 
 @pytest.fixture
-def layers(monkeypatch):
-    """``TableGame.code_layers`` calls, by player."""
+def utilities(monkeypatch):
+    """``TableGame.code_utilities`` calls, by player."""
     calls = Counter()
-    code_layers = TableGame.code_layers
+    code_utilities = TableGame.code_utilities
 
     def counting(self, player):
         calls[player] += 1
-        return code_layers(self, player)
+        return code_utilities(self, player)
 
-    monkeypatch.setattr(TableGame, "code_layers", counting)
+    monkeypatch.setattr(TableGame, "code_utilities", counting)
     return calls
 
 
-def check_layers_read_once(layers, rows, game):
-    """A table's full-space pass read no row: it took the layers of each
+def check_utilities_read_once(utilities, rows, game):
+    """A table's full-space pass read no row: it took the utilities of each
     player with two or more strategies from the player's table, once."""
     assert not rows
-    assert layers == Counter(p for p, count in enumerate(game.strategy_counts) if count > 1)
+    assert utilities == Counter(p for p, count in enumerate(game.strategy_counts) if count > 1)
 
 
 @pytest.fixture
@@ -148,7 +149,7 @@ def deviations(monkeypatch):
 
 
 def check_one_row_per_line(rows, game):
-    """The default ``code_layers`` read each row once per line, at the
+    """The default ``code_utilities`` read each row once per line, at the
     line's base (the player's digit 0): N / k rows for a player with k >= 2
     strategies, none for a player with one."""
     assert set(rows.values()) == {1}
@@ -225,10 +226,10 @@ def test_cli_in_sink_expands_each_gadget_state_once(gadget, tmp_path, expansions
 
 
 def test_table_questions_expand_each_profile_once(table_4_6, tmp_path, expansions, rows,
-                                                  layers):
+                                                  utilities):
     found = sinks(table_4_6)
     assert found and not expansions
-    check_layers_read_once(layers, rows, table_4_6)
+    check_utilities_read_once(utilities, rows, table_4_6)
     start = next(iter(found[0]))
     assert in_a_sink(table_4_6, start) is True
     assert set(expansions.values()) == {1}
@@ -236,9 +237,9 @@ def test_table_questions_expand_each_profile_once(table_4_6, tmp_path, expansion
     game_path = tmp_path / "t.json"
     game_path.write_text(serialize_game(table_4_6))
     rows.clear()
-    layers.clear()
+    utilities.clear()
     doc = cli_json(["sinks", str(game_path)])
-    check_layers_read_once(layers, rows, table_4_6)
+    check_utilities_read_once(utilities, rows, table_4_6)
     assert doc["stats"]["states_explored"] == 4 ** 6
     expansions.clear()
     doc = cli_json(["in-sink", str(game_path), "--profile", "0,0,0,0,0,0"])
@@ -276,7 +277,7 @@ def test_full_space_questions_encode_no_profile(table_4_6, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("semantics", EdgeSemantics, ids=lambda s: s.value)
 def test_has_non_singleton_reads_each_row_once_and_builds_no_graph(
-        table_4_6, tmp_path, rows, layers, monkeypatch, semantics):
+        table_4_6, tmp_path, rows, utilities, monkeypatch, semantics):
     def refused(*args):
         raise AssertionError("has-non-singleton searched for sinks or ran Tarjan")
 
@@ -286,21 +287,51 @@ def test_has_non_singleton_reads_each_row_once_and_builds_no_graph(
     game_path = tmp_path / "t.json"
     game_path.write_text(serialize_game(table_4_6))
     doc = cli_json(["--semantics", semantics.value, "has-non-singleton", str(game_path)])
-    check_layers_read_once(layers, rows, table_4_6)
+    check_utilities_read_once(utilities, rows, table_4_6)
     assert doc["stats"]["states_explored"] == 4 ** 6
     assert sorted(doc["extra"]) == ["equilibria", "stuck_states"]
     rows.clear()
-    layers.clear()
+    utilities.clear()
     assert has_non_singleton_sink(table_4_6, semantics) == (doc["answer"] == "true")
-    check_layers_read_once(layers, rows, table_4_6)
+    check_utilities_read_once(utilities, rows, table_4_6)
     # a cap below the profile space refuses the pass before it reads a row
     rows.clear()
-    layers.clear()
+    utilities.clear()
     out, err = io.StringIO(), io.StringIO()
     argv = ["--cap", "4095", "--format", "json", "has-non-singleton", str(game_path)]
     assert run_cli(argv, out=out, err=err) == 2 and err.getvalue() == ""
     doc = json.loads(out.getvalue())
-    assert doc["answer"] == "inconclusive" and not rows and not layers
+    assert doc["answer"] == "inconclusive" and not rows and not utilities
+    assert doc["reason"] == "profile space has 4096 states, above the cap of 4095"
+
+
+@pytest.mark.parametrize("semantics", EdgeSemantics, ids=lambda s: s.value)
+def test_has_pure_on_a_table_reads_no_row_and_searches_nothing(
+        table_4_6, tmp_path, rows, utilities, monkeypatch, semantics):
+    code, _ = pure_ne_search(table_4_6)
+    rows.clear()
+
+    def refused(*args):
+        raise AssertionError("has-pure on a table searched profiles or ran Tarjan")
+
+    monkeypatch.setattr(dynamics, "pure_ne_search", refused)
+    monkeypatch.setattr(dynamics, "_tarjan", refused)
+    game_path = tmp_path / "t.json"
+    game_path.write_text(serialize_game(table_4_6))
+    doc = cli_json(["--semantics", semantics.value, "has-pure", str(game_path)])
+    check_utilities_read_once(utilities, rows, table_4_6)
+    assert doc["stats"]["states_explored"] == 4 ** 6
+    assert doc["extra"]["equilibrium"] == list(table_4_6.codec.decode(code))
+    utilities.clear()
+    assert has_singleton_sink(table_4_6)
+    check_utilities_read_once(utilities, rows, table_4_6)
+    # a cap below the profile space refuses the pass before it reads a row
+    utilities.clear()
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["--cap", "4095", "--format", "json", "has-pure", str(game_path)]
+    assert run_cli(argv, out=out, err=err) == 2 and err.getvalue() == ""
+    doc = json.loads(out.getvalue())
+    assert doc["answer"] == "inconclusive" and not rows and not utilities
     assert doc["reason"] == "profile space has 4096 states, above the cap of 4095"
 
 
@@ -381,7 +412,8 @@ def test_components_and_sinks_match_bitset_oracle_on_random_digraphs():
         assert {frozenset(c) for c in bottom_sccs(roots, adj.__getitem__)} == set(bottoms)
 
 
-def test_export_dot_expands_each_state_once(gadget, table_4_6, tmp_path, moves, rows, layers):
+def test_export_dot_expands_each_state_once(gadget, table_4_6, tmp_path, moves, rows,
+                                            utilities):
     table_path = tmp_path / "t.json"
     table_path.write_text(serialize_game(table_4_6))
     game_path = tmp_path / "walker.json"
@@ -389,7 +421,7 @@ def test_export_dot_expands_each_state_once(gadget, table_4_6, tmp_path, moves, 
     (tmp_path / "walker.symbols.json").write_text(serialize_sidecar(gadget))
     dot = cli_json(["export-dot", str(table_path)])["answer"]
     assert not moves
-    check_layers_read_once(layers, rows, table_4_6)
+    check_utilities_read_once(utilities, rows, table_4_6)
     assert dot.count("[label=") - dot.count("->") == 4 ** 6
     dot = cli_json(["export-dot", str(game_path), "--from", "@initial"])["answer"]
     assert set(moves.values()) == {1}
