@@ -13,6 +13,12 @@ Answers. The seed-1 pools of four benchmark workloads are generated by
 - ``tm-wcg`` and ``tm-anon`` (36 machines each): ``compile tm2wcg`` or
   ``compile tm2anon`` and ``in-sink @initial``, in ``<pool>-seed1.json``.
 
+Gadgets. ``gadgets.json`` holds the compile steps of ``tm2wcg``,
+``tm2psg``, ``tm2market`` and ``tm2anon`` on the four machines of
+``tests/conftest.py`` (flipper, walker, halter and halter3). ``tm2market``
+is the only compiler whose transition player's Halt strategy holds a
+resource of its own.
+
 A question's entry keeps the argv, with every path in the pool directory
 reduced to its file name, the exit code and the parsed ``--format json``
 output without ``stats.wall_ms``. A compile step's entry keeps the argv, the
@@ -51,6 +57,7 @@ ROOT = HERE.parents[1]
 SEED = 1
 DOT_MAX_PROFILES = 4096
 POOLS = ("sat-market", "tm-wcg", "tm-anon")
+GADGET_KINDS = ("tm2wcg", "tm2psg", "tm2market", "tm2anon")
 # what replaces each leaf of a refusal base document
 VALUES = (None, 0.5, 2.0, "x", "1", True, False, [], {}, -1, 0)
 
@@ -112,6 +119,21 @@ def _pool_corpus(pool: str, workdir: Path) -> list[dict]:
 
     manifest = make_inputs(pool, SEED, workdir)
     return [_entry(step, workdir) for item in manifest["items"] for step in item["steps"]]
+
+
+def _gadget_corpus(workdir: Path) -> list[dict]:
+    from conftest import MACHINES
+    from sinkeq.io import serialize_tm
+
+    workdir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for name, spec in MACHINES.items():
+        machine = workdir / f"{name}.tm.json"
+        machine.write_text(serialize_tm(spec))
+        for kind in GADGET_KINDS:
+            game = str(workdir / f"{name}.{kind}.json")
+            rows.append(_entry(["compile", kind, str(machine), "-o", game], workdir))
+    return rows
 
 
 def _leaves(doc, at=()):
@@ -250,6 +272,7 @@ def corpus(workdir: Path) -> dict[str, list[dict]]:
     entries = _table_corpus(workdir / "table-full")
     for pool in POOLS:
         entries[f"{pool}-seed{SEED}"] = _pool_corpus(pool, workdir / pool)
+    entries["gadgets"] = _gadget_corpus(workdir / "gadgets")
     entries["refusals"] = refusal_corpus()
     return entries
 
@@ -260,7 +283,7 @@ def dumps(rows: list[dict]) -> str:
 
 
 def main() -> int:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(HERE.parent)]
     with tempfile.TemporaryDirectory() as workdir:
         entries = corpus(Path(workdir))
     for name, rows in entries.items():

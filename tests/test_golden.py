@@ -3,7 +3,8 @@
 The seed-1 ``table-full``, ``sat-market``, ``tm-wcg`` and ``tm-anon`` pools
 are generated through ``perfbench/inputs.py`` into ``tmp_path``, every step
 is run, and each output (without ``wall_ms``) and each digest of a compiled
-document must equal the committed one. Every hostile document of the
+document must equal the committed one, as must the digests of every machine
+compiler's gadget on the four machines of ``conftest.py``. Every hostile document of the
 refusal corpus must be refused with the committed path and text, or load.
 ``tests/golden/update.py`` rewrites the files.
 """
@@ -16,7 +17,7 @@ import pytest
 from golden.update import corpus, corpus_path
 
 CORPORA = ["table-full-seed1-improvement", "table-full-seed1-best-response",
-           "sat-market-seed1", "tm-wcg-seed1", "tm-anon-seed1", "refusals"]
+           "sat-market-seed1", "tm-wcg-seed1", "tm-anon-seed1", "gadgets", "refusals"]
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,10 @@ def test_table_pool_answers_match_the_corpus(generated, semantics):
 @pytest.mark.parametrize("pool", ["sat-market", "tm-wcg", "tm-anon"])
 def test_pool_answers_match_the_corpus(generated, pool):
     _compare(generated, f"{pool}-seed1")
+
+
+def test_machine_gadgets_match_the_corpus(generated):
+    _compare(generated, "gadgets")
 
 
 def test_hostile_documents_are_refused_as_the_corpus_says(generated):
