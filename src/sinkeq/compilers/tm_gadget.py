@@ -4,12 +4,20 @@ The congestion and market reductions use the same cast: configuration
 players (state, position, one per tape cell), write/verify control pairs per
 (next state, next position, position, written symbol) tuple, a latch control,
 a transition player whose strategies drive one machine step per round, and a
-clock. Resources are interned by name; every alpha or beta resource is shared
-by at most the owning player and the transition player, and every other
-resource by at most the transition player and the clock. ``build_structure``
-tags each resource with its kind as it creates it (alpha, beta, TriggerMain,
-TriggerClock, nn_read, nn_write, nn_verify, nn_done, nn_halt, nn_clock_wait);
-the compilers price a resource by its kind alone.
+clock. Every alpha or beta resource is shared by at most the owning player
+and the transition player, and every other resource by at most the
+transition player and the clock.
+
+``build_structure`` names each resource once, and each family of resources
+is one block of consecutive indices, in this order: the state, position and
+cell pairs (all alphas of a family before its betas), four per write or
+verify control (a0, b0, a1, b1; the W block, then the V block, each in
+``control_tuples`` order), the latch's four, the two triggers, and then one
+nn resource per transition or clock strategy that holds one, in the order
+the strategies are emitted. A resource is addressed by its position in its
+block. Each resource is tagged with its kind as it is created (alpha, beta,
+TriggerMain, TriggerClock, nn_read, nn_write, nn_verify, nn_done, nn_halt,
+nn_clock_wait); the compilers price a resource by its kind alone.
 
 Naming convention for the write/verify controls: the strategy called One
 holds the 0-superscript resources (the pair the transition player's Read and
@@ -91,39 +99,52 @@ class GadgetStructure:
         return self.player_roles.index("clock")
 
 
+def _without_each(block: range) -> list[list[int]]:
+    """Entry k: the indices of ``block`` but its k-th."""
+    return [[*block[:k], *block[k + 1:]] for k in range(len(block))]
+
+
 def build_structure(spec: TMSpec, market_halt_nn: bool = False) -> GadgetStructure:
     tuples = control_tuples(spec)
-    t_prime = spec.t_prime
-    n_states = spec.num_states
+    tags = [t.tag() for t in tuples]
+    position = {(t.q2, t.i2, t.i, t.sym2): j for j, t in enumerate(tuples)}
+    n_states, n_cells, n_tuples = spec.num_states, spec.t_prime + 1, len(tuples)
+    symbol_index = {s: k for k, s in enumerate(SYMBOLS)}
 
     names: list[str] = []
     kinds: list[str] = []
-    index: dict[str, int] = {}
 
-    def res(name: str, kind: str) -> int:
-        if name not in index:
-            index[name] = len(names)
-            names.append(name)
-            kinds.append(kind)
-        return index[name]
+    def block(new_names: list[str], *cycle: str) -> range:
+        """Append ``new_names``, their kinds repeating ``cycle``; their indices."""
+        start = len(names)
+        names.extend(new_names)
+        kinds.extend(cycle * (len(new_names) // len(cycle)))
+        return range(start, len(names))
 
-    a_state = [res(f"a_state_{q}", "alpha") for q in range(n_states)]
-    b_state = [res(f"b_state_{q}", "beta") for q in range(n_states)]
-    a_pos = [res(f"a_pos_{i}", "alpha") for i in range(t_prime + 1)]
-    b_pos = [res(f"b_pos_{i}", "beta") for i in range(t_prime + 1)]
-    cells = [(i, s) for i in range(t_prime + 1) for s in SYMBOLS]
-    a_cell = {(i, s): res(f"a_cell_{i}_{s}", "alpha") for i, s in cells}
-    b_cell = {(i, s): res(f"b_cell_{i}_{s}", "beta") for i, s in cells}
-    ctrl = {}
-    for kind in ("W", "V"):
-        for t in tuples:
-            for sup in ("0", "1"):
-                ctrl[(kind, t, "a", sup)] = res(f"a{sup}_{kind}_{t.tag()}", "alpha")
-                ctrl[(kind, t, "b", sup)] = res(f"b{sup}_{kind}_{t.tag()}", "beta")
-    a0_d, a1_d = res("a0_D", "alpha"), res("a1_D", "alpha")
-    b0_d, b1_d = res("b0_D", "beta"), res("b1_D", "beta")
-    trigger_main = res("TriggerMain", "TriggerMain")
-    trigger_clock = res("TriggerClock", "TriggerClock")
+    a_state = block([f"a_state_{q}" for q in range(n_states)], "alpha")
+    b_state = block([f"b_state_{q}" for q in range(n_states)], "beta")
+    a_pos = block([f"a_pos_{i}" for i in range(n_cells)], "alpha")
+    b_pos = block([f"b_pos_{i}" for i in range(n_cells)], "beta")
+    a_cell = block([f"a_cell_{i}_{s}" for i in range(n_cells) for s in SYMBOLS], "alpha")
+    b_cell = block([f"b_cell_{i}_{s}" for i in range(n_cells) for s in SYMBOLS], "beta")
+    # four resources per (W or V, tuple): a0, b0, a1, b1
+    ctrl = block([f"{ab}{sup}_{kind}_{tag}" for kind in ("W", "V") for tag in tags
+                  for sup in ("0", "1") for ab in ("a", "b")], "alpha", "beta")
+    quads = [ctrl[r:r + 4] for r in range(0, len(ctrl), 4)]
+    w_quads, v_quads = quads[:n_tuples], quads[n_tuples:]
+    a0_d, a1_d, b0_d, b1_d = block(["a0_D", "a1_D", "b0_D", "b1_D"],
+                                   "alpha", "alpha", "beta", "beta")
+    trigger_main, trigger_clock = block(["TriggerMain", "TriggerClock"],
+                                        "TriggerMain", "TriggerClock")
+
+    def nn(name: str, kind: str) -> int:
+        return block([name], kind)[0]
+
+    # the other resources of one block: a state, a position, a cell's symbol
+    a_state_but, b_state_but = _without_each(a_state), _without_each(b_state)
+    a_pos_but, b_pos_but = _without_each(a_pos), _without_each(b_pos)
+    a_cell_but = [_without_each(a_cell[3 * i:3 * i + 3]) for i in range(n_cells)]
+    b_cell_but = [_without_each(b_cell[3 * i:3 * i + 3]) for i in range(n_cells)]
 
     player_roles: list[str] = []
     strategy_names: list[list[str]] = []
@@ -134,96 +155,59 @@ def build_structure(spec: TMSpec, market_halt_nn: bool = False) -> GadgetStructu
         strategy_names.append(strat_names)
         strategy_resources.append(strat_resources)
 
-    add_player(
-        "state",
-        [f"q{q}" for q in range(n_states)],
-        [[a_state[q], b_state[q]] for q in range(n_states)],
-    )
-    add_player(
-        "position",
-        [f"p{i}" for i in range(t_prime + 1)],
-        [[a_pos[i], b_pos[i]] for i in range(t_prime + 1)],
-    )
-    for i in range(t_prime + 1):
-        add_player(
-            f"cell_{i}",
-            list(SYMBOLS),
-            [[a_cell[(i, s)], b_cell[(i, s)]] for s in SYMBOLS],
-        )
-    for kind in ("W", "V"):
-        for t in tuples:
-            add_player(
-                f"control_{kind}_{t.tag()}",
-                ["Zero", "One"],
-                [
-                    [ctrl[(kind, t, "b", "1")], ctrl[(kind, t, "a", "1")]],
-                    [ctrl[(kind, t, "b", "0")], ctrl[(kind, t, "a", "0")]],
-                ],
-            )
+    add_player("state", [f"q{q}" for q in range(n_states)],
+               [[a, b] for a, b in zip(a_state, b_state)])
+    add_player("position", [f"p{i}" for i in range(n_cells)],
+               [[a, b] for a, b in zip(a_pos, b_pos)])
+    for i in range(n_cells):
+        add_player(f"cell_{i}", list(SYMBOLS),
+                   [[a, b] for a, b in zip(a_cell[3 * i:3 * i + 3], b_cell[3 * i:3 * i + 3])])
+    for kind, kind_quads in (("W", w_quads), ("V", v_quads)):
+        for tag, (a0, b0, a1, b1) in zip(tags, kind_quads):
+            add_player(f"control_{kind}_{tag}", ["Zero", "One"], [[b1, a1], [b0, a0]])
     add_player("control_D", ["Zero", "One"], [[b0_d, a0_d], [b1_d, a1_d]])
 
     trans_names: list[str] = ["Wait"]
-    wait_resources = (
-        [ctrl[("W", t, "b", "1")] for t in tuples]
-        + [ctrl[("V", t, "b", "1")] for t in tuples]
-        + [a1_d, trigger_main]
-    )
-    trans_resources: list[list[int]] = [wait_resources]
+    trans_resources: list[list[int]] = [[*ctrl[3::4], a1_d, trigger_main]]
 
     for q in range(n_states):
         if q == spec.q_halt:
             continue
-        for i in range(t_prime + 1):
+        for i in range(n_cells):
             for sym in SYMBOLS:
                 q2, sym2, move = spec.delta[(q, sym)]
                 i2 = i + MOVE_OFFSET[move]
-                if not 0 <= i2 <= t_prime:
+                if not 0 <= i2 < n_cells:
                     continue  # a strategy for an off-tape step is never emitted
-                target = ControlTuple(q2, i2, i, sym2)
+                target = w_quads[position[(q2, i2, i, sym2)]]
                 trans_names.append(f"Read_{q}_{i}_{sym}")
                 trans_resources.append(
-                    [b_state[p] for p in range(n_states) if p != q]
-                    + [b_pos[j] for j in range(t_prime + 1) if j != i]
-                    + [b_cell[(i, s)] for s in SYMBOLS if s != sym]
-                    + [b1_d, ctrl[("W", target, "a", "0")],
-                       res(f"nn_read_{q}_{i}_{sym}", "nn_read")]
+                    b_state_but[q] + b_pos_but[i] + b_cell_but[i][symbol_index[sym]]
+                    + [b1_d, target[0], nn(f"nn_read_{q}_{i}_{sym}", "nn_read")]
                 )
-    for t in tuples:
-        trans_names.append(f"Write_{t.tag()}")
+    for t, tag, w, v in zip(tuples, tags, w_quads, v_quads):
+        trans_names.append(f"Write_{tag}")
         trans_resources.append(
-            [a_state[p] for p in range(n_states) if p != t.q2]
-            + [a_pos[j] for j in range(t_prime + 1) if j != t.i2]
-            + [a_cell[(t.i, s)] for s in SYMBOLS if s != t.sym2]
-            + [ctrl[("V", t, "a", "0")], ctrl[("W", t, "b", "0")],
-               res(f"nn_write_{t.tag()}", "nn_write")]
+            a_state_but[t.q2] + a_pos_but[t.i2] + a_cell_but[t.i][symbol_index[t.sym2]]
+            + [v[0], w[1], nn(f"nn_write_{tag}", "nn_write")]
         )
-    for t in tuples:
-        trans_names.append(f"Verify_{t.tag()}")
+    for t, tag, v in zip(tuples, tags, v_quads):
+        trans_names.append(f"Verify_{tag}")
         trans_resources.append(
-            [b_state[p] for p in range(n_states) if p != t.q2]
-            + [b_pos[j] for j in range(t_prime + 1) if j != t.i2]
-            + [b_cell[(t.i, s)] for s in SYMBOLS if s != t.sym2]
-            + [ctrl[("V", t, "b", "0")], a0_d, res(f"nn_verify_{t.tag()}", "nn_verify")]
+            b_state_but[t.q2] + b_pos_but[t.i2] + b_cell_but[t.i][symbol_index[t.sym2]]
+            + [v[1], a0_d, nn(f"nn_verify_{tag}", "nn_verify")]
         )
     trans_names.append("Done")
-    trans_resources.append(
-        [trigger_clock, b0_d]
-        + [ctrl[("W", t, "a", "1")] for t in tuples]
-        + [ctrl[("V", t, "a", "1")] for t in tuples]
-        + [res("nn_done", "nn_done")]
-    )
+    trans_resources.append([trigger_clock, b0_d, *ctrl[2::4], nn("nn_done", "nn_done")])
     trans_names.append("Halt")
-    halt_resources = [b_state[p] for p in range(n_states) if p != spec.q_halt]
+    halt_resources = list(b_state_but[spec.q_halt])
     if market_halt_nn:
-        halt_resources.append(res("nn_halt", "nn_halt"))
+        halt_resources.append(nn("nn_halt", "nn_halt"))
     trans_resources.append(halt_resources)
     add_player("transition", trans_names, trans_resources)
 
-    add_player(
-        "clock",
-        ["Trigger", "Wait"],
-        [[trigger_main, trigger_clock], [res("nn_clock_wait", "nn_clock_wait")]],
-    )
+    add_player("clock", ["Trigger", "Wait"],
+               [[trigger_main, trigger_clock], [nn("nn_clock_wait", "nn_clock_wait")]])
 
     return GadgetStructure(
         tuples=tuples,

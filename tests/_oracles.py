@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import itertools
 
+from sinkeq.compilers.tm_gadget import ControlTuple, GadgetStructure, control_tuples
+from sinkeq.turing import MOVE_OFFSET, SYMBOLS
+
 
 def congestion_cost_by_resource(game, profile, player):
     """Per-resource accumulation written independently of CongestionGame.cost."""
@@ -277,3 +280,150 @@ def _anonymous_expr_value(doc, hist):
         return sum(_anonymous_expr_value(operand, hist) for operand in doc["add"])
     lhs, rhs = doc["sub"]
     return _anonymous_expr_value(lhs, hist) - _anonymous_expr_value(rhs, hist)
+
+
+def gadget_structure_by_name(spec, market_halt_nn=False):
+    """The machine gadget's ``GadgetStructure``, every resource interned by
+    its name on first use: the reference for ``build_structure``, which
+    lays the resources out in index blocks instead."""
+    tuples = control_tuples(spec)
+    t_prime = spec.t_prime
+    n_states = spec.num_states
+
+    names: list[str] = []
+    kinds: list[str] = []
+    index: dict[str, int] = {}
+
+    def res(name: str, kind: str) -> int:
+        if name not in index:
+            index[name] = len(names)
+            names.append(name)
+            kinds.append(kind)
+        return index[name]
+
+    a_state = [res(f"a_state_{q}", "alpha") for q in range(n_states)]
+    b_state = [res(f"b_state_{q}", "beta") for q in range(n_states)]
+    a_pos = [res(f"a_pos_{i}", "alpha") for i in range(t_prime + 1)]
+    b_pos = [res(f"b_pos_{i}", "beta") for i in range(t_prime + 1)]
+    cells = [(i, s) for i in range(t_prime + 1) for s in SYMBOLS]
+    a_cell = {(i, s): res(f"a_cell_{i}_{s}", "alpha") for i, s in cells}
+    b_cell = {(i, s): res(f"b_cell_{i}_{s}", "beta") for i, s in cells}
+    ctrl = {}
+    for kind in ("W", "V"):
+        for t in tuples:
+            for sup in ("0", "1"):
+                ctrl[(kind, t, "a", sup)] = res(f"a{sup}_{kind}_{t.tag()}", "alpha")
+                ctrl[(kind, t, "b", sup)] = res(f"b{sup}_{kind}_{t.tag()}", "beta")
+    a0_d, a1_d = res("a0_D", "alpha"), res("a1_D", "alpha")
+    b0_d, b1_d = res("b0_D", "beta"), res("b1_D", "beta")
+    trigger_main = res("TriggerMain", "TriggerMain")
+    trigger_clock = res("TriggerClock", "TriggerClock")
+
+    player_roles: list[str] = []
+    strategy_names: list[list[str]] = []
+    strategy_resources: list[list[list[int]]] = []
+
+    def add_player(role, strat_names, strat_resources):
+        player_roles.append(role)
+        strategy_names.append(strat_names)
+        strategy_resources.append(strat_resources)
+
+    add_player(
+        "state",
+        [f"q{q}" for q in range(n_states)],
+        [[a_state[q], b_state[q]] for q in range(n_states)],
+    )
+    add_player(
+        "position",
+        [f"p{i}" for i in range(t_prime + 1)],
+        [[a_pos[i], b_pos[i]] for i in range(t_prime + 1)],
+    )
+    for i in range(t_prime + 1):
+        add_player(
+            f"cell_{i}",
+            list(SYMBOLS),
+            [[a_cell[(i, s)], b_cell[(i, s)]] for s in SYMBOLS],
+        )
+    for kind in ("W", "V"):
+        for t in tuples:
+            add_player(
+                f"control_{kind}_{t.tag()}",
+                ["Zero", "One"],
+                [
+                    [ctrl[(kind, t, "b", "1")], ctrl[(kind, t, "a", "1")]],
+                    [ctrl[(kind, t, "b", "0")], ctrl[(kind, t, "a", "0")]],
+                ],
+            )
+    add_player("control_D", ["Zero", "One"], [[b0_d, a0_d], [b1_d, a1_d]])
+
+    trans_names: list[str] = ["Wait"]
+    wait_resources = (
+        [ctrl[("W", t, "b", "1")] for t in tuples]
+        + [ctrl[("V", t, "b", "1")] for t in tuples]
+        + [a1_d, trigger_main]
+    )
+    trans_resources: list[list[int]] = [wait_resources]
+
+    for q in range(n_states):
+        if q == spec.q_halt:
+            continue
+        for i in range(t_prime + 1):
+            for sym in SYMBOLS:
+                q2, sym2, move = spec.delta[(q, sym)]
+                i2 = i + MOVE_OFFSET[move]
+                if not 0 <= i2 <= t_prime:
+                    continue  # a strategy for an off-tape step is never emitted
+                target = ControlTuple(q2, i2, i, sym2)
+                trans_names.append(f"Read_{q}_{i}_{sym}")
+                trans_resources.append(
+                    [b_state[p] for p in range(n_states) if p != q]
+                    + [b_pos[j] for j in range(t_prime + 1) if j != i]
+                    + [b_cell[(i, s)] for s in SYMBOLS if s != sym]
+                    + [b1_d, ctrl[("W", target, "a", "0")],
+                       res(f"nn_read_{q}_{i}_{sym}", "nn_read")]
+                )
+    for t in tuples:
+        trans_names.append(f"Write_{t.tag()}")
+        trans_resources.append(
+            [a_state[p] for p in range(n_states) if p != t.q2]
+            + [a_pos[j] for j in range(t_prime + 1) if j != t.i2]
+            + [a_cell[(t.i, s)] for s in SYMBOLS if s != t.sym2]
+            + [ctrl[("V", t, "a", "0")], ctrl[("W", t, "b", "0")],
+               res(f"nn_write_{t.tag()}", "nn_write")]
+        )
+    for t in tuples:
+        trans_names.append(f"Verify_{t.tag()}")
+        trans_resources.append(
+            [b_state[p] for p in range(n_states) if p != t.q2]
+            + [b_pos[j] for j in range(t_prime + 1) if j != t.i2]
+            + [b_cell[(t.i, s)] for s in SYMBOLS if s != t.sym2]
+            + [ctrl[("V", t, "b", "0")], a0_d, res(f"nn_verify_{t.tag()}", "nn_verify")]
+        )
+    trans_names.append("Done")
+    trans_resources.append(
+        [trigger_clock, b0_d]
+        + [ctrl[("W", t, "a", "1")] for t in tuples]
+        + [ctrl[("V", t, "a", "1")] for t in tuples]
+        + [res("nn_done", "nn_done")]
+    )
+    trans_names.append("Halt")
+    halt_resources = [b_state[p] for p in range(n_states) if p != spec.q_halt]
+    if market_halt_nn:
+        halt_resources.append(res("nn_halt", "nn_halt"))
+    trans_resources.append(halt_resources)
+    add_player("transition", trans_names, trans_resources)
+
+    add_player(
+        "clock",
+        ["Trigger", "Wait"],
+        [[trigger_main, trigger_clock], [res("nn_clock_wait", "nn_clock_wait")]],
+    )
+
+    return GadgetStructure(
+        tuples=tuples,
+        resource_names=names,
+        resource_kinds=kinds,
+        player_roles=player_roles,
+        strategy_names=strategy_names,
+        strategy_resources=strategy_resources,
+    )
