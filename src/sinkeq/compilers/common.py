@@ -13,15 +13,28 @@ from ..profiles import Profile
 @dataclass
 class SymbolTable:
     """Maps gadget roles to player indices and role strategies to indices;
-    looking up a name it lacks raises ``SymbolError``."""
+    looking up a name it lacks raises ``SymbolError``. ``strategies`` holds
+    one table per role of ``players``. The reverse lookups ``role_of`` and
+    ``strategy_name`` map an index to the first name given it, in insertion
+    order."""
 
     players: dict[str, int] = field(init=False, default_factory=dict)
     strategies: dict[str, dict[str, int]] = field(init=False, default_factory=dict)
-    # Reverse lookups (index -> first name given it), kept in step by the add_* methods.
-    _roles: dict[int, str] = field(init=False, repr=False, compare=False, default_factory=dict)
-    _names: dict[str, dict[int, str]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
+    # Reverse lookups (index -> first name given it), each built from its map
+    # above by the first role_of or strategy_name, and dropped by add_player
+    # or add_strategy.
+    _roles: dict[int, str] | None = field(init=False, repr=False, compare=False, default=None)
+    _names: dict[str, dict[int, str]] | None = field(
+        init=False, repr=False, compare=False, default=None
     )
+
+    @classmethod
+    def of(cls, players: dict[str, int], strategies: dict[str, dict[str, int]]) -> SymbolTable:
+        """The table of ``players`` and ``strategies``, kept as they are;
+        ``strategies`` must have one entry per role of ``players``."""
+        table = cls()
+        table.players, table.strategies = players, strategies
+        return table
 
     @classmethod
     def from_roles(cls, roles: list[str], names: list[dict[int, str]]) -> SymbolTable:
@@ -39,15 +52,14 @@ class SymbolTable:
             raise ConfigurationError(f"duplicate role {role}")
         self.players[role] = index
         self.strategies[role] = {}
-        self._roles.setdefault(index, role)
-        self._names[role] = {}
+        self._roles = None
 
     def add_strategy(self, role: str, name: str, index: int):
         table = self.strategies[role]
         if name in table:
             raise ConfigurationError(f"duplicate strategy {name} for role {role}")
         table[name] = index
-        self._names[role].setdefault(index, name)
+        self._names = None
 
     def player(self, role: str) -> int:
         if role not in self.players:
@@ -60,15 +72,24 @@ class SymbolTable:
         return self.strategies[role][name]
 
     def strategy_name(self, role: str, index: int) -> str:
+        if self._names is None:
+            self._names = {role: _first_names(table) for role, table in self.strategies.items()}
         names = self._names.get(role, {})
         if index not in names:
             raise SymbolError(f"the symbol table names no strategy {index} of role {role!r}")
         return names[index]
 
     def role_of(self, player_index: int) -> str:
+        if self._roles is None:
+            self._roles = _first_names(self.players)
         if player_index not in self._roles:
             raise SymbolError(f"the symbol table names no player {player_index}")
         return self._roles[player_index]
+
+
+def _first_names(table: dict[str, int]) -> dict[int, str]:
+    """Index -> the first name of ``table``, in insertion order, mapped to it."""
+    return {index: name for name, index in reversed(table.items())}
 
 
 @dataclass

@@ -13,16 +13,17 @@ object with those keys, checked in that order). Two interpreters read a
 shape. ``_fits`` checks documents in bulk, one C-level type pass per level,
 and hands the loader the column of each key. ``_walk`` runs only when that
 check refuses a document: it goes entry by entry and names the first bad
-entry in document order. Delay tables, predicates, ground-set elements and
-symbol indices keep parsers of their own, and every constructor still
-checks what it is given.
+entry in document order. A sidecar's symbol tables follow the same pattern
+with a check and a walk of their own (``_symbols_fit``, ``_symbols_walked``).
+Delay tables, predicates and ground-set elements keep parsers of their own,
+and every constructor still checks what it is given.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, islice, product
-from operator import itemgetter
+from itertools import chain, islice, product, repeat
+from operator import itemgetter, lt
 from typing import Any
 
 from .compilers.common import CompiledReduction, SymbolTable
@@ -539,13 +540,31 @@ def _opt_int(value, path: str) -> int | None:
     return None if value is None else _int(value, path)
 
 
-def parse_sidecar(text: str | bytes, game: SuccinctGame) -> CompiledReduction:
-    """The reduction a sidecar describes, its indices and ``initial`` checked against ``game``."""
-    doc = _load_json(text)
-    counts = game.strategy_counts
+def _symbols_fit(players, strategies, counts) -> bool:
+    """Whether ``players`` and ``strategies`` are a sidecar's symbol tables,
+    checked in bulk: every index an integer in range for its player's
+    strategy counts, and every role of ``strategies`` a role of ``players``."""
+    if type(players) is not dict or type(strategies) is not dict:
+        return False
+    tables = strategies.values()
+    if not (set(map(type, players.values())) <= _ONLY_INT
+            and set(map(type, tables)) <= _ONLY_DICT and strategies.keys() <= players.keys()):
+        return False
+    if players and not (min(players.values()) >= 0 and max(players.values()) < len(counts)):
+        return False
+    indices = list(chain.from_iterable(map(dict.values, tables)))
+    if indices and not (set(map(type, indices)) <= _ONLY_INT and min(indices) >= 0):
+        return False
+    bounds = map(counts.__getitem__, map(players.__getitem__, strategies))
+    return all(map(lt, indices, chain.from_iterable(map(repeat, bounds, map(len, tables)))))
+
+
+def _symbols_walked(doc: dict, counts) -> SymbolTable:
+    """The symbol table of a sidecar, entry by entry: the first bad entry,
+    in document order, raises its ``FormatError``."""
     symbols = SymbolTable()
     players = _int_values(_need(doc, "players", "$"), "$.players", len(counts))
-    for role, idx in sorted(players.items(), key=lambda kv: kv[1]):
+    for role, idx in sorted(players.items(), key=itemgetter(1)):
         symbols.add_player(role, idx)
     for role, table in _as_dict(_need(doc, "strategies", "$"), "$.strategies").items():
         path = f"$.strategies.{role}"
@@ -553,6 +572,23 @@ def parse_sidecar(text: str | bytes, game: SuccinctGame) -> CompiledReduction:
             raise FormatError(f"role {role!r} is not in $.players", path)
         for name, idx in _int_values(table, path, counts[players[role]]).items():
             symbols.add_strategy(role, name, idx)
+    return symbols
+
+
+def parse_sidecar(text: str | bytes, game: SuccinctGame) -> CompiledReduction:
+    """The reduction a sidecar describes, its indices and ``initial`` checked against ``game``."""
+    doc = _load_json(text)
+    counts = game.strategy_counts
+    players, strategies = doc.get("players"), doc.get("strategies")
+    if _symbols_fit(players, strategies, counts):
+        players = dict(sorted(players.items(), key=itemgetter(1)))
+        tables = dict.fromkeys(players) | strategies  # in player order
+        if len(strategies) < len(players):
+            for role in players.keys() - strategies.keys():
+                tables[role] = {}
+        symbols = SymbolTable.of(players, tables)
+    else:
+        symbols = _symbols_walked(doc, counts)
     try:
         initial = game.validate_profile(_check(_need(doc, "initial", "$"), [int], "$.initial"))
     except ValueError as exc:

@@ -395,10 +395,25 @@ def test_shallow_nested_predicate_still_evaluates():
     assert game.utility((0,), 0) == 2
 
 
+def _lookups(symbols, game):
+    """What ``role_of`` and ``strategy_name`` answer at every index of ``game``."""
+    def answer(lookup, *args):
+        try:
+            return lookup(*args)
+        except SymbolError:
+            return None
+
+    return ([answer(symbols.role_of, p) for p in range(game.num_players)],
+            {role: [answer(symbols.strategy_name, role, s)
+                    for s in range(game.strategy_counts[index])]
+             for role, index in symbols.players.items()})
+
+
 def test_sidecar_reverse_lookups(flipper):
     compiled = compile_tm_weighted(flipper)
     game = parse_game_file(serialize_game(compiled.game))
-    symbols = parse_sidecar(serialize_sidecar(compiled), game).symbols
+    text = serialize_sidecar(compiled)
+    symbols = parse_sidecar(text, game).symbols
     for role, index in symbols.players.items():
         assert symbols.role_of(index) == role
         for name, s in symbols.strategies[role].items():
@@ -407,6 +422,37 @@ def test_sidecar_reverse_lookups(flipper):
         symbols.role_of(len(symbols.players))
     with pytest.raises(KeyError):
         symbols.strategy_name("state", -1)
+    walked = gameio._symbols_walked(json.loads(text), game.strategy_counts)
+    assert _lookups(symbols, game) == _lookups(walked, game)
+
+    # two roles on one index, two names on one strategy index, a role with an
+    # empty table and a role with none: the first name in document order wins
+    game = prisoners_dilemma()
+    doc = {"players": {"spare": 1, "row": 0, "col": 0},
+           "strategies": {"row": {"C": 0, "Cooperate": 0, "D": 1}, "col": {}},
+           "initial": [0, 1]}
+    symbols = parse_sidecar(json.dumps(doc), game).symbols
+    walked = gameio._symbols_walked(doc, game.strategy_counts)
+    assert list(symbols.players) == list(walked.players) == ["row", "col", "spare"]
+    assert list(symbols.strategies) == list(walked.strategies) == ["row", "col", "spare"]
+    assert symbols.strategies == walked.strategies
+    assert _lookups(symbols, game) == _lookups(walked, game) == (
+        ["row", "spare"], {"row": ["C", "D"], "col": [None, None], "spare": [None, None]})
+    # a name added after a lookup is seen by the next lookup, unless the
+    # index already has a name
+    for table in (symbols, walked):
+        table.add_strategy("col", "D", 1)
+        assert table.strategy_name("col", 1) == "D"
+        table.add_strategy("row", "Defect", 1)
+        assert table.strategy_name("row", 1) == "D"
+        table.add_player("extra", 1)
+        assert table.role_of(1) == "spare"
+    assert _lookups(symbols, game) == _lookups(walked, game)
+    for table in (symbols, walked):
+        with pytest.raises(SymbolError):
+            table.role_of(2)
+        table.add_player("third", 2)
+        assert table.role_of(2) == "third"
 
 
 def test_a_missing_symbol_raises_an_error_naming_it(flipper):
@@ -494,16 +540,18 @@ def test_sidecar_index_must_be_an_integer(tmp_path, flipper, field, path):
     compiled = compile_tm_weighted(flipper)
     game_path = tmp_path / "gadget.json"
     game_path.write_text(serialize_game(compiled.game))
-    sidecar = json.loads(serialize_sidecar(compiled))
-    if field == "players":
-        sidecar["players"]["clock"] = None
-    else:
-        sidecar["strategies"]["clock"]["Trigger"] = 0.0
-    (tmp_path / "gadget.symbols.json").write_text(json.dumps(sidecar))
-    out, err = io.StringIO(), io.StringIO()
-    argv = ["in-sink", str(game_path), "--profile", "@initial"]
-    assert run_cli(argv, out=out, err=err) == 1
-    assert err.getvalue() == f"error: {tmp_path / 'gadget.symbols.json'}: {path}: expected an integer\n"
+    for value in ((None if field == "players" else 0.0), True):
+        sidecar = json.loads(serialize_sidecar(compiled))
+        if field == "players":
+            sidecar["players"]["clock"] = value
+        else:
+            sidecar["strategies"]["clock"]["Trigger"] = value
+        (tmp_path / "gadget.symbols.json").write_text(json.dumps(sidecar))
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["in-sink", str(game_path), "--profile", "@initial"]
+        assert run_cli(argv, out=out, err=err) == 1
+        assert err.getvalue() == (
+            f"error: {tmp_path / 'gadget.symbols.json'}: {path}: expected an integer\n")
 
 
 @pytest.mark.parametrize("rule, extra, path, message", [
@@ -581,13 +629,20 @@ def _sidecar_cases():
         (symbol("players", "cell_0", 92), "$.players.cell_0: 92 is out of range [0, 92)"),
         (symbol("strategies", "cell_0", {"b": 3}),
          "$.strategies.cell_0.b: 3 is out of range [0, 3)"),
+        (symbol("strategies", "ghost", {}), "$.strategies.ghost: role 'ghost' is not in $.players"),
+        (symbol("strategies", "clock", {"Trigger": -1}),
+         "$.strategies.clock.Trigger: -1 is out of range [0, 2)"),
+        # in range for a cell (3 strategies), not for the state player (2)
+        (symbol("strategies", "state", {"q0": 0, "q1": 2}),
+         "$.strategies.state.q1: 2 is out of range [0, 2)"),
     ]
 
 
 @pytest.mark.parametrize("mutate, message", _sidecar_cases(), ids=[
     "truncated", "penalty-string", "market-base-float", "machine-not-object",
     "machine-next-string", "machine-read-int", "machine-repeated-rule", "player-index",
-    "strategy-index"])
+    "strategy-index", "strategy-role-not-a-player", "strategy-index-negative",
+    "strategy-index-at-the-role-count"])
 def test_malformed_sidecars_name_a_path(tmp_path, flipper, mutate, message):
     compiled = compile_tm_weighted(flipper)
     game_path = tmp_path / "gadget.json"
