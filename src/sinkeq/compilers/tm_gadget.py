@@ -127,6 +127,9 @@ def build_structure(spec: TMSpec, market_halt_nn: bool = False) -> GadgetStructu
     b_pos = block([f"b_pos_{i}" for i in range(n_cells)], "beta")
     a_cell = block([f"a_cell_{i}_{s}" for i in range(n_cells) for s in SYMBOLS], "alpha")
     b_cell = block([f"b_cell_{i}_{s}" for i in range(n_cells) for s in SYMBOLS], "beta")
+    # per cell, one index per symbol
+    a_cells = [a_cell[r:r + len(SYMBOLS)] for r in range(0, len(a_cell), len(SYMBOLS))]
+    b_cells = [b_cell[r:r + len(SYMBOLS)] for r in range(0, len(b_cell), len(SYMBOLS))]
     # four resources per (W or V, tuple): a0, b0, a1, b1
     ctrl = block([f"{ab}{sup}_{kind}_{tag}" for kind in ("W", "V") for tag in tags
                   for sup in ("0", "1") for ab in ("a", "b")], "alpha", "beta")
@@ -138,13 +141,14 @@ def build_structure(spec: TMSpec, market_halt_nn: bool = False) -> GadgetStructu
                                         "TriggerMain", "TriggerClock")
 
     def nn(name: str, kind: str) -> int:
-        return block([name], kind)[0]
+        names.append(name)
+        kinds.append(kind)
+        return len(names) - 1
 
     # the other resources of one block: a state, a position, a cell's symbol
     a_state_but, b_state_but = _without_each(a_state), _without_each(b_state)
     a_pos_but, b_pos_but = _without_each(a_pos), _without_each(b_pos)
-    a_cell_but = [_without_each(a_cell[3 * i:3 * i + 3]) for i in range(n_cells)]
-    b_cell_but = [_without_each(b_cell[3 * i:3 * i + 3]) for i in range(n_cells)]
+    a_cell_but, b_cell_but = list(map(_without_each, a_cells)), list(map(_without_each, b_cells))
 
     player_roles: list[str] = []
     strategy_names: list[list[str]] = []
@@ -160,8 +164,7 @@ def build_structure(spec: TMSpec, market_halt_nn: bool = False) -> GadgetStructu
     add_player("position", [f"p{i}" for i in range(n_cells)],
                [[a, b] for a, b in zip(a_pos, b_pos)])
     for i in range(n_cells):
-        add_player(f"cell_{i}", list(SYMBOLS),
-                   [[a, b] for a, b in zip(a_cell[3 * i:3 * i + 3], b_cell[3 * i:3 * i + 3])])
+        add_player(f"cell_{i}", list(SYMBOLS), [[a, b] for a, b in zip(a_cells[i], b_cells[i])])
     for kind, kind_quads in (("W", w_quads), ("V", v_quads)):
         for tag, (a0, b0, a1, b1) in zip(tags, kind_quads):
             add_player(f"control_{kind}_{tag}", ["Zero", "One"], [[b1, a1], [b0, a0]])
